@@ -1,9 +1,11 @@
 """The episode loop: a question goes in, a traced answer comes out.
 
 One episode owns a private copy of the prior graph and grows it from
-observations. Planning, acting and feedback checking alternate until
-the chain is exhausted, the plan budget runs out, or the fallback gives
-up. Every plan and observation lands in the trace, so an episode can be
+observations. The copy comes from a template each world builds once, on
+its first episode, so a world's graph must stay fixed while episodes
+run. Planning, acting and feedback checking alternate until the chain
+is exhausted, the plan budget runs out, or the fallback gives up.
+Every plan and observation lands in the trace, so an episode can be
 replayed or audited after the fact.
 """
 

@@ -105,6 +105,7 @@ class WorldTruth:
         elif entrance not in graph:
             raise WorldFormatError(f"entrance references unknown node {entrance!r}")
         self.entrance = entrance
+        self._prior_template: SceneGraph | None = None
 
     # -- queries used by the environment and by dataset oracles ---------
 
@@ -118,7 +119,19 @@ class WorldTruth:
         return self.placement.get(node_id, _DEFAULT_PLACEMENT.get(node.layer, "in"))
 
     def prior_graph(self) -> SceneGraph:
-        """The agent's starting knowledge: layers 1 to 3, no attributes."""
+        """The agent's starting knowledge: layers 1 to 3, no attributes.
+
+        The result is a private copy of a template built from ``graph`` on
+        the first call and kept for the life of this world, so callers may
+        mutate it freely. ``graph`` must not be mutated once the template
+        exists: later calls would not see the change. Two threads that race
+        on the first call both build the same template, which is harmless.
+        """
+        if self._prior_template is None:
+            self._prior_template = self._build_prior()
+        return self._prior_template.copy()
+
+    def _build_prior(self) -> SceneGraph:
         out = SceneGraph()
         for floor in self.graph.nodes_at(Layer.FLOOR):
             out.add_node(SceneNode(id=floor.id, layer=Layer.FLOOR, label=floor.label))

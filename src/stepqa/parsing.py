@@ -214,21 +214,24 @@ def _finish_part(words: list[str], constraints: list[tuple[str, str]]) -> _Part:
     return _Part(label=" ".join(words), constraints=list(constraints) + extra)
 
 
-_ALL_KNOWN = {normalize_label(x) for x in ROOM_LABELS | BIG_OBJECT_LABELS | SMALL_OBJECT_LABELS}
+_ROOMS = frozenset(normalize_label(x) for x in ROOM_LABELS)
+_BIG_OBJECTS = frozenset(normalize_label(x) for x in BIG_OBJECT_LABELS)
+_SMALL_OBJECTS = frozenset(normalize_label(x) for x in SMALL_OBJECT_LABELS)
+_ALL_KNOWN = _ROOMS | _BIG_OBJECTS | _SMALL_OBJECTS
 
 
 def _assign_layer(part: _Part, graph: SceneGraph | None) -> None:
     norm = alias_label(part.label)
-    if norm in {normalize_label(r) for r in ROOM_LABELS}:
+    if norm in _ROOMS:
         part.layer = Layer.ROOM
         return
     if graph is not None and graph.find_nodes(norm, Layer.ROOM):
         part.layer = Layer.ROOM
         return
-    if norm in {normalize_label(b) for b in BIG_OBJECT_LABELS}:
+    if norm in _BIG_OBJECTS:
         part.layer = Layer.BIG_OBJECT
         return
-    if norm in {normalize_label(s) for s in SMALL_OBJECT_LABELS}:
+    if norm in _SMALL_OBJECTS:
         part.layer = Layer.SMALL_OBJECT
         return
     if graph is not None:

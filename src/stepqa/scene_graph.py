@@ -10,6 +10,7 @@ within a single layer.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass, field
@@ -90,8 +91,13 @@ def singularize(word: str) -> str:
     return word
 
 
+@functools.lru_cache(maxsize=8192)
 def normalize_label(label: str) -> str:
-    """Lowercase, collapse whitespace and singularize the head word."""
+    """Lowercase, collapse whitespace and singularize the head word.
+
+    Memoized: every plan re-normalizes the same few labels many times.
+    The uncached function stays reachable as ``normalize_label.__wrapped__``.
+    """
     words = label.strip().lower().split()
     if not words:
         return ""
@@ -306,13 +312,11 @@ class SceneGraph:
         raise GraphValidationError(f"node {node_id} has no room ancestor")
 
     def descendants(self, node_id: str) -> list[SceneNode]:
-        out: list[SceneNode] = []
-        stack = list(self._children.get(self.node(node_id).id, []))
-        while stack:
-            nid = stack.pop(0)
-            out.append(self._nodes[nid])
-            stack.extend(self._children.get(nid, []))
-        return out
+        """Every node below this one, in breadth-first order."""
+        queue = list(self._children.get(self.node(node_id).id, []))
+        for nid in queue:  # the queue grows while it is walked
+            queue.extend(self._children.get(nid, []))
+        return [self._nodes[nid] for nid in queue]
 
     def find_nodes(self, label: str, layer: Layer | None = None) -> list[SceneNode]:
         """All nodes with this label, case-insensitive and plural-insensitive."""

@@ -1,7 +1,12 @@
 """Observation model: what each anchor layer reveals, and movement."""
 
+import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
+
 import pytest
 
+from stepqa.agent import ingest_observation
 from stepqa.environment import (
     AgentPose,
     Environment,
@@ -223,6 +228,47 @@ class TestWorldTruthLoading:
         # but keeps the furniture and the map between rooms
         assert len(prior.nodes_at(Layer.BIG_OBJECT)) == 9
         assert prior.spatial_relation("f0.living.table", "f0.living.sofa") == "next-to"
+
+    def test_prior_graphs_are_independent_copies(self, demo_truth, demo_env):
+        def snapshot(graph):
+            return [n.to_dict() for n in graph.nodes], list(graph.spatial_edges)
+
+        truth_before = snapshot(demo_truth.graph)
+        first, second = demo_truth.prior_graph(), demo_truth.prior_graph()
+        assert first is not second
+        first.add_observed_node("f0.kitchen.table", "spoon", {"color": "silver"})
+        first.set_attribute("f0.living.sofa", "color", "green")
+        demo_env.reset()
+        demo_env.execute(move(goal_id="f0.living"))
+        ingest_observation(first, demo_env.execute(move(goal_id="f0.living.table")))
+        assert first.nodes_at(Layer.SMALL_OBJECT)
+
+        for untouched in (second, demo_truth.prior_graph()):
+            assert untouched.nodes_at(Layer.SMALL_OBJECT) == []
+            assert all(n.attributes == {} for n in untouched.nodes)
+        assert snapshot(demo_truth.graph) == truth_before
+
+    def test_prior_graph_built_by_racing_threads_is_the_same(self, demo_path):
+        world = load_world_truth(demo_path)
+        expected = [n.to_dict() for n in load_world_truth(demo_path).prior_graph().nodes]
+        workers = 4
+        start = threading.Barrier(workers)
+
+        def build(_):
+            start.wait(timeout=10)
+            return world.prior_graph()
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(workers) as pool:
+                futures = [pool.submit(build, i) for i in range(workers)]
+                graphs = [f.result(timeout=30) for f in futures]
+        finally:
+            sys.setswitchinterval(interval)
+        assert len({id(g) for g in graphs}) == workers
+        for graph in graphs:
+            assert [n.to_dict() for n in graph.nodes] == expected
 
     def test_unknown_entrance_rejected(self, demo_truth):
         with pytest.raises(Exception):

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from stepqa import prompts
+from stepqa import parsing, prompts
 from stepqa.llm_client import ChatClient, ChatMessage, ChatRequest, ReplayTransport
 from stepqa.parsing import (
     EmptyQuestionError,
@@ -16,7 +16,7 @@ from stepqa.parsing import (
     parse_question,
 )
 from stepqa.patterns import TargetKind, render
-from stepqa.scene_graph import Layer
+from stepqa.scene_graph import Layer, normalize_label
 
 
 @pytest.fixture()
@@ -132,6 +132,17 @@ class TestLayerAssignment:
         alt = pq.chain.alternatives[0]
         assert alt.steps[-2].attribute_marked
         assert alt.steps[-1].queried_attribute == "color"
+
+
+    def test_precomputed_vocabularies_track_the_label_lists(self):
+        for vocab, labels in (
+            (parsing._ROOMS, parsing.ROOM_LABELS),
+            (parsing._BIG_OBJECTS, parsing.BIG_OBJECT_LABELS),
+            (parsing._SMALL_OBJECTS, parsing.SMALL_OBJECT_LABELS),
+        ):
+            assert isinstance(vocab, frozenset)
+            assert vocab == {normalize_label(x) for x in labels}
+        assert parsing._ALL_KNOWN == parsing._ROOMS | parsing._BIG_OBJECTS | parsing._SMALL_OBJECTS
 
 
 class TestBackendOrchestration:

@@ -3,6 +3,7 @@
 import math
 
 import pytest
+from hypothesis import given, strategies as st
 
 from stepqa.scene_graph import (
     GraphValidationError,
@@ -91,6 +92,24 @@ class TestLabels:
         assert normalize_label("  Coffee   Tables ") == "coffee table"
         assert normalize_label("") == ""
 
+    @given(
+        st.one_of(
+            st.text(),
+            st.builds(
+                lambda pad, word, tail: pad + word + tail,
+                st.sampled_from(["", " ", "\t", "  The ", "Red\n"]),
+                st.sampled_from(
+                    ["People", "SHELVES", "knives", "Couches", "boxes", "glasses", "keys",
+                     "children", "ladies", "bus", "Coffee  Tables", "sofa", "s", "ies"]
+                ),
+                st.sampled_from(["", " ", "\n ", "S"]),
+            ),
+        )
+    )
+    def test_memoized_normalize_matches_the_uncached_function(self, label):
+        first = normalize_label(label)
+        assert normalize_label(label) == first == normalize_label.__wrapped__(label)
+
     def test_alias_maps_synonyms(self):
         assert alias_label("couch") == "sofa"
         assert alias_label("Fridge") == "refrigerator"
@@ -147,6 +166,36 @@ class TestGraphStructure:
         assert [a.id for a in g.ancestors("f0.a.t")] == ["f0.a", "f0"]
         assert g.room_of("f0.a.t").id == "f0.a"
         assert {n.id for n in g.descendants("f0")} >= {"f0.a", "f0.b", "f0.a.t"}
+
+    def test_descendants_are_breadth_first_on_a_wide_graph(self):
+        g = SceneGraph()
+        g.add_node(SceneNode("f", Layer.FLOOR, "floor"))
+        rooms = [f"r{i}" for i in range(40)]
+        bigs = [f"{r}.b{j}" for r in rooms for j in range(5)]
+        smalls = [f"{b}.s{k}" for b in bigs for k in range(5)]
+        for room in rooms:
+            g.add_node(SceneNode(room, Layer.ROOM, "room", position=(0, 0)), "f")
+        for big in bigs:
+            g.add_node(SceneNode(big, Layer.BIG_OBJECT, "table", position=(0, 0)), big.rsplit(".", 1)[0])
+        for small in smalls:
+            g.add_node(SceneNode(small, Layer.SMALL_OBJECT, "cup"), small.rsplit(".", 1)[0])
+        assert [n.id for n in g.descendants("f")] == rooms + bigs + smalls
+        assert [n.id for n in g.descendants("r7")] == bigs[35:40] + smalls[175:200]
+        assert g.descendants(smalls[0]) == []
+
+    def test_descendants_walk_a_deep_chain_in_order(self):
+        # add_node stops containment at four layers; descendants itself only
+        # follows the child lists, so a long chain is wired through them.
+        g = SceneGraph()
+        g.add_node(SceneNode("n0", Layer.FLOOR, "floor"))
+        ids = [f"n{i}" for i in range(1500)]
+        for parent, child in zip(ids, ids[1:]):
+            g._nodes[child] = SceneNode(child, Layer.SMALL_OBJECT, "link")
+            g._parent[child] = parent
+            g._children[parent] = [child]
+            g._children[child] = []
+        assert [n.id for n in g.descendants("n0")] == ids[1:]
+        assert [n.id for n in g.descendants("n1400")] == ids[1401:]
 
     def test_room_of_on_a_room_is_identity(self):
         g = build_prior_graph(small_world())
