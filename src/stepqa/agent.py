@@ -35,7 +35,6 @@ from .scene_graph import (
     Layer,
     SceneGraph,
     SceneNode,
-    alias_label,
     labels_match,
     normalize_label,
 )
@@ -133,10 +132,6 @@ class EpisodeTrace:
 
     def write(self, path: str | Path) -> None:
         Path(path).write_text("\n".join(self.lines()) + "\n", encoding="utf-8")
-
-    def history(self) -> list[tuple[dict[str, Any], dict[str, Any] | None]]:
-        """Plan and observation pairs in execution order."""
-        return [(e.plan, e.observation) for e in self.events]
 
 
 @dataclass
@@ -268,22 +263,15 @@ def _tally_scope(chain: PatternChain, graph: SceneGraph, obs: Observation) -> st
 
 def tally_matches(graph: SceneGraph, scope_id: str, step: SubGoal) -> list[SceneNode]:
     """Nodes under the scope that satisfy a count or existence target."""
-    out: list[SceneNode] = []
-    for node in graph.descendants(scope_id):
-        if node.layer is not step.layer:
-            continue
-        if step.label and not (
-            labels_match(step.label, node.label)
-            or alias_label(step.label) == node.norm_label
-        ):
-            continue
-        if step.attribute_constraint is not None:
-            attr, want = step.attribute_constraint
-            have = node.attributes.get(attr)
-            if have is None or normalize_label(have) != normalize_label(want):
-                continue
-        out.append(node)
-    return out
+    found = graph.matches_under(scope_id, step.label, step.layer)
+    if step.attribute_constraint is None:
+        return found
+    attr, want = step.attribute_constraint
+    return [
+        n
+        for n in found
+        if attr in n.attributes and normalize_label(n.attributes[attr]) == normalize_label(want)
+    ]
 
 
 def extract_answer(

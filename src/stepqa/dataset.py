@@ -25,7 +25,8 @@ from .agent import normalize_answer
 from .environment import WorldTruth
 from .parsing import TemplateBackend
 from .patterns import render
-from .scene_graph import Layer, SceneGraph, SceneNode, alias_label, labels_match, normalize_label, singularize
+# perfbench/spans.py wraps normalize_label in this module, so the import must stay.
+from .scene_graph import Layer, SceneGraph, SceneNode, normalize_label, singularize
 from .worldgen import SMALL_POOL_LABELS
 
 _CATEGORY_ORDER = ("template", "multi_step", "small_object", "people")
@@ -99,17 +100,11 @@ def default_phrasings() -> dict[str, list[str]]:
 def truth_matches(
     graph: SceneGraph,
     scope_id: str,
-    label: str,
+    label: str | None,
     layer: Layer = Layer.SMALL_OBJECT,
 ) -> list[SceneNode]:
     """Entities under a scope the wording could mean, synonyms included."""
-    out = []
-    for node in graph.descendants(scope_id):
-        if node.layer is not layer:
-            continue
-        if labels_match(label, node.label) or alias_label(label) == node.norm_label:
-            out.append(node)
-    return out
+    return graph.matches_under(scope_id, label, layer)
 
 
 def truth_on_labels(world: WorldTruth, big_id: str) -> list[str]:

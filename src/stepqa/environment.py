@@ -19,12 +19,10 @@ free. A failed move is reported through the observation, not raised.
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass, field
-from pathlib import Path
+from dataclasses import dataclass
 from typing import Any
 
-from .rules import Plan, PlanKind
+from .rules import Plan, PlanKind, resolve_near_pose
 from .scene_graph import (
     Layer,
     SceneGraph,
@@ -34,6 +32,7 @@ from .scene_graph import (
     build_prior_graph,
     normalize_label,
     read_world_source,
+    world_source_path,
 )
 
 _DEFAULT_PLACEMENT = {Layer.ROOM: "in", Layer.BIG_OBJECT: "in", Layer.SMALL_OBJECT: "on"}
@@ -162,10 +161,6 @@ class WorldTruth:
                 out.add_spatial_edge(edge.a, edge.b, edge.relation)
         return out
 
-    @classmethod
-    def load(cls, source: Any) -> WorldTruth:
-        return load_world_truth(source)
-
 
 def load_world_truth(source: Any) -> WorldTruth:
     """Load a full world file (prior schema plus small objects and attributes)."""
@@ -218,11 +213,8 @@ def load_world_truth(source: Any) -> WorldTruth:
                     if small.get("occluded_from_parent"):
                         occluded.add(node.id)
     graph.validate()
-    world_id = str(data.get("id", "world"))
-    if isinstance(source, (str, Path)) and "id" not in data:
-        p = Path(source)
-        if p.exists():
-            world_id = p.stem
+    path = world_source_path(source)
+    world_id = str(data.get("id", path.stem if path is not None else "world"))
     entrance = data.get("entrance")
     return WorldTruth(
         graph,
@@ -348,26 +340,4 @@ class Environment:
             return graph.node(plan.goal_id) if plan.goal_id in graph else None
         if not plan.goal_label:
             return None
-        anchor = graph.node(self.pose.anchor_id)
-        near = graph.position_of(anchor.id)
-        scopes: list[str | None] = []
-        if anchor.layer is Layer.BIG_OBJECT:
-            scopes = [anchor.id, graph.room_of(anchor.id).id, None]
-        elif anchor.layer is Layer.SMALL_OBJECT:
-            parent = graph.parent(anchor.id)
-            scopes = [parent.id if parent else None, graph.room_of(anchor.id).id, None]
-        elif anchor.layer is Layer.ROOM:
-            scopes = [anchor.id, None]
-        else:
-            scopes = [anchor.id, None]
-        seen: set[str | None] = set()
-        for scope in scopes:
-            if scope in seen:
-                continue
-            seen.add(scope)
-            found = graph.resolve_label(
-                plan.goal_label, layer=plan.goal_layer, scope_id=scope, near=near
-            )
-            if found:
-                return found[0]
-        return None
+        return resolve_near_pose(graph, self.pose, plan.goal_label, plan.goal_layer)

@@ -12,8 +12,9 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import re
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Callable
 
@@ -68,6 +69,13 @@ class ChatRequest:
 class ChatResponse:
     content: str
     finish_reason: str = "stop"
+
+
+def strip_fences(text: str) -> str:
+    """Reply text without a surrounding Markdown code fence, if it has one."""
+    text = text.strip()
+    match = re.match(r"^```(?:json)?\s*(.*?)\s*```$", text, flags=re.DOTALL)
+    return match.group(1) if match else text
 
 
 def request_digest(request: ChatRequest) -> str:

@@ -11,15 +11,13 @@ backends are pure: same inputs, same output, no graph mutation.
 from __future__ import annotations
 
 import json
-import math
-import re
 from typing import Any
 
 from . import prompts
-from .llm_client import ChatClient
+from .llm_client import ChatClient, strip_fences
 from .patterns import PatternChain, TargetKind
 from .rules import PerceptionRange, Plan, PlanKind
-from .scene_graph import Layer, SceneGraph, SceneNode
+from .scene_graph import SceneGraph, SceneNode
 
 # Attribute families that resolve from one layer above the object.
 REMOTE_ATTRIBUTES = frozenset({"color", "quantity", "existence", "location"})
@@ -91,16 +89,6 @@ def _nearest_unexplored_sibling(
     """Unexplored sibling of the anchor, then of its parent, nearest first."""
     if pose.anchor_id not in graph:
         return None
-    here = graph.position_of(pose.anchor_id)
-
-    def key(node: SceneNode) -> tuple:
-        d = float("inf")
-        if here is not None:
-            pos = graph.position_of(node.id)
-            if pos is not None:
-                d = math.dist(here, pos)
-        return (d, node.instance_index, node.id)
-
     probe: str | None = pose.anchor_id
     while probe is not None:
         parent = graph.parent(probe)
@@ -112,7 +100,7 @@ def _nearest_unexplored_sibling(
             if s.id != probe and s.id not in explored
         ]
         if siblings:
-            return sorted(siblings, key=key)[0]
+            return graph.nearest_first(siblings, pose.anchor_id)[0]
         probe = parent.id
 
 
@@ -183,7 +171,7 @@ class ChatPlanner:
 
     def _parse_plan(self, text: str, graph: SceneGraph) -> Plan:
         try:
-            data = json.loads(_strip_fences(text))
+            data = json.loads(strip_fences(text))
         except json.JSONDecodeError as exc:
             raise SchemaError(f"plan is not JSON: {exc}") from exc
         kind = data.get("kind")
@@ -215,35 +203,3 @@ class ChatPlanner:
 
     def _completed(self, system: str, user: str) -> str:
         return self.client.complete_text(system, user)
-
-
-def _strip_fences(text: str) -> str:
-    text = text.strip()
-    match = re.match(r"^```(?:json)?\s*(.*?)\s*```$", text, flags=re.DOTALL)
-    return match.group(1) if match else text
-
-
-def classify_attribute(
-    attribute: str, object_label: str = "", backend: Any | None = None
-) -> PerceptionRange:
-    return (backend or LookupPlanner()).classify_attribute(attribute, object_label)
-
-
-def simplify_question(
-    question: str,
-    chain: PatternChain,
-    k: int,
-    slots: dict[str, str] | None = None,
-    backend: Any | None = None,
-) -> str:
-    return (backend or LookupPlanner()).simplify_question(question, chain, k, slots or {})
-
-
-def fallback_plan(
-    graph: SceneGraph,
-    pose: Any,
-    explored: frozenset[str],
-    backend: Any | None = None,
-    question: str = "",
-) -> Plan:
-    return (backend or LookupPlanner()).fallback_plan(graph, pose, explored, question=question)

@@ -22,7 +22,7 @@ from enum import Enum
 from typing import Any
 
 from . import prompts
-from .llm_client import ChatClient
+from .llm_client import ChatClient, strip_fences
 from .patterns import (
     PatternChain,
     PatternStructureError,
@@ -491,11 +491,7 @@ class LlmBackend:
         raise UnparsedQuestionError(question, f"model output invalid after {self.retries + 1} tries: {errors[-1]}")
 
     def _validated(self, reply: str) -> ParsedQuestion:
-        text = reply.strip()
-        m = re.match(r"^```(?:json)?\s*(.*?)\s*```$", text, flags=re.DOTALL)
-        if m:
-            text = m.group(1)
-        data = json.loads(text)
+        data = json.loads(strip_fences(reply))
         if not isinstance(data, dict) or "pattern" not in data:
             raise ValueError("reply must be an object with a 'pattern' field")
         chain = parse_pattern_string(str(data["pattern"]))

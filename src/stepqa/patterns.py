@@ -222,11 +222,6 @@ def shape(chain: PatternChain) -> str:
     return " -> ".join(step.token(with_slots=False) for step in chain.steps)
 
 
-def target(chain: PatternChain) -> SubGoal:
-    """The step the question is ultimately about (always the final one)."""
-    return chain.steps[-1]
-
-
 def make_chain(
     steps: list[SubGoal],
     kind: TargetKind | None = None,

@@ -15,13 +15,12 @@ final look.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from enum import Enum
 from typing import TYPE_CHECKING, Any
 
 from .patterns import PatternChain, SubGoal, TargetKind
-from .scene_graph import Layer, SceneGraph, SceneNode, labels_match
+from .scene_graph import Layer, SceneGraph, SceneNode
 
 if TYPE_CHECKING:
     from .environment import AgentPose
@@ -126,14 +125,19 @@ def _anchor_node(graph: SceneGraph, pose: AgentPose) -> SceneNode | None:
     return graph.node(pose.anchor_id) if pose.anchor_id in graph else None
 
 
-def _resolve_near_pose(
+def resolve_near_pose(
     graph: SceneGraph,
     pose: AgentPose,
     label: str,
     layer: Layer | None,
     constraint: tuple[str, str] | None = None,
 ) -> SceneNode | None:
-    """Best node for a label, searching outward from the agent's anchor."""
+    """Best node for a label, searching outward from the agent's anchor.
+
+    The scopes are the anchor's subtree, its parent's, its room's, then the
+    whole graph; nearest candidate first within each. The planner and the
+    environment both resolve labels here.
+    """
     anchor = _anchor_node(graph, pose)
     near = graph.position_of(anchor.id) if anchor else None
     scopes: list[str | None] = []
@@ -184,18 +188,8 @@ def _scope_node(chain: PatternChain, graph: SceneGraph, pose: AgentPose) -> Scen
 
 def _sweep_anchors(graph: SceneGraph, scope: SceneNode, pose: AgentPose) -> list[SceneNode]:
     """Big objects under the scope, nearest room first, nearest object within."""
-    here = graph.position_of(pose.anchor_id) if pose.anchor_id in graph else None
-
-    def near_key(node: SceneNode) -> tuple:
-        d = float("inf")
-        if here is not None:
-            pos = graph.position_of(node.id)
-            if pos is not None:
-                d = math.dist(here, pos)
-        return (d, node.instance_index, node.id)
-
     if scope.layer is Layer.FLOOR:
-        rooms = sorted(graph.children(scope.id), key=near_key)
+        rooms = graph.nearest_first(graph.children(scope.id), pose.anchor_id)
     elif scope.layer is Layer.ROOM:
         rooms = [scope]
     else:
@@ -203,7 +197,7 @@ def _sweep_anchors(graph: SceneGraph, scope: SceneNode, pose: AgentPose) -> list
     out: list[SceneNode] = []
     for room in rooms:
         bigs = [c for c in graph.children(room.id) if c.layer is Layer.BIG_OBJECT]
-        out.extend(sorted(bigs, key=near_key))
+        out.extend(graph.nearest_first(bigs, pose.anchor_id))
     return out
 
 
@@ -279,7 +273,7 @@ def next_plan(
     ref_index = n - 2
     if k < ref_index:
         step = chain.steps[k]
-        node = _resolve_near_pose(graph, pose, step.label or "", step.layer, step.attribute_constraint)
+        node = resolve_near_pose(graph, pose, step.label or "", step.layer, step.attribute_constraint)
         if node is None:
             raise ResolutionFailure(step.label or step.layer.tag, pose.anchor_id)
         return _move(node, step.label, advance_to=k + 1)
@@ -302,7 +296,7 @@ def _attribute_target_plan(
     target_step = chain.steps[-1]
     obj_step = chain.steps[-2]
     obs_layer = observation_layer(target_step, attr_class)
-    obj = _resolve_near_pose(graph, pose, obj_step.label or "", obj_step.layer, obj_step.attribute_constraint)
+    obj = resolve_near_pose(graph, pose, obj_step.label or "", obj_step.layer, obj_step.attribute_constraint)
     if obj is None:
         if obj_step.layer is Layer.SMALL_OBJECT and not _chain_has_support(chain):
             sweep = _sweep_move(chain, graph, pose, explored)
@@ -338,33 +332,12 @@ def _object_target_plan(
     ref_step = chain.steps[-2] if n >= 2 else None
 
     if target_step.layer is Layer.SMALL_OBJECT:
-        if ref_step is not None and ref_step.layer is Layer.BIG_OBJECT and ref_step.label:
-            ref = _resolve_near_pose(graph, pose, ref_step.label, ref_step.layer, ref_step.attribute_constraint)
-            if ref is None:
-                raise ResolutionFailure(ref_step.label, pose.anchor_id)
-            if pose.anchor_id != ref.id:
-                return _move(ref, ref_step.label, advance_to=n - 1)
-            return Plan(
-                kind=PlanKind.OBSERVE,
-                focus_id=ref.id,
-                expects=("relation", relation),
-                advance_to=n,
-            )
-        sweep = _sweep_move(chain, graph, pose, explored)
-        if sweep is not None:
-            return sweep
-        anchor = _anchor_node(graph, pose)
-        return Plan(
-            kind=PlanKind.OBSERVE,
-            focus_id=anchor.id if anchor else None,
-            expects=("relation", relation),
-            advance_to=n,
-        )
+        return _small_target_plan(chain, graph, pose, explored, ("relation", relation), visit_each=False)
 
     if target_step.layer is Layer.BIG_OBJECT:
         ref = None
         if ref_step is not None and ref_step.label and not ref_step.is_attribute_step:
-            ref = _resolve_near_pose(graph, pose, ref_step.label, ref_step.layer, ref_step.attribute_constraint)
+            ref = resolve_near_pose(graph, pose, ref_step.label, ref_step.layer, ref_step.attribute_constraint)
             if ref is None:
                 raise ResolutionFailure(ref_step.label, pose.anchor_id)
         if ref is not None and ref.layer >= Layer.BIG_OBJECT:
@@ -396,16 +369,12 @@ def _unverified_candidate(
     attr = target_step.attribute_constraint[0] if target_step.attribute_constraint else None
     if attr is None or not target_step.label:
         return None
-    found: list[SceneNode] = []
-    for node in graph.descendants(scope_id):
-        if node.layer is not Layer.SMALL_OBJECT or node.id in explored:
-            continue
-        if not labels_match(target_step.label, node.label):
-            continue
-        if attr not in node.attributes:
-            found.append(node)
-    found.sort(key=lambda n: (n.instance_index, n.id))
-    return found[0] if found else None
+    found = [
+        n
+        for n in graph.matches_under(scope_id, target_step.label, Layer.SMALL_OBJECT)
+        if n.id not in explored and attr not in n.attributes
+    ]
+    return min(found, key=lambda n: (n.instance_index, n.id), default=None)
 
 
 def _tally_target_plan(
@@ -420,39 +389,13 @@ def _tally_target_plan(
     target_step = chain.steps[-1]
     expects_kind = "count" if chain.target_kind is TargetKind.COUNT else "existence"
     expects = (expects_kind, target_step.label)
-    ref_step = chain.steps[-2] if n >= 2 else None
     visit_each = (
         target_step.attribute_constraint is not None
         and constraint_class is PerceptionRange.CLOSE_RANGE
     )
 
     if target_step.layer is Layer.SMALL_OBJECT:
-        if ref_step is not None and ref_step.layer is Layer.BIG_OBJECT and ref_step.label:
-            ref = _resolve_near_pose(graph, pose, ref_step.label, ref_step.layer, ref_step.attribute_constraint)
-            if ref is None:
-                raise ResolutionFailure(ref_step.label, pose.anchor_id)
-            if pose.anchor_id != ref.id:
-                return _move(ref, ref_step.label, advance_to=n - 1)
-            if visit_each:
-                pending = _unverified_candidate(graph, ref.id, target_step, explored)
-                if pending is not None:
-                    return _move(pending, target_step.label, advance_to=None)
-            return Plan(kind=PlanKind.OBSERVE, focus_id=ref.id, expects=expects, advance_to=n)
-        sweep = _sweep_move(chain, graph, pose, explored)
-        if sweep is not None:
-            return sweep
-        if visit_each:
-            scope = _scope_node(chain, graph, pose)
-            pending = _unverified_candidate(graph, scope.id, target_step, explored)
-            if pending is not None:
-                return _move(pending, target_step.label, advance_to=None)
-        anchor = _anchor_node(graph, pose)
-        return Plan(
-            kind=PlanKind.OBSERVE,
-            focus_id=anchor.id if anchor else None,
-            expects=expects,
-            advance_to=n,
-        )
+        return _small_target_plan(chain, graph, pose, explored, expects, visit_each)
 
     if target_step.layer is Layer.BIG_OBJECT:
         room = _scope_node(chain, graph, pose)
@@ -465,6 +408,51 @@ def _tally_target_plan(
     raise PlanningDomainError(f"tally query cannot target a {target_step.layer.tag} node")
 
 
+def _small_target_plan(
+    chain: PatternChain,
+    graph: SceneGraph,
+    pose: AgentPose,
+    explored: frozenset[str],
+    expects: tuple[str, str | None],
+    visit_each: bool,
+) -> Plan:
+    """Look at a small-object target from its support, or sweep for one.
+
+    A big-object reference step names the support to stand at; without one
+    the planner sweeps the chain's scope. visit_each first moves to every
+    candidate whose constraint attribute is still unseen.
+    """
+    n = len(chain.steps)
+    target_step = chain.steps[-1]
+    ref_step = chain.steps[-2] if n >= 2 else None
+    if ref_step is not None and ref_step.layer is Layer.BIG_OBJECT and ref_step.label:
+        ref = resolve_near_pose(graph, pose, ref_step.label, ref_step.layer, ref_step.attribute_constraint)
+        if ref is None:
+            raise ResolutionFailure(ref_step.label, pose.anchor_id)
+        if pose.anchor_id != ref.id:
+            return _move(ref, ref_step.label, advance_to=n - 1)
+        if visit_each:
+            pending = _unverified_candidate(graph, ref.id, target_step, explored)
+            if pending is not None:
+                return _move(pending, target_step.label, advance_to=None)
+        return Plan(kind=PlanKind.OBSERVE, focus_id=ref.id, expects=expects, advance_to=n)
+    sweep = _sweep_move(chain, graph, pose, explored)
+    if sweep is not None:
+        return sweep
+    if visit_each:
+        scope = _scope_node(chain, graph, pose)
+        pending = _unverified_candidate(graph, scope.id, target_step, explored)
+        if pending is not None:
+            return _move(pending, target_step.label, advance_to=None)
+    anchor = _anchor_node(graph, pose)
+    return Plan(
+        kind=PlanKind.OBSERVE,
+        focus_id=anchor.id if anchor else None,
+        expects=expects,
+        advance_to=n,
+    )
+
+
 def _room_query_plan(
     chain: PatternChain,
     graph: SceneGraph,
@@ -473,7 +461,7 @@ def _room_query_plan(
 ) -> Plan:
     n = len(chain.steps)
     subject = chain.steps[0]
-    node = _resolve_near_pose(graph, pose, subject.label or "", subject.layer, subject.attribute_constraint)
+    node = resolve_near_pose(graph, pose, subject.label or "", subject.layer, subject.attribute_constraint)
     if node is not None:
         room = graph.room_of(node.id)
         return Plan(kind=PlanKind.ANSWER, value=room.label, advance_to=n)

@@ -169,7 +169,6 @@ class SpatialEdge:
     a: str
     b: str
     relation: str
-    weight: float | None = None
 
 
 class SceneGraph:
@@ -213,11 +212,7 @@ class SceneGraph:
             )
         if relation not in SPATIAL_RELATIONS:
             raise GraphValidationError(f"unknown spatial relation {relation!r} on edge {a} -> {b}")
-        weight = None
-        pa, pb = self.position_of(a), self.position_of(b)
-        if pa is not None and pb is not None:
-            weight = math.dist(pa, pb)
-        edge = SpatialEdge(a, b, relation, weight)
+        edge = SpatialEdge(a, b, relation)
         self.spatial_edges.append(edge)
         return edge
 
@@ -318,6 +313,18 @@ class SceneGraph:
             queue.extend(self._children.get(nid, []))
         return [self._nodes[nid] for nid in queue]
 
+    def matches_under(self, scope_id: str, label: str | None, layer: Layer) -> list[SceneNode]:
+        """Nodes at a layer under the scope that a label could mean, synonyms included.
+
+        A missing label matches every node at the layer.
+        """
+        return [
+            n
+            for n in self.descendants(scope_id)
+            if n.layer is layer
+            and (not label or labels_match(label, n.label) or alias_label(label) == n.norm_label)
+        ]
+
     def find_nodes(self, label: str, layer: Layer | None = None) -> list[SceneNode]:
         """All nodes with this label, case-insensitive and plural-insensitive."""
         norm = normalize_label(label)
@@ -396,11 +403,19 @@ class SceneGraph:
             return (sum(xs) / len(rooms), sum(ys) / len(rooms))
         return None
 
-    def distance(self, a: str, b: str) -> float:
-        pa, pb = self.position_of(a), self.position_of(b)
-        if pa is None or pb is None:
-            return float("inf")
-        return math.dist(pa, pb)
+    def nearest_first(self, nodes: Iterable[SceneNode], origin_id: str) -> list[SceneNode]:
+        """Nodes by distance from the origin node, ties broken by instance and id.
+
+        Nodes without a position, and every node when the origin is not in
+        the graph, sort after the positioned ones.
+        """
+        here = self.position_of(origin_id) if origin_id in self._nodes else None
+
+        def key(node: SceneNode) -> tuple:
+            pos = self.position_of(node.id) if here is not None else None
+            return (math.dist(here, pos) if pos is not None else math.inf, node.instance_index, node.id)
+
+        return sorted(nodes, key=key)
 
     def spatial_relation(self, a: str, b: str) -> str | None:
         """Relation of node a with respect to node b along a same-layer edge."""
@@ -513,17 +528,24 @@ def _position(value: Any, where: str) -> tuple[float, float]:
     return (float(value[0]), float(value[1]))
 
 
+def world_source_path(source: Any) -> Path | None:
+    """The file a world source names; None for a dict, JSON text or open file."""
+    if isinstance(source, Path):
+        return source
+    if isinstance(source, str) and not source.lstrip().startswith("{"):
+        return Path(source)
+    return None
+
+
 def read_world_source(source: Any) -> dict[str, Any]:
     """Accept a dict, a JSON string, a path, or an open file."""
     if isinstance(source, dict):
         return source
-    if isinstance(source, Path):
-        text = source.read_text()
+    path = world_source_path(source)
+    if path is not None:
+        text = path.read_text()
     elif isinstance(source, str):
-        if source.lstrip().startswith("{"):
-            text = source
-        else:
-            text = Path(source).read_text()
+        text = source
     elif hasattr(source, "read"):
         text = source.read()
     else:

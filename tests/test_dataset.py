@@ -184,6 +184,12 @@ class TestTruthOracles:
         got = truth_matches(demo_truth.graph, "f0", "cups", Layer.SMALL_OBJECT)
         assert len(got) == 2
 
+    def test_missing_label_matches_the_whole_layer(self, demo_truth):
+        graph = demo_truth.graph
+        got = graph.matches_under("f0.living", None, Layer.BIG_OBJECT)
+        assert got == graph.children("f0.living")
+        assert len(graph.matches_under("f0", None, Layer.SMALL_OBJECT)) == 14
+
 
 class TestFiles:
     def test_save_load_round_trip(self, records, tmp_path):

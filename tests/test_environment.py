@@ -1,5 +1,6 @@
 """Observation model: what each anchor layer reveals, and movement."""
 
+import json
 import sys
 import threading
 from concurrent.futures import ThreadPoolExecutor
@@ -14,8 +15,9 @@ from stepqa.environment import (
     WorldTruth,
     load_world_truth,
 )
-from stepqa.rules import Plan, PlanKind
+from stepqa.rules import Plan, PlanKind, resolve_near_pose
 from stepqa.scene_graph import Layer
+from stepqa.worldgen import random_world_data
 
 
 def move(goal_id=None, label=None, layer=None) -> Plan:
@@ -176,6 +178,32 @@ class TestMovement:
         obs = demo_env.execute(move(label="table", layer=Layer.BIG_OBJECT))
         assert obs.anchor_id == "f0.kitchen.table"
 
+    @pytest.mark.parametrize("layer", [Layer.BIG_OBJECT, None])
+    def test_label_goals_search_the_floor_before_other_floors(self, layer):
+        def room(rid, label, x, bigs):
+            big_objects = [{"id": f"{rid}.{b}", "label": b, "position": [bx, 1]} for b, bx in bigs]
+            return {"id": rid, "label": label, "position": [x, 0], "big_objects": big_objects}
+
+        world = load_world_truth(
+            {
+                "id": "two floors",
+                "floors": [
+                    {
+                        "id": "f0",
+                        "rooms": [room("f0.hall", "hall", 0, []), room("f0.study", "study", 20, [("desk", 20)])],
+                    },
+                    {"id": "f1", "rooms": [room("f1.office", "office", 1, [("desk", 1)])]},
+                ],
+            }
+        )
+        env = Environment(world)
+        env.reset()
+        env.execute(move(goal_id="f0.hall"))
+        planned = resolve_near_pose(world.prior_graph(), env.pose, "desk", layer)
+        obs = env.execute(move(label="desk", layer=layer))
+        # the nearer desk is upstairs; the planner and the move both stay on this floor
+        assert obs.anchor_id == planned.id == "f0.study.desk"
+
     def test_failed_move_sets_the_flag_and_keeps_the_pose(self, demo_env):
         demo_env.reset()
         demo_env.execute(move(goal_id="f0.living"))
@@ -269,6 +297,21 @@ class TestWorldTruthLoading:
         assert len({id(g) for g in graphs}) == workers
         for graph in graphs:
             assert [n.to_dict() for n in graph.nodes] == expected
+
+    def test_json_text_without_an_id_is_named_world(self):
+        data = random_world_data(1, rooms=6, small_range=(20, 30))
+        del data["id"]
+        text = json.dumps(data)
+        assert len(text) > 4096  # far longer than any file name
+        assert load_world_truth(text).world_id == "world"
+
+    def test_file_without_an_id_is_named_after_the_file(self, tmp_path):
+        data = random_world_data(1)
+        del data["id"]
+        path = tmp_path / "attic.json"
+        path.write_text(json.dumps(data))
+        assert load_world_truth(path).world_id == "attic"
+        assert load_world_truth(str(path)).world_id == "attic"
 
     def test_unknown_entrance_rejected(self, demo_truth):
         with pytest.raises(Exception):

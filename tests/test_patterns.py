@@ -13,7 +13,6 @@ from stepqa.patterns import (
     parse_pattern_string,
     render,
     shape,
-    target,
 )
 from stepqa.scene_graph import Layer
 
@@ -59,7 +58,7 @@ def test_constraint_survives_round_trip():
 
 def test_target_is_last_step():
     chain = parse_pattern_string("V3[bed] -> V2[?]")
-    assert target(chain).layer is Layer.ROOM
+    assert chain.steps[-1].layer is Layer.ROOM
 
 
 def test_whitespace_is_forgiven():

@@ -211,7 +211,13 @@ class TestGraphStructure:
         assert g.spatial_relation("f0.a.t", "f0.a.s") == "next-to"
         assert g.spatial_relation("f0.a.s", "f0.a.t") == "next-to"
         assert g.spatial_relation("f0.a.t", "f0.b.t") is None
-        assert math.isclose(g.distance("f0.a.t", "f0.a.s"), 1.0)
+        assert math.isclose(math.dist(g.position_of("f0.a.t"), g.position_of("f0.a.s")), 1.0)
+
+    def test_nearest_first_orders_by_distance_then_instance(self):
+        g = build_prior_graph(small_world())
+        bigs = g.nodes_at(Layer.BIG_OBJECT)
+        assert [n.id for n in g.nearest_first(bigs, "f0.b")] == ["f0.b.t", "f0.a.s", "f0.a.t"]
+        assert g.nearest_first(bigs, "nowhere") == sorted(bigs, key=lambda n: (n.instance_index, n.id))
 
     def test_cross_layer_edge_rejected(self):
         g = build_prior_graph(small_world())
