@@ -68,13 +68,21 @@ class AgentConfig:
 
 @dataclass
 class TraceEvent:
+    """One executed plan. ``plan`` is serialized when the event is made,
+    because plans are mutable; the observation is immutable, so it is
+    kept as is and serialized only when ``observation`` is read."""
+
     t: int
     k: int
     plan: dict[str, Any]
-    observation: dict[str, Any] | None
+    obs: Observation | None
     feedback: bool | None
     secondary: bool = False
     subquestion: str | None = None
+
+    @property
+    def observation(self) -> dict[str, Any] | None:
+        return self.obs.to_dict() if self.obs is not None else None
 
     def to_dict(self) -> dict[str, Any]:
         return {
@@ -95,13 +103,17 @@ class EpisodeTrace:
     pattern: str | None = None
     parse_source: str | None = None
     prompt_versions: dict[str, str] = field(default_factory=dict)
-    entrance_observation: dict[str, Any] | None = None
+    entrance: Observation | None = None
     events: list[TraceEvent] = field(default_factory=list)
     answer: str | None = None
     status: str | None = None
     steps: int = 0
     plans: int = 0
     wall_ms: float = 0.0
+
+    @property
+    def entrance_observation(self) -> dict[str, Any] | None:
+        return self.entrance.to_dict() if self.entrance is not None else None
 
     def header(self) -> dict[str, Any]:
         return {
@@ -244,11 +256,14 @@ def secondary_perception(plan: Plan, obs: Observation, graph: SceneGraph) -> boo
 
 
 def _tally_scope(chain: PatternChain, graph: SceneGraph, obs: Observation) -> str:
+    """The node to count under: the chain's labels resolved nearest the
+    anchor the count was observed from, else the anchor's room."""
+    near = graph.position_of(obs.anchor_id) if obs.anchor_id in graph else None
     scope_id: str | None = None
     for step in chain.steps[:-1]:
         if not step.label:
             continue
-        found = graph.resolve_label(step.label, layer=step.layer, scope_id=scope_id)
+        found = graph.resolve_label(step.label, layer=step.layer, scope_id=scope_id, near=near)
         if found:
             scope_id = found[0].id
     if scope_id is not None:
@@ -409,7 +424,7 @@ def run_episode(
         question=question,
         world_id=env.world.world_id,
         prompt_versions=dict(prompts.VERSIONS),
-        entrance_observation=first_obs.to_dict(),
+        entrance=first_obs,
     )
 
     def finish(answer: str, status: EpisodeStatus, chain: PatternChain | None) -> EpisodeResult:
@@ -504,7 +519,7 @@ def run_episode(
                 echo = env.observe()
                 ingest_observation(graph, echo)
                 trace.events.append(
-                    TraceEvent(t=t, k=k, plan=plan.to_dict(), observation=echo.to_dict(), feedback=True)
+                    TraceEvent(t=t, k=k, plan=plan.to_dict(), obs=echo, feedback=True)
                 )
                 if plan.tool == "fallback":
                     gave_up = True
@@ -524,7 +539,7 @@ def run_episode(
                     t=t,
                     k=k,
                     plan=plan.to_dict(),
-                    observation=obs.to_dict(),
+                    obs=obs,
                     feedback=ok,
                     secondary=secondary,
                     subquestion=subquestion,

@@ -15,12 +15,19 @@ Attributes listed in a node's close_only set never show from one layer
 up; they require standing at the node. Movement between anchors is by
 teleport, one step per MoveTo whether it succeeds or not. Observing is
 free. A failed move is reported through the observation, not raised.
+
+Each view (what an observation shows from one anchor, with relations
+taken to one reference node) is built once per world and shared
+read-only by every observation that needs it, across episodes and
+threads. A world's graph must therefore not be mutated after its first
+episode: views built before the change would not see it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any
+from types import MappingProxyType
+from typing import Any, Mapping, NamedTuple
 
 from .rules import Plan, PlanKind, resolve_near_pose
 from .scene_graph import (
@@ -58,14 +65,26 @@ class VisibleNode:
         return [self.node_id, self.label, self.layer.tag, self.relation]
 
 
+class View(NamedTuple):
+    """What standing at one anchor shows: an Observation without its step."""
+
+    anchor_layer: Layer
+    anchor_parent_id: str | None
+    visible: tuple[VisibleNode, ...]
+    revealed: Mapping[str, Mapping[str, str]]
+
+
 @dataclass(frozen=True)
 class Observation:
+    """One observation. ``revealed`` is read-only at both levels, because
+    observations of the same view share it."""
+
     step: int
     anchor_id: str
     anchor_layer: Layer
     anchor_parent_id: str | None
     visible: tuple[VisibleNode, ...]
-    revealed: dict[str, dict[str, str]]
+    revealed: Mapping[str, Mapping[str, str]]
     move_failed: bool = False
 
     def to_dict(self) -> dict[str, Any]:
@@ -80,7 +99,12 @@ class Observation:
 
 
 class WorldTruth:
-    """Ground-truth world: full graph plus perception metadata."""
+    """Ground-truth world: full graph plus perception metadata.
+
+    The prior graph template and every observation view are built from
+    ``graph`` on first use and kept for the life of the world, so
+    ``graph`` must not be mutated after the first episode.
+    """
 
     def __init__(
         self,
@@ -105,6 +129,7 @@ class WorldTruth:
             raise WorldFormatError(f"entrance references unknown node {entrance!r}")
         self.entrance = entrance
         self._prior_template: SceneGraph | None = None
+        self._views: dict[tuple[str, str], View] = {}
 
     # -- queries used by the environment and by dataset oracles ---------
 
@@ -116,6 +141,60 @@ class WorldTruth:
     def placement_relation(self, node_id: str) -> str:
         node = self.graph.node(node_id)
         return self.placement.get(node_id, _DEFAULT_PLACEMENT.get(node.layer, "in"))
+
+    def view(self, anchor_id: str, focus_id: str | None = None) -> View:
+        """What standing at the anchor shows, relations taken to the focus.
+
+        The reference for relations is the focus if it is in the graph,
+        else the anchor. Each (anchor, reference) view is built on first
+        request and shared after that; its ``revealed`` mapping is
+        read-only. Two threads that race on the first request both build
+        the same view and one of them is kept, which is harmless. Raises
+        UnknownNodeError for an anchor not in the graph.
+        """
+        graph = self.graph
+        reference_id = focus_id if focus_id is not None and focus_id in graph else anchor_id
+        key = (anchor_id, reference_id)
+        cached = self._views.get(key)
+        if cached is not None:
+            return cached
+
+        anchor = graph.node(anchor_id)
+        ref_parent = graph.parent(reference_id)
+
+        def relation(node: SceneNode) -> str | None:
+            if node.id == reference_id:
+                return "here"
+            parent = graph.parent(node.id)
+            if parent is not None and parent.id == reference_id:
+                return self.placement_relation(node.id)
+            if ref_parent is not None and ref_parent.id == node.id:
+                rel = self.placement_relation(reference_id)
+                return _INVERSE_RELATION.get(rel, rel)
+            return graph.spatial_relation(node.id, reference_id)
+
+        visible: list[VisibleNode] = []
+        revealed: dict[str, Mapping[str, str]] = {}
+        # A floor shows its rooms' labels only; a small object has no children.
+        if anchor.layer is not Layer.FLOOR and anchor.attributes:
+            revealed[anchor.id] = MappingProxyType(dict(anchor.attributes))
+        for child in graph.children(anchor.id):
+            if anchor.layer is Layer.BIG_OBJECT and child.id in self.occluded:
+                continue
+            visible.append(VisibleNode(child.id, child.label, child.layer, relation(child)))
+            if anchor.layer is not Layer.FLOOR:
+                remote = self.remote_attributes(child.id)
+                if remote:
+                    revealed[child.id] = MappingProxyType(remote)
+
+        parent = graph.parent(anchor.id)
+        view = View(
+            anchor_layer=anchor.layer,
+            anchor_parent_id=parent.id if parent else None,
+            visible=tuple(visible),
+            revealed=MappingProxyType(revealed),
+        )
+        return self._views.setdefault(key, view)
 
     def prior_graph(self) -> SceneGraph:
         """The agent's starting knowledge: layers 1 to 3, no attributes.
@@ -233,8 +312,9 @@ class MoveError(ValueError):
 class Environment:
     """Executes plans against one world, tracking the agent's pose.
 
-    The world truth is never mutated; one Environment per episode keeps
-    concurrent episodes independent.
+    The world's graph is never mutated (the world only memoizes views of
+    it); one Environment per episode keeps concurrent episodes
+    independent.
     """
 
     def __init__(self, world: WorldTruth) -> None:
@@ -256,68 +336,18 @@ class Environment:
     # -- observation ----------------------------------------------------
 
     def observe(self, focus_id: str | None = None, move_failed: bool = False) -> Observation:
-        graph = self.world.graph
-        anchor = graph.node(self.pose.anchor_id)
-        parent = graph.parent(anchor.id)
-        reference = anchor
-        if focus_id is not None and focus_id in graph:
-            reference = graph.node(focus_id)
-
-        visible: list[VisibleNode] = []
-        revealed: dict[str, dict[str, str]] = {}
-
-        if anchor.layer in (Layer.ROOM, Layer.BIG_OBJECT, Layer.SMALL_OBJECT):
-            if anchor.attributes:
-                revealed[anchor.id] = dict(anchor.attributes)
-
-        if anchor.layer is Layer.FLOOR:
-            for room in graph.children(anchor.id):
-                visible.append(
-                    VisibleNode(room.id, room.label, room.layer, self._relation(room, reference))
-                )
-        elif anchor.layer is Layer.ROOM:
-            for big in graph.children(anchor.id):
-                visible.append(
-                    VisibleNode(big.id, big.label, big.layer, self._relation(big, reference))
-                )
-                remote = self.world.remote_attributes(big.id)
-                if remote:
-                    revealed[big.id] = remote
-        elif anchor.layer is Layer.BIG_OBJECT:
-            for small in graph.children(anchor.id):
-                if small.id in self.world.occluded:
-                    continue
-                visible.append(
-                    VisibleNode(small.id, small.label, small.layer, self._relation(small, reference))
-                )
-                remote = self.world.remote_attributes(small.id)
-                if remote:
-                    revealed[small.id] = remote
-
+        view = self.world.view(self.pose.anchor_id, focus_id)
         obs = Observation(
             step=self._observations,
-            anchor_id=anchor.id,
-            anchor_layer=anchor.layer,
-            anchor_parent_id=parent.id if parent else None,
-            visible=tuple(visible),
-            revealed=revealed,
+            anchor_id=self.pose.anchor_id,
+            anchor_layer=view.anchor_layer,
+            anchor_parent_id=view.anchor_parent_id,
+            visible=view.visible,
+            revealed=view.revealed,
             move_failed=move_failed,
         )
         self._observations += 1
         return obs
-
-    def _relation(self, node: SceneNode, reference: SceneNode) -> str | None:
-        graph = self.world.graph
-        if node.id == reference.id:
-            return "here"
-        parent = graph.parent(node.id)
-        if parent is not None and parent.id == reference.id:
-            return self.world.placement_relation(node.id)
-        ref_parent = graph.parent(reference.id)
-        if ref_parent is not None and ref_parent.id == node.id:
-            rel = self.world.placement_relation(reference.id)
-            return _INVERSE_RELATION.get(rel, rel)
-        return graph.spatial_relation(node.id, reference.id)
 
     # -- plan execution -------------------------------------------------
 

@@ -1,6 +1,7 @@
 """Episode loop end to end on the bundled house."""
 
 import json
+import pathlib
 
 import pytest
 
@@ -12,9 +13,12 @@ from stepqa.agent import (
     run_episode,
     secondary_perception,
 )
-from stepqa.environment import Environment
+from stepqa.environment import Environment, load_world_truth
 from stepqa.rules import Plan, PlanKind
 from stepqa.scene_graph import Layer
+
+
+GOLDEN = pathlib.Path(__file__).resolve().parent / "golden"
 
 
 def ask(truth, question, **cfg):
@@ -36,6 +40,25 @@ class TestNormalizeAnswer:
     )
     def test_cases(self, raw, clean):
         assert normalize_answer(raw) == clean
+
+
+def _room(room_id, label, x, supports):
+    return {"id": room_id, "label": label, "position": [x, 0.0], "big_objects": supports}
+
+
+def _support(node_id, label, x, cups):
+    return {
+        "id": node_id,
+        "label": label,
+        "position": [x, 1.0],
+        "small_objects": [{"label": "cup"} for _ in range(cups)],
+    }
+
+
+def _cup_world(*rooms):
+    return load_world_truth(
+        {"id": "cups", "entrance": "f0", "floors": [{"id": "f0", "label": "ground floor", "rooms": list(rooms)}]}
+    )
 
 
 class TestEpisodes:
@@ -67,6 +90,31 @@ class TestEpisodes:
         r = ask(demo_truth, "How many cups are on the dining table in the kitchen?")
         assert r.answer == "2"
         assert r.status is EpisodeStatus.ANSWERED
+
+    def test_count_reads_the_support_that_was_observed(self):
+        # two tables; the nearer one (x=1) is visited and holds 3 cups, the
+        # other (x=30) sorts first by id and holds 1
+        world = _cup_world(
+            _room("f0.hall", "hall", 0.0, []),
+            _room("f0.a", "kitchen", 30.0, [_support("f0.a.t", "table", 30.0, 1)]),
+            _room("f0.b", "dining room", 1.0, [_support("f0.b.t", "table", 1.0, 3)]),
+        )
+        r = ask(world, "How many cups are on the table?")
+        assert r.status is EpisodeStatus.ANSWERED
+        assert r.answer == "3"
+
+    def test_room_count_covers_every_support_in_the_room(self):
+        world = _cup_world(
+            _room(
+                "f0.k",
+                "kitchen",
+                0.0,
+                [_support("f0.k.t", "table", 0.0, 2), _support("f0.k.c", "counter", 3.0, 1)],
+            ),
+        )
+        r = ask(world, "How many cups are in the kitchen?")
+        assert r.status is EpisodeStatus.ANSWERED
+        assert r.answer == "3"
 
     def test_negative_existence_is_an_answer_not_a_failure(self, demo_truth):
         r = ask(demo_truth, "Is there a magazine on the coffee table in the living room?")
@@ -215,6 +263,30 @@ class TestTrace:
             for line in text.splitlines()
         ]
         assert strip(a.read_text()) == strip(b.read_text())
+
+    @pytest.mark.parametrize(
+        "fixture,question,config",
+        [
+            ("demo_sofa_color.jsonl", "What is the color of the sofa in the living room?", {}),
+            (
+                "demo_room_level_fallback.jsonl",
+                "What is the title of the book on the coffee table in the living room?",
+                {"room_level_only": True},
+            ),
+        ],
+    )
+    def test_trace_lines_match_the_golden_file(self, demo_truth, fixture, question, config):
+        *lines, final = ask(demo_truth, question, **config).trace.lines()
+        record = json.loads(final)
+        del record["wall_ms"]
+        text = "\n".join([*lines, json.dumps(record, sort_keys=True)]) + "\n"
+        assert text == (GOLDEN / fixture).read_text(encoding="utf-8")
+
+    def test_golden_fallback_trace_covers_every_event_kind(self):
+        lines = (GOLDEN / "demo_room_level_fallback.jsonl").read_text(encoding="utf-8").splitlines()
+        plans = [json.loads(line)["plan"] for line in lines[1:-1]]
+        assert {p["kind"] for p in plans} == {"move_to", "observe", "answer"}
+        assert any(p["tool"] == "fallback" for p in plans)
 
     def test_final_observe_carries_the_subquestion(self, result):
         last = result.trace.events[-1]

@@ -16,7 +16,7 @@ from stepqa.environment import (
     load_world_truth,
 )
 from stepqa.rules import Plan, PlanKind, resolve_near_pose
-from stepqa.scene_graph import Layer
+from stepqa.scene_graph import Layer, UnknownNodeError
 from stepqa.worldgen import random_world_data
 
 
@@ -357,3 +357,80 @@ class TestWorldTruthLoading:
 
         with pytest.raises(WorldFormatError):
             load_world_truth(p)
+
+
+VIEW_WORLDS = ["demo_house.json", "clutter_clear.json", "clutter_occluded.json", "random"]
+
+
+def _load(name, worlds_dir):
+    if name == "random":
+        return load_world_truth(random_world_data(11, rooms=4, small_range=(1, 3)))
+    return load_world_truth(worlds_dir / name)
+
+
+def _shown(obs):
+    return obs.anchor_layer, obs.anchor_parent_id, obs.visible, obs.revealed
+
+
+class TestViewCache:
+    """Views are memoized per world; a shared view must equal a fresh build."""
+
+    @pytest.mark.parametrize("name", VIEW_WORLDS)
+    def test_cached_views_equal_fresh_builds(self, name, demo_path):
+        world = _load(name, demo_path.parent)
+        node_ids = [n.id for n in world.graph.nodes]
+        focuses = [None, *node_ids]
+        for anchor_id in node_ids:
+            for focus_id in focuses:
+                world.view(anchor_id, focus_id)
+        env = Environment(world)
+        fresh = _load(name, demo_path.parent)
+        for anchor_id in reversed(node_ids):
+            for focus_id in reversed(focuses):
+                env.pose = AgentPose(anchor_id, world.graph.node(anchor_id).layer)
+                want = Environment(fresh)
+                want.pose = AgentPose(anchor_id, fresh.graph.node(anchor_id).layer)
+                assert _shown(env.observe(focus_id)) == _shown(want.observe(focus_id)), (anchor_id, focus_id)
+
+    def test_focus_outside_the_graph_uses_the_anchor(self, demo_truth):
+        assert demo_truth.view("f0.living", "nowhere") is demo_truth.view("f0.living")
+
+    def test_unknown_anchor_raises(self, demo_env):
+        demo_env.pose = AgentPose("nowhere", Layer.ROOM)
+        with pytest.raises(UnknownNodeError):
+            demo_env.observe()
+
+    def test_revealed_is_read_only_at_both_levels(self, demo_env):
+        demo_env.reset()
+        obs = demo_env.execute(move(goal_id="f0.living"))
+        with pytest.raises(TypeError):
+            obs.revealed["f0.living.sofa"] = {"color": "green"}
+        with pytest.raises(TypeError):
+            obs.revealed["f0.living.sofa"]["color"] = "green"
+        again = Environment(demo_env.world).execute(move(goal_id="f0.living"))
+        assert again.revealed["f0.living.sofa"]["color"] == "blue"
+
+    def test_views_built_by_racing_threads_are_shared(self, demo_path):
+        world = load_world_truth(demo_path)
+        fresh = load_world_truth(demo_path)
+        keys = [(n.id, f) for n in world.graph.nodes for f in (None, "f0.living.sofa")]
+        workers = 4
+        start = threading.Barrier(workers)
+
+        def fill(i):
+            start.wait(timeout=10)
+            order = keys if i % 2 else list(reversed(keys))
+            return {key: world.view(*key) for key in order}
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(workers) as pool:
+                futures = [pool.submit(fill, i) for i in range(workers)]
+                results = [f.result(timeout=30) for f in futures]
+        finally:
+            sys.setswitchinterval(interval)
+        for key in keys:
+            assert results[0][key] == fresh.view(*key)
+            # threads that lost the race return the kept view, not their own
+            assert all(r[key] is world.view(*key) for r in results)
