@@ -29,6 +29,7 @@ from .rules import (
     PlanKind,
     PlanningDomainError,
     ResolutionFailure,
+    move_plan,
     next_plan,
 )
 from .scene_graph import (
@@ -195,10 +196,9 @@ def ingest_observation(graph: SceneGraph, obs: Observation) -> None:
             )
             graph.add_node(node, parent_id=obs.anchor_id)
     for node_id, attrs in obs.revealed.items():
-        if node_id not in graph:
-            continue
-        for name, value in attrs.items():
-            graph.set_attribute(node_id, name, value)
+        if node_id in graph:
+            # items() is the fast path: update() given the read-only view looks up each key
+            graph.node(node_id).attributes.update(attrs.items())
 
 
 # -- feedback ---------------------------------------------------------------
@@ -370,13 +370,7 @@ def room_level_plan(
     if room is None:
         raise ResolutionFailure("room", "prior graph")
     if pose.anchor_id != room.id:
-        return Plan(
-            kind=PlanKind.MOVE_TO,
-            goal_id=room.id,
-            goal_layer=room.layer,
-            goal_label=room.label,
-            advance_to=n - 1,
-        )
+        return move_plan(room, advance_to=n - 1)
     target = chain.steps[-1]
     focus_id: str | None = None
     focus_label = slots.get("object") or slots.get("support")
@@ -548,27 +542,22 @@ def run_episode(
             if plan.kind is PlanKind.MOVE_TO and not obs.move_failed:
                 explored.add(env.pose.anchor_id)
 
-            if not ok:
-                step_retries += 1
-                if step_retries > config.retries:
-                    step_retries = 0
-                    pending_fallback = True
-                continue
-
-            step_retries = 0
-            if plan.tool == "fallback" or plan.advance_to is None:
-                continue
-            if plan.advance_to >= n:
+            if ok:
+                step_retries = 0
+                if plan.tool == "fallback" or plan.advance_to is None:
+                    continue
+                if plan.advance_to < n:
+                    k = plan.advance_to
+                    continue
                 value = extract_answer(chain, slots, plan, obs, graph)
                 if value is not None:
                     outcome = (value, EpisodeStatus.ANSWERED)
                     break
-                step_retries += 1
-                if step_retries > config.retries:
-                    step_retries = 0
-                    pending_fallback = True
-                continue
-            k = plan.advance_to
+            # a failed check, or a final look that did not yield the answer
+            step_retries += 1
+            if step_retries > config.retries:
+                step_retries = 0
+                pending_fallback = True
 
         if outcome is not None:
             break

@@ -101,9 +101,10 @@ class Observation:
 class WorldTruth:
     """Ground-truth world: full graph plus perception metadata.
 
-    The prior graph template and every observation view are built from
-    ``graph`` on first use and kept for the life of the world, so
-    ``graph`` must not be mutated after the first episode.
+    The prior graph template (``graph``'s prior file, read back) and every
+    observation view are built from ``graph`` on first use and kept for the
+    life of the world, so ``graph`` must not be mutated after the first
+    episode.
     """
 
     def __init__(
@@ -197,48 +198,19 @@ class WorldTruth:
         return self._views.setdefault(key, view)
 
     def prior_graph(self) -> SceneGraph:
-        """The agent's starting knowledge: layers 1 to 3, no attributes.
+        """The agent's starting knowledge: ``graph``'s prior file read back.
 
-        The result is a private copy of a template built from ``graph`` on
-        the first call and kept for the life of this world, so callers may
+        That is layers 1 to 3 without attributes, and no spatial edge that
+        touches a small object; ``SceneGraph.to_prior_dict`` defines it. The
+        result is a private copy of a template built from ``graph`` on the
+        first call and kept for the life of this world, so callers may
         mutate it freely. ``graph`` must not be mutated once the template
         exists: later calls would not see the change. Two threads that race
         on the first call both build the same template, which is harmless.
         """
         if self._prior_template is None:
-            self._prior_template = self._build_prior()
+            self._prior_template = build_prior_graph(self.graph.to_prior_dict())
         return self._prior_template.copy()
-
-    def _build_prior(self) -> SceneGraph:
-        out = SceneGraph()
-        for floor in self.graph.nodes_at(Layer.FLOOR):
-            out.add_node(SceneNode(id=floor.id, layer=Layer.FLOOR, label=floor.label))
-            for room in self.graph.children(floor.id):
-                out.add_node(
-                    SceneNode(
-                        id=room.id,
-                        layer=room.layer,
-                        label=room.label,
-                        instance_index=room.instance_index,
-                        position=room.position,
-                    ),
-                    floor.id,
-                )
-                for big in self.graph.children(room.id):
-                    out.add_node(
-                        SceneNode(
-                            id=big.id,
-                            layer=big.layer,
-                            label=big.label,
-                            instance_index=big.instance_index,
-                            position=big.position,
-                        ),
-                        room.id,
-                    )
-        for edge in self.graph.spatial_edges:
-            if self.graph.node(edge.a).layer is not Layer.SMALL_OBJECT:
-                out.add_spatial_edge(edge.a, edge.b, edge.relation)
-        return out
 
 
 def load_world_truth(source: Any) -> WorldTruth:

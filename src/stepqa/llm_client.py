@@ -99,11 +99,6 @@ class SessionLog:
             }
         )
 
-    def dump(self, path: str | Path) -> None:
-        with open(path, "w") as fh:
-            for entry in self.entries:
-                fh.write(json.dumps(entry, sort_keys=True) + "\n")
-
     def to_replay_fixture(self) -> list[dict[str, Any]]:
         return [{"digest": e["digest"], "response": e["response"]} for e in self.entries]
 

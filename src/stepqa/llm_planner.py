@@ -16,7 +16,7 @@ from typing import Any
 from . import prompts
 from .llm_client import ChatClient, strip_fences
 from .patterns import PatternChain, TargetKind
-from .rules import PerceptionRange, Plan, PlanKind
+from .rules import PerceptionRange, Plan, PlanKind, move_plan
 from .scene_graph import SceneGraph, SceneNode
 
 # Attribute families that resolve from one layer above the object.
@@ -65,14 +65,7 @@ class LookupPlanner:
     ) -> Plan:
         sibling = _nearest_unexplored_sibling(graph, pose, explored)
         if sibling is not None:
-            return Plan(
-                kind=PlanKind.MOVE_TO,
-                goal_id=sibling.id,
-                goal_layer=sibling.layer,
-                goal_label=sibling.label,
-                advance_to=None,
-                tool="fallback",
-            )
+            return move_plan(sibling, tool="fallback")
         return Plan(kind=PlanKind.ANSWER, value="not found", tool="fallback")
 
 
@@ -116,7 +109,7 @@ class ChatPlanner:
     def classify_attribute(self, attribute: str, object_label: str) -> PerceptionRange:
         system, version = prompts.load("classify_attribute")
         user = f"attribute: {attribute}\nobject: {object_label}"
-        text = self._completed(system, user)
+        text = self.client.complete_text(system, user)
         verdict = text.strip().lower()
         if "remote" in verdict and "close" not in verdict:
             return PerceptionRange.REMOTE
@@ -129,7 +122,7 @@ class ChatPlanner:
 
         system, version = prompts.load("simplify_question")
         user = f"question: {question}\nchain: {render(chain)}\nstep: {k}"
-        text = self._completed(system, user).strip()
+        text = self.client.complete_text(system, user).strip()
         if not text:
             raise SchemaError("empty simplified question")
         return text
@@ -162,7 +155,7 @@ class ChatPlanner:
         )
         last_error = "no attempt"
         for _ in range(self.retries + 1):
-            text = self._completed(system, user)
+            text = self.client.complete_text(system, user)
             try:
                 return self._parse_plan(text, graph)
             except SchemaError as exc:
@@ -180,14 +173,7 @@ class ChatPlanner:
             if not isinstance(goal, str) or not goal:
                 raise SchemaError("MoveTo plan needs a goal string")
             if goal in graph:
-                node = graph.node(goal)
-                return Plan(
-                    kind=PlanKind.MOVE_TO,
-                    goal_id=goal,
-                    goal_layer=node.layer,
-                    goal_label=node.label,
-                    tool="fallback",
-                )
+                return move_plan(graph.node(goal), tool="fallback")
             return Plan(kind=PlanKind.MOVE_TO, goal_label=goal, tool="fallback")
         if kind == "Observe":
             content = data.get("content")
@@ -200,6 +186,3 @@ class ChatPlanner:
                 raise SchemaError("Answer plan needs a value")
             return Plan(kind=PlanKind.ANSWER, value=value, tool="fallback")
         raise SchemaError(f"unknown plan kind {kind!r}")
-
-    def _completed(self, system: str, user: str) -> str:
-        return self.client.complete_text(system, user)

@@ -17,8 +17,9 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from enum import Enum
+from functools import partialmethod
 from typing import Any
 
 from . import prompts
@@ -256,6 +257,11 @@ def _part_step(part: _Part, marked: bool = False) -> SubGoal:
     )
 
 
+def _scope_steps(scope: list[_Part]) -> list[SubGoal]:
+    """One step per scope part, outermost first."""
+    return [_part_step(p) for p in reversed(scope)]
+
+
 def _scope_slots(parts: list[_Part]) -> dict[str, str]:
     slots: dict[str, str] = {}
     for part in parts:
@@ -266,28 +272,16 @@ def _scope_slots(parts: list[_Part]) -> dict[str, str]:
     return slots
 
 
-def _with_alternative(chain: PatternChain, parts: list[_Part], kind: TargetKind) -> PatternChain:
-    """Attach a big-object reading for an unknown target label, if it builds."""
-    target = parts[0]
-    if not target.ambiguous:
-        return chain
-    flipped = _Part(label=target.label, constraints=target.constraints, layer=Layer.BIG_OBJECT)
+def _parsed(
+    steps: list[SubGoal], kind: TargetKind, scope: list[_Part], **slots: str
+) -> ParsedQuestion | None:
+    """The steps as a chain, with the room and support the scope names
+    filled in over ``slots``; None when the steps cannot form a chain."""
     try:
-        ends_in_attribute = chain.steps[-1].is_attribute_step
-        steps = [_part_step(p) for p in reversed(parts[1:])] + [
-            _part_step(flipped, marked=ends_in_attribute)
-        ]
-        if ends_in_attribute:
-            steps.append(
-                SubGoal(
-                    layer=Layer.BIG_OBJECT,
-                    queried_attribute=chain.steps[-1].queried_attribute,
-                )
-            )
-        alt = make_chain(steps, kind)
+        chain = make_chain(steps, kind)
     except PatternStructureError:
-        return chain
-    return PatternChain(chain.steps, chain.target_kind, alternatives=(alt,))
+        return None
+    return ParsedQuestion(chain, {**slots, **_scope_slots(scope)}, ParseSource.TEMPLATE)
 
 
 class TemplateBackend:
@@ -317,130 +311,91 @@ class TemplateBackend:
             _assign_layer(part, self.graph)
         return parts
 
-    def _room_query(self, m: re.Match) -> ParsedQuestion | None:
+    def _head(self, m: re.Match) -> tuple[_Part, list[_Part]] | None:
+        """The noun phrase's innermost part and the parts that scope it,
+        or None when there is no part or the innermost one is a room."""
         parts = self._parts(m.group("np"))
-        if not parts:
+        if not parts or parts[0].layer is Layer.ROOM:
             return None
-        subject = parts[0]
-        if subject.layer is Layer.ROOM:
+        return parts[0], parts[1:]
+
+    def _room_query(self, m: re.Match) -> ParsedQuestion | None:
+        head = self._head(m)
+        if head is None:
             return None
-        try:
-            chain = make_chain(
-                [_part_step(subject), SubGoal(layer=Layer.ROOM)], TargetKind.ROOM
-            )
-        except PatternStructureError:
-            return None
-        slots = _scope_slots(parts[1:])
-        slots["object"] = subject.label
-        return ParsedQuestion(chain, slots, ParseSource.TEMPLATE)
+        subject, scope = head
+        steps = [_part_step(subject), SubGoal(layer=Layer.ROOM)]
+        return _parsed(steps, TargetKind.ROOM, scope, object=subject.label)
 
     def _relational(self, m: re.Match) -> ParsedQuestion | None:
         relation = _RELATION_CANON.get(m.group("rel"), m.group("rel"))
-        parts = self._parts(m.group("np"))
-        if not parts:
+        head = self._head(m)
+        if head is None:
             return None
-        ref = parts[0]
-        if ref.layer is Layer.ROOM:
-            return None
+        ref, scope = head
         if ref.layer is Layer.BIG_OBJECT and relation == "next-to":
             target_layer = Layer.BIG_OBJECT
         else:
             target_layer = Layer.SMALL_OBJECT
-        scope = [p for p in parts[1:]]
-        try:
-            steps = [_part_step(p) for p in reversed(scope)] + [
-                _part_step(ref),
-                SubGoal(layer=target_layer),
-            ]
-            chain = make_chain(steps, TargetKind.OBJECT)
-        except PatternStructureError:
-            return None
-        slots = _scope_slots(parts)
-        slots["relation"] = relation
-        slots.setdefault("support", ref.label)
-        return ParsedQuestion(chain, slots, ParseSource.TEMPLATE)
+        steps = [*_scope_steps(scope), _part_step(ref), SubGoal(layer=target_layer)]
+        slots = dict(relation=relation, support=ref.label)
+        return _parsed(steps, TargetKind.OBJECT, [ref, *scope], **slots)
 
     def _attribute(self, m: re.Match, attribute: str | None = None) -> ParsedQuestion | None:
+        """An attribute question. An unknown target label also gets a
+        big-object reading as the chain's alternative, if that builds."""
         attribute = attribute or m.group("attr")
-        parts = self._parts(m.group("np"))
-        if not parts:
+        head = self._head(m)
+        if head is None:
             return None
-        target = parts[0]
-        if target.layer is Layer.ROOM:
-            return None
-        scope = parts[1:]
-        try:
-            steps = [_part_step(p) for p in reversed(scope)] + [
-                _part_step(target, marked=True),
-                SubGoal(layer=target.layer or Layer.SMALL_OBJECT, queried_attribute=attribute),
+        target, scope = head
+
+        def reading(part: _Part) -> list[SubGoal]:
+            return [
+                *_scope_steps(scope),
+                _part_step(part, marked=True),
+                SubGoal(layer=part.layer, queried_attribute=attribute),
             ]
-            chain = make_chain(steps, TargetKind.ATTRIBUTE)
-        except PatternStructureError:
-            return None
-        chain = _with_alternative(chain, parts, TargetKind.ATTRIBUTE)
-        slots = _scope_slots(scope)
-        slots["object"] = target.label
-        slots["attribute"] = attribute
-        return ParsedQuestion(chain, slots, ParseSource.TEMPLATE)
 
-    def _activity(self, m: re.Match) -> ParsedQuestion | None:
-        return self._attribute(m, attribute="activity")
+        slots = dict(object=target.label, attribute=attribute)
+        parsed = _parsed(reading(target), TargetKind.ATTRIBUTE, scope, **slots)
+        if parsed is not None and target.ambiguous:
+            flipped = _Part(target.label, target.constraints, layer=Layer.BIG_OBJECT)
+            alt = _parsed(reading(flipped), TargetKind.ATTRIBUTE, scope)
+            if alt is not None:
+                parsed.chain = replace(parsed.chain, alternatives=(alt.chain,))
+        return parsed
 
-    def _count(self, m: re.Match) -> ParsedQuestion | None:
-        words = m.group("obj").split()
-        words[-1] = singularize(words[-1])
-        label = " ".join(words)
-        parts = self._parts(m.group("np"))
+    _activity = partialmethod(_attribute, attribute="activity")
+
+    def _tally(self, m: re.Match, kind: TargetKind) -> ParsedQuestion | None:
+        """A count or existence question. Only a count singularizes the
+        object word: existence keeps it, as singularize("lens") is "len"."""
+        label = m.group("obj")
+        if kind is TargetKind.COUNT:
+            words = label.split()
+            label = " ".join([*words[:-1], singularize(words[-1])])
+        scope = self._parts(m.group("np"))
         target = _Part(label=label)
         _assign_layer(target, self.graph)
-        scope = parts
-        try:
-            steps = [_part_step(p) for p in reversed(scope)] + [_part_step(target)]
-            chain = make_chain(steps, TargetKind.COUNT)
-        except PatternStructureError:
-            return None
-        slots = _scope_slots(scope)
-        slots["object"] = target.label
-        slots["relation"] = _RELATION_CANON.get(m.group("rel"), m.group("rel"))
-        return ParsedQuestion(chain, slots, ParseSource.TEMPLATE)
+        steps = [*_scope_steps(scope), _part_step(target)]
+        relation = _RELATION_CANON.get(m.group("rel"), m.group("rel"))
+        return _parsed(steps, kind, scope, object=target.label, relation=relation)
 
-    def _existence(self, m: re.Match) -> ParsedQuestion | None:
-        parts = self._parts(m.group("np"))
-        target = _Part(label=m.group("obj"))
-        _assign_layer(target, self.graph)
-        try:
-            steps = [_part_step(p) for p in reversed(parts)] + [_part_step(target)]
-            chain = make_chain(steps, TargetKind.EXISTENCE)
-        except PatternStructureError:
-            return None
-        slots = _scope_slots(parts)
-        slots["object"] = target.label
-        slots["relation"] = _RELATION_CANON.get(m.group("rel"), m.group("rel"))
-        return ParsedQuestion(chain, slots, ParseSource.TEMPLATE)
+    _count = partialmethod(_tally, kind=TargetKind.COUNT)
+    _existence = partialmethod(_tally, kind=TargetKind.EXISTENCE)
 
     def _yes_no_attribute(self, m: re.Match) -> ParsedQuestion | None:
         value = m.group("value")
         attribute = VALUE_ATTRIBUTE.get(value)
-        if attribute is None:
+        head = self._head(m) if attribute is not None else None
+        if head is None:
             return None
-        parts = self._parts(m.group("np"))
-        if not parts:
-            return None
-        target = parts[0]
-        if target.layer is Layer.ROOM:
-            return None
+        target, scope = head
         target.constraints.insert(0, (attribute, value))
-        scope = parts[1:]
-        try:
-            steps = [_part_step(p) for p in reversed(scope)] + [_part_step(target)]
-            chain = make_chain(steps, TargetKind.EXISTENCE)
-        except PatternStructureError:
-            return None
-        slots = _scope_slots(scope)
-        slots["object"] = target.label
-        slots["attribute"] = attribute
-        slots["value"] = value
-        return ParsedQuestion(chain, slots, ParseSource.TEMPLATE)
+        steps = [*_scope_steps(scope), _part_step(target)]
+        slots = dict(object=target.label, attribute=attribute, value=value)
+        return _parsed(steps, TargetKind.EXISTENCE, scope, **slots)
 
 
 _SKELETONS: list[tuple[re.Pattern[str], Any]] = [

@@ -201,7 +201,10 @@ def _sweep_anchors(graph: SceneGraph, scope: SceneNode, pose: AgentPose) -> list
     return out
 
 
-def _move(node: SceneNode, label: str | None, advance_to: int | None, tool: str = "rules") -> Plan:
+def move_plan(
+    node: SceneNode, label: str | None = None, advance_to: int | None = None, tool: str = "rules"
+) -> Plan:
+    """A MoveTo plan to a known node, its goal label the node's unless given."""
     return Plan(
         kind=PlanKind.MOVE_TO,
         goal_id=node.id,
@@ -222,13 +225,13 @@ def _sweep_move(
     scope = _scope_node(chain, graph, pose)
     for node in _sweep_anchors(graph, scope, pose):
         if node.id not in explored:
-            return _move(node, None, advance_to=None)
+            return move_plan(node)
     if (
         scope.layer is Layer.ROOM
         and scope.id not in explored
         and pose.anchor_id != scope.id
     ):
-        return _move(scope, None, advance_to=None)
+        return move_plan(scope)
     return None
 
 
@@ -276,7 +279,7 @@ def next_plan(
         node = resolve_near_pose(graph, pose, step.label or "", step.layer, step.attribute_constraint)
         if node is None:
             raise ResolutionFailure(step.label or step.layer.tag, pose.anchor_id)
-        return _move(node, step.label, advance_to=k + 1)
+        return move_plan(node, step.label, advance_to=k + 1)
 
     if chain.target_kind is TargetKind.ATTRIBUTE:
         return _attribute_target_plan(chain, graph, pose, attr_class, explored)
@@ -310,7 +313,7 @@ def _attribute_target_plan(
         if required is None:
             raise ResolutionFailure(obj_step.label or "?", "containment")
     if pose.anchor_id != required.id:
-        return _move(required, None, advance_to=n - 1)
+        return move_plan(required, advance_to=n - 1)
     return Plan(
         kind=PlanKind.OBSERVE,
         focus_id=obj.id,
@@ -347,7 +350,7 @@ def _object_target_plan(
             if room.layer is not Layer.ROOM:
                 raise ResolutionFailure(target_step.label or "?", "no room scope")
         if pose.anchor_id != room.id:
-            return _move(room, None, advance_to=n - 1)
+            return move_plan(room, advance_to=n - 1)
         focus = ref.id if ref is not None else room.id
         return Plan(
             kind=PlanKind.OBSERVE,
@@ -402,7 +405,7 @@ def _tally_target_plan(
         if room.layer is not Layer.ROOM:
             raise ResolutionFailure(target_step.label or "?", "no room scope")
         if pose.anchor_id != room.id:
-            return _move(room, None, advance_to=n - 1)
+            return move_plan(room, advance_to=n - 1)
         return Plan(kind=PlanKind.OBSERVE, focus_id=room.id, expects=expects, advance_to=n)
 
     raise PlanningDomainError(f"tally query cannot target a {target_step.layer.tag} node")
@@ -430,11 +433,11 @@ def _small_target_plan(
         if ref is None:
             raise ResolutionFailure(ref_step.label, pose.anchor_id)
         if pose.anchor_id != ref.id:
-            return _move(ref, ref_step.label, advance_to=n - 1)
+            return move_plan(ref, ref_step.label, advance_to=n - 1)
         if visit_each:
             pending = _unverified_candidate(graph, ref.id, target_step, explored)
             if pending is not None:
-                return _move(pending, target_step.label, advance_to=None)
+                return move_plan(pending, target_step.label)
         return Plan(kind=PlanKind.OBSERVE, focus_id=ref.id, expects=expects, advance_to=n)
     sweep = _sweep_move(chain, graph, pose, explored)
     if sweep is not None:
@@ -443,7 +446,7 @@ def _small_target_plan(
         scope = _scope_node(chain, graph, pose)
         pending = _unverified_candidate(graph, scope.id, target_step, explored)
         if pending is not None:
-            return _move(pending, target_step.label, advance_to=None)
+            return move_plan(pending, target_step.label)
     anchor = _anchor_node(graph, pose)
     return Plan(
         kind=PlanKind.OBSERVE,

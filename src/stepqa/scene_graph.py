@@ -478,7 +478,10 @@ class SceneGraph:
         return out
 
     def to_prior_dict(self) -> dict[str, Any]:
-        """Serialize the prior-knowledge part of the graph (layers 1 to 3)."""
+        """Serialize the graph as a prior file: what the agent knows before
+        looking. That is layers 1 to 3 without attributes, and the spatial
+        edges that touch no small object. ``WorldTruth.prior_graph`` reads
+        this back, and ``load_world_prior`` accepts nothing more."""
         floors = []
         for floor in self.nodes_at(Layer.FLOOR):
             rooms = []
@@ -498,7 +501,7 @@ class SceneGraph:
                         "big_objects": bigs,
                     }
                 )
-            floors.append({"id": floor.id, "rooms": rooms})
+            floors.append({"id": floor.id, "label": floor.label, "rooms": rooms})
         edges = [
             {"a": e.a, "b": e.b, "relation": e.relation}
             for e in self.spatial_edges

@@ -150,6 +150,15 @@ class TestChatPlanner:
         plan = ChatPlanner(client).fallback_plan(graph, pose, frozenset(), "where is it")
         assert plan.kind is PlanKind.MOVE_TO
         assert plan.goal_id == "f0.kitchen"
+        assert plan.advance_to is None
+        assert plan.to_dict() == {
+            "kind": "move_to",
+            "step_index": 0,
+            "tool": "fallback",
+            "goal": "f0.kitchen",
+            "goal_layer": "V2",
+            "goal_label": "kitchen",
+        }
 
     def test_fallback_retries_then_raises_on_junk(self, demo_truth):
         graph = demo_truth.prior_graph()

@@ -1,10 +1,13 @@
 """Question parsing: templates, gold patterns, and the chat fallback."""
 
 import json
+import pathlib
 
 import pytest
 
 from stepqa import parsing, prompts
+from stepqa.dataset import generate_dataset
+from stepqa.environment import load_world_truth
 from stepqa.llm_client import ChatClient, ChatMessage, ChatRequest, ReplayTransport
 from stepqa.parsing import (
     EmptyQuestionError,
@@ -17,6 +20,9 @@ from stepqa.parsing import (
 )
 from stepqa.patterns import TargetKind, render
 from stepqa.scene_graph import Layer, normalize_label
+from stepqa.worldgen import random_world
+
+from conftest import WORLDS
 
 
 @pytest.fixture()
@@ -242,3 +248,123 @@ class TestLlmBackend:
         )
         pq = backend.parse(self.QUESTION)
         assert pq.chain.target_kind is TargetKind.ROOM
+
+
+# -- golden parses ------------------------------------------------------------
+
+GOLDEN_PARSES = pathlib.Path(__file__).resolve().parent / "golden" / "parse_template.jsonl"
+
+# At least one question per template skeleton, in skeleton order, plus heads
+# that name a room (these must not parse), unknown target labels (attribute
+# chains get a big-object alternative), irregular plurals, scopes that cannot
+# form a descending chain, and a few misses.
+HAND_QUESTIONS = (
+    "Which room is the phone in?",
+    "What room is the sofa located in?",
+    "Which room is the book on the desk in the study in?",
+    "Which room is the kitchen in?",
+    "Where is the bag?",
+    "Where is the red book located?",
+    "Where is the person wearing a black shirt?",
+    "Where is the wardrobe?",
+    "Where is the doohickey?",
+    "Where is the living room?",
+    "What is on the coffee table in the living room?",
+    "What is on top of the coffee table in the living room?",
+    "What is next to the bed in the bedroom?",
+    "What is next to the teapot?",
+    "What is under the bed?",
+    "What is beside the sofa?",
+    "What is above the doohickey?",
+    "What is on the kitchen?",
+    "What is the title of the book on the coffee table in the living room?",
+    "What is the brand of the phone held by the person wearing a black shirt?",
+    "What is the color of the doohickey in the kitchen?",
+    "What is the material of the gizmo on the sofa?",
+    "What is the color of the bedroom?",
+    "What is the person on the sofa doing?",
+    "What is the cat doing?",
+    "What is the kitchen doing?",
+    "What color is the sofa in the living room?",
+    "What color is the doohickey in the kitchen?",
+    "What state is the lamp on the desk?",
+    "What color is the study?",
+    "How many cups are on the dining table in the kitchen?",
+    "How many people are in the living room?",
+    "How many knives are on the counter?",
+    "How many glasses are there on the table?",
+    "How many red cushions are on the sofa?",
+    "How many chairs are in the dining room?",
+    "How many widgets are in the kitchen?",
+    "Is there a bottle in the refrigerator?",
+    "Is there a lens on the desk?",
+    "Is there an apple next to the teapot?",
+    "Is there a cup under the bed in the bedroom?",
+    "Is there a doohickey in the garage?",
+    "Is the person on the sofa asleep?",
+    "Is the bottle in the refrigerator full?",
+    "Is the doohickey open?",
+    "Is the kitchen clean?",
+    "Is the book shiny?",
+    "What is on the sofa in the cup?",
+    "What color is the doohickey on the cup?",
+    "How many sofas are in the cup?",
+    "Is the sofa on the cup red?",
+    "What is in the kitchen?",
+    "Ponder the meaning of furniture.",
+)
+
+
+def _parse_record(backend, graph_name, question):
+    pq = backend.parse(question)
+    parsed = None
+    if pq is not None:
+        parsed = {
+            "kind": pq.chain.target_kind.value,
+            "pattern": render(pq.chain),
+            "alternatives": [render(a) for a in pq.chain.alternatives],
+            "slots": sorted(pq.slots.items()),
+        }
+    return json.dumps({"graph": graph_name, "question": question, "parsed": parsed}, sort_keys=True)
+
+
+def golden_parse_lines():
+    """Every golden line: the hand questions against no graph and the demo
+    prior, then the pinned dataset's questions for world seeds 1 to 5
+    against no graph and their own world's prior."""
+    demo = load_world_truth(WORLDS / "demo_house.json")
+    lines = []
+    for name, graph in (("none", None), ("demo_house", demo.prior_graph())):
+        backend = TemplateBackend(graph)
+        lines.extend(_parse_record(backend, name, q) for q in HAND_QUESTIONS)
+    worlds = {w.world_id: w for w in (random_world(seed) for seed in range(1, 6))}
+    for record in generate_dataset(worlds.values(), per_world=40, seed=3):
+        world = worlds[record.world_id]
+        lines.append(_parse_record(TemplateBackend(None), "none", record.question))
+        lines.append(
+            _parse_record(TemplateBackend(world.prior_graph()), world.world_id, record.question)
+        )
+    return lines
+
+
+class TestGoldenParses:
+    def test_template_parses_match_the_golden_file(self):
+        expected = GOLDEN_PARSES.read_text(encoding="utf-8").splitlines()
+        assert golden_parse_lines() == expected
+
+    def test_golden_file_covers_the_cases_it_pins(self):
+        lines = GOLDEN_PARSES.read_text(encoding="utf-8").splitlines()
+        records = [json.loads(line) for line in lines]
+        parsed = [r["parsed"] for r in records if r["parsed"] is not None]
+        assert {p["kind"] for p in parsed} == {k.value for k in TargetKind}
+        assert any(p["alternatives"] for p in parsed)
+        by_question = {(r["graph"], r["question"]): r["parsed"] for r in records}
+        for graph in ("none", "demo_house"):
+            assert by_question[(graph, "Where is the living room?")] is None
+            assert by_question[(graph, "How many knives are on the counter?")]["pattern"].endswith(
+                "V4[knife]"
+            )
+            assert by_question[(graph, "Is there a lens on the desk?")]["pattern"].endswith(
+                "V4[lens]"
+            )
+        assert len({r["graph"] for r in records}) == 7

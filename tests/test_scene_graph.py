@@ -20,6 +20,10 @@ from stepqa.scene_graph import (
     normalize_label,
     singularize,
 )
+from stepqa.environment import load_world_truth
+from stepqa.worldgen import random_world_data
+
+from conftest import WORLDS
 
 
 def small_world() -> dict:
@@ -347,7 +351,12 @@ class TestWorldFiles:
             load_world_prior(p)
         assert "line" in str(err.value)
 
-    def test_prior_dict_round_trip(self, demo_truth):
-        prior = demo_truth.prior_graph()
-        rebuilt = build_prior_graph(prior.to_prior_dict())
-        assert {n.id for n in rebuilt.nodes} == {n.id for n in prior.nodes}
+    def test_prior_dict_round_trip(self):
+        def contents(graph):
+            parent = lambda n: graph.parent(n.id).id if graph.parent(n.id) else None
+            return [(n.to_dict(), parent(n)) for n in graph.nodes], graph.spatial_edges
+
+        names = ("demo_house", "clutter_clear", "clutter_occluded")
+        for source in [*(WORLDS / f"{name}.json" for name in names), random_world_data(11)]:
+            prior = load_world_truth(source).prior_graph()
+            assert contents(build_prior_graph(prior.to_prior_dict())) == contents(prior), source
