@@ -1,10 +1,14 @@
 """The episode loop: a question goes in, a traced answer comes out.
 
-One episode owns a private copy of the prior graph and grows it from
-observations. The copy comes from a template each world builds once, on
-its first episode, so a world's graph must stay fixed while episodes
-run. Planning, acting and feedback checking alternate until the chain
-is exhausted, the plan budget runs out, or the fallback gives up.
+One episode grows its own overlay of the prior graph from
+observations. The overlay shares the nodes and the label index of a
+template each world builds once, on its first episode, and keeps only
+what the episode adds or writes; every write goes through a SceneGraph
+method, which clones a shared node first. A world's graph must stay
+fixed while episodes run. Each anchor's view is folded in once, unless
+that fold left something out. Planning, acting and feedback checking
+alternate until the chain is exhausted, the plan budget runs out, or
+the fallback gives up.
 Every plan and observation lands in the trace, so an episode can be
 replayed or audited after the fact.
 """
@@ -177,13 +181,16 @@ def _instance_from_id(node_id: str) -> int:
     return int(tail) if tail.isdigit() else 0
 
 
-def ingest_observation(graph: SceneGraph, obs: Observation) -> None:
+def ingest_observation(graph: SceneGraph, obs: Observation) -> bool:
     """Fold an observation into the agent's graph.
 
     Newly seen small objects are adopted under the anchor they were seen
     from, keeping the environment's ids so later plans can address them
-    directly. Revealed attribute values overwrite prior beliefs.
+    directly. Revealed attribute values overwrite prior beliefs. Returns
+    whether the fold left nothing out: the anchor and every node the
+    observation shows or reveals are in the graph afterwards.
     """
+    complete = obs.anchor_id in graph
     for v in obs.visible:
         if v.node_id in graph:
             continue
@@ -195,10 +202,14 @@ def ingest_observation(graph: SceneGraph, obs: Observation) -> None:
                 instance_index=_instance_from_id(v.node_id),
             )
             graph.add_node(node, parent_id=obs.anchor_id)
+        else:
+            complete = False
     for node_id, attrs in obs.revealed.items():
         if node_id in graph:
-            # items() is the fast path: update() given the read-only view looks up each key
-            graph.node(node_id).attributes.update(attrs.items())
+            graph.update_attributes(node_id, attrs)
+        else:
+            complete = False
+    return complete
 
 
 # -- feedback ---------------------------------------------------------------
@@ -412,7 +423,15 @@ def run_episode(
 
     _, first_obs = env.reset()
     graph = env.world.prior_graph()
-    ingest_observation(graph, first_obs)
+    # What an anchor shows is fixed for a world, so a second fold of an
+    # anchor whose first fold left nothing out would change nothing.
+    folded: set[str] = set()
+
+    def fold(obs: Observation) -> None:
+        if obs.anchor_id not in folded and ingest_observation(graph, obs):
+            folded.add(obs.anchor_id)
+
+    fold(first_obs)
 
     trace = EpisodeTrace(
         question=question,
@@ -511,7 +530,7 @@ def run_episode(
 
             if plan.kind is PlanKind.ANSWER:
                 echo = env.observe()
-                ingest_observation(graph, echo)
+                fold(echo)
                 trace.events.append(
                     TraceEvent(t=t, k=k, plan=plan.to_dict(), obs=echo, feedback=True)
                 )
@@ -522,7 +541,7 @@ def run_episode(
                 break
 
             obs = env.execute(plan)
-            ingest_observation(graph, obs)
+            fold(obs)
             ok = check_feedback(plan, obs, graph)
             secondary = False
             if not ok and plan.kind is PlanKind.MOVE_TO and not obs.move_failed:

@@ -202,11 +202,16 @@ class WorldTruth:
 
         That is layers 1 to 3 without attributes, and no spatial edge that
         touches a small object; ``SceneGraph.to_prior_dict`` defines it. The
-        result is a private copy of a template built from ``graph`` on the
-        first call and kept for the life of this world, so callers may
-        mutate it freely. ``graph`` must not be mutated once the template
-        exists: later calls would not see the change. Two threads that race
-        on the first call both build the same template, which is harmless.
+        template is built from ``graph`` on the first call and kept for the
+        life of this world. Each call returns an overlay on it
+        (``SceneGraph.copy``): the node objects and the label index stay
+        shared with the template, and the overlay keeps only what it adds
+        or writes. Callers may grow it freely through ``SceneGraph``
+        methods, which clone a shared node before its first attribute write;
+        writing to ``node.attributes`` directly would reach the template.
+        ``graph`` must not be mutated once the template exists: later calls
+        would not see the change. Two threads that race on the first call
+        both build the same template and index, which is harmless.
         """
         if self._prior_template is None:
             self._prior_template = build_prior_graph(self.graph.to_prior_dict())

@@ -106,6 +106,9 @@ _CONNECTORS: tuple[tuple[str, ...], ...] = (
     ("wearing",),
 )
 
+# The connectors by first word, longest first within each word.
+_CONNECTORS_BY_FIRST = {c[0]: tuple(d for d in _CONNECTORS if d[0] == c[0]) for c in _CONNECTORS}
+
 _RELATION_CANON = {
     "on": "on",
     "on top of": "on",
@@ -154,6 +157,14 @@ class _Part:
     ambiguous: bool = False
 
 
+def _connector_at(tokens: list[str], i: int) -> tuple[str, ...] | None:
+    """The longest connector that starts at token i, if any."""
+    for conn in _CONNECTORS_BY_FIRST.get(tokens[i], ()):
+        if tuple(tokens[i : i + len(conn)]) == conn:
+            return conn
+    return None
+
+
 def _split_parts(np_text: str) -> list[_Part]:
     tokens = np_text.split()
     parts: list[_Part] = []
@@ -161,11 +172,7 @@ def _split_parts(np_text: str) -> list[_Part]:
     pending: list[tuple[str, str]] = []
     i = 0
     while i < len(tokens):
-        matched: tuple[str, ...] | None = None
-        for conn in _CONNECTORS:
-            if tuple(tokens[i : i + len(conn)]) == conn:
-                matched = conn
-                break
+        matched = _connector_at(tokens, i)
         if matched is None:
             current.append(tokens[i])
             i += 1
@@ -179,9 +186,7 @@ def _split_parts(np_text: str) -> list[_Part]:
                 k += 1
             adjs: list[str] = []
             while k < len(tokens) and tokens[k] not in GARMENTS:
-                if tokens[k] in _ARTICLES or any(
-                    tuple(tokens[k : k + len(c)]) == c for c in _CONNECTORS
-                ):
+                if tokens[k] in _ARTICLES or _connector_at(tokens, k) is not None:
                     break
                 adjs.append(tokens[k])
                 k += 1
@@ -376,7 +381,7 @@ class TemplateBackend:
             words = label.split()
             label = " ".join([*words[:-1], singularize(words[-1])])
         scope = self._parts(m.group("np"))
-        target = _Part(label=label)
+        target = _finish_part(label.split(), [])
         _assign_layer(target, self.graph)
         steps = [*_scope_steps(scope), _part_step(target)]
         relation = _RELATION_CANON.get(m.group("rel"), m.group("rel"))

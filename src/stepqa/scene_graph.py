@@ -16,7 +16,7 @@ import math
 from dataclasses import dataclass, field
 from enum import IntEnum
 from pathlib import Path
-from typing import Any, Iterable
+from typing import Any, Iterable, Mapping, NamedTuple
 
 
 class Layer(IntEnum):
@@ -139,16 +139,25 @@ class LayerError(ValueError):
 
 @dataclass
 class SceneNode:
+    """One node. ``norm_label`` is ``label`` normalized once, at creation."""
+
     id: str
     layer: Layer
     label: str
     instance_index: int = 0
     position: tuple[float, float] | None = None
     attributes: dict[str, str] = field(default_factory=dict)
+    norm_label: str = field(init=False, repr=False, compare=False)
 
-    @property
-    def norm_label(self) -> str:
-        return normalize_label(self.label)
+    def __post_init__(self) -> None:
+        self.norm_label = normalize_label(self.label)
+
+    def clone(self) -> SceneNode:
+        """A copy with its own attribute map. It skips ``__init__``, which
+        would normalize the label again."""
+        clone = object.__new__(SceneNode)
+        clone.__dict__.update(self.__dict__, attributes=dict(self.attributes))
+        return clone
 
     def to_dict(self) -> dict[str, Any]:
         out: dict[str, Any] = {
@@ -171,14 +180,46 @@ class SpatialEdge:
     relation: str
 
 
+class _LabelIndex(NamedTuple):
+    """Node ids by normalized label, and by the head word of multiword labels."""
+
+    by_label: dict[str, tuple[str, ...]]
+    by_head: dict[str, tuple[str, ...]]
+
+    def add(self, node: SceneNode) -> None:
+        norm = node.norm_label
+        self.by_label[norm] = self.by_label.get(norm, ()) + (node.id,)
+        words, _, head = norm.rpartition(" ")
+        if words:
+            self.by_head[head] = self.by_head.get(head, ()) + (node.id,)
+
+    def ending_with(self, norm: str, nodes: Mapping[str, SceneNode]) -> list[str]:
+        """Ids of the nodes whose label ends in the word " " + norm."""
+        tail = " " + norm
+        ids = self.by_head.get(norm.rpartition(" ")[2], ())
+        return [i for i in ids if nodes[i].norm_label.endswith(tail)]
+
+
 class SceneGraph:
-    """Mutable containment-plus-spatial graph over SceneNode objects."""
+    """Mutable containment-plus-spatial graph over SceneNode objects.
+
+    Label lookups read an index, built on the first lookup and kept
+    current by ``add_node`` after that: normalized label to node ids,
+    and head word to the ids of multiword labels. A copy shares the node
+    objects and the index with its source (see ``copy``), so every
+    attribute write goes through a graph method, which clones a shared
+    node before its first write.
+    """
 
     def __init__(self) -> None:
         self._nodes: dict[str, SceneNode] = {}
         self._parent: dict[str, str] = {}
-        self._children: dict[str, list[str]] = {}
+        self._children: dict[str, tuple[str, ...]] = {}
         self.spatial_edges: list[SpatialEdge] = []
+        # ids of the nodes no other graph shares, which may be written in place
+        self._owned: set[str] = set()
+        self._index: _LabelIndex | None = None
+        self._index_owned = False
 
     # -- construction ---------------------------------------------------
 
@@ -198,10 +239,16 @@ class SceneGraph:
                     f"{parent.id} at {parent.layer.tag}"
                 )
         self._nodes[node.id] = node
-        self._children.setdefault(node.id, [])
+        self._owned.add(node.id)
+        self._children[node.id] = ()
         if parent_id is not None:
             self._parent[node.id] = parent_id
-            self._children.setdefault(parent_id, []).append(node.id)
+            self._children[parent_id] += (node.id,)
+        if self._index is not None:
+            if not self._index_owned:
+                self._index = _LabelIndex(dict(self._index.by_label), dict(self._index.by_head))
+                self._index_owned = True
+            self._index.add(node)
         return node
 
     def add_spatial_edge(self, a: str, b: str, relation: str) -> SpatialEdge:
@@ -235,15 +282,12 @@ class SceneGraph:
         same = [self._nodes[c] for c in self._children[parent_id] if self._nodes[c].norm_label == norm]
         if instance_index is None:
             if same:
-                node = same[0]
-                node.attributes.update(attributes or {})
-                return node
+                return self.update_attributes(same[0].id, attributes or {})
             instance_index = 0
         else:
             for node in same:
                 if node.instance_index == instance_index:
-                    node.attributes.update(attributes or {})
-                    return node
+                    return self.update_attributes(node.id, attributes or {})
         node_id = f"{parent_id}.{norm.replace(' ', '_')}.{instance_index}"
         node = SceneNode(
             id=node_id,
@@ -255,7 +299,23 @@ class SceneGraph:
         return self.add_node(node, parent_id)
 
     def set_attribute(self, node_id: str, name: str, value: str) -> None:
-        self.node(node_id).attributes[name] = value
+        self._writable(node_id).attributes[name] = value
+
+    def update_attributes(self, node_id: str, values: Mapping[str, str]) -> SceneNode:
+        """Merge attribute values into a node; returns the node as now stored."""
+        node = self._writable(node_id)
+        # items() is the fast path: update() given a read-only view looks up each key
+        node.attributes.update(values.items())
+        return node
+
+    def _writable(self, node_id: str) -> SceneNode:
+        """The node, cloned first if another graph shares it."""
+        node = self.node(node_id)
+        if node_id not in self._owned:
+            node = node.clone()
+            self._nodes[node_id] = node
+            self._owned.add(node_id)
+        return node
 
     # -- access ---------------------------------------------------------
 
@@ -284,7 +344,7 @@ class SceneGraph:
 
     def children(self, node_id: str) -> list[SceneNode]:
         self.node(node_id)
-        return [self._nodes[c] for c in self._children.get(node_id, [])]
+        return [self._nodes[c] for c in self._children.get(node_id, ())]
 
     def ancestors(self, node_id: str) -> list[SceneNode]:
         """Containment path from the node's parent up to its floor."""
@@ -308,31 +368,34 @@ class SceneGraph:
 
     def descendants(self, node_id: str) -> list[SceneNode]:
         """Every node below this one, in breadth-first order."""
-        queue = list(self._children.get(self.node(node_id).id, []))
+        queue = list(self._children.get(self.node(node_id).id, ()))
         for nid in queue:  # the queue grows while it is walked
-            queue.extend(self._children.get(nid, []))
+            queue.extend(self._children.get(nid, ()))
         return [self._nodes[nid] for nid in queue]
 
     def matches_under(self, scope_id: str, label: str | None, layer: Layer) -> list[SceneNode]:
-        """Nodes at a layer under the scope that a label could mean, synonyms included.
+        """Nodes at a layer under the scope that a label could mean, synonyms
+        included, in breadth-first order.
 
         A missing label matches every node at the layer.
         """
-        return [
-            n
-            for n in self.descendants(scope_id)
-            if n.layer is layer
-            and (not label or labels_match(label, n.label) or alias_label(label) == n.norm_label)
-        ]
+        if not label:
+            return [n for n in self.descendants(scope_id) if n.layer is layer]
+        self.node(scope_id)
+        index = self._labels()
+        norm = normalize_label(label)
+        ids = {
+            *index.by_label.get(norm, ()),
+            *index.by_label.get(_LABEL_ALIASES.get(norm, norm), ()),
+            *index.ending_with(norm, self._nodes),
+        }
+        found = [n for n in map(self._nodes.__getitem__, ids) if n.layer is layer and self._under(n.id, scope_id)]
+        return sorted(found, key=lambda n: self._child_path(scope_id, n.id))
 
     def find_nodes(self, label: str, layer: Layer | None = None) -> list[SceneNode]:
         """All nodes with this label, case-insensitive and plural-insensitive."""
-        norm = normalize_label(label)
-        found = [
-            n
-            for n in self._nodes.values()
-            if n.norm_label == norm and (layer is None or n.layer is layer)
-        ]
+        ids = self._labels().by_label.get(normalize_label(label), ())
+        found = [n for n in map(self._nodes.__getitem__, ids) if layer is None or n.layer is layer]
         return sorted(found, key=lambda n: (n.layer, n.instance_index, n.id))
 
     def resolve_label(
@@ -351,23 +414,26 @@ class SceneGraph:
         candidates whose attribute equals the wanted value; candidates with
         the attribute still unknown survive only if none match outright.
         """
-        pool: Iterable[SceneNode]
         if scope_id is not None:
-            pool = self.descendants(scope_id)
-        else:
-            pool = self._nodes.values()
-        if layer is not None:
-            pool = [n for n in pool if n.layer is layer]
-        else:
-            pool = list(pool)
+            self.node(scope_id)
+        index = self._labels()
+        nodes = self._nodes
+
+        def in_pool(ids: Iterable[str]) -> list[SceneNode]:
+            return [
+                n
+                for n in map(nodes.__getitem__, ids)
+                if (layer is None or n.layer is layer)
+                and (scope_id is None or self._under(n.id, scope_id))
+            ]
 
         norm = normalize_label(label)
-        aliased = alias_label(label)
-        candidates = [n for n in pool if n.norm_label == norm]
+        aliased = _LABEL_ALIASES.get(norm, norm)
+        candidates = in_pool(index.by_label.get(norm, ()))
         if not candidates and aliased != norm:
-            candidates = [n for n in pool if n.norm_label == aliased]
+            candidates = in_pool(index.by_label.get(aliased, ()))
         if not candidates:
-            candidates = [n for n in pool if n.norm_label.endswith(" " + norm)]
+            candidates = in_pool(index.ending_with(norm, nodes))
 
         if constraint is not None and candidates:
             attr, value = constraint
@@ -375,6 +441,9 @@ class SceneGraph:
             matching = [n for n in candidates if n.attributes.get(attr, "").strip().lower() == want]
             unknown = [n for n in candidates if attr not in n.attributes]
             candidates = matching or unknown
+
+        if len(candidates) < 2:
+            return candidates
 
         def sort_key(n: SceneNode) -> tuple:
             if near is not None:
@@ -385,6 +454,38 @@ class SceneGraph:
             return (d, n.layer, n.instance_index, n.id)
 
         return sorted(candidates, key=sort_key)
+
+    def _labels(self) -> _LabelIndex:
+        """The label index, built on the first call. It is published only
+        once complete, so a thread racing on the first call sees either no
+        index, and builds its own, or a whole one."""
+        index = self._index
+        if index is None:
+            index = _LabelIndex({}, {})
+            for node in self._nodes.values():
+                index.add(node)
+            self._index, self._index_owned = index, True
+        return index
+
+    def _under(self, node_id: str, scope_id: str) -> bool:
+        """Whether the scope contains the node: at most three hops up."""
+        parent = self._parent.get(node_id)
+        while parent is not None:
+            if parent == scope_id:
+                return True
+            parent = self._parent.get(parent)
+        return False
+
+    def _child_path(self, scope_id: str, node_id: str) -> list[int]:
+        """Child positions from the scope down to the node. Among nodes at
+        one depth under the scope, these sort in breadth-first order."""
+        path = []
+        while node_id != scope_id:
+            parent = self._parent[node_id]
+            path.append(self._children[parent].index(node_id))
+            node_id = parent
+        path.reverse()
+        return path
 
     def position_of(self, node_id: str) -> tuple[float, float] | None:
         """Node position; small objects inherit their parent's, floors use the room centroid."""
@@ -459,22 +560,22 @@ class SceneGraph:
                 raise GraphValidationError(f"spatial edge {edge.a} -> {edge.b} references unknown node")
 
     def copy(self) -> SceneGraph:
+        """A copy that shares the node objects and the label index with
+        this graph: children are tuples, so copying the maps is enough.
+
+        From then on neither graph owns a shared node: the first attribute
+        write to it, through ``set_attribute``, ``update_attributes`` or
+        ``add_observed_node``, clones it in the graph that writes. The
+        first node a graph adds gives it its own index.
+        """
         out = SceneGraph()
-        for node in self._nodes.values():
-            clone = SceneNode(
-                id=node.id,
-                layer=node.layer,
-                label=node.label,
-                instance_index=node.instance_index,
-                position=node.position,
-                attributes=dict(node.attributes),
-            )
-            out._nodes[clone.id] = clone
-            out._children.setdefault(clone.id, [])
+        out._nodes = dict(self._nodes)
         out._parent = dict(self._parent)
-        for nid, kids in self._children.items():
-            out._children[nid] = list(kids)
+        out._children = dict(self._children)
         out.spatial_edges = list(self.spatial_edges)
+        out._index = self._labels()
+        self._owned = set()
+        self._index_owned = False
         return out
 
     def to_prior_dict(self) -> dict[str, Any]:

@@ -5,15 +5,18 @@ import pathlib
 
 import pytest
 
+from stepqa import agent as agent_module
 from stepqa.agent import (
     AgentConfig,
     EpisodeStatus,
     check_feedback,
+    ingest_observation,
     normalize_answer,
     run_episode,
     secondary_perception,
 )
 from stepqa.environment import Environment, load_world_truth
+from stepqa.llm_planner import LookupPlanner
 from stepqa.rules import Plan, PlanKind
 from stepqa.scene_graph import Layer
 
@@ -115,6 +118,21 @@ class TestEpisodes:
         r = ask(world, "How many cups are in the kitchen?")
         assert r.status is EpisodeStatus.ANSWERED
         assert r.answer == "3"
+
+    @pytest.mark.parametrize(
+        "question,answer",
+        [
+            ("How many white cushions are on the sofa?", "1"),
+            ("Is there a white cushion on the sofa?", "yes"),
+            ("How many yellow cushions are on the sofa in the living room?", "1"),
+        ],
+    )
+    def test_tally_adjective_becomes_a_constraint(self, demo_truth, question, answer):
+        # the sofa holds a white and a yellow cushion
+        r = ask(demo_truth, question)
+        assert r.status is EpisodeStatus.ANSWERED
+        assert r.answer == answer
+        assert r.chain.steps[-1].label == "cushion"
 
     def test_negative_existence_is_an_answer_not_a_failure(self, demo_truth):
         r = ask(demo_truth, "Is there a magazine on the coffee table in the living room?")
@@ -218,6 +236,59 @@ class TestRoomLevelAblation:
         )
         assert r.status is EpisodeStatus.ANSWERED
         assert r.answer == "bedroom"
+
+
+class ScriptedFallback(LookupPlanner):
+    """Returns the given fallback plans in order, then gives up."""
+
+    def __init__(self, plans):
+        self.plans = iter(plans)
+
+    def fallback_plan(self, graph, pose, explored, question=""):
+        return next(self.plans, Plan(kind=PlanKind.ANSWER, value="not found", tool="fallback"))
+
+
+class TestFoldOnce:
+    BOOK_QUESTION = "What is the title of the book on the coffee table in the living room?"
+
+    @pytest.fixture()
+    def folds(self, monkeypatch):
+        """(graph, anchor id) of every ingest_observation call run_episode makes."""
+        calls = []
+
+        def recording(graph, obs):
+            calls.append((graph, obs.anchor_id))
+            return ingest_observation(graph, obs)
+
+        monkeypatch.setattr(agent_module, "ingest_observation", recording)
+        return calls
+
+    def test_a_repeated_view_is_ingested_once(self, demo_truth, folds):
+        r = ask(demo_truth, self.BOOK_QUESTION, room_level_only=True)
+        anchors = [r.trace.entrance.anchor_id, *(e.obs.anchor_id for e in r.trace.events)]
+        assert anchors.count("f0.living") > 3
+        assert [anchor for _, anchor in folds] == list(dict.fromkeys(anchors))
+
+    def test_a_view_whose_anchor_was_missing_is_folded_again(self, demo_truth, folds):
+        book = "f0.living.table.book.0"
+        planner = ScriptedFallback(
+            [
+                # lands on the book before the agent's graph has it
+                Plan(kind=PlanKind.MOVE_TO, goal_label="book", goal_layer=Layer.SMALL_OBJECT, tool="fallback"),
+                Plan(kind=PlanKind.MOVE_TO, goal_id="f0.living.table", tool="fallback"),
+                Plan(kind=PlanKind.MOVE_TO, goal_id=book, tool="fallback"),
+            ]
+        )
+        r = run_episode(
+            self.BOOK_QUESTION,
+            Environment(demo_truth),
+            config=AgentConfig(room_level_only=True),
+            planner=planner,
+        )
+        assert [anchor for _, anchor in folds] == ["f0", "f0.living", book, "f0.living.table", book]
+        graph = folds[0][0]
+        assert graph.node(book).attributes == {"color": "red", "title": "war and peace", "state": "open"}
+        assert r.answer == "war and peace"
 
 
 class TestTrace:

@@ -264,27 +264,69 @@ class TestWorldTruthLoading:
         truth_before = snapshot(demo_truth.graph)
         first, second = demo_truth.prior_graph(), demo_truth.prior_graph()
         assert first is not second
+        template = demo_truth._prior_template
+        template_before = snapshot(template)
+        index_before = {k: dict(v) for k, v in template._index._asdict().items()}
+        sofa = template.node("f0.living.sofa")
+
         first.add_observed_node("f0.kitchen.table", "spoon", {"color": "silver"})
         first.set_attribute("f0.living.sofa", "color", "green")
+        first.add_observed_node("f0.living.table", "book", {"title": "dune"}, instance_index=0)
         demo_env.reset()
-        demo_env.execute(move(goal_id="f0.living"))
+        ingest_observation(first, demo_env.execute(move(goal_id="f0.living")))
         ingest_observation(first, demo_env.execute(move(goal_id="f0.living.table")))
         assert first.nodes_at(Layer.SMALL_OBJECT)
+        assert first.node("f0.living.sofa").attributes["color"] == "blue"
+        assert first.node("f0.living.table").attributes == {"color": "brown", "material": "wood"}
+        assert [n.id for n in first.resolve_label("spoon")] == ["f0.kitchen.table.spoon.0"]
 
         for untouched in (second, demo_truth.prior_graph()):
             assert untouched.nodes_at(Layer.SMALL_OBJECT) == []
             assert all(n.attributes == {} for n in untouched.nodes)
+            assert untouched.resolve_label("spoon") == []
+            assert untouched.node("f0.living.sofa") is sofa
+        assert snapshot(template) == template_before
+        assert {k: dict(v) for k, v in template._index._asdict().items()} == index_before
         assert snapshot(demo_truth.graph) == truth_before
+
+    def test_copies_of_copies_stay_apart(self, demo_truth):
+        parent = demo_truth.prior_graph()
+        # the parent owns what it wrote and added before it was copied
+        parent.set_attribute("f0.living.sofa", "color", "blue")
+        parent.add_observed_node("f0.living.sofa", "phone")
+        child = parent.copy()
+        parent.set_attribute("f0.living.sofa", "material", "leather")
+        parent.add_observed_node("f0.living.sofa", "book")
+        child.set_attribute("f0.living.sofa", "color", "green")
+        child.add_observed_node("f0.living.sofa", "cushion", {"color": "white"})
+        parent.set_attribute("f0.kitchen.table", "color", "brown")
+
+        assert parent.node("f0.living.sofa").attributes == {"color": "blue", "material": "leather"}
+        assert child.node("f0.living.sofa").attributes == {"color": "green"}
+        assert child.node("f0.kitchen.table").attributes == {}
+        assert [n.label for n in parent.children("f0.living.sofa")] == ["phone", "book"]
+        assert [n.label for n in child.children("f0.living.sofa")] == ["phone", "cushion"]
+        assert parent.resolve_label("cushion") == [] and child.resolve_label("book") == []
+        assert [n.label for n in child.resolve_label("phone")] == ["phone"]
+        assert all(n.attributes == {} for n in demo_truth.prior_graph().nodes)
 
     def test_prior_graph_built_by_racing_threads_is_the_same(self, demo_path):
         world = load_world_truth(demo_path)
-        expected = [n.to_dict() for n in load_world_truth(demo_path).prior_graph().nodes]
+        fresh = load_world_truth(demo_path).prior_graph()
+        expected = [n.to_dict() for n in fresh.nodes]
+        labels = sorted({n.label for n in fresh.nodes} | {"table", "couch", "tables"})
+
+        def lookups(graph):
+            return [[n.id for n in graph.resolve_label(label, layer)] for label in labels for layer in (None, *Layer)]
+
+        expected_lookups = lookups(fresh)
         workers = 4
         start = threading.Barrier(workers)
 
         def build(_):
             start.wait(timeout=10)
-            return world.prior_graph()
+            graph = world.prior_graph()
+            return graph, lookups(graph)
 
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
@@ -294,9 +336,11 @@ class TestWorldTruthLoading:
                 graphs = [f.result(timeout=30) for f in futures]
         finally:
             sys.setswitchinterval(interval)
-        assert len({id(g) for g in graphs}) == workers
-        for graph in graphs:
+        assert len({id(g) for g, _ in graphs}) == workers
+        for graph, found in graphs:
             assert [n.to_dict() for n in graph.nodes] == expected
+            assert found == expected_lookups
+            assert lookups(graph) == expected_lookups
 
     def test_json_text_without_an_id_is_named_world(self):
         data = random_world_data(1, rooms=6, small_range=(20, 30))

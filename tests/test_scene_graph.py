@@ -3,7 +3,7 @@
 import math
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from stepqa.scene_graph import (
     GraphValidationError,
@@ -20,8 +20,8 @@ from stepqa.scene_graph import (
     normalize_label,
     singularize,
 )
-from stepqa.environment import load_world_truth
-from stepqa.worldgen import random_world_data
+from stepqa.environment import Observation, load_world_truth
+from stepqa.worldgen import random_world, random_world_data
 
 from conftest import WORLDS
 
@@ -360,3 +360,137 @@ class TestWorldFiles:
         for source in [*(WORLDS / f"{name}.json" for name in names), random_world_data(11)]:
             prior = load_world_truth(source).prior_graph()
             assert contents(build_prior_graph(prior.to_prior_dict())) == contents(prior), source
+
+
+# -- the label index against a brute-force scan ----------------------------
+
+
+def scan_resolve_label(graph, label, layer=None, scope_id=None, constraint=None, near=None):
+    """resolve_label as a scan over every node in scope: the reference."""
+    pool = graph.descendants(scope_id) if scope_id is not None else graph.nodes
+    pool = [n for n in pool if layer is None or n.layer is layer]
+    norm, aliased = normalize_label(label), alias_label(label)
+    found = [n for n in pool if normalize_label(n.label) == norm]
+    if not found and aliased != norm:
+        found = [n for n in pool if normalize_label(n.label) == aliased]
+    if not found:
+        found = [n for n in pool if normalize_label(n.label).endswith(" " + norm)]
+    if constraint is not None and found:
+        attr, value = constraint
+        want = value.strip().lower()
+        matching = [n for n in found if n.attributes.get(attr, "").strip().lower() == want]
+        found = matching or [n for n in found if attr not in n.attributes]
+
+    def key(n):
+        pos = graph.position_of(n.id) if near is not None else None
+        d = (math.dist(near, pos) if pos is not None else math.inf) if near is not None else 0.0
+        return (d, n.layer, n.instance_index, n.id)
+
+    return [n.id for n in sorted(found, key=key)]
+
+
+def scan_find_nodes(graph, label, layer=None):
+    found = [
+        n
+        for n in graph.nodes
+        if normalize_label(n.label) == normalize_label(label) and (layer is None or n.layer is layer)
+    ]
+    return [n.id for n in sorted(found, key=lambda n: (n.layer, n.instance_index, n.id))]
+
+
+def scan_matches_under(graph, scope_id, label, layer):
+    return [
+        n.id
+        for n in graph.descendants(scope_id)
+        if n.layer is layer
+        and (not label or labels_match(label, n.label) or alias_label(label) == normalize_label(n.label))
+    ]
+
+
+def query_labels(graph):
+    """Every label in the graph, its head word and plural, plus synonyms,
+    an unknown word and the empty label."""
+    labels = {"couch", "tv", "fridge", "table", "Coffee  Tables", "unicorn", ""}
+    for n in graph.nodes:
+        labels.update({n.label, n.label.split()[-1], n.label + "s"})
+    return sorted(labels)
+
+
+LAYERS = (None, *Layer)
+
+
+def assert_lookups_match_scan(graph, rng):
+    labels = query_labels(graph)
+    ids = sorted(n.id for n in graph.nodes)
+    constraints = [None, ("color", "plaid"), *sorted({a for n in graph.nodes for a in n.attributes.items()})]
+    for label in labels:
+        for layer in LAYERS:
+            assert [n.id for n in graph.find_nodes(label, layer)] == scan_find_nodes(graph, label, layer)
+            got = [n.id for n in graph.resolve_label(label, layer)]
+            assert got == scan_resolve_label(graph, label, layer)
+    for scope in ids:
+        label, layer, constraint = rng.choice(labels), rng.choice(LAYERS), rng.choice(constraints)
+        near = rng.choice([None, (rng.uniform(-5, 60), rng.uniform(-5, 5))])
+        got = [n.id for n in graph.resolve_label(label, layer, scope, constraint, near)]
+        assert got == scan_resolve_label(graph, label, layer, scope, constraint, near)
+        for layer_at in Layer:
+            for query in (label, None):
+                got = [n.id for n in graph.matches_under(scope, query, layer_at)]
+                assert got == scan_matches_under(graph, scope, query, layer_at)
+
+
+def grow(graph, world, data):
+    """Observed nodes and views from the world, in an order drawn by hypothesis."""
+    from stepqa.agent import ingest_observation
+
+    bigs = [n.id for n in graph.nodes_at(Layer.BIG_OBJECT)]
+    adds = st.tuples(
+        st.sampled_from(bigs),
+        st.sampled_from(["cup", "cups", "coffee cup", "red book", "book", "couch", "tv"]),
+        st.dictionaries(st.sampled_from(["color", "state"]), st.sampled_from(["red", "open"]), max_size=2),
+        st.one_of(st.none(), st.integers(0, 2)),
+    )
+    for parent, label, attributes, index in data.draw(st.lists(adds, max_size=6)):
+        graph.add_observed_node(parent, label, attributes, index)
+    for anchor in data.draw(st.lists(st.sampled_from(sorted(n.id for n in world.graph.nodes)), max_size=6)):
+        view = world.view(anchor)
+        ingest_observation(graph, Observation(0, anchor, *view))
+
+
+def snapshot(graph):
+    return [(n.to_dict(), [c.id for c in graph.children(n.id)]) for n in graph.nodes]
+
+
+class TestLabelIndex:
+    @settings(max_examples=12, deadline=None)
+    @given(
+        seed=st.integers(1, 10_000),
+        rooms=st.integers(1, 6),
+        rng=st.randoms(use_true_random=False),
+        data=st.data(),
+    )
+    def test_lookups_match_a_scan_on_generated_worlds(self, seed, rooms, rng, data):
+        world = random_world(seed, rooms=rooms, small_range=(0, 4))
+        assert_lookups_match_scan(world.graph, rng)
+        template = world.prior_graph()
+        assert_lookups_match_scan(template, rng)
+
+        episode = world.prior_graph()
+        grow(episode, world, data)
+        assert_lookups_match_scan(episode, rng)
+        before = snapshot(episode)
+
+        nested = episode.copy()
+        grow(nested, world, data)
+        assert_lookups_match_scan(nested, rng)
+        assert snapshot(episode) == before
+        assert_lookups_match_scan(episode, rng)
+        assert snapshot(world.prior_graph()) == snapshot(template)
+
+    def test_index_built_before_a_node_is_added_stays_current(self):
+        g = build_prior_graph(small_world())
+        assert g.resolve_label("cup") == []
+        cup = g.add_observed_node("f0.a.t", "coffee cup")
+        assert g.resolve_label("cup") == [cup]
+        assert g.find_nodes("coffee cups") == [cup]
+        assert g.matches_under("f0.a", "cup", Layer.SMALL_OBJECT) == [cup]
