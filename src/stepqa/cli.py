@@ -182,7 +182,13 @@ def build_parser() -> argparse.ArgumentParser:
     bench = sub.add_parser("bench", help="run a dataset against its worlds")
     bench.add_argument("--dataset", required=True, help="dataset JSONL file")
     bench.add_argument("--worlds", required=True, help="world file or directory of world files")
-    bench.add_argument("--parallel", type=int, default=1, help="worker threads")
+    bench.add_argument(
+        "--parallel",
+        type=int,
+        default=1,
+        help="run episodes on this many threads; no faster than serial, as the loop is "
+        "CPU-bound Python, but the report is the same for any count",
+    )
     bench.add_argument("--report", default=None, help="write the JSON report here")
     _add_agent_flags(bench)
     bench.set_defaults(func=_cmd_bench)

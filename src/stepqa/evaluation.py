@@ -155,6 +155,10 @@ def run_benchmark(
     Records whose world id is not in the registry are kept in the report
     with status missing_world and the bottom rung, so a broken pairing
     is visible instead of silently shrinking the denominator.
+
+    ``parallel`` runs records on that many threads. The episode loop is
+    CPU-bound Python, so this is no faster than serial; it shows that the
+    report does not depend on the worker count.
     """
     judge = judge or MockJudge()
     records = list(records)

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import TYPE_CHECKING, Any
+from typing import TYPE_CHECKING, Any, Iterable, Iterator
 
 from .patterns import PatternChain, SubGoal, TargetKind
 from .scene_graph import Layer, SceneGraph, SceneNode
@@ -135,41 +135,38 @@ def resolve_near_pose(
     """Best node for a label, searching outward from the agent's anchor.
 
     The scopes are the anchor's subtree, its parent's, its room's, then the
-    whole graph; nearest candidate first within each. The planner and the
+    whole graph. The first scope with a candidate answers, and its nearest
+    candidate wins (see ``SceneGraph.resolve_outward``). A label that no
+    node at the layer matches costs one lookup. The planner and the
     environment both resolve labels here.
     """
     anchor = _anchor_node(graph, pose)
     near = graph.position_of(anchor.id) if anchor else None
-    scopes: list[str | None] = []
+    found = graph.resolve_outward(label, layer, _outward_scopes(graph, anchor), constraint, near)
+    return found[0] if found else None
+
+
+def _outward_scopes(graph: SceneGraph, anchor: SceneNode | None) -> Iterator[str | None]:
+    """The anchor, its parent, its room when that is not the parent, then
+    None for the whole graph; each is found only when the search asks."""
     if anchor is not None:
-        scopes.append(anchor.id)
+        yield anchor.id
         parent = graph.parent(anchor.id)
         if parent is not None:
-            scopes.append(parent.id)
-        if anchor.layer > Layer.ROOM:
-            scopes.append(graph.room_of(anchor.id).id)
-    scopes.append(None)
-    seen: set[str | None] = set()
-    for scope in scopes:
-        if scope in seen:
-            continue
-        seen.add(scope)
-        candidates = graph.resolve_label(
-            label, layer=layer, scope_id=scope, constraint=constraint, near=near
-        )
-        if candidates:
-            return candidates[0]
-    return None
+            yield parent.id
+            if parent.layer > Layer.ROOM:
+                yield graph.room_of(parent.id).id
+    yield None
 
 
 def _scope_node(chain: PatternChain, graph: SceneGraph, pose: AgentPose) -> SceneNode:
     """Innermost room the chain names, else the floor under the agent."""
     anchor = _anchor_node(graph, pose)
-    near = graph.position_of(anchor.id) if anchor else None
     for step in reversed(chain.steps):
         if step.is_attribute_step or step.label is None:
             continue
         if step.layer is Layer.ROOM:
+            near = graph.position_of(anchor.id) if anchor else None
             rooms = graph.resolve_label(step.label, layer=Layer.ROOM, near=near)
             if rooms:
                 return rooms[0]
@@ -186,19 +183,30 @@ def _scope_node(chain: PatternChain, graph: SceneGraph, pose: AgentPose) -> Scen
     return floors[0]
 
 
-def _sweep_anchors(graph: SceneGraph, scope: SceneNode, pose: AgentPose) -> list[SceneNode]:
-    """Big objects under the scope, nearest room first, nearest object within."""
+def _sweep_anchors(graph: SceneGraph, scope: SceneNode, pose: AgentPose) -> Iterator[SceneNode]:
+    """Big objects under the scope, nearest room first, nearest object
+    within, yielded one room at a time so a caller can stop early.
+
+    A floor scope goes on to the rooms of the other floors, in graph
+    order, once its own are exhausted; each floor's rooms come nearest
+    first. Distances are from the agent's anchor.
+    """
     if scope.layer is Layer.FLOOR:
-        rooms = graph.nearest_first(graph.children(scope.id), pose.anchor_id)
+        rooms: Iterable[SceneNode] = _floor_rooms(graph, scope, pose)
     elif scope.layer is Layer.ROOM:
         rooms = [scope]
     else:
-        rooms = []
-    out: list[SceneNode] = []
+        return
     for room in rooms:
         bigs = [c for c in graph.children(room.id) if c.layer is Layer.BIG_OBJECT]
-        out.extend(graph.nearest_first(bigs, pose.anchor_id))
-    return out
+        yield from graph.nearest_first(bigs, pose.anchor_id)
+
+
+def _floor_rooms(graph: SceneGraph, floor: SceneNode, pose: AgentPose) -> Iterator[SceneNode]:
+    yield from graph.nearest_first(graph.children(floor.id), pose.anchor_id)
+    for other in graph.nodes_at(Layer.FLOOR):
+        if other.id != floor.id:
+            yield from graph.nearest_first(graph.children(other.id), pose.anchor_id)
 
 
 def move_plan(

@@ -200,6 +200,22 @@ class _LabelIndex(NamedTuple):
         return [i for i in ids if nodes[i].norm_label.endswith(tail)]
 
 
+def _at_layer(nodes: Mapping[str, SceneNode], ids: Iterable[str], layer: Layer | None) -> list[SceneNode]:
+    """The nodes with these ids, those at the layer only unless it is None."""
+    if layer is None:
+        return list(map(nodes.__getitem__, ids))
+    return [n for n in map(nodes.__getitem__, ids) if n.layer is layer]
+
+
+def _constrained(candidates: list[SceneNode], constraint: tuple[str, str]) -> list[SceneNode]:
+    """The candidates whose attribute has the wanted value, else those that
+    do not know the attribute yet."""
+    attr, value = constraint
+    want = value.strip().lower()
+    matching = [n for n in candidates if n.attributes.get(attr, "").strip().lower() == want]
+    return matching or [n for n in candidates if attr not in n.attributes]
+
+
 class SceneGraph:
     """Mutable containment-plus-spatial graph over SceneNode objects.
 
@@ -414,46 +430,66 @@ class SceneGraph:
         candidates whose attribute equals the wanted value; candidates with
         the attribute still unknown survive only if none match outright.
         """
-        if scope_id is not None:
-            self.node(scope_id)
-        index = self._labels()
+        if scope_id is not None and scope_id not in self._nodes:
+            raise UnknownNodeError(scope_id)
+        return self.resolve_outward(label, layer, (scope_id,), constraint, near)
+
+    def resolve_outward(
+        self,
+        label: str,
+        layer: Layer | None,
+        scopes: Iterable[str | None],
+        constraint: tuple[str, str] | None = None,
+        near: tuple[float, float] | None = None,
+    ) -> list[SceneNode]:
+        """``resolve_label`` over nested scopes, innermost first: the
+        candidates of the first scope that has any, best first. A scope of
+        None is the whole graph.
+
+        Each scope applies the same tiers and constraint rule. The label is
+        looked up once for all of them, and when no node at the layer
+        matches it anywhere, no scope is read. The suffix tier, the costly
+        one, is built only when a scope has no exact or alias match.
+        """
+        index = self._index or self._labels()
         nodes = self._nodes
-
-        def in_pool(ids: Iterable[str]) -> list[SceneNode]:
-            return [
-                n
-                for n in map(nodes.__getitem__, ids)
-                if (layer is None or n.layer is layer)
-                and (scope_id is None or self._under(n.id, scope_id))
-            ]
-
         norm = normalize_label(label)
-        aliased = _LABEL_ALIASES.get(norm, norm)
-        candidates = in_pool(index.by_label.get(norm, ()))
-        if not candidates and aliased != norm:
-            candidates = in_pool(index.by_label.get(aliased, ()))
-        if not candidates:
-            candidates = in_pool(index.ending_with(norm, nodes))
+        exact_ids = index.by_label.get(norm)
+        alias_ids = index.by_label.get(_LABEL_ALIASES[norm]) if norm in _LABEL_ALIASES else None
+        exact = _at_layer(nodes, exact_ids, layer) if exact_ids else []
+        alias = _at_layer(nodes, alias_ids, layer) if alias_ids else []
+        suffix: list[SceneNode] | None = None
+        if not exact and not alias:
+            suffix = _at_layer(nodes, index.ending_with(norm, nodes), layer)
+            if not suffix:
+                return []
 
-        if constraint is not None and candidates:
-            attr, value = constraint
-            want = value.strip().lower()
-            matching = [n for n in candidates if n.attributes.get(attr, "").strip().lower() == want]
-            unknown = [n for n in candidates if attr not in n.attributes]
-            candidates = matching or unknown
+        for scope_id in scopes:
+            candidates = exact if scope_id is None else self._within(exact, scope_id)
+            if not candidates and alias:
+                candidates = self._within(alias, scope_id)
+            if not candidates:
+                if suffix is None:
+                    suffix = _at_layer(nodes, index.ending_with(norm, nodes), layer)
+                candidates = self._within(suffix, scope_id)
+            if constraint is not None and candidates:
+                candidates = _constrained(candidates, constraint)
+            if candidates:
+                return self._best_first(candidates, near) if len(candidates) > 1 else candidates
+        return []
 
-        if len(candidates) < 2:
+    def _within(self, candidates: list[SceneNode], scope_id: str | None) -> list[SceneNode]:
+        """The candidates under the scope; all of them for None."""
+        if scope_id is None or not candidates:
             return candidates
+        under = self._under
+        return [n for n in candidates if under(n.id, scope_id)]
 
-        def sort_key(n: SceneNode) -> tuple:
-            if near is not None:
-                pos = self.position_of(n.id)
-                d = math.dist(near, pos) if pos is not None else float("inf")
-            else:
-                d = 0.0
-            return (d, n.layer, n.instance_index, n.id)
-
-        return sorted(candidates, key=sort_key)
+    def _best_first(self, candidates: list[SceneNode], near: tuple[float, float] | None) -> list[SceneNode]:
+        """Nearest to ``near`` first, when given, then by layer, instance and id."""
+        if near is None:
+            return sorted(candidates, key=lambda n: (n.layer, n.instance_index, n.id))
+        return sorted(candidates, key=lambda n: (self._distance(near, n), n.layer, n.instance_index, n.id))
 
     def _labels(self) -> _LabelIndex:
         """The label index, built on the first call. It is published only
@@ -504,19 +540,25 @@ class SceneGraph:
             return (sum(xs) / len(rooms), sum(ys) / len(rooms))
         return None
 
+    def _distance(self, here: tuple[float, float], node: SceneNode) -> float:
+        """Distance from a point to a node, infinite for a node without a
+        position. A node's own position is read directly; ``position_of``
+        runs only for the nodes that inherit or derive one."""
+        pos = node.position if node.position is not None else self.position_of(node.id)
+        return math.dist(here, pos) if pos is not None else math.inf
+
     def nearest_first(self, nodes: Iterable[SceneNode], origin_id: str) -> list[SceneNode]:
         """Nodes by distance from the origin node, ties broken by instance and id.
 
         Nodes without a position, and every node when the origin is not in
-        the graph, sort after the positioned ones.
+        the graph, sort after the positioned ones. A node's own position is
+        read directly, so sorting rooms and big objects never calls
+        ``position_of`` for them.
         """
         here = self.position_of(origin_id) if origin_id in self._nodes else None
-
-        def key(node: SceneNode) -> tuple:
-            pos = self.position_of(node.id) if here is not None else None
-            return (math.dist(here, pos) if pos is not None else math.inf, node.instance_index, node.id)
-
-        return sorted(nodes, key=key)
+        if here is None:
+            return sorted(nodes, key=lambda n: (n.instance_index, n.id))
+        return sorted(nodes, key=lambda n: (self._distance(here, n), n.instance_index, n.id))
 
     def spatial_relation(self, a: str, b: str) -> str | None:
         """Relation of node a with respect to node b along a same-layer edge."""

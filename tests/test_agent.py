@@ -19,6 +19,7 @@ from stepqa.environment import Environment, load_world_truth
 from stepqa.llm_planner import LookupPlanner
 from stepqa.rules import Plan, PlanKind
 from stepqa.scene_graph import Layer
+from stepqa.worldgen import random_world_data
 
 
 GOLDEN = pathlib.Path(__file__).resolve().parent / "golden"
@@ -88,6 +89,25 @@ class TestEpisodes:
         assert r.status is EpisodeStatus.ANSWERED
         assert r.answer == "living room"
         assert r.steps > 1  # had to go look
+
+    @pytest.mark.parametrize(
+        "question,plans",
+        [
+            ("Where is the bottle?", 12),
+            ("Where is the laptop?", 11),
+            ("What room is the bottle located in?", 12),
+        ],
+    )
+    def test_sweep_goes_on_to_the_other_floors(self, question, plans):
+        # the kitchen of generated world 5 moved to a floor of its own
+        data = random_world_data(5)
+        kitchen = data["floors"][0]["rooms"].pop()
+        assert (kitchen["id"], kitchen["label"]) == ("f0.r3", "kitchen")
+        data["floors"].append({"id": "f1", "label": "first floor", "rooms": [kitchen]})
+        inside = {kitchen["id"], *(big["id"] for big in kitchen["big_objects"])}
+        data["spatial_edges"] = [e for e in data["spatial_edges"] if not {e["a"], e["b"]} & inside]
+        r = ask(load_world_truth(data), question)
+        assert (r.status, r.answer, r.plans) == (EpisodeStatus.ANSWERED, "kitchen", plans)
 
     def test_count_tally(self, demo_truth):
         r = ask(demo_truth, "How many cups are on the dining table in the kitchen?")
@@ -291,6 +311,14 @@ class TestFoldOnce:
         assert r.answer == "war and peace"
 
 
+def golden_text(result):
+    """The trace's lines as the golden files hold them: without wall_ms."""
+    *lines, final = result.trace.lines()
+    record = json.loads(final)
+    del record["wall_ms"]
+    return "\n".join([*lines, json.dumps(record, sort_keys=True)]) + "\n"
+
+
 class TestTrace:
     @pytest.fixture()
     def result(self, demo_truth):
@@ -347,11 +375,15 @@ class TestTrace:
         ],
     )
     def test_trace_lines_match_the_golden_file(self, demo_truth, fixture, question, config):
-        *lines, final = ask(demo_truth, question, **config).trace.lines()
-        record = json.loads(final)
-        del record["wall_ms"]
-        text = "\n".join([*lines, json.dumps(record, sort_keys=True)]) + "\n"
-        assert text == (GOLDEN / fixture).read_text(encoding="utf-8")
+        result = ask(demo_truth, question, **config)
+        assert golden_text(result) == (GOLDEN / fixture).read_text(encoding="utf-8")
+
+    def test_room_query_sweep_matches_the_golden_file(self):
+        # the slowest kind of pinned episode: the prior has no cushion, so
+        # the agent sweeps every support on the floor, replanning after each
+        result = ask(load_world_truth(random_world_data(11)), "What room is the cushion located in?")
+        assert (result.answer, result.plans) == ("bedroom", 13)
+        assert golden_text(result) == (GOLDEN / "pinned_room_query_sweep.jsonl").read_text(encoding="utf-8")
 
     def test_golden_fallback_trace_covers_every_event_kind(self):
         lines = (GOLDEN / "demo_room_level_fallback.jsonl").read_text(encoding="utf-8").splitlines()

@@ -1,8 +1,13 @@
 """Rule-table planning: observation layers and plan sequences."""
 
-import pytest
+import math
+import random
 
-from stepqa.environment import AgentPose, load_world_truth
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from stepqa.agent import ingest_observation
+from stepqa.environment import AgentPose, Observation, load_world_truth
 from stepqa.llm_planner import PerceptionRange
 from stepqa.parsing import TemplateBackend
 from stepqa.patterns import SubGoal, parse_pattern_string
@@ -11,12 +16,15 @@ from stepqa.rules import (
     PlanKind,
     PlanningDomainError,
     ResolutionFailure,
+    _sweep_anchors,
     next_plan,
     observation_layer,
+    resolve_near_pose,
 )
 from stepqa.scene_graph import Layer
+from stepqa.worldgen import random_world_data
 
-from conftest import WORLDS
+from conftest import WORLDS, scan_resolve_label
 
 
 def entrance() -> AgentPose:
@@ -248,3 +256,210 @@ class TestTallyPlans:
         plan = next_plan(chain, 2, graph, pose, constraint_class=PerceptionRange.REMOTE)
         assert plan.kind is PlanKind.OBSERVE
         assert plan.expects == ("count", "cushion")
+
+
+# -- the outward search and the lazy sweep against full scans -------------
+
+
+def reference_resolve_near_pose(graph, pose, label, layer, constraint=None):
+    """The four-scope loop resolve_near_pose ran before the outward search,
+    each scope resolved by a scan over its subtree: the reference."""
+    anchor = graph.node(pose.anchor_id) if pose.anchor_id in graph else None
+    near = graph.position_of(anchor.id) if anchor else None
+    scopes = []
+    if anchor is not None:
+        scopes.append(anchor.id)
+        parent = graph.parent(anchor.id)
+        if parent is not None:
+            scopes.append(parent.id)
+        if anchor.layer > Layer.ROOM:
+            scopes.append(graph.room_of(anchor.id).id)
+    scopes.append(None)
+    for scope in dict.fromkeys(scopes):
+        candidates = scan_resolve_label(graph, label, layer, scope, constraint, near)
+        if candidates:
+            return graph.node(candidates[0])
+    return None
+
+
+def multi_floor_data(seed, floors):
+    """A generated world whose rooms are dealt round-robin onto floors f0..fn,
+    without the spatial edges (which may not cross floors)."""
+    data = random_world_data(seed, rooms=4)
+    rooms = data["floors"][0]["rooms"]
+    data["floors"] = [
+        {"id": f"f{i}", "label": f"floor {i}", "rooms": rooms[i::floors]} for i in range(floors)
+    ]
+    data["spatial_edges"] = []
+    return data
+
+
+def pose_at(graph, anchor_id):
+    layer = graph.node(anchor_id).layer if anchor_id in graph else Layer.FLOOR
+    return AgentPose(anchor_id, layer, 0)
+
+
+def resolve_queries(graph):
+    """Exact, alias, head-word, plural, unknown and empty labels, and
+    constraints that match, that no node has, and every value in the graph."""
+    labels = {"couch", "tv", "fridge", "table", "unicorn", ""}
+    for n in graph.nodes:
+        labels.update({n.label, n.label.split()[-1], n.label + "s"})
+    values = sorted({a for n in graph.nodes for a in n.attributes.items()})
+    return sorted(labels), [None, ("color", "plaid"), *values]
+
+
+def full_sweep(graph, scope, pose):
+    """Every big object the sweep visits, from one sort of all of them: the
+    scope's floor first and then the other floors in graph order, nearest
+    room first within a floor and nearest object first within a room."""
+    here = graph.position_of(pose.anchor_id) if pose.anchor_id in graph else None
+
+    def near(node):
+        pos = graph.position_of(node.id)
+        return (math.dist(here, pos) if here and pos else math.inf, node.instance_index, node.id)
+
+    floors = [f.id for f in graph.nodes_at(Layer.FLOOR)]
+    if scope.layer is Layer.ROOM:
+        bigs = [n for n in graph.children(scope.id) if n.layer is Layer.BIG_OBJECT]
+    else:
+        bigs = graph.nodes_at(Layer.BIG_OBJECT)
+
+    def key(big):
+        room = graph.parent(big.id)
+        floor = graph.parent(room.id)
+        return (floor.id != scope.id, floors.index(floor.id), near(room), near(big))
+
+    return sorted(bigs, key=key)
+
+
+class TestOutwardSearch:
+    @settings(max_examples=10, deadline=None)
+    @given(
+        seed=st.integers(1, 10_000),
+        floors=st.integers(1, 3),
+        draws=st.integers(0, 2**32),
+        data=st.data(),
+    )
+    def test_outward_search_matches_the_four_scope_loop(self, seed, floors, draws, data):
+        rng = random.Random(draws)
+        world = load_world_truth(multi_floor_data(seed, floors))
+        episode = world.prior_graph()
+        anchors = sorted(n.id for n in world.graph.nodes)
+        for anchor in data.draw(st.lists(st.sampled_from(anchors), max_size=8)):
+            ingest_observation(episode, Observation(0, anchor, *world.view(anchor)))
+        for graph in (world.graph, world.prior_graph(), episode):
+            labels, constraints = resolve_queries(graph)
+            for anchor in [*sorted(n.id for n in graph.nodes), "nowhere"]:
+                pose = pose_at(graph, anchor)
+                for label in labels:
+                    layer = rng.choice((None, *Layer))
+                    constraint = rng.choice(constraints)
+                    want = reference_resolve_near_pose(graph, pose, label, layer, constraint)
+                    assert resolve_near_pose(graph, pose, label, layer, constraint) is want, (
+                        anchor, label, layer, constraint,
+                    )
+
+    def test_a_constraint_that_empties_the_inner_scopes_is_answered_further_out(self):
+        graph = load_world_truth(random_world_data(11)).graph
+        checked = 0
+        for support in graph.nodes_at(Layer.BIG_OBJECT):
+            for small in graph.children(support.id):
+                here = [n for n in graph.children(support.id) if n.norm_label == small.norm_label]
+                for twin in graph.nodes_at(Layer.SMALL_OBJECT):
+                    if twin.norm_label != small.norm_label or twin in here:
+                        continue
+                    for attr, value in twin.attributes.items():
+                        if any(n.attributes.get(attr, value) == value for n in here):
+                            continue
+                        pose = pose_at(graph, support.id)
+                        found = resolve_near_pose(graph, pose, small.label, Layer.SMALL_OBJECT, (attr, value))
+                        assert found is not None and found not in here
+                        assert found is reference_resolve_near_pose(
+                            graph, pose, small.label, Layer.SMALL_OBJECT, (attr, value)
+                        )
+                        checked += 1
+        assert checked > 0
+
+    @pytest.mark.parametrize("on_lamp", [False, True])  # the lamp, or a book on it
+    @pytest.mark.parametrize("label", ["sofa", "couch", "table"])  # exact, alias, head word
+    def test_the_anchors_room_answers_before_a_nearer_match_elsewhere(self, label, on_lamp):
+        def big(node_id, name, x):
+            return {"id": node_id, "label": name, "position": [x, 0.0]}
+
+        world = load_world_truth(
+            {
+                "id": "two rooms",
+                "entrance": "f0",
+                "floors": [
+                    {
+                        "id": "f0",
+                        "rooms": [
+                            {
+                                "id": "f0.a",
+                                "label": "living room",
+                                "position": [0.0, 0.0],
+                                "big_objects": [
+                                    big("f0.a.sofa", "sofa", 0.0),
+                                    big("f0.a.table", "coffee table", 1.0),
+                                    big("f0.a.lamp", "lamp", 10.0),
+                                ],
+                            },
+                            {
+                                "id": "f0.b",
+                                "label": "den",
+                                "position": [12.0, 0.0],
+                                "big_objects": [
+                                    big("f0.b.sofa", "sofa", 11.0),
+                                    big("f0.b.table", "coffee table", 11.5),
+                                ],
+                            },
+                        ],
+                    }
+                ],
+            }
+        )
+        graph = world.prior_graph()
+        book = graph.add_observed_node("f0.a.lamp", "book")
+        pose = pose_at(graph, book.id if on_lamp else "f0.a.lamp")
+        found = resolve_near_pose(graph, pose, label, Layer.BIG_OBJECT)
+        assert found.id.startswith("f0.a.")
+        assert found is reference_resolve_near_pose(graph, pose, label, Layer.BIG_OBJECT)
+
+    def test_a_label_nothing_matches_reads_no_scope(self, demo_truth, monkeypatch):
+        graph = demo_truth.graph
+        monkeypatch.setattr(type(graph), "_under", lambda *args: pytest.fail("scope read"))
+        pose = pose_at(graph, "f0.living.coffee_table")
+        assert resolve_near_pose(graph, pose, "unicorn", None) is None
+        assert resolve_near_pose(graph, pose, "sofa", Layer.SMALL_OBJECT) is None
+
+
+class TestLazySweep:
+    @settings(max_examples=10, deadline=None)
+    @given(seed=st.integers(1, 10_000), floors=st.integers(1, 3), data=st.data())
+    def test_first_unexplored_anchor_matches_a_full_sort(self, seed, floors, data):
+        graph = load_world_truth(multi_floor_data(seed, floors)).prior_graph()
+        bigs = sorted(n.id for n in graph.nodes_at(Layer.BIG_OBJECT))
+        scopes = [*graph.nodes_at(Layer.FLOOR), *graph.nodes_at(Layer.ROOM)]
+        for anchor in [*sorted(n.id for n in graph.nodes), "nowhere"]:
+            pose = pose_at(graph, anchor)
+            explored = data.draw(st.frozensets(st.sampled_from(bigs)))
+            for scope in scopes:
+                order = full_sweep(graph, scope, pose)
+                assert list(_sweep_anchors(graph, scope, pose)) == order
+                first = next((n for n in _sweep_anchors(graph, scope, pose) if n.id not in explored), None)
+                assert first is next((n for n in order if n.id not in explored), None)
+
+    def test_sweep_stops_at_the_first_unexplored_big_object(self, demo_truth, monkeypatch):
+        graph = demo_truth.prior_graph()
+        sorted_calls = []
+        nearest_first = type(graph).nearest_first
+        monkeypatch.setattr(
+            type(graph),
+            "nearest_first",
+            lambda self, nodes, origin: sorted_calls.append(1) or nearest_first(self, nodes, origin),
+        )
+        plan = next_plan(parse_pattern_string("V4[phone] -> V2[?]"), 0, graph, entrance())
+        assert plan.kind is PlanKind.MOVE_TO
+        assert len(sorted_calls) == 2  # the floor's rooms, then the nearest room's objects
+        assert len(graph.children("f0")) > 2

@@ -23,7 +23,7 @@ from stepqa.scene_graph import (
 from stepqa.environment import Observation, load_world_truth
 from stepqa.worldgen import random_world, random_world_data
 
-from conftest import WORLDS
+from conftest import WORLDS, scan_resolve_label
 
 
 def small_world() -> dict:
@@ -363,30 +363,6 @@ class TestWorldFiles:
 
 
 # -- the label index against a brute-force scan ----------------------------
-
-
-def scan_resolve_label(graph, label, layer=None, scope_id=None, constraint=None, near=None):
-    """resolve_label as a scan over every node in scope: the reference."""
-    pool = graph.descendants(scope_id) if scope_id is not None else graph.nodes
-    pool = [n for n in pool if layer is None or n.layer is layer]
-    norm, aliased = normalize_label(label), alias_label(label)
-    found = [n for n in pool if normalize_label(n.label) == norm]
-    if not found and aliased != norm:
-        found = [n for n in pool if normalize_label(n.label) == aliased]
-    if not found:
-        found = [n for n in pool if normalize_label(n.label).endswith(" " + norm)]
-    if constraint is not None and found:
-        attr, value = constraint
-        want = value.strip().lower()
-        matching = [n for n in found if n.attributes.get(attr, "").strip().lower() == want]
-        found = matching or [n for n in found if attr not in n.attributes]
-
-    def key(n):
-        pos = graph.position_of(n.id) if near is not None else None
-        d = (math.dist(near, pos) if pos is not None else math.inf) if near is not None else 0.0
-        return (d, n.layer, n.instance_index, n.id)
-
-    return [n.id for n in sorted(found, key=key)]
 
 
 def scan_find_nodes(graph, label, layer=None):
