@@ -33,8 +33,9 @@ from .rules import (
     PlanKind,
     PlanningDomainError,
     ResolutionFailure,
-    move_plan,
+    look_plan,
     next_plan,
+    target_expects,
 )
 from .scene_graph import (
     Layer,
@@ -364,7 +365,14 @@ def room_level_plan(
     pose: Any,
     slots: dict[str, str] | None = None,
 ) -> Plan:
-    """Ablated planner that never anchors below the room layer."""
+    """Ablated planner that never anchors below the room layer.
+
+    It looks from the chain's room with next_plan's look_plan and
+    target_expects. It is not a layer cap on next_plan because the
+    benchmark counts the ablation by this name: perfbench/spans.py wraps
+    ``stepqa.agent.room_level_plan``, and perfbench's tests assert that
+    room_level runs call it and never call next_plan.
+    """
     n = len(chain.steps)
     slots = slots or {}
     if chain.target_kind is TargetKind.ROOM:
@@ -380,30 +388,13 @@ def room_level_plan(
     room = _room_for_chain(chain, graph)
     if room is None:
         raise ResolutionFailure("room", "prior graph")
-    if pose.anchor_id != room.id:
-        return move_plan(room, advance_to=n - 1)
-    target = chain.steps[-1]
     focus_id: str | None = None
     focus_label = slots.get("object") or slots.get("support")
-    if focus_label:
+    if focus_label and pose.anchor_id == room.id:
         found = graph.resolve_label(focus_label, scope_id=room.id)
         if found:
             focus_id = found[0].id
-    expects: tuple[str, str | None] | None
-    if chain.target_kind is TargetKind.ATTRIBUTE:
-        expects = ("attribute", target.queried_attribute)
-    elif chain.target_kind is TargetKind.OBJECT:
-        expects = ("relation", slots.get("relation"))
-    elif chain.target_kind is TargetKind.COUNT:
-        expects = ("count", target.label)
-    else:
-        expects = ("existence", target.label)
-    return Plan(
-        kind=PlanKind.OBSERVE,
-        focus_id=focus_id,
-        expects=expects,
-        advance_to=n,
-    )
+    return look_plan(pose, room, focus_id, target_expects(chain, slots), n)
 
 
 # -- the loop ---------------------------------------------------------------

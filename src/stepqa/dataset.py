@@ -26,7 +26,7 @@ from .environment import WorldTruth
 from .parsing import TemplateBackend
 from .patterns import render
 # perfbench/spans.py wraps normalize_label in this module, so the import must stay.
-from .scene_graph import Layer, SceneGraph, SceneNode, normalize_label, singularize
+from .scene_graph import Layer, SceneNode, normalize_label, singularize
 from .worldgen import SMALL_POOL_LABELS
 
 _CATEGORY_ORDER = ("template", "multi_step", "small_object", "people")
@@ -74,7 +74,12 @@ class QARecord:
         }
 
     @classmethod
-    def from_dict(cls, data: dict[str, Any]) -> QARecord:
+    def from_dict(cls, data: Any) -> QARecord:
+        if not isinstance(data, dict):
+            raise DatasetFormatError(f"record must be a JSON object, not {type(data).__name__}")
+        slots = data.get("slots", {})
+        if not isinstance(slots, dict):
+            raise DatasetFormatError(f"slots must be a JSON object, not {type(slots).__name__}")
         try:
             return cls(
                 id=str(data["id"]),
@@ -83,7 +88,7 @@ class QARecord:
                 question=str(data["question"]),
                 gold_answer=str(data["gold_answer"]),
                 gold_pattern=str(data["gold_pattern"]),
-                slots={str(k): str(v) for k, v in data.get("slots", {}).items()},
+                slots={str(k): str(v) for k, v in slots.items()},
             )
         except KeyError as exc:
             raise DatasetFormatError(f"record missing field {exc.args[0]!r}") from exc
@@ -95,16 +100,6 @@ def default_phrasings() -> dict[str, list[str]]:
 
 
 # -- truth queries, the source of gold answers ------------------------------
-
-
-def truth_matches(
-    graph: SceneGraph,
-    scope_id: str,
-    label: str | None,
-    layer: Layer = Layer.SMALL_OBJECT,
-) -> list[SceneNode]:
-    """Entities under a scope the wording could mean, synonyms included."""
-    return graph.matches_under(scope_id, label, layer)
 
 
 def truth_on_labels(world: WorldTruth, big_id: str) -> list[str]:
@@ -211,7 +206,7 @@ def _candidates_for_world(world: WorldTruth, simple_filter: bool) -> list[dict[s
                 matching = [
                     c
                     for support in in_room
-                    for c in truth_matches(graph, support.id, norm)
+                    for c in graph.matches_under(support.id, norm, Layer.SMALL_OBJECT)
                     if c.norm_label != "person"
                 ]
                 if not matching:
@@ -227,17 +222,17 @@ def _candidates_for_world(world: WorldTruth, simple_filter: bool) -> list[dict[s
                     gold = _agree(c.attributes.get(attr) for c in matching)
                     if gold is not None:
                         add("attribute_small", {**base, "attribute": attr}, gold)
-                if all(truth_matches(graph, s.id, norm) for s in in_room):
+                if all(graph.matches_under(s.id, norm, Layer.SMALL_OBJECT) for s in in_room):
                     add("exists_small", dict(base), "yes")
                 count_gold = _agree(
-                    str(len(truth_matches(graph, s.id, norm))) for s in in_room
+                    str(len(graph.matches_under(s.id, norm, Layer.SMALL_OBJECT))) for s in in_room
                 )
                 plural = sample.label + "s"
                 if count_gold is not None and singularize(plural) == sample.label:
                     add("count_small", {**base, "plural": plural}, count_gold)
 
             for absent in pool_labels:
-                if any(truth_matches(graph, s.id, absent) for s in in_room):
+                if any(graph.matches_under(s.id, absent, Layer.SMALL_OBJECT) for s in in_room):
                     continue
                 add(
                     "exists_small",
@@ -261,7 +256,9 @@ def _candidates_for_world(world: WorldTruth, simple_filter: bool) -> list[dict[s
             people = [c for c in children if c.norm_label == "person"]
             if people:
                 matching_people = [
-                    p for support in in_room for p in truth_matches(graph, support.id, "person")
+                    p
+                    for support in in_room
+                    for p in graph.matches_under(support.id, "person", Layer.SMALL_OBJECT)
                 ]
                 activity_gold = _agree(p.attributes.get("activity") for p in matching_people)
                 if activity_gold is not None:
@@ -273,7 +270,7 @@ def _candidates_for_world(world: WorldTruth, simple_filter: bool) -> list[dict[s
                 global_people = [
                     p
                     for s in bindings
-                    for p in truth_matches(graph, s.id, "person")
+                    for p in graph.matches_under(s.id, "person", Layer.SMALL_OBJECT)
                 ]
                 if global_people == matching_people:
                     state_gold = _agree(p.attributes.get("state") for p in matching_people)
@@ -358,8 +355,9 @@ def load_records(path: str | Path) -> list[QARecord]:
         if not line.strip():
             continue
         try:
-            data = json.loads(line)
+            out.append(QARecord.from_dict(json.loads(line)))
         except json.JSONDecodeError as exc:
             raise DatasetFormatError(f"line {i + 1}: {exc.msg}") from exc
-        out.append(QARecord.from_dict(data))
+        except DatasetFormatError as exc:
+            raise DatasetFormatError(f"line {i + 1}: {exc}") from exc
     return out

@@ -167,6 +167,8 @@ class ChatPlanner:
             data = json.loads(strip_fences(text))
         except json.JSONDecodeError as exc:
             raise SchemaError(f"plan is not JSON: {exc}") from exc
+        if not isinstance(data, dict):
+            raise SchemaError(f"plan must be a JSON object, not {type(data).__name__}")
         kind = data.get("kind")
         if kind == "MoveTo":
             goal = data.get("goal")

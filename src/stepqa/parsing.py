@@ -462,16 +462,10 @@ class LlmBackend:
         return ParsedQuestion(chain, slots, ParseSource.LLM)
 
 
-def parse_question(
-    question: str,
-    backends: list[Any] | None = None,
-    graph: SceneGraph | None = None,
-) -> ParsedQuestion:
+def parse_question(question: str, backends: list[Any]) -> ParsedQuestion:
     """Run the question through the backends in order; first chain wins."""
     if not isinstance(question, str) or not question.strip():
         raise EmptyQuestionError("question text is empty")
-    if backends is None:
-        backends = [TemplateBackend(graph)]
     for backend in backends:
         parsed = backend.parse(question)
         if parsed is not None:

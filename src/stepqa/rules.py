@@ -1,16 +1,19 @@
 """Placement rules and the step-by-step plan generator.
 
-The rule table answers one question: to look at a target, which layer
-should the agent stand at? Objects are observed from one layer above
-them. Attributes split by how far away they can be perceived: a remote
-attribute (color and the like) is read from one layer above the object,
-a close-range attribute (title, material) requires standing at the
-object itself.
+The rule table (observation_layer) answers one question for every target
+kind that ends in a look: which layer should the agent stand at to look
+at the target? Objects, including the ones a count or existence question
+tallies, are observed from one layer above them. Attributes split by how
+far away they can be perceived: a remote attribute (color and the like)
+is read from one layer above the object, a close-range attribute (title,
+material) requires standing at the object itself.
 
 next_plan walks a question chain one subgoal at a time against the
 agent's current graph and pose, emitting MoveTo, Observe or Answer
-plans. It never plans below the rule-mandated observation layer for the
-final look.
+plans. A chain whose target needs a look ends the same way whatever its
+kind: move to a node at the layer the rule table names and observe
+(look_plan), expecting what target_expects says the look must reveal.
+It never plans below that layer for the final look.
 """
 
 from __future__ import annotations
@@ -99,9 +102,10 @@ class Plan:
 def observation_layer(target: SubGoal, attr_class: PerceptionRange | None = None) -> Layer:
     """Layer to stand at when looking at the target subgoal.
 
-    Objects: small objects are observed from a big object, big objects
-    from a room. Attributes: remote ones from one layer above the owning
-    object, close-range ones from the object itself.
+    Object, count and existence targets: small objects are observed from
+    a big object, big objects from a room. Attributes: remote ones from
+    one layer above the owning object, close-range ones from the object
+    itself. Any other target has no rule and raises PlanningDomainError.
     """
     if target.is_attribute_step:
         if attr_class is None:
@@ -163,20 +167,14 @@ def _scope_node(chain: PatternChain, graph: SceneGraph, pose: AgentPose) -> Scen
     """Innermost room the chain names, else the floor under the agent."""
     anchor = _anchor_node(graph, pose)
     for step in reversed(chain.steps):
-        if step.is_attribute_step or step.label is None:
-            continue
-        if step.layer is Layer.ROOM:
+        if step.layer is Layer.ROOM and step.label is not None:
             near = graph.position_of(anchor.id) if anchor else None
             rooms = graph.resolve_label(step.label, layer=Layer.ROOM, near=near)
             if rooms:
                 return rooms[0]
     if anchor is not None:
-        if anchor.layer is Layer.FLOOR:
-            return anchor
         path = graph.ancestors(anchor.id)
-        if path:
-            return path[-1]
-        return anchor
+        return path[-1] if path else anchor
     floors = graph.nodes_at(Layer.FLOOR)
     if not floors:
         raise PlanningDomainError("graph has no floor node")
@@ -252,6 +250,43 @@ def _chain_has_support(chain: PatternChain) -> bool:
 # -- the planner ------------------------------------------------------------
 
 
+def target_expects(chain: PatternChain, slots: dict[str, str]) -> tuple[str, str | None]:
+    """What the final look at the chain's target must reveal for feedback
+    to count it a success."""
+    target = chain.steps[-1]
+    if chain.target_kind is TargetKind.ATTRIBUTE:
+        return ("attribute", target.queried_attribute)
+    if chain.target_kind is TargetKind.OBJECT:
+        return ("relation", slots.get("relation"))
+    return (chain.target_kind.value, target.label)
+
+
+def look_plan(
+    pose: AgentPose,
+    stand: SceneNode,
+    focus_id: str | None,
+    expects: tuple[str, str | None],
+    n: int,
+    label: str | None = None,
+) -> Plan:
+    """Move to stand unless the agent is there, then observe the focus.
+
+    The move reaches the chain's last subgoal (n - 1) and the look
+    finishes the chain (n). label is the move's goal label, the stand's
+    own unless given.
+    """
+    if pose.anchor_id != stand.id:
+        return move_plan(stand, label, advance_to=n - 1)
+    return Plan(kind=PlanKind.OBSERVE, focus_id=focus_id, expects=expects, advance_to=n)
+
+
+def _resolve_step(graph: SceneGraph, pose: AgentPose, step: SubGoal) -> SceneNode:
+    node = resolve_near_pose(graph, pose, step.label or "", step.layer, step.attribute_constraint)
+    if node is None:
+        raise ResolutionFailure(step.label or step.layer.tag, pose.anchor_id)
+    return node
+
+
 def next_plan(
     chain: PatternChain,
     k: int,
@@ -276,24 +311,18 @@ def next_plan(
     n = len(chain.steps)
     if not 0 <= k < n:
         raise PlanningDomainError(f"subgoal index {k} outside chain of length {n}")
-    slots = slots or {}
 
     if chain.target_kind is TargetKind.ROOM:
         return _room_query_plan(chain, graph, pose, explored)
 
-    ref_index = n - 2
-    if k < ref_index:
+    if k < n - 2:
         step = chain.steps[k]
-        node = resolve_near_pose(graph, pose, step.label or "", step.layer, step.attribute_constraint)
-        if node is None:
-            raise ResolutionFailure(step.label or step.layer.tag, pose.anchor_id)
-        return move_plan(node, step.label, advance_to=k + 1)
+        return move_plan(_resolve_step(graph, pose, step), step.label, advance_to=k + 1)
 
+    expects = target_expects(chain, slots or {})
     if chain.target_kind is TargetKind.ATTRIBUTE:
-        return _attribute_target_plan(chain, graph, pose, attr_class, explored)
-    if chain.target_kind is TargetKind.OBJECT:
-        return _object_target_plan(chain, graph, pose, explored, slots)
-    return _tally_target_plan(chain, graph, pose, explored, constraint_class)
+        return _attribute_target_plan(chain, graph, pose, attr_class, expects, explored)
+    return _object_target_plan(chain, graph, pose, constraint_class, expects, explored)
 
 
 def _attribute_target_plan(
@@ -301,12 +330,13 @@ def _attribute_target_plan(
     graph: SceneGraph,
     pose: AgentPose,
     attr_class: PerceptionRange | None,
+    expects: tuple[str, str | None],
     explored: frozenset[str],
 ) -> Plan:
-    n = len(chain.steps)
-    target_step = chain.steps[-1]
+    """Stand at the object itself or at its parent, as the rule table
+    says, and read the attribute."""
+    stand_layer = observation_layer(chain.steps[-1], attr_class)
     obj_step = chain.steps[-2]
-    obs_layer = observation_layer(target_step, attr_class)
     obj = resolve_near_pose(graph, pose, obj_step.label or "", obj_step.layer, obj_step.attribute_constraint)
     if obj is None:
         if obj_step.layer is Layer.SMALL_OBJECT and not _chain_has_support(chain):
@@ -314,60 +344,73 @@ def _attribute_target_plan(
             if sweep is not None:
                 return sweep
         raise ResolutionFailure(obj_step.label or "?", pose.anchor_id)
-    if obs_layer is obj.layer:
-        required = obj
-    else:
-        required = graph.parent(obj.id)
-        if required is None:
-            raise ResolutionFailure(obj_step.label or "?", "containment")
-    if pose.anchor_id != required.id:
-        return move_plan(required, advance_to=n - 1)
-    return Plan(
-        kind=PlanKind.OBSERVE,
-        focus_id=obj.id,
-        expects=("attribute", target_step.queried_attribute),
-        advance_to=n,
-    )
+    stand = obj if stand_layer is obj.layer else graph.parent(obj.id)
+    if stand is None:
+        raise ResolutionFailure(obj_step.label or "?", "containment")
+    return look_plan(pose, stand, obj.id, expects, len(chain.steps))
 
 
 def _object_target_plan(
     chain: PatternChain,
     graph: SceneGraph,
     pose: AgentPose,
+    constraint_class: PerceptionRange | None,
+    expects: tuple[str, str | None],
     explored: frozenset[str],
-    slots: dict[str, str],
 ) -> Plan:
+    """Look at an object, count or existence target from the stand layer.
+
+    A big-object target is looked at from a room: for an object query
+    the room of a big-object reference step, else the chain's room scope.
+    A small-object target is looked at from the support a big-object
+    reference step names; without one the planner sweeps the chain's
+    scope. A count or existence target with a close-range constraint
+    first moves to every candidate whose constraint attribute is still
+    unseen.
+    """
     n = len(chain.steps)
-    target_step = chain.steps[-1]
-    relation = slots.get("relation")
+    target = chain.steps[-1]
+    stand_layer = observation_layer(target)
     ref_step = chain.steps[-2] if n >= 2 else None
-
-    if target_step.layer is Layer.SMALL_OBJECT:
-        return _small_target_plan(chain, graph, pose, explored, ("relation", relation), visit_each=False)
-
-    if target_step.layer is Layer.BIG_OBJECT:
+    if stand_layer is Layer.ROOM:
         ref = None
-        if ref_step is not None and ref_step.label and not ref_step.is_attribute_step:
-            ref = resolve_near_pose(graph, pose, ref_step.label, ref_step.layer, ref_step.attribute_constraint)
-            if ref is None:
-                raise ResolutionFailure(ref_step.label, pose.anchor_id)
+        if chain.target_kind is TargetKind.OBJECT and ref_step is not None and ref_step.label:
+            ref = _resolve_step(graph, pose, ref_step)
         if ref is not None and ref.layer >= Layer.BIG_OBJECT:
             room = graph.room_of(ref.id)
         else:
             room = _scope_node(chain, graph, pose)
             if room.layer is not Layer.ROOM:
-                raise ResolutionFailure(target_step.label or "?", "no room scope")
-        if pose.anchor_id != room.id:
-            return move_plan(room, advance_to=n - 1)
-        focus = ref.id if ref is not None else room.id
-        return Plan(
-            kind=PlanKind.OBSERVE,
-            focus_id=focus,
-            expects=("relation", relation),
-            advance_to=n,
-        )
+                raise ResolutionFailure(target.label or "?", "no room scope")
+        return look_plan(pose, room, ref.id if ref is not None else room.id, expects, n)
 
-    raise PlanningDomainError(f"object query cannot target a {target_step.layer.tag} node")
+    visit_each = (
+        chain.target_kind is not TargetKind.OBJECT
+        and target.attribute_constraint is not None
+        and constraint_class is PerceptionRange.CLOSE_RANGE
+    )
+    if ref_step is not None and ref_step.layer is stand_layer and ref_step.label:
+        support = _resolve_step(graph, pose, ref_step)
+        if visit_each and pose.anchor_id == support.id:
+            pending = _unverified_candidate(graph, support.id, target, explored)
+            if pending is not None:
+                return move_plan(pending, target.label)
+        return look_plan(pose, support, support.id, expects, n, ref_step.label)
+    sweep = _sweep_move(chain, graph, pose, explored)
+    if sweep is not None:
+        return sweep
+    if visit_each:
+        scope = _scope_node(chain, graph, pose)
+        pending = _unverified_candidate(graph, scope.id, target, explored)
+        if pending is not None:
+            return move_plan(pending, target.label)
+    anchor = _anchor_node(graph, pose)
+    return Plan(
+        kind=PlanKind.OBSERVE,
+        focus_id=anchor.id if anchor else None,
+        expects=expects,
+        advance_to=n,
+    )
 
 
 def _unverified_candidate(
@@ -386,82 +429,6 @@ def _unverified_candidate(
         if n.id not in explored and attr not in n.attributes
     ]
     return min(found, key=lambda n: (n.instance_index, n.id), default=None)
-
-
-def _tally_target_plan(
-    chain: PatternChain,
-    graph: SceneGraph,
-    pose: AgentPose,
-    explored: frozenset[str],
-    constraint_class: PerceptionRange | None = None,
-) -> Plan:
-    """Counting and existence checks share one shape: look, then tally."""
-    n = len(chain.steps)
-    target_step = chain.steps[-1]
-    expects_kind = "count" if chain.target_kind is TargetKind.COUNT else "existence"
-    expects = (expects_kind, target_step.label)
-    visit_each = (
-        target_step.attribute_constraint is not None
-        and constraint_class is PerceptionRange.CLOSE_RANGE
-    )
-
-    if target_step.layer is Layer.SMALL_OBJECT:
-        return _small_target_plan(chain, graph, pose, explored, expects, visit_each)
-
-    if target_step.layer is Layer.BIG_OBJECT:
-        room = _scope_node(chain, graph, pose)
-        if room.layer is not Layer.ROOM:
-            raise ResolutionFailure(target_step.label or "?", "no room scope")
-        if pose.anchor_id != room.id:
-            return move_plan(room, advance_to=n - 1)
-        return Plan(kind=PlanKind.OBSERVE, focus_id=room.id, expects=expects, advance_to=n)
-
-    raise PlanningDomainError(f"tally query cannot target a {target_step.layer.tag} node")
-
-
-def _small_target_plan(
-    chain: PatternChain,
-    graph: SceneGraph,
-    pose: AgentPose,
-    explored: frozenset[str],
-    expects: tuple[str, str | None],
-    visit_each: bool,
-) -> Plan:
-    """Look at a small-object target from its support, or sweep for one.
-
-    A big-object reference step names the support to stand at; without one
-    the planner sweeps the chain's scope. visit_each first moves to every
-    candidate whose constraint attribute is still unseen.
-    """
-    n = len(chain.steps)
-    target_step = chain.steps[-1]
-    ref_step = chain.steps[-2] if n >= 2 else None
-    if ref_step is not None and ref_step.layer is Layer.BIG_OBJECT and ref_step.label:
-        ref = resolve_near_pose(graph, pose, ref_step.label, ref_step.layer, ref_step.attribute_constraint)
-        if ref is None:
-            raise ResolutionFailure(ref_step.label, pose.anchor_id)
-        if pose.anchor_id != ref.id:
-            return move_plan(ref, ref_step.label, advance_to=n - 1)
-        if visit_each:
-            pending = _unverified_candidate(graph, ref.id, target_step, explored)
-            if pending is not None:
-                return move_plan(pending, target_step.label)
-        return Plan(kind=PlanKind.OBSERVE, focus_id=ref.id, expects=expects, advance_to=n)
-    sweep = _sweep_move(chain, graph, pose, explored)
-    if sweep is not None:
-        return sweep
-    if visit_each:
-        scope = _scope_node(chain, graph, pose)
-        pending = _unverified_candidate(graph, scope.id, target_step, explored)
-        if pending is not None:
-            return move_plan(pending, target_step.label)
-    anchor = _anchor_node(graph, pose)
-    return Plan(
-        kind=PlanKind.OBSERVE,
-        focus_id=anchor.id if anchor else None,
-        expects=expects,
-        advance_to=n,
-    )
 
 
 def _room_query_plan(

@@ -177,3 +177,12 @@ class TestGenerateAndBench:
         out = capsys.readouterr().out
         assert code == EX_OK
         assert "score=100.0" in out
+
+    @pytest.mark.parametrize("line", ["[1, 2]", '{"id": "q", "slots": "none"}'])
+    def test_a_malformed_dataset_line_exits_one(self, tmp_path, capsys, line):
+        dataset = tmp_path / "data.jsonl"
+        dataset.write_text(line + "\n")
+        code = main(["bench", "--dataset", str(dataset), "--worlds", DEMO])
+        assert code == EX_ERROR
+        err = capsys.readouterr().err
+        assert err.startswith("error: line 1:")

@@ -12,7 +12,6 @@ from stepqa.dataset import (
     generate_dataset,
     load_records,
     save_records,
-    truth_matches,
     truth_neighbors,
     truth_on_labels,
 )
@@ -101,7 +100,7 @@ class TestGoldAnswers:
             world = self.world_for(worlds, r)
             scope = world.graph
             layer = Layer.SMALL_OBJECT if "V4" in r.gold_pattern else Layer.BIG_OBJECT
-            matches = truth_matches(scope, world.entrance, r.slots["object"], layer)
+            matches = scope.matches_under(world.entrance, r.slots["object"], layer)
             if "room" in r.slots:
                 room = next(
                     n
@@ -132,7 +131,8 @@ class TestGoldAnswers:
                     s for s in supports if world.graph.room_of(s.id).label == r.slots["room"]
                 ]
             counts = {
-                len(truth_matches(world.graph, s.id, r.slots["object"])) for s in supports
+                len(world.graph.matches_under(s.id, r.slots["object"], Layer.SMALL_OBJECT))
+                for s in supports
             }
             assert counts == {int(r.gold_answer)}
             checked += 1
@@ -153,7 +153,7 @@ class TestGoldAnswers:
                 continue
             world = self.world_for(worlds, r)
             layer = Layer.SMALL_OBJECT if "V4" in r.gold_pattern else Layer.BIG_OBJECT
-            matches = truth_matches(world.graph, world.entrance, r.slots["object"], layer)
+            matches = world.graph.matches_under(world.entrance, r.slots["object"], layer)
             if "room" in r.slots:
                 matches = [
                     m
@@ -179,9 +179,9 @@ class TestTruthOracles:
         assert truth_neighbors(demo_truth, "f0.bedroom.bed") == ["wardrobe"]
 
     def test_matches_respect_aliases_and_plurals(self, demo_truth):
-        got = truth_matches(demo_truth.graph, "f0", "couch", Layer.BIG_OBJECT)
+        got = demo_truth.graph.matches_under("f0", "couch", Layer.BIG_OBJECT)
         assert [n.id for n in got] == ["f0.living.sofa"]
-        got = truth_matches(demo_truth.graph, "f0", "cups", Layer.SMALL_OBJECT)
+        got = demo_truth.graph.matches_under("f0", "cups", Layer.SMALL_OBJECT)
         assert len(got) == 2
 
     def test_missing_label_matches_the_whole_layer(self, demo_truth):
@@ -223,6 +223,17 @@ class TestFiles:
     def test_missing_field_is_a_format_error(self):
         with pytest.raises(DatasetFormatError):
             QARecord.from_dict({"id": "x", "world_id": "w"})
+
+    @pytest.mark.parametrize("bad", [[1, 2], "text", None, {"slots": [1, 2]}, {"slots": None}])
+    def test_a_line_that_is_not_a_record_reports_its_number(self, records, tmp_path, bad):
+        good = records[0].to_dict()
+        if isinstance(bad, dict):
+            bad = {**good, **bad}
+        p = tmp_path / "data.jsonl"
+        p.write_text(json.dumps(good) + "\n" + json.dumps(bad) + "\n")
+        with pytest.raises(DatasetFormatError) as err:
+            load_records(p)
+        assert "line 2" in str(err.value)
 
 
 def test_default_phrasings_cover_the_families():

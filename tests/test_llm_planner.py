@@ -176,6 +176,23 @@ class TestChatPlanner:
             ChatPlanner(JunkClient(), retries=2).fallback_plan(graph, pose, frozenset(), "q")
         assert JunkClient.calls == 3
 
+    def test_json_that_is_not_an_object_is_retried_then_raises(self, demo_truth):
+        graph = demo_truth.prior_graph()
+        pose = AgentPose("f0.living", Layer.ROOM, 1)
+
+        class ListClient:
+            model = "test"
+            calls = 0
+
+            def complete_text(self, system, user):
+                ListClient.calls += 1
+                return "[1, 2]"
+
+        with pytest.raises(SchemaError) as err:
+            ChatPlanner(ListClient(), retries=2).fallback_plan(graph, pose, frozenset(), "q")
+        assert "fallback plan never validated" in str(err.value)
+        assert ListClient.calls == 3
+
     def test_fenced_json_is_tolerated(self, demo_truth):
         graph = demo_truth.prior_graph()
         pose = AgentPose("f0.living", Layer.ROOM, 1)

@@ -152,26 +152,24 @@ class TestLayerAssignment:
 
 
 class TestBackendOrchestration:
-    def test_first_hit_wins(self, backend, demo_truth):
+    def test_first_hit_wins(self, backend):
         gold = GoldBackend("V2[study] -> V3[bookshelf]")
-        pq = parse_question("Where is the bag?", [backend, gold], demo_truth.prior_graph())
+        pq = parse_question("Where is the bag?", [backend, gold])
         assert pq.source is ParseSource.TEMPLATE
 
-    def test_falls_through_to_the_next_backend(self, backend, demo_truth):
+    def test_falls_through_to_the_next_backend(self, backend):
         gold = GoldBackend("V2[study] -> V3[bookshelf]")
-        pq = parse_question(
-            "Ponder the meaning of furniture.", [backend, gold], demo_truth.prior_graph()
-        )
+        pq = parse_question("Ponder the meaning of furniture.", [backend, gold])
         assert pq.source is ParseSource.GOLD
         assert render(pq.chain) == "V2[study] -> V3[bookshelf]"
 
     def test_empty_question_is_its_own_error(self, backend):
         with pytest.raises(EmptyQuestionError):
-            parse_question("   ", [backend], None)
+            parse_question("   ", [backend])
 
     def test_no_backend_hit_raises_with_the_question(self, backend):
         with pytest.raises(UnparsedQuestionError) as err:
-            parse_question("Ponder the meaning of furniture.", [backend], None)
+            parse_question("Ponder the meaning of furniture.", [backend])
         assert err.value.question == "Ponder the meaning of furniture."
 
 

@@ -6,9 +6,9 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from stepqa.agent import ingest_observation
+from stepqa.agent import ingest_observation, room_level_plan
 from stepqa.environment import AgentPose, Observation, load_world_truth
-from stepqa.llm_planner import PerceptionRange
+from stepqa.llm_planner import LookupPlanner, PerceptionRange
 from stepqa.parsing import TemplateBackend
 from stepqa.patterns import SubGoal, parse_pattern_string
 from stepqa.rules import (
@@ -256,6 +256,71 @@ class TestTallyPlans:
         plan = next_plan(chain, 2, graph, pose, constraint_class=PerceptionRange.REMOTE)
         assert plan.kind is PlanKind.OBSERVE
         assert plan.expects == ("count", "cushion")
+
+
+class TestPlannerTail:
+    """The final look: where each target kind has no rule, and what the
+    full planner and the room-level ablation expect the look to reveal."""
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "V2[kitchen]",
+            "V1 -> V2[kitchen]",
+            "count: V2[kitchen]",
+            "count: V1 -> V1[ground floor]",
+            "exists: V1[ground floor]",
+            "exists: V1 -> V2[kitchen]",
+        ],
+    )
+    def test_targets_above_the_object_layers_have_no_rule(self, demo_truth, text):
+        chain = parse_pattern_string(text)
+        with pytest.raises(PlanningDomainError):
+            next_plan(chain, len(chain.steps) - 1, demo_truth.prior_graph(), entrance())
+
+    @staticmethod
+    def final_look(plan_for, graph):
+        pose = entrance()
+        for _ in range(20):
+            plan = plan_for(pose)
+            if plan.kind is PlanKind.OBSERVE:
+                return plan
+            assert plan.kind is PlanKind.MOVE_TO
+            node = graph.node(plan.goal_id)
+            pose = AgentPose(node.id, node.layer, pose.steps_taken + 1)
+        raise AssertionError("planner never looked")
+
+    @pytest.mark.parametrize(
+        "question,kind",
+        [
+            ("What color is the sofa in the living room?", "attribute"),
+            ("What is the title of the book on the coffee table in the living room?", "attribute"),
+            ("What is on top of the coffee table in the living room?", "object"),
+            ("What is next to the sofa in the living room?", "object"),
+            ("How many cups are on the dining table in the kitchen?", "count"),
+            ("How many desks are in the living room?", "count"),
+            ("Is there a person on the sofa in the living room?", "existence"),
+            ("Is there a bed in the bedroom?", "existence"),
+        ],
+    )
+    def test_both_planners_expect_the_same_from_the_final_look(self, demo_truth, question, kind):
+        graph = demo_truth.graph
+        pq = TemplateBackend(graph).parse(question)
+        chain, slots = pq.chain, pq.slots
+        assert chain.target_kind.value == kind
+        target = chain.steps[-1]
+        attr_class = None
+        if target.queried_attribute:
+            attr_class = LookupPlanner().classify_attribute(target.queried_attribute, slots["object"])
+        n = len(chain.steps)
+        full = self.final_look(
+            lambda pose: next_plan(chain, n - 1, graph, pose, attr_class=attr_class, slots=slots),
+            graph,
+        )
+        ablated = self.final_look(lambda pose: room_level_plan(chain, n - 1, graph, pose, slots), graph)
+        assert full.expects == ablated.expects
+        assert full.expects[0] == {"object": "relation"}.get(kind, kind)
+        assert full.advance_to == ablated.advance_to == n
 
 
 # -- the outward search and the lazy sweep against full scans -------------
