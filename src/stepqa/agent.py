@@ -468,12 +468,13 @@ def run_episode(
     for chain in candidates:
         n = len(chain.steps)
         attr_class: PerceptionRange | None = None
-        if chain.target_kind is TargetKind.ATTRIBUTE:
+        constraint_class: PerceptionRange | None = None
+        # room_level_plan reads neither class, so the room-level agent asks for none.
+        if chain.target_kind is TargetKind.ATTRIBUTE and not config.room_level_only:
             attr_class = planner.classify_attribute(
                 chain.steps[-1].queried_attribute or "", slots.get("object", "")
             )
-        constraint_class: PerceptionRange | None = None
-        if chain.steps[-1].attribute_constraint is not None:
+        if chain.steps[-1].attribute_constraint is not None and not config.room_level_only:
             constraint_class = planner.classify_attribute(
                 chain.steps[-1].attribute_constraint[0], chain.steps[-1].label or ""
             )

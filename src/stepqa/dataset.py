@@ -82,16 +82,26 @@ class QARecord:
             raise DatasetFormatError(f"slots must be a JSON object, not {type(slots).__name__}")
         try:
             return cls(
-                id=str(data["id"]),
-                world_id=str(data["world_id"]),
-                category=str(data["category"]),
-                question=str(data["question"]),
-                gold_answer=str(data["gold_answer"]),
-                gold_pattern=str(data["gold_pattern"]),
-                slots={str(k): str(v) for k, v in slots.items()},
+                id=_text(data["id"], "id"),
+                world_id=_text(data["world_id"], "world_id"),
+                category=_text(data["category"], "category"),
+                question=_text(data["question"], "question"),
+                gold_answer=_text(data["gold_answer"], "gold_answer"),
+                gold_pattern=_text(data["gold_pattern"], "gold_pattern"),
+                slots={str(k): _text(v, f"slot {k!r}") for k, v in slots.items()},
             )
         except KeyError as exc:
             raise DatasetFormatError(f"record missing field {exc.args[0]!r}") from exc
+
+
+def _text(value: Any, name: str) -> str:
+    """A record value as text: a string, or a number read as its text."""
+    if isinstance(value, str):
+        return value
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        return str(value)
+    kind = "null" if value is None else type(value).__name__
+    raise DatasetFormatError(f"{name} must be a string or a number, not {kind}")
 
 
 def default_phrasings() -> dict[str, list[str]]:

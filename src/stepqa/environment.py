@@ -16,11 +16,12 @@ up; they require standing at the node. Movement between anchors is by
 teleport, one step per MoveTo whether it succeeds or not. Observing is
 free. A failed move is reported through the observation, not raised.
 
-Each view (what an observation shows from one anchor, with relations
-taken to one reference node) is built once per world and shared
-read-only by every observation that needs it, across episodes and
-threads. A world's graph must therefore not be mutated after its first
-episode: views built before the change would not see it.
+A view is what an observation shows from one anchor, with relations
+taken to one reference node: the step-0 Observation of that anchor. It
+is built once per world, and every observation of that anchor and
+reference shares its parts read-only, across episodes and threads. A
+world's graph must therefore not be mutated after its first episode:
+views built before the change would not see it.
 """
 
 from __future__ import annotations
@@ -65,26 +66,15 @@ class VisibleNode:
         return [self.node_id, self.label, self.layer.tag, self.relation]
 
 
-class View(NamedTuple):
-    """What standing at one anchor shows: an Observation without its step."""
+class Observation(NamedTuple):
+    """What the agent sees at one step. ``revealed`` is read-only at both
+    levels, because observations of the same view share it."""
 
-    anchor_layer: Layer
-    anchor_parent_id: str | None
-    visible: tuple[VisibleNode, ...]
-    revealed: Mapping[str, Mapping[str, str]]
-
-
-@dataclass(frozen=True)
-class Observation:
-    """One observation. ``revealed`` is read-only at both levels, because
-    observations of the same view share it."""
-
-    step: int
     anchor_id: str
     anchor_layer: Layer
-    anchor_parent_id: str | None
     visible: tuple[VisibleNode, ...]
     revealed: Mapping[str, Mapping[str, str]]
+    step: int = 0
     move_failed: bool = False
 
     def to_dict(self) -> dict[str, Any]:
@@ -130,7 +120,7 @@ class WorldTruth:
             raise WorldFormatError(f"entrance references unknown node {entrance!r}")
         self.entrance = entrance
         self._prior_template: SceneGraph | None = None
-        self._views: dict[tuple[str, str], View] = {}
+        self._views: dict[tuple[str, str], Observation] = {}
 
     # -- queries used by the environment and by dataset oracles ---------
 
@@ -143,8 +133,9 @@ class WorldTruth:
         node = self.graph.node(node_id)
         return self.placement.get(node_id, _DEFAULT_PLACEMENT.get(node.layer, "in"))
 
-    def view(self, anchor_id: str, focus_id: str | None = None) -> View:
-        """What standing at the anchor shows, relations taken to the focus.
+    def view(self, anchor_id: str, focus_id: str | None = None) -> Observation:
+        """What standing at the anchor shows, relations taken to the focus,
+        as the anchor's step-0 Observation.
 
         The reference for relations is the focus if it is in the graph,
         else the anchor. Each (anchor, reference) view is built on first
@@ -188,13 +179,7 @@ class WorldTruth:
                 if remote:
                     revealed[child.id] = MappingProxyType(remote)
 
-        parent = graph.parent(anchor.id)
-        view = View(
-            anchor_layer=anchor.layer,
-            anchor_parent_id=parent.id if parent else None,
-            visible=tuple(visible),
-            revealed=MappingProxyType(revealed),
-        )
+        view = Observation(anchor_id, anchor.layer, tuple(visible), MappingProxyType(revealed))
         return self._views.setdefault(key, view)
 
     def prior_graph(self) -> SceneGraph:
@@ -315,13 +300,7 @@ class Environment:
     def observe(self, focus_id: str | None = None, move_failed: bool = False) -> Observation:
         view = self.world.view(self.pose.anchor_id, focus_id)
         obs = Observation(
-            step=self._observations,
-            anchor_id=self.pose.anchor_id,
-            anchor_layer=view.anchor_layer,
-            anchor_parent_id=view.anchor_parent_id,
-            visible=view.visible,
-            revealed=view.revealed,
-            move_failed=move_failed,
+            view.anchor_id, view.anchor_layer, view.visible, view.revealed, self._observations, move_failed
         )
         self._observations += 1
         return obs

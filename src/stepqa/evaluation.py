@@ -19,12 +19,10 @@ from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 from typing import Any, Iterable
 
-from . import prompts
 from .agent import AgentConfig, run_episode
 from .dataset import QARecord
 from .environment import Environment, WorldTruth
-from .llm_client import ChatClient
-from .llm_planner import SchemaError
+from .llm_client import ChatClient, SchemaError, ask
 
 VALID_SCORES = (1, 3, 5)
 
@@ -56,24 +54,23 @@ class ChatJudge:
 
     name = "chat"
 
-    def __init__(self, client: ChatClient, retries: int = 2) -> None:
+    def __init__(self, client: ChatClient) -> None:
         self.client = client
-        self.retries = retries
 
     def score(self, question: str, gold: str, answer: str) -> int:
-        system, _version = prompts.load("judge")
         user = (
             f"Question: {question}\n"
             f"Reference answer: {gold}\n"
             f"Candidate answer: {answer}"
         )
-        last = ""
-        for _ in range(self.retries + 1):
-            last = self.client.complete_text(system, user)
-            m = re.search(r"\b([135])\b", last)
-            if m:
-                return int(m.group(1))
-        raise SchemaError(f"judge reply has no valid rung: {last!r}")
+        return ask(self.client, "judge", user, _rung)
+
+
+def _rung(reply: str) -> int:
+    m = re.search(r"\b([135])\b", reply)
+    if m is None:
+        raise SchemaError(f"judge reply has no valid rung: {reply!r}")
+    return int(m.group(1))
 
 
 def llm_match(scores: Iterable[int], total: int | None = None) -> float:

@@ -16,11 +16,15 @@ import re
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Callable
+from typing import Any, Callable, TypeVar
+
+from . import prompts
 
 DEFAULT_TIMEOUT_S = 30.0
 DEFAULT_ATTEMPTS = 3
 DEFAULT_BACKOFF_S = 0.5
+# Replies read per chat call before its reply is given up as invalid.
+TRIES = 3
 
 ENDPOINT_VAR = "LLM_ENDPOINT"
 API_KEY_VAR = "LLM_API_KEY"
@@ -29,6 +33,10 @@ MODEL_VAR = "LLM_MODEL"
 
 class TransportError(RuntimeError):
     pass
+
+
+class SchemaError(ValueError):
+    """A chat reply that does not fit the contract of the call that asked for it."""
 
 
 class RetryExhaustedError(TransportError):
@@ -203,24 +211,41 @@ class ReplayTransport:
 class ChatClient:
     """A model name bound to a transport, with message-list convenience."""
 
-    def __init__(self, transport: Any, model: str, temperature: float = 0.0, max_tokens: int = 512) -> None:
+    def __init__(self, transport: Any, model: str) -> None:
         self.transport = transport
         self.model = model
-        self.temperature = temperature
-        self.max_tokens = max_tokens
 
     def complete_text(self, system: str, user: str) -> str:
         request = ChatRequest(
             model=self.model,
             messages=(ChatMessage("system", system), ChatMessage("user", user)),
-            temperature=self.temperature,
-            max_tokens=self.max_tokens,
         )
         return self.transport.complete(request).content
 
     @property
     def log(self) -> SessionLog:
         return self.transport.log
+
+
+T = TypeVar("T")
+
+
+def ask(client: Any, prompt: str, user: str, parse: Callable[[str], T]) -> T:
+    """``parse`` of the first reply to the named prompt that it does not reject.
+
+    ``parse`` rejects a reply by raising ValueError; after TRIES rejected
+    replies SchemaError names the prompt and the last rejection. A
+    TransportError propagates at once. ``client`` needs only ``complete_text``.
+    """
+    system = prompts.load(prompt)
+    error = ""
+    for _ in range(TRIES):
+        reply = client.complete_text(system, user)
+        try:
+            return parse(reply)
+        except ValueError as exc:
+            error = str(exc)
+    raise SchemaError(f"{prompt.replace('_', ' ')} never validated after {TRIES} tries: {error}")
 
 
 def client_from_env(

@@ -13,9 +13,8 @@ from __future__ import annotations
 import json
 from typing import Any
 
-from . import prompts
-from .llm_client import ChatClient, strip_fences
-from .patterns import PatternChain, TargetKind
+from .llm_client import ChatClient, SchemaError, ask, strip_fences
+from .patterns import PatternChain, TargetKind, render
 from .rules import PerceptionRange, Plan, PlanKind, move_plan
 from .scene_graph import SceneGraph, SceneNode
 
@@ -24,10 +23,6 @@ REMOTE_ATTRIBUTES = frozenset({"color", "quantity", "existence", "location"})
 # Families that require standing at the object. Unknown names land here:
 # moving closer costs steps but never loses information.
 CLOSE_RANGE_ATTRIBUTES = frozenset({"material", "state", "title", "brand", "text", "activity"})
-
-
-class SchemaError(ValueError):
-    """A chat backend returned something that does not fit the contract."""
 
 
 class LookupPlanner:
@@ -98,34 +93,20 @@ def _nearest_unexplored_sibling(
 
 
 class ChatPlanner:
-    """Chat-model backend; outputs are validated and retried on bad shape."""
+    """Chat-model backend; each reply is validated and asked again when bad."""
 
     name = "chat"
 
-    def __init__(self, client: ChatClient, retries: int = 2) -> None:
+    def __init__(self, client: ChatClient) -> None:
         self.client = client
-        self.retries = retries
 
     def classify_attribute(self, attribute: str, object_label: str) -> PerceptionRange:
-        system, version = prompts.load("classify_attribute")
         user = f"attribute: {attribute}\nobject: {object_label}"
-        text = self.client.complete_text(system, user)
-        verdict = text.strip().lower()
-        if "remote" in verdict and "close" not in verdict:
-            return PerceptionRange.REMOTE
-        if "close" in verdict:
-            return PerceptionRange.CLOSE_RANGE
-        raise SchemaError(f"unusable perception verdict: {text!r}")
+        return ask(self.client, "classify_attribute", user, _perception_range)
 
     def simplify_question(self, question: str, chain: PatternChain, k: int, slots: dict[str, str]) -> str:
-        from .patterns import render
-
-        system, version = prompts.load("simplify_question")
         user = f"question: {question}\nchain: {render(chain)}\nstep: {k}"
-        text = self.client.complete_text(system, user).strip()
-        if not text:
-            raise SchemaError("empty simplified question")
-        return text
+        return ask(self.client, "simplify_question", user, _simplified)
 
     def fallback_plan(
         self,
@@ -134,7 +115,6 @@ class ChatPlanner:
         explored: frozenset[str],
         question: str = "",
     ) -> Plan:
-        system, version = prompts.load("fallback_plan")
         anchor = graph.node(pose.anchor_id) if pose.anchor_id in graph else None
         siblings = []
         if anchor is not None:
@@ -153,20 +133,10 @@ class ChatPlanner:
             },
             sort_keys=True,
         )
-        last_error = "no attempt"
-        for _ in range(self.retries + 1):
-            text = self.client.complete_text(system, user)
-            try:
-                return self._parse_plan(text, graph)
-            except SchemaError as exc:
-                last_error = str(exc)
-        raise SchemaError(f"fallback plan never validated: {last_error}")
+        return ask(self.client, "fallback_plan", user, lambda text: self._parse_plan(text, graph))
 
     def _parse_plan(self, text: str, graph: SceneGraph) -> Plan:
-        try:
-            data = json.loads(strip_fences(text))
-        except json.JSONDecodeError as exc:
-            raise SchemaError(f"plan is not JSON: {exc}") from exc
+        data = json.loads(strip_fences(text))
         if not isinstance(data, dict):
             raise SchemaError(f"plan must be a JSON object, not {type(data).__name__}")
         kind = data.get("kind")
@@ -188,3 +158,19 @@ class ChatPlanner:
                 raise SchemaError("Answer plan needs a value")
             return Plan(kind=PlanKind.ANSWER, value=value, tool="fallback")
         raise SchemaError(f"unknown plan kind {kind!r}")
+
+
+def _perception_range(text: str) -> PerceptionRange:
+    verdict = text.strip().lower()
+    if "remote" in verdict and "close" not in verdict:
+        return PerceptionRange.REMOTE
+    if "close" in verdict:
+        return PerceptionRange.CLOSE_RANGE
+    raise SchemaError(f"unusable perception verdict: {text!r}")
+
+
+def _simplified(text: str) -> str:
+    text = text.strip()
+    if not text:
+        raise SchemaError("empty simplified question")
+    return text

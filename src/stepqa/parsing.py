@@ -22,8 +22,7 @@ from enum import Enum
 from functools import partialmethod
 from typing import Any
 
-from . import prompts
-from .llm_client import ChatClient, strip_fences
+from .llm_client import ChatClient, SchemaError, ask, strip_fences
 from .patterns import (
     PatternChain,
     PatternStructureError,
@@ -127,9 +126,8 @@ class EmptyQuestionError(ValueError):
 
 
 class UnparsedQuestionError(ValueError):
-    def __init__(self, question: str, detail: str = "") -> None:
-        note = f": {detail}" if detail else ""
-        super().__init__(f"no backend could parse {question!r}{note}")
+    def __init__(self, question: str) -> None:
+        super().__init__(f"no backend could parse {question!r}")
         self.question = question
 
 
@@ -435,20 +433,15 @@ class LlmBackend:
 
     name = "llm"
 
-    def __init__(self, client: ChatClient, retries: int = 2) -> None:
+    def __init__(self, client: ChatClient) -> None:
         self.client = client
-        self.retries = retries
 
     def parse(self, question: str) -> ParsedQuestion | None:
-        system, _version = prompts.load("extract_pattern")
-        errors: list[str] = []
-        for _ in range(self.retries + 1):
-            reply = self.client.complete_text(system, question)
-            try:
-                return self._validated(reply)
-            except (ValueError, KeyError) as exc:
-                errors.append(str(exc))
-        raise UnparsedQuestionError(question, f"model output invalid after {self.retries + 1} tries: {errors[-1]}")
+        """The model's chain, or None when no reply validated, so the next backend gets a turn."""
+        try:
+            return ask(self.client, "extract_pattern", question, self._validated)
+        except SchemaError:
+            return None
 
     def _validated(self, reply: str) -> ParsedQuestion:
         data = json.loads(strip_fences(reply))

@@ -207,9 +207,9 @@ def parse_pattern_string(text: str) -> PatternChain:
     return PatternChain(steps=tuple(steps), target_kind=kind)
 
 
-def render(chain: PatternChain, with_slots: bool = True) -> str:
-    """Chain back to text. With with_slots=False only the step shape remains."""
-    body = " -> ".join(step.token(with_slots=with_slots) for step in chain.steps)
+def render(chain: PatternChain) -> str:
+    """Chain back to text; ``shape`` gives the bare step shape."""
+    body = " -> ".join(step.token() for step in chain.steps)
     if chain.target_kind is TargetKind.COUNT:
         return f"count: {body}"
     if chain.target_kind is TargetKind.EXISTENCE:

@@ -18,10 +18,8 @@ VERSIONS = {
 }
 
 
-def load(name: str) -> tuple[str, str]:
-    """Prompt text and version for a prompt name."""
+def load(name: str) -> str:
+    """Text of the current version of a prompt."""
     if name not in VERSIONS:
         raise KeyError(f"unknown prompt {name!r}")
-    version = VERSIONS[name]
-    text = resources.files(__package__).joinpath(f"{name}.{version}.txt").read_text()
-    return text, version
+    return resources.files(__package__).joinpath(f"{name}.{VERSIONS[name]}.txt").read_text()

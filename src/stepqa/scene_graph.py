@@ -587,7 +587,6 @@ class SceneGraph:
                 )
             if node.layer in (Layer.ROOM, Layer.BIG_OBJECT) and node.position is None:
                 raise GraphValidationError(f"node {node.id} at {node.layer.tag} has no position")
-        seen: set[str] = set()
         for node in self._nodes.values():
             cur: str | None = node.id
             hops = 0
@@ -596,7 +595,6 @@ class SceneGraph:
                 if hops > len(self._nodes):
                     raise GraphValidationError(f"containment cycle through {node.id}")
                 cur = self._parent.get(cur)
-            seen.add(node.id)
         for edge in self.spatial_edges:
             if edge.a not in self._nodes or edge.b not in self._nodes:
                 raise GraphValidationError(f"spatial edge {edge.a} -> {edge.b} references unknown node")

@@ -257,6 +257,27 @@ class TestRoomLevelAblation:
         assert r.status is EpisodeStatus.ANSWERED
         assert r.answer == "bedroom"
 
+    def test_the_room_level_agent_classifies_no_attribute(self, demo_truth):
+        class Counting(LookupPlanner):
+            calls = 0
+
+            def classify_attribute(self, attribute, object_label):
+                self.calls += 1
+                return super().classify_attribute(attribute, object_label)
+
+        answers = []
+        for room_level_only, calls in ((True, 0), (False, 1)):
+            planner = Counting()
+            r = run_episode(
+                "What color is the sofa in the living room?",
+                Environment(demo_truth),
+                config=AgentConfig(room_level_only=room_level_only),
+                planner=planner,
+            )
+            assert planner.calls == calls
+            answers.append(r.answer)
+        assert answers == ["blue", "blue"]
+
 
 class ScriptedFallback(LookupPlanner):
     """Returns the given fallback plans in order, then gives up."""

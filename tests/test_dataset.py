@@ -224,7 +224,21 @@ class TestFiles:
         with pytest.raises(DatasetFormatError):
             QARecord.from_dict({"id": "x", "world_id": "w"})
 
-    @pytest.mark.parametrize("bad", [[1, 2], "text", None, {"slots": [1, 2]}, {"slots": None}])
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            [1, 2],
+            "text",
+            None,
+            {"slots": [1, 2]},
+            {"slots": None},
+            {"gold_answer": None},
+            {"id": True},
+            {"question": ["what"]},
+            {"slots": {"room": None}},
+            {"slots": {"room": {"name": "kitchen"}}},
+        ],
+    )
     def test_a_line_that_is_not_a_record_reports_its_number(self, records, tmp_path, bad):
         good = records[0].to_dict()
         if isinstance(bad, dict):
@@ -234,6 +248,15 @@ class TestFiles:
         with pytest.raises(DatasetFormatError) as err:
             load_records(p)
         assert "line 2" in str(err.value)
+
+    def test_null_is_rejected_by_name_and_numbers_read_as_text(self, records):
+        good = records[0].to_dict()
+        with pytest.raises(DatasetFormatError, match="^gold_answer must be a string or a number, not null$"):
+            QARecord.from_dict({**good, "gold_answer": None})
+        with pytest.raises(DatasetFormatError, match="^slot 'room' must be a string or a number, not null$"):
+            QARecord.from_dict({**good, "slots": {"room": None}})
+        record = QARecord.from_dict({**good, "gold_answer": 3, "slots": {"count": 2.5}})
+        assert (record.gold_answer, record.slots) == ("3", {"count": "2.5"})
 
 
 def test_default_phrasings_cover_the_families():

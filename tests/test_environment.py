@@ -238,7 +238,9 @@ class TestObservationShape:
     def test_observation_steps_count_up(self, demo_env):
         _, first = demo_env.reset()
         second = demo_env.execute(move(goal_id="f0.living"))
-        assert (first.step, second.step) == (0, 1)
+        third = demo_env.execute(move(label="aquarium", layer=Layer.BIG_OBJECT))
+        assert [o.step for o in (first, second, third)] == [0, 1, 2]
+        assert [o.move_failed for o in (first, second, third)] == [False, False, True]
 
 
 class TestWorldTruthLoading:
@@ -413,7 +415,7 @@ def _load(name, worlds_dir):
 
 
 def _shown(obs):
-    return obs.anchor_layer, obs.anchor_parent_id, obs.visible, obs.revealed
+    return obs.anchor_layer, obs.visible, obs.revealed
 
 
 class TestViewCache:
@@ -438,6 +440,19 @@ class TestViewCache:
 
     def test_focus_outside_the_graph_uses_the_anchor(self, demo_truth):
         assert demo_truth.view("f0.living", "nowhere") is demo_truth.view("f0.living")
+
+    def test_observations_share_the_views_parts(self, demo_env):
+        demo_env.reset()
+        plans = [
+            move(goal_id="f0.living"),
+            Plan(kind=PlanKind.OBSERVE, focus_id="f0.living.sofa"),
+            move(label="aquarium", layer=Layer.BIG_OBJECT),
+        ]
+        for plan in plans:
+            obs = demo_env.execute(plan)
+            view = demo_env.world.view(obs.anchor_id, plan.focus_id)
+            assert obs.visible is view.visible and obs.revealed is view.revealed
+            assert obs._replace(step=0, move_failed=False) == view
 
     def test_unknown_anchor_raises(self, demo_env):
         demo_env.pose = AgentPose("nowhere", Layer.ROOM)

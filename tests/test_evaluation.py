@@ -18,8 +18,7 @@ from stepqa.evaluation import (
     run_benchmark,
     save_report,
 )
-from stepqa.llm_client import ChatClient, ChatMessage, ChatRequest, ReplayTransport
-from stepqa.llm_planner import SchemaError
+from stepqa.llm_client import ChatClient, ChatMessage, ChatRequest, ReplayTransport, SchemaError
 from stepqa.worldgen import random_world
 
 
@@ -95,7 +94,7 @@ class TestLlmMatch:
 
 class TestChatJudge:
     def canned(self, user_text, reply):
-        system, _ = prompts.load("judge")
+        system = prompts.load("judge")
         transport = ReplayTransport()
         transport.add(
             ChatRequest(
@@ -125,7 +124,7 @@ class TestChatJudge:
                 Chatterbox.calls += 1
                 return "a seven, maybe an eight"
 
-        judge = ChatJudge(Chatterbox(), retries=2)
+        judge = ChatJudge(Chatterbox())
         with pytest.raises(SchemaError):
             judge.score("q", "blue", "red")
         assert Chatterbox.calls == 3

@@ -4,7 +4,11 @@ import json
 
 import pytest
 
+from stepqa import prompts
+from stepqa.environment import AgentPose
+from stepqa.evaluation import ChatJudge
 from stepqa.llm_client import (
+    TRIES,
     ChatClient,
     ChatMessage,
     ChatRequest,
@@ -13,11 +17,16 @@ from stepqa.llm_client import (
     ReplayMissError,
     ReplayTransport,
     RetryExhaustedError,
+    SchemaError,
     SessionLog,
     TransportError,
     client_from_env,
     request_digest,
 )
+from stepqa.llm_planner import ChatPlanner
+from stepqa.parsing import LlmBackend
+from stepqa.patterns import parse_pattern_string
+from stepqa.scene_graph import Layer
 
 
 def make_request(user="hello", model="m") -> ChatRequest:
@@ -201,3 +210,73 @@ class TestClientFromEnv:
         monkeypatch.setenv("LLM_ENDPOINT", "http://wrong")
         client = client_from_env(endpoint="http://right", model="m")
         assert client.transport.endpoint == "http://right"
+
+
+# A reply each chat call accepts, by prompt name; an empty reply suits none.
+VALID_REPLIES = {
+    "extract_pattern": '{"pattern": "V3[bed] -> V2"}',
+    "classify_attribute": "REMOTE",
+    "simplify_question": "Is there a cup?",
+    "fallback_plan": '{"kind": "Answer", "value": "not found"}',
+    "judge": "5",
+}
+
+
+def chat_call(name, client, world):
+    """Make the chat call that uses the named prompt, through its backend."""
+    if name == "extract_pattern":
+        return LlmBackend(client).parse("Which room is the bed in?")
+    if name == "judge":
+        return ChatJudge(client).score("q", "blue", "blue")
+    planner = ChatPlanner(client)
+    if name == "classify_attribute":
+        return planner.classify_attribute("glow", "lamp")
+    if name == "simplify_question":
+        chain = parse_pattern_string("exists: V2[kitchen] -> V3[table] -> V4[cup]")
+        return planner.simplify_question("Is there a cup on the table?", chain, 2, {})
+    pose = AgentPose("f0.living", Layer.ROOM, 1)
+    return planner.fallback_plan(world.prior_graph(), pose, frozenset(), "q")
+
+
+class Scripted:
+    """A duck-typed client that replies from a script, or fails with ``error``."""
+
+    model = "test"
+
+    def __init__(self, *replies, error=None):
+        self.replies = list(replies)
+        self.error = error
+        self.systems = []
+
+    def complete_text(self, system, user):
+        self.systems.append(system)
+        if self.error is not None:
+            raise self.error
+        return self.replies.pop(0)
+
+
+@pytest.mark.parametrize("name", sorted(VALID_REPLIES))
+class TestAsk:
+    def test_bad_replies_give_up_after_three_requests(self, name, demo_truth):
+        client = Scripted(*[""] * (TRIES + 1))
+        if name == "extract_pattern":
+            # the parser gives way to the next backend instead of raising
+            assert chat_call(name, client, demo_truth) is None
+        else:
+            prefix = f"^{name.replace('_', ' ')} never validated after 3 tries: "
+            with pytest.raises(SchemaError, match=prefix):
+                chat_call(name, client, demo_truth)
+        assert client.systems == [prompts.load(name)] * 3
+
+    def test_a_valid_second_reply_is_returned(self, name, demo_truth):
+        client = Scripted("", VALID_REPLIES[name], "")
+        got = chat_call(name, client, demo_truth)
+        assert got is not None
+        assert got == chat_call(name, Scripted(VALID_REPLIES[name]), demo_truth)
+        assert len(client.systems) == 2
+
+    def test_a_transport_error_propagates_without_a_retry(self, name, demo_truth):
+        client = Scripted(error=ReplayMissError("0" * 64))
+        with pytest.raises(ReplayMissError):
+            chat_call(name, client, demo_truth)
+        assert len(client.systems) == 1

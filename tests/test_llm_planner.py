@@ -103,7 +103,7 @@ def canned_client(pairs):
     """Replay client answering (system_prompt_name, user) -> content."""
     transport = ReplayTransport()
     for (prompt_name, user), content in pairs.items():
-        system, _ = prompts.load(prompt_name)
+        system = prompts.load(prompt_name)
         transport.add(
             ChatRequest(
                 model="test",
@@ -173,7 +173,7 @@ class TestChatPlanner:
                 return "not json at all"
 
         with pytest.raises(SchemaError):
-            ChatPlanner(JunkClient(), retries=2).fallback_plan(graph, pose, frozenset(), "q")
+            ChatPlanner(JunkClient()).fallback_plan(graph, pose, frozenset(), "q")
         assert JunkClient.calls == 3
 
     def test_json_that_is_not_an_object_is_retried_then_raises(self, demo_truth):
@@ -189,7 +189,7 @@ class TestChatPlanner:
                 return "[1, 2]"
 
         with pytest.raises(SchemaError) as err:
-            ChatPlanner(ListClient(), retries=2).fallback_plan(graph, pose, frozenset(), "q")
+            ChatPlanner(ListClient()).fallback_plan(graph, pose, frozenset(), "q")
         assert "fallback plan never validated" in str(err.value)
         assert ListClient.calls == 3
 
@@ -210,9 +210,8 @@ class TestChatPlanner:
 class TestPromptCatalog:
     def test_every_prompt_loads_with_a_version(self):
         for name in prompts.VERSIONS:
-            text, version = prompts.load(name)
-            assert text.strip()
-            assert version.startswith("v")
+            assert prompts.load(name).strip()
+            assert prompts.VERSIONS[name].startswith("v")
 
     def test_unknown_prompt_is_an_error(self):
         with pytest.raises(KeyError):

@@ -183,7 +183,7 @@ class TestGoldBackend:
 
 
 def llm_backend_answering(question, *replies):
-    system, _ = prompts.load("extract_pattern")
+    system = prompts.load("extract_pattern")
     transport = ReplayTransport()
     transport.add(
         ChatRequest(
@@ -227,16 +227,23 @@ class TestLlmBackend:
         pq = llm_backend_answering(self.QUESTION, reply).parse(self.QUESTION)
         assert pq.chain.target_kind is TargetKind.ROOM
 
-    def test_bad_replies_retry_then_raise(self):
+    def test_bad_replies_retry_then_give_way(self):
         backend = llm_backend_answering(
             self.QUESTION,
             "not json",
             json.dumps({"no_pattern": True}),
             json.dumps({"pattern": "V9[nope]"}),
         )
-        with pytest.raises(UnparsedQuestionError) as err:
-            backend.parse(self.QUESTION)
-        assert "3 tries" in str(err.value)
+        assert backend.parse(self.QUESTION) is None
+
+    def test_a_model_that_never_validates_falls_through_to_the_next_backend(self):
+        question = "What color is the sofa in the living room?"
+        junk = llm_backend_answering(question, "not json")
+        pq = parse_question(question, [junk, TemplateBackend(None)])
+        assert pq.source is ParseSource.TEMPLATE
+        assert render(pq.chain) == rendered(TemplateBackend(None), question)
+        with pytest.raises(UnparsedQuestionError):
+            parse_question(question, [junk])
 
     def test_recovers_on_a_later_try(self):
         backend = llm_backend_answering(

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from stepqa.agent import ingest_observation, room_level_plan
-from stepqa.environment import AgentPose, Observation, load_world_truth
+from stepqa.environment import AgentPose, load_world_truth
 from stepqa.llm_planner import LookupPlanner, PerceptionRange
 from stepqa.parsing import TemplateBackend
 from stepqa.patterns import SubGoal, parse_pattern_string
@@ -412,7 +412,7 @@ class TestOutwardSearch:
         episode = world.prior_graph()
         anchors = sorted(n.id for n in world.graph.nodes)
         for anchor in data.draw(st.lists(st.sampled_from(anchors), max_size=8)):
-            ingest_observation(episode, Observation(0, anchor, *world.view(anchor)))
+            ingest_observation(episode, world.view(anchor))
         for graph in (world.graph, world.prior_graph(), episode):
             labels, constraints = resolve_queries(graph)
             for anchor in [*sorted(n.id for n in graph.nodes), "nowhere"]:

@@ -20,7 +20,7 @@ from stepqa.scene_graph import (
     normalize_label,
     singularize,
 )
-from stepqa.environment import Observation, load_world_truth
+from stepqa.environment import load_world_truth
 from stepqa.worldgen import random_world, random_world_data
 
 from conftest import WORLDS, scan_resolve_label
@@ -429,8 +429,7 @@ def grow(graph, world, data):
     for parent, label, attributes, index in data.draw(st.lists(adds, max_size=6)):
         graph.add_observed_node(parent, label, attributes, index)
     for anchor in data.draw(st.lists(st.sampled_from(sorted(n.id for n in world.graph.nodes)), max_size=6)):
-        view = world.view(anchor)
-        ingest_observation(graph, Observation(0, anchor, *view))
+        ingest_observation(graph, world.view(anchor))
 
 
 def snapshot(graph):
