@@ -20,7 +20,7 @@ import time
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
-from typing import Any
+from typing import Any, NamedTuple
 
 from . import prompts
 from .environment import Environment, Observation
@@ -74,17 +74,22 @@ class AgentConfig:
 
 @dataclass
 class TraceEvent:
-    """One executed plan. ``plan`` is serialized when the event is made,
-    because plans are mutable; the observation is immutable, so it is
-    kept as is and serialized only when ``observation`` is read."""
+    """One executed plan. The plan and the observation are immutable
+    records, kept as they are and serialized only when ``plan`` and
+    ``observation`` are read. The plan's ``step_index`` is the event's
+    ``k``, and a final look's ``content`` is the event's subquestion."""
 
     t: int
     k: int
-    plan: dict[str, Any]
+    action: Plan
     obs: Observation | None
     feedback: bool | None
     secondary: bool = False
     subquestion: str | None = None
+
+    @property
+    def plan(self) -> dict[str, Any]:
+        return self.action.to_dict(self.k, self.subquestion)
 
     @property
     def observation(self) -> dict[str, Any] | None:
@@ -358,43 +363,72 @@ def _room_for_chain(chain: PatternChain, graph: SceneGraph) -> SceneNode | None:
     return rooms[0] if rooms else None
 
 
+class RoomLook(NamedTuple):
+    """What room_level_plan reads from the graph for one chain.
+
+    room is the room to look from, or for a room query the room that
+    holds its subject; focus_id is the chain's object or support inside
+    that room; expects is target_expects. size is the graph's node count
+    when the look was worked out.
+    """
+
+    size: int
+    room: SceneNode | None
+    focus_id: str | None
+    expects: tuple[str, str | None]
+
+
+def room_look(chain: PatternChain, graph: SceneGraph, slots: dict[str, str]) -> RoomLook:
+    """Work out a chain's RoomLook.
+
+    Its lookups pass no constraint and no position, and a graph only
+    ever gains nodes (a clone keeps the id, label and layer), so the
+    look holds for as long as ``len(graph)`` equals its size.
+    """
+    expects = target_expects(chain, slots)
+    if chain.target_kind is TargetKind.ROOM:
+        subject = chain.steps[0]
+        found = graph.resolve_label(subject.label or "", layer=subject.layer)
+        return RoomLook(len(graph), graph.room_of(found[0].id) if found else None, None, expects)
+    room = _room_for_chain(chain, graph)
+    focus_id: str | None = None
+    focus_label = slots.get("object") or slots.get("support")
+    if room is not None and focus_label:
+        found = graph.resolve_label(focus_label, scope_id=room.id)
+        if found:
+            focus_id = found[0].id
+    return RoomLook(len(graph), room, focus_id, expects)
+
+
 def room_level_plan(
     chain: PatternChain,
     k: int,
     graph: SceneGraph,
     pose: Any,
     slots: dict[str, str] | None = None,
+    look: RoomLook | None = None,
 ) -> Plan:
     """Ablated planner that never anchors below the room layer.
 
-    It looks from the chain's room with next_plan's look_plan and
-    target_expects. It is not a layer cap on next_plan because the
+    It looks from the chain's room with next_plan's look_plan, focused
+    on the chain's object or support when the room holds it. look is
+    the chain's room_look, which run_episode works out once per chain
+    and again only when the graph has gained nodes; without it the look
+    is worked out here. It is not a layer cap on next_plan because the
     benchmark counts the ablation by this name: perfbench/spans.py wraps
     ``stepqa.agent.room_level_plan``, and perfbench's tests assert that
     room_level runs call it and never call next_plan.
     """
+    if look is None:
+        look = room_look(chain, graph, slots or {})
     n = len(chain.steps)
-    slots = slots or {}
     if chain.target_kind is TargetKind.ROOM:
-        subject = chain.steps[0]
-        found = graph.resolve_label(subject.label or "", layer=subject.layer)
-        if found:
-            return Plan(
-                kind=PlanKind.ANSWER,
-                value=graph.room_of(found[0].id).label,
-                advance_to=n,
-            )
-        raise ResolutionFailure(subject.label or "?", "room level")
-    room = _room_for_chain(chain, graph)
-    if room is None:
+        if look.room is None:
+            raise ResolutionFailure(chain.steps[0].label or "?", "room level")
+        return Plan(kind=PlanKind.ANSWER, value=look.room.label, advance_to=n)
+    if look.room is None:
         raise ResolutionFailure("room", "prior graph")
-    focus_id: str | None = None
-    focus_label = slots.get("object") or slots.get("support")
-    if focus_label and pose.anchor_id == room.id:
-        found = graph.resolve_label(focus_label, scope_id=room.id)
-        if found:
-            focus_id = found[0].id
-    return look_plan(pose, room, focus_id, target_expects(chain, slots), n)
+    return look_plan(pose, look.room, look.focus_id, look.expects, n)
 
 
 # -- the loop ---------------------------------------------------------------
@@ -479,6 +513,7 @@ def run_episode(
                 chain.steps[-1].attribute_constraint[0], chain.steps[-1].label or ""
             )
 
+        look: RoomLook | None = None
         k = 0
         step_retries = 0
         pending_fallback = False
@@ -492,7 +527,9 @@ def run_episode(
             else:
                 try:
                     if config.room_level_only:
-                        plan = room_level_plan(chain, k, graph, env.pose, slots)
+                        if look is None or look.size != len(graph):
+                            look = room_look(chain, graph, slots)
+                        plan = room_level_plan(chain, k, graph, env.pose, slots, look)
                     else:
                         plan = next_plan(
                             chain,
@@ -510,7 +547,6 @@ def run_episode(
                 except PlanningDomainError:
                     outcome = ("not found", EpisodeStatus.FAILED)
                     break
-            plan.step_index = k
             t += 1
 
             subquestion: str | None = None
@@ -518,13 +554,12 @@ def run_episode(
                 if final_subquestion is None:
                     final_subquestion = planner.simplify_question(question, chain, k, slots)
                 subquestion = final_subquestion
-                plan.content = subquestion
 
             if plan.kind is PlanKind.ANSWER:
                 echo = env.observe()
                 fold(echo)
                 trace.events.append(
-                    TraceEvent(t=t, k=k, plan=plan.to_dict(), obs=echo, feedback=True)
+                    TraceEvent(t=t, k=k, action=plan, obs=echo, feedback=True)
                 )
                 if plan.tool == "fallback":
                     gave_up = True
@@ -543,7 +578,7 @@ def run_episode(
                 TraceEvent(
                     t=t,
                     k=k,
-                    plan=plan.to_dict(),
+                    action=plan,
                     obs=obs,
                     feedback=ok,
                     secondary=secondary,

@@ -23,7 +23,7 @@ from typing import Any, Iterable
 
 from .agent import normalize_answer
 from .environment import WorldTruth
-from .parsing import TemplateBackend
+from .parsing import TemplateBackend, json_text
 from .patterns import render
 # perfbench/spans.py wraps normalize_label in this module, so the import must stay.
 from .scene_graph import Layer, SceneNode, normalize_label, singularize
@@ -82,26 +82,16 @@ class QARecord:
             raise DatasetFormatError(f"slots must be a JSON object, not {type(slots).__name__}")
         try:
             return cls(
-                id=_text(data["id"], "id"),
-                world_id=_text(data["world_id"], "world_id"),
-                category=_text(data["category"], "category"),
-                question=_text(data["question"], "question"),
-                gold_answer=_text(data["gold_answer"], "gold_answer"),
-                gold_pattern=_text(data["gold_pattern"], "gold_pattern"),
-                slots={str(k): _text(v, f"slot {k!r}") for k, v in slots.items()},
+                id=json_text(data["id"], "id", DatasetFormatError),
+                world_id=json_text(data["world_id"], "world_id", DatasetFormatError),
+                category=json_text(data["category"], "category", DatasetFormatError),
+                question=json_text(data["question"], "question", DatasetFormatError),
+                gold_answer=json_text(data["gold_answer"], "gold_answer", DatasetFormatError),
+                gold_pattern=json_text(data["gold_pattern"], "gold_pattern", DatasetFormatError),
+                slots={str(k): json_text(v, f"slot {k!r}", DatasetFormatError) for k, v in slots.items()},
             )
         except KeyError as exc:
             raise DatasetFormatError(f"record missing field {exc.args[0]!r}") from exc
-
-
-def _text(value: Any, name: str) -> str:
-    """A record value as text: a string, or a number read as its text."""
-    if isinstance(value, str):
-        return value
-    if isinstance(value, (int, float)) and not isinstance(value, bool):
-        return str(value)
-    kind = "null" if value is None else type(value).__name__
-    raise DatasetFormatError(f"{name} must be a string or a number, not {kind}")
 
 
 def default_phrasings() -> dict[str, list[str]]:

@@ -451,8 +451,21 @@ class LlmBackend:
         slots_raw = data.get("slots", {})
         if not isinstance(slots_raw, dict):
             raise ValueError("'slots' must be an object")
-        slots = {str(k): str(v) for k, v in slots_raw.items()}
+        slots = {str(k): json_text(v, f"slot {k!r}") for k, v in slots_raw.items()}
         return ParsedQuestion(chain, slots, ParseSource.LLM)
+
+
+def json_text(value: Any, name: str, error: type[ValueError] = ValueError) -> str:
+    """A JSON value as text: a string, or a number read as its text.
+
+    Null, a boolean, an array or an object raises ``error`` naming the value.
+    """
+    if isinstance(value, str):
+        return value
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        return str(value)
+    kind = "null" if value is None else type(value).__name__
+    raise error(f"{name} must be a string or a number, not {kind}")
 
 
 def parse_question(question: str, backends: list[Any]) -> ParsedQuestion:

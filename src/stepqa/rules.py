@@ -18,9 +18,8 @@ It never plans below that layer for the final look.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
-from typing import TYPE_CHECKING, Any, Iterable, Iterator
+from typing import TYPE_CHECKING, Any, Iterable, Iterator, NamedTuple
 
 from .patterns import PatternChain, SubGoal, TargetKind
 from .scene_graph import Layer, SceneGraph, SceneNode
@@ -57,13 +56,15 @@ class ResolutionFailure(Exception):
         self.scope = scope
 
 
-@dataclass
-class Plan:
-    """One planned action.
+class Plan(NamedTuple):
+    """One planned action, an immutable record.
 
     advance_to and expects are planner bookkeeping: the subgoal index
     reached if the plan succeeds, and what the observation must reveal
-    for feedback to count it as a success.
+    for feedback to count it as a success. The subgoal a plan was made
+    for, and the subquestion a final look asks, belong to the trace
+    event that executes it, which hands both to ``to_dict`` when the
+    trace is read.
     """
 
     kind: PlanKind
@@ -73,15 +74,16 @@ class Plan:
     content: str | None = None
     focus_id: str | None = None
     value: str | None = None
-    step_index: int = 0
     advance_to: int | None = None
     expects: tuple[str, str | None] | None = None
     tool: str = "rules"
 
-    def to_dict(self) -> dict[str, Any]:
+    def to_dict(self, step_index: int = 0, content: str | None = None) -> dict[str, Any]:
+        """The trace form; an Observe's content is ``content`` when given,
+        else the plan's own."""
         out: dict[str, Any] = {
             "kind": self.kind.value,
-            "step_index": self.step_index,
+            "step_index": step_index,
             "tool": self.tool,
         }
         if self.kind is PlanKind.MOVE_TO:
@@ -91,7 +93,7 @@ class Plan:
             if self.goal_label is not None:
                 out["goal_label"] = self.goal_label
         elif self.kind is PlanKind.OBSERVE:
-            out["content"] = self.content or ""
+            out["content"] = (content if content is not None else self.content) or ""
             if self.focus_id is not None:
                 out["focus"] = self.focus_id
         else:

@@ -5,7 +5,7 @@ import pathlib
 
 import pytest
 
-from stepqa import agent as agent_module
+from stepqa import agent as agent_module, prompts
 from stepqa.agent import (
     AgentConfig,
     EpisodeStatus,
@@ -16,13 +16,14 @@ from stepqa.agent import (
     secondary_perception,
 )
 from stepqa.environment import Environment, load_world_truth
-from stepqa.llm_planner import LookupPlanner
+from stepqa.llm_planner import ChatPlanner, LookupPlanner
 from stepqa.rules import Plan, PlanKind
-from stepqa.scene_graph import Layer
+from stepqa.scene_graph import Layer, SceneGraph
 from stepqa.worldgen import random_world_data
 
 
 GOLDEN = pathlib.Path(__file__).resolve().parent / "golden"
+BOOK_QUESTION = "What is the title of the book on the coffee table in the living room?"
 
 
 def ask(truth, question, **cfg):
@@ -278,6 +279,52 @@ class TestRoomLevelAblation:
             answers.append(r.answer)
         assert answers == ["blue", "blue"]
 
+    @pytest.fixture()
+    def resolves(self, monkeypatch):
+        """Count of SceneGraph.resolve_label calls, however they are made."""
+        calls = []
+        original = SceneGraph.resolve_label
+
+        def counting(graph, *args, **kwargs):
+            calls.append(args)
+            return original(graph, *args, **kwargs)
+
+        monkeypatch.setattr(SceneGraph, "resolve_label", counting)
+        return calls
+
+    def test_each_chain_resolves_its_room_once(self, demo_truth, resolves):
+        r = ask(demo_truth, BOOK_QUESTION, room_level_only=True)
+        chains = 1 + len(r.chain.alternatives)
+        assert r.plans == 20
+        # the chain's room, then the book inside it; not two per plan
+        assert len(resolves) <= 2 * chains
+
+    def test_a_grown_graph_resolves_the_room_again(self, demo_truth, resolves, monkeypatch):
+        def episode():
+            # the move onto the coffee table shows the book, which the prior lacks
+            table = Plan(kind=PlanKind.MOVE_TO, goal_id="f0.living.table", tool="fallback")
+            planner = ScriptedFallback([table])
+            return run_episode(
+                BOOK_QUESTION,
+                Environment(demo_truth),
+                config=AgentConfig(room_level_only=True),
+                planner=planner,
+            )
+
+        memoized = episode()
+        assert len(resolves) == 4  # room and focus, then both again after the growth
+        # every plan worked out afresh, as without the per-chain look
+        fresh = agent_module.room_level_plan
+        monkeypatch.setattr(
+            agent_module,
+            "room_level_plan",
+            lambda chain, k, graph, pose, slots, look: fresh(chain, k, graph, pose, slots),
+        )
+        assert golden_text(memoized) == golden_text(episode())
+        looks = [e for e in memoized.trace.events if e.action.kind is PlanKind.OBSERVE]
+        focus = [e.plan.get("focus") for e in looks]
+        assert focus == [None] * 3 + ["f0.living.table.book.0"] * 3
+
 
 class ScriptedFallback(LookupPlanner):
     """Returns the given fallback plans in order, then gives up."""
@@ -290,8 +337,6 @@ class ScriptedFallback(LookupPlanner):
 
 
 class TestFoldOnce:
-    BOOK_QUESTION = "What is the title of the book on the coffee table in the living room?"
-
     @pytest.fixture()
     def folds(self, monkeypatch):
         """(graph, anchor id) of every ingest_observation call run_episode makes."""
@@ -305,7 +350,7 @@ class TestFoldOnce:
         return calls
 
     def test_a_repeated_view_is_ingested_once(self, demo_truth, folds):
-        r = ask(demo_truth, self.BOOK_QUESTION, room_level_only=True)
+        r = ask(demo_truth, BOOK_QUESTION, room_level_only=True)
         anchors = [r.trace.entrance.anchor_id, *(e.obs.anchor_id for e in r.trace.events)]
         assert anchors.count("f0.living") > 3
         assert [anchor for _, anchor in folds] == list(dict.fromkeys(anchors))
@@ -321,7 +366,7 @@ class TestFoldOnce:
             ]
         )
         r = run_episode(
-            self.BOOK_QUESTION,
+            BOOK_QUESTION,
             Environment(demo_truth),
             config=AgentConfig(room_level_only=True),
             planner=planner,
@@ -416,3 +461,42 @@ class TestTrace:
         last = result.trace.events[-1]
         assert last.subquestion == "What is the title of the book?"
         assert last.plan["content"] == "What is the title of the book?"
+
+    @pytest.mark.parametrize("room_level_only", [False, True])
+    def test_each_plan_is_serialized_with_its_events_subgoal(self, demo_truth, room_level_only):
+        r = ask(demo_truth, BOOK_QUESTION, room_level_only=room_level_only)
+        ks = [e.k for e in r.trace.events]
+        assert len(set(ks)) > 1
+        assert [e.plan["step_index"] for e in r.trace.events] == ks
+        looks = [e for e in r.trace.events if e.subquestion is not None]
+        assert looks
+        assert all(e.plan["content"] == "What is the title of the book?" for e in looks)
+        assert all(e.action.content is None for e in looks)
+
+    def test_a_chat_fallback_observe_keeps_its_own_content(self, demo_truth):
+        fallbacks = iter(
+            [
+                json.dumps({"kind": "Observe", "content": "Look under the cushions."}),
+                json.dumps({"kind": "Answer", "value": "not found"}),
+            ]
+        )
+
+        class Model:
+            def complete_text(self, system, user):
+                if system == prompts.load("fallback_plan"):
+                    return next(fallbacks)
+                return "What is the title of the book?"
+
+        r = run_episode(
+            BOOK_QUESTION,
+            Environment(demo_truth),
+            config=AgentConfig(room_level_only=True),
+            planner=ChatPlanner(Model()),
+        )
+        looks = [
+            (e.plan["content"], e.plan["tool"], e.subquestion)
+            for e in r.trace.events
+            if e.action.kind is PlanKind.OBSERVE
+        ]
+        asked = ("What is the title of the book?", "rules", "What is the title of the book?")
+        assert looks == [asked] * 3 + [("Look under the cushions.", "fallback", None)] + [asked] * 3

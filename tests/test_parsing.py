@@ -254,6 +254,30 @@ class TestLlmBackend:
         pq = backend.parse(self.QUESTION)
         assert pq.chain.target_kind is TargetKind.ROOM
 
+    @pytest.mark.parametrize(
+        "slots,message",
+        [
+            ({"object": None, "room": False}, "slot 'object' must be a string or a number, not null"),
+            ({"object": "book", "room": False}, "slot 'room' must be a string or a number, not bool"),
+            ({"object": ["book"]}, "slot 'object' must be a string or a number, not list"),
+            ({"object": {"label": "book"}}, "slot 'object' must be a string or a number, not dict"),
+        ],
+    )
+    def test_a_slot_that_is_not_text_is_rejected_by_name_and_asked_again(self, slots, message):
+        bad = json.dumps({"pattern": "V4[book] -> V2", "slots": slots})
+        with pytest.raises(ValueError) as err:
+            llm_backend_answering(self.QUESTION, bad)._validated(bad)
+        assert str(err.value) == message
+        assert llm_backend_answering(self.QUESTION, bad, bad, bad).parse(self.QUESTION) is None
+        good = json.dumps({"pattern": "V4[book] -> V2", "slots": {"object": "book"}})
+        pq = llm_backend_answering(self.QUESTION, bad, good).parse(self.QUESTION)
+        assert pq.slots == {"object": "book"}
+
+    def test_slot_numbers_are_read_as_text(self):
+        reply = json.dumps({"pattern": "V4[book] -> V2", "slots": {"count": 3, "ratio": 0.5}})
+        pq = llm_backend_answering(self.QUESTION, reply).parse(self.QUESTION)
+        assert pq.slots == {"count": "3", "ratio": "0.5"}
+
 
 # -- golden parses ------------------------------------------------------------
 

@@ -82,6 +82,21 @@ class TestPlanSerialization:
         assert d["goal_label"] == "living room"
         assert d["tool"] == "rules"
 
+    def test_plans_are_immutable(self):
+        plan = Plan(kind=PlanKind.OBSERVE, focus_id="f0.living.sofa")
+        with pytest.raises(AttributeError):
+            plan.content = "What color is the sofa?"
+        with pytest.raises(AttributeError):
+            plan.step_index = 2
+        assert plan.to_dict(2, "What color is the sofa?") == {
+            "kind": "observe",
+            "step_index": 2,
+            "tool": "rules",
+            "content": "What color is the sofa?",
+            "focus": "f0.living.sofa",
+        }
+        assert plan.to_dict()["content"] == ""
+
     def test_index_bounds_are_checked(self):
         truth = load_world_truth(WORLDS / "demo_house.json")
         chain = parse_pattern_string("V2[living room] -> V3[sofa]")
