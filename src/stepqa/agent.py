@@ -23,7 +23,7 @@ from pathlib import Path
 from typing import Any, NamedTuple
 
 from . import prompts
-from .environment import Environment, Observation
+from .environment import AgentPose, Environment, Observation
 from .llm_planner import LookupPlanner
 from .parsing import TemplateBackend, UnparsedQuestionError, parse_question
 from .patterns import PatternChain, SubGoal, TargetKind, render
@@ -33,8 +33,10 @@ from .rules import (
     PlanKind,
     PlanningDomainError,
     ResolutionFailure,
+    chain_has_support,
     look_plan,
     next_plan,
+    scope_node,
     target_expects,
 )
 from .scene_graph import (
@@ -182,39 +184,39 @@ def normalize_answer(text: str) -> str:
 # -- belief updates ---------------------------------------------------------
 
 
-def _instance_from_id(node_id: str) -> int:
-    tail = node_id.rsplit(".", 1)[-1]
-    return int(tail) if tail.isdigit() else 0
-
-
 def ingest_observation(graph: SceneGraph, obs: Observation) -> bool:
     """Fold an observation into the agent's graph.
 
+    The view's fold (``environment.Fold``) holds its nodes prebuilt, once
+    per world, and they go into the graph by reference
+    (``SceneGraph.share``): the graph's first write to one clones it.
     Newly seen small objects are adopted under the anchor they were seen
     from, keeping the environment's ids so later plans can address them
-    directly. Revealed attribute values overwrite prior beliefs. Returns
-    whether the fold left nothing out: the anchor and every node the
-    observation shows or reveals are in the graph afterwards.
+    directly. Revealed attribute values overwrite prior beliefs: a node
+    that already has every revealed value is left as it is, one the
+    fold's node may stand in for (``SceneGraph.share``) gives way to it,
+    and any other is merged. Returns whether the fold left nothing out:
+    the anchor and every node the observation shows or reveals are in
+    the graph afterwards.
     """
     complete = obs.anchor_id in graph
-    for v in obs.visible:
-        if v.node_id in graph:
+    if obs.anchor_layer is Layer.BIG_OBJECT:
+        for node in obs.fold.adopted:
+            if node.id not in graph:
+                graph.share(node, obs.anchor_id)
+    else:
+        for v in obs.visible:
+            if v.node_id not in graph:
+                complete = False
+    for seen in obs.fold.revealed:
+        if seen.id not in graph:
+            complete = False
             continue
-        if v.layer is Layer.SMALL_OBJECT and obs.anchor_layer is Layer.BIG_OBJECT:
-            node = SceneNode(
-                id=v.node_id,
-                layer=v.layer,
-                label=v.label,
-                instance_index=_instance_from_id(v.node_id),
-            )
-            graph.add_node(node, parent_id=obs.anchor_id)
-        else:
-            complete = False
-    for node_id, attrs in obs.revealed.items():
-        if node_id in graph:
-            graph.update_attributes(node_id, attrs)
-        else:
-            complete = False
+        known = graph.node(seen.id).attributes
+        if known is seen.attributes or known.items() >= seen.attributes.items():
+            continue
+        if not graph.share(seen):
+            graph.update_attributes(seen.id, seen.attributes)
     return complete
 
 
@@ -272,25 +274,17 @@ def secondary_perception(plan: Plan, obs: Observation, graph: SceneGraph) -> boo
 # -- answer extraction ------------------------------------------------------
 
 
-def _tally_scope(chain: PatternChain, graph: SceneGraph, obs: Observation) -> str:
-    """The node to count under: the chain's labels resolved nearest the
-    anchor the count was observed from, else the anchor's room."""
-    near = graph.position_of(obs.anchor_id) if obs.anchor_id in graph else None
-    scope_id: str | None = None
-    for step in chain.steps[:-1]:
-        if not step.label:
-            continue
-        found = graph.resolve_label(step.label, layer=step.layer, scope_id=scope_id, near=near)
-        if found:
-            scope_id = found[0].id
-    if scope_id is not None:
-        return scope_id
-    if obs.anchor_id in graph:
-        anchor = graph.node(obs.anchor_id)
-        if anchor.layer >= Layer.ROOM:
-            return graph.room_of(obs.anchor_id).id
-        return obs.anchor_id
-    return graph.nodes_at(Layer.FLOOR)[0].id
+def _tally_scope(chain: PatternChain, plan: Plan, obs: Observation, graph: SceneGraph) -> str:
+    """The node to count under, as the planner chose it: the support the
+    final look focused on, when the chain names one before its target and
+    the focus sits just above the target's layer; else the planner's room
+    scope (``rules.scope_node``) from the anchor the count was observed
+    at. A room-level look focuses on the target itself, so it counts
+    under the room."""
+    focus = graph.node(plan.focus_id) if plan.focus_id in graph else None
+    if focus is not None and focus.layer == chain.steps[-1].layer - 1 and chain_has_support(chain):
+        return focus.id
+    return scope_node(chain, graph, AgentPose(obs.anchor_id, obs.anchor_layer)).id
 
 
 def tally_matches(graph: SceneGraph, scope_id: str, step: SubGoal) -> list[SceneNode]:
@@ -337,7 +331,7 @@ def extract_answer(
                 labels.append(v.label)
         return ", ".join(labels) if labels else None
     if kind in (TargetKind.COUNT, TargetKind.EXISTENCE):
-        scope_id = _tally_scope(chain, graph, obs)
+        scope_id = _tally_scope(chain, plan, obs, graph)
         count = len(tally_matches(graph, scope_id, chain.steps[-1]))
         if kind is TargetKind.COUNT:
             return str(count)

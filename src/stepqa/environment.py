@@ -19,9 +19,13 @@ free. A failed move is reported through the observation, not raised.
 A view is what an observation shows from one anchor, with relations
 taken to one reference node: the step-0 Observation of that anchor. It
 is built once per world, and every observation of that anchor and
-reference shares its parts read-only, across episodes and threads. A
-world's graph must therefore not be mutated after its first episode:
-views built before the change would not see it.
+reference shares its parts read-only, across episodes and threads. The
+parts that do not depend on the reference, the revealed attributes and
+the view's fold, are built once per anchor. A fold is what the view
+adds to an agent's graph, as prebuilt nodes the graph takes by
+reference (see ``Fold`` and ``agent.ingest_observation``). A world's
+graph must therefore not be mutated after its first episode: views
+built before the change would not see it.
 """
 
 from __future__ import annotations
@@ -66,14 +70,39 @@ class VisibleNode:
         return [self.node_id, self.label, self.layer.tag, self.relation]
 
 
+class Fold(NamedTuple):
+    """What one anchor's view adds to an agent's graph, built once per world.
+
+    adopted holds the small objects a big-object anchor shows, as nodes
+    to add under it: instance index from the id, attributes as revealed.
+    revealed holds a node for each node whose attributes the view
+    reveals: an adopted node, the prior template node's clone, or for a
+    small-object anchor the anchor as its parent's view adopts it, each
+    with the revealed attributes. A node's attribute map is the very dict
+    the view's ``revealed`` wraps read-only, so no graph may write to it
+    in place; a graph holds these nodes without owning them.
+    """
+
+    adopted: tuple[SceneNode, ...]
+    revealed: tuple[SceneNode, ...]
+
+
+class _AnchorParts(NamedTuple):
+    children: tuple[SceneNode, ...]
+    revealed: Mapping[str, Mapping[str, str]]
+    fold: Fold
+
+
 class Observation(NamedTuple):
     """What the agent sees at one step. ``revealed`` is read-only at both
-    levels, because observations of the same view share it."""
+    levels, because observations of the same view share it, as they share
+    the view's ``fold``."""
 
     anchor_id: str
     anchor_layer: Layer
     visible: tuple[VisibleNode, ...]
     revealed: Mapping[str, Mapping[str, str]]
+    fold: Fold
     step: int = 0
     move_failed: bool = False
 
@@ -92,9 +121,9 @@ class WorldTruth:
     """Ground-truth world: full graph plus perception metadata.
 
     The prior graph template (``graph``'s prior file, read back) and every
-    observation view are built from ``graph`` on first use and kept for the
-    life of the world, so ``graph`` must not be mutated after the first
-    episode.
+    observation view, with its fold, are built from ``graph`` on first use
+    and kept for the life of the world, so ``graph`` must not be mutated
+    after the first episode.
     """
 
     def __init__(
@@ -121,6 +150,7 @@ class WorldTruth:
         self.entrance = entrance
         self._prior_template: SceneGraph | None = None
         self._views: dict[tuple[str, str], Observation] = {}
+        self._anchors: dict[str, _AnchorParts] = {}
 
     # -- queries used by the environment and by dataset oracles ---------
 
@@ -152,6 +182,7 @@ class WorldTruth:
             return cached
 
         anchor = graph.node(anchor_id)
+        children, revealed, fold = self._anchors.get(anchor_id) or self._anchor_parts(anchor)
         ref_parent = graph.parent(reference_id)
 
         def relation(node: SceneNode) -> str | None:
@@ -165,22 +196,49 @@ class WorldTruth:
                 return _INVERSE_RELATION.get(rel, rel)
             return graph.spatial_relation(node.id, reference_id)
 
-        visible: list[VisibleNode] = []
+        visible = tuple(VisibleNode(c.id, c.label, c.layer, relation(c)) for c in children)
+        view = Observation(anchor_id, anchor.layer, visible, revealed, fold)
+        return self._views.setdefault(key, view)
+
+    def _anchor_parts(self, anchor: SceneNode) -> _AnchorParts:
+        """The children the anchor shows, the attributes it reveals and its
+        fold: what every view of the anchor shares, whatever its reference.
+        Built on first request and kept, as views are."""
+        big = anchor.layer is Layer.BIG_OBJECT
+        children = tuple(self.graph.children(anchor.id))
+        if big and self.occluded:
+            children = tuple(c for c in children if c.id not in self.occluded)
         revealed: dict[str, Mapping[str, str]] = {}
+        adopted: list[SceneNode] = []
+        with_values: list[SceneNode] = []
         # A floor shows its rooms' labels only; a small object has no children.
-        if anchor.layer is not Layer.FLOOR and anchor.attributes:
-            revealed[anchor.id] = MappingProxyType(dict(anchor.attributes))
-        for child in graph.children(anchor.id):
-            if anchor.layer is Layer.BIG_OBJECT and child.id in self.occluded:
-                continue
-            visible.append(VisibleNode(child.id, child.label, child.layer, relation(child)))
-            if anchor.layer is not Layer.FLOOR:
+        if anchor.layer is not Layer.FLOOR:
+            template = self._template()
+            if anchor.attributes:
+                attributes = dict(anchor.attributes)
+                revealed[anchor.id] = MappingProxyType(attributes)
+                if anchor.id in template:
+                    with_values.append(template.node(anchor.id).clone(attributes))
+                else:
+                    with_values.append(_adopted(anchor, attributes))
+            for child in children:
                 remote = self.remote_attributes(child.id)
+                node = _adopted(child, remote) if big else None
+                if node is not None:
+                    adopted.append(node)
                 if remote:
                     revealed[child.id] = MappingProxyType(remote)
+                    if node is None:
+                        node = template.node(child.id).clone(remote)
+                    with_values.append(node)
+        fold = Fold(tuple(adopted), tuple(with_values))
+        parts = _AnchorParts(children, MappingProxyType(revealed), fold)
+        return self._anchors.setdefault(anchor.id, parts)
 
-        view = Observation(anchor_id, anchor.layer, tuple(visible), MappingProxyType(revealed))
-        return self._views.setdefault(key, view)
+    def _template(self) -> SceneGraph:
+        if self._prior_template is None:
+            self._prior_template = build_prior_graph(self.graph.to_prior_dict())
+        return self._prior_template
 
     def prior_graph(self) -> SceneGraph:
         """The agent's starting knowledge: ``graph``'s prior file read back.
@@ -198,9 +256,16 @@ class WorldTruth:
         would not see the change. Two threads that race on the first call
         both build the same template and index, which is harmless.
         """
-        if self._prior_template is None:
-            self._prior_template = build_prior_graph(self.graph.to_prior_dict())
-        return self._prior_template.copy()
+        return self._template().copy()
+
+
+def _adopted(node: SceneNode, attributes: dict[str, str]) -> SceneNode:
+    """A small object as an agent's graph adopts it: the world's id, label
+    and layer, the instance index the id ends in, no position, and the
+    revealed attributes."""
+    tail = node.id.rsplit(".", 1)[-1]
+    index = int(tail) if tail.isdigit() else 0
+    return SceneNode(node.id, node.layer, node.label, index, attributes=attributes)
 
 
 def load_world_truth(source: Any) -> WorldTruth:
@@ -300,7 +365,13 @@ class Environment:
     def observe(self, focus_id: str | None = None, move_failed: bool = False) -> Observation:
         view = self.world.view(self.pose.anchor_id, focus_id)
         obs = Observation(
-            view.anchor_id, view.anchor_layer, view.visible, view.revealed, self._observations, move_failed
+            view.anchor_id,
+            view.anchor_layer,
+            view.visible,
+            view.revealed,
+            view.fold,
+            self._observations,
+            move_failed,
         )
         self._observations += 1
         return obs

@@ -165,7 +165,7 @@ def _outward_scopes(graph: SceneGraph, anchor: SceneNode | None) -> Iterator[str
     yield None
 
 
-def _scope_node(chain: PatternChain, graph: SceneGraph, pose: AgentPose) -> SceneNode:
+def scope_node(chain: PatternChain, graph: SceneGraph, pose: AgentPose) -> SceneNode:
     """Innermost room the chain names, else the floor under the agent."""
     anchor = _anchor_node(graph, pose)
     for step in reversed(chain.steps):
@@ -189,7 +189,8 @@ def _sweep_anchors(graph: SceneGraph, scope: SceneNode, pose: AgentPose) -> Iter
 
     A floor scope goes on to the rooms of the other floors, in graph
     order, once its own are exhausted; each floor's rooms come nearest
-    first. Distances are from the agent's anchor.
+    first. Distances are from the agent's anchor, and each order is
+    sorted once per world and origin (``SceneGraph.children_nearest_first``).
     """
     if scope.layer is Layer.FLOOR:
         rooms: Iterable[SceneNode] = _floor_rooms(graph, scope, pose)
@@ -198,15 +199,14 @@ def _sweep_anchors(graph: SceneGraph, scope: SceneNode, pose: AgentPose) -> Iter
     else:
         return
     for room in rooms:
-        bigs = [c for c in graph.children(room.id) if c.layer is Layer.BIG_OBJECT]
-        yield from graph.nearest_first(bigs, pose.anchor_id)
+        yield from graph.children_nearest_first(room.id, pose.anchor_id)
 
 
 def _floor_rooms(graph: SceneGraph, floor: SceneNode, pose: AgentPose) -> Iterator[SceneNode]:
-    yield from graph.nearest_first(graph.children(floor.id), pose.anchor_id)
+    yield from graph.children_nearest_first(floor.id, pose.anchor_id)
     for other in graph.nodes_at(Layer.FLOOR):
         if other.id != floor.id:
-            yield from graph.nearest_first(graph.children(other.id), pose.anchor_id)
+            yield from graph.children_nearest_first(other.id, pose.anchor_id)
 
 
 def move_plan(
@@ -230,7 +230,7 @@ def _sweep_move(
     explored: frozenset[str],
 ) -> Plan | None:
     """Next unexplored big object under the chain's scope, if any."""
-    scope = _scope_node(chain, graph, pose)
+    scope = scope_node(chain, graph, pose)
     for node in _sweep_anchors(graph, scope, pose):
         if node.id not in explored:
             return move_plan(node)
@@ -243,10 +243,10 @@ def _sweep_move(
     return None
 
 
-def _chain_has_support(chain: PatternChain) -> bool:
-    return any(
-        s.layer is Layer.BIG_OBJECT and not s.is_attribute_step and s.label for s in chain.steps
-    )
+def chain_has_support(chain: PatternChain) -> bool:
+    """Whether a big-object step comes before the chain's target: the
+    chain names a support, not just a big-object target."""
+    return any(s.layer is Layer.BIG_OBJECT and s.label for s in chain.steps[:-1])
 
 
 # -- the planner ------------------------------------------------------------
@@ -341,7 +341,7 @@ def _attribute_target_plan(
     obj_step = chain.steps[-2]
     obj = resolve_near_pose(graph, pose, obj_step.label or "", obj_step.layer, obj_step.attribute_constraint)
     if obj is None:
-        if obj_step.layer is Layer.SMALL_OBJECT and not _chain_has_support(chain):
+        if obj_step.layer is Layer.SMALL_OBJECT and not chain_has_support(chain):
             sweep = _sweep_move(chain, graph, pose, explored)
             if sweep is not None:
                 return sweep
@@ -381,7 +381,7 @@ def _object_target_plan(
         if ref is not None and ref.layer >= Layer.BIG_OBJECT:
             room = graph.room_of(ref.id)
         else:
-            room = _scope_node(chain, graph, pose)
+            room = scope_node(chain, graph, pose)
             if room.layer is not Layer.ROOM:
                 raise ResolutionFailure(target.label or "?", "no room scope")
         return look_plan(pose, room, ref.id if ref is not None else room.id, expects, n)
@@ -402,7 +402,7 @@ def _object_target_plan(
     if sweep is not None:
         return sweep
     if visit_each:
-        scope = _scope_node(chain, graph, pose)
+        scope = scope_node(chain, graph, pose)
         pending = _unverified_candidate(graph, scope.id, target, explored)
         if pending is not None:
             return move_plan(pending, target.label)

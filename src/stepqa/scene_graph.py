@@ -152,11 +152,13 @@ class SceneNode:
     def __post_init__(self) -> None:
         self.norm_label = normalize_label(self.label)
 
-    def clone(self) -> SceneNode:
-        """A copy with its own attribute map. It skips ``__init__``, which
-        would normalize the label again."""
+    def clone(self, attributes: dict[str, str] | None = None) -> SceneNode:
+        """A copy with its own attribute map, or with ``attributes`` when
+        given. It skips ``__init__``, which would normalize the label again."""
+        if attributes is None:
+            attributes = dict(self.attributes)
         clone = object.__new__(SceneNode)
-        clone.__dict__.update(self.__dict__, attributes=dict(self.attributes))
+        clone.__dict__.update(self.__dict__, attributes=attributes)
         return clone
 
     def to_dict(self) -> dict[str, Any]:
@@ -221,10 +223,11 @@ class SceneGraph:
 
     Label lookups read an index, built on the first lookup and kept
     current by ``add_node`` after that: normalized label to node ids,
-    and head word to the ids of multiword labels. A copy shares the node
-    objects and the index with its source (see ``copy``), so every
-    attribute write goes through a graph method, which clones a shared
-    node before its first write.
+    and head word to the ids of multiword labels. Nearest-first orders
+    of a node's children are memoized by ``children_nearest_first``. A
+    copy shares the node objects, the index and that memo with its
+    source (see ``copy``), so every attribute write goes through a graph
+    method, which clones a shared node before its first write.
     """
 
     def __init__(self) -> None:
@@ -236,6 +239,8 @@ class SceneGraph:
         self._owned: set[str] = set()
         self._index: _LabelIndex | None = None
         self._index_owned = False
+        # children ids nearest first, by (node id, origin position)
+        self._near: dict[tuple[str, tuple[float, float] | None], tuple[str, ...]] = {}
 
     # -- construction ---------------------------------------------------
 
@@ -265,7 +270,38 @@ class SceneGraph:
                 self._index = _LabelIndex(dict(self._index.by_label), dict(self._index.by_head))
                 self._index_owned = True
             self._index.add(node)
+        if node.layer is not Layer.SMALL_OBJECT:
+            # a new floor, room or big object changes some children's order
+            self._near = {}
         return node
+
+    def share(self, node: SceneNode, parent_id: str | None = None) -> bool:
+        """Put a node that other graphs may hold into this one without
+        owning it, so the first write to it here clones it, as for a node
+        ``copy`` shares; it must not be written to directly. Returns
+        whether it went in.
+
+        A node with a new id is added under the parent as ``add_node``
+        adds it. One whose id the graph has replaces that node only when
+        they differ in nothing but the shared node's extra attribute
+        values: same label, layer, instance index and position, and
+        every attribute value the graph's node has.
+        """
+        known = self._nodes.get(node.id)
+        if known is None:
+            self.add_node(node, parent_id)
+        elif (
+            known.label != node.label
+            or known.layer is not node.layer
+            or known.instance_index != node.instance_index
+            or known.position != node.position
+            or not known.attributes.items() <= node.attributes.items()
+        ):
+            return False
+        else:
+            self._nodes[node.id] = node
+        self._owned.discard(node.id)
+        return True
 
     def add_spatial_edge(self, a: str, b: str, relation: str) -> SpatialEdge:
         na, nb = self.node(a), self.node(b)
@@ -560,6 +596,25 @@ class SceneGraph:
             return sorted(nodes, key=lambda n: (n.instance_index, n.id))
         return sorted(nodes, key=lambda n: (self._distance(here, n), n.instance_index, n.id))
 
+    def children_nearest_first(self, node_id: str, origin_id: str) -> list[SceneNode]:
+        """A node's children in ``nearest_first`` order from the origin.
+
+        The order's ids are memoized by node id and origin position: rooms
+        and big objects never move, and only a new floor, room or big
+        object can change a floor's or a room's children or the centroid
+        of a floor. The memo is shared with the graph's copies until one
+        of them adds such a node, which starts an empty memo of its own.
+        Two threads that race on one key both store the same order.
+        """
+        here = self.position_of(origin_id) if origin_id in self._nodes else None
+        key = (node_id, here)
+        ids = self._near.get(key)
+        if ids is None:
+            order = self.nearest_first(self.children(node_id), origin_id)
+            self._near[key] = tuple(n.id for n in order)
+            return order
+        return list(map(self._nodes.__getitem__, ids))
+
     def spatial_relation(self, a: str, b: str) -> str | None:
         """Relation of node a with respect to node b along a same-layer edge."""
         for edge in self.spatial_edges:
@@ -606,7 +661,8 @@ class SceneGraph:
         From then on neither graph owns a shared node: the first attribute
         write to it, through ``set_attribute``, ``update_attributes`` or
         ``add_observed_node``, clones it in the graph that writes. The
-        first node a graph adds gives it its own index.
+        first node a graph adds gives it its own index, and the first
+        floor, room or big object its own nearest-first memo.
         """
         out = SceneGraph()
         out._nodes = dict(self._nodes)
@@ -614,6 +670,7 @@ class SceneGraph:
         out._children = dict(self._children)
         out.spatial_edges = list(self.spatial_edges)
         out._index = self._labels()
+        out._near = self._near
         self._owned = set()
         self._index_owned = False
         return out

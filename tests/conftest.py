@@ -10,6 +10,7 @@ import pytest
 
 from stepqa.environment import Environment, WorldTruth, load_world_truth
 from stepqa.scene_graph import alias_label, normalize_label
+from stepqa.worldgen import random_world_data
 
 WORLDS = pathlib.Path(__file__).resolve().parent.parent / "worlds"
 
@@ -86,3 +87,15 @@ def scan_resolve_label(graph, label, layer=None, scope_id=None, constraint=None,
         return (d, n.layer, n.instance_index, n.id)
 
     return [n.id for n in sorted(found, key=key)]
+
+
+def multi_floor_data(seed, floors):
+    """A generated world whose rooms are dealt round-robin onto floors f0..fn,
+    without the spatial edges (which may not cross floors)."""
+    data = random_world_data(seed, rooms=4)
+    rooms = data["floors"][0]["rooms"]
+    data["floors"] = [
+        {"id": f"f{i}", "label": f"floor {i}", "rooms": rooms[i::floors]} for i in range(floors)
+    ]
+    data["spatial_edges"] = []
+    return data

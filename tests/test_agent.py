@@ -10,6 +10,7 @@ from stepqa.agent import (
     AgentConfig,
     EpisodeStatus,
     check_feedback,
+    extract_answer,
     ingest_observation,
     normalize_answer,
     run_episode,
@@ -17,6 +18,8 @@ from stepqa.agent import (
 )
 from stepqa.environment import Environment, load_world_truth
 from stepqa.llm_planner import ChatPlanner, LookupPlanner
+from stepqa.parsing import TemplateBackend, parse_question
+from stepqa.patterns import parse_pattern_string
 from stepqa.rules import Plan, PlanKind
 from stepqa.scene_graph import Layer, SceneGraph
 from stepqa.worldgen import random_world_data
@@ -139,6 +142,66 @@ class TestEpisodes:
         r = ask(world, "How many cups are in the kitchen?")
         assert r.status is EpisodeStatus.ANSWERED
         assert r.answer == "3"
+
+    @pytest.mark.parametrize(
+        "question,answer,support",
+        [
+            ("How many cups are on the table next to the refrigerator?", "2", "f0.kitchen.table"),
+            ("Is there a bottle in the refrigerator next to the table?", "yes", "f0.kitchen.fridge"),
+        ],
+    )
+    def test_a_relational_tally_counts_under_the_support_it_observed(
+        self, demo_truth, question, answer, support
+    ):
+        # "next to" names a sibling of the support, not something inside it
+        r = ask(demo_truth, question)
+        assert (r.status, r.answer) == (EpisodeStatus.ANSWERED, answer)
+        final = r.trace.events[-1]
+        assert final.action.kind is PlanKind.OBSERVE
+        assert final.action.focus_id == final.obs.anchor_id == support
+
+    def test_a_tally_focused_on_its_own_target_counts_under_the_room(self, demo_truth):
+        # a room-level look focuses on the chain's object once the graph holds one
+        graph = demo_truth.prior_graph()
+        book = graph.add_observed_node("f0.living.table", "book")
+        question = "How many books are on the coffee table in the living room?"
+        parsed = parse_question(question, [TemplateBackend(graph)])
+        look = Plan(kind=PlanKind.OBSERVE, focus_id=book.id, advance_to=len(parsed.chain.steps))
+        obs = demo_truth.view("f0.living", book.id)
+        assert extract_answer(parsed.chain, parsed.slots, look, obs, graph) == "1"
+
+    def test_a_tally_without_a_support_counts_under_the_planners_scope(self, demo_truth):
+        # a sweep over a floor ends looking from the last support it visited
+        graph = demo_truth.prior_graph()
+        for support in ("f0.kitchen.table", "f0.living.table"):
+            ingest_observation(graph, demo_truth.view(support))
+        look = Plan(kind=PlanKind.OBSERVE, focus_id="f0.living.table", advance_to=1)
+        obs = demo_truth.view("f0.living.table")
+        assert extract_answer(parse_pattern_string("count: V4[cup]"), {}, look, obs, graph) == "2"
+
+    def test_a_relational_count_reads_no_other_support(self, demo_path):
+        # a third cup, in the refrigerator next to the table
+        data = json.loads(demo_path.read_text())
+        kitchen = next(r for r in data["floors"][0]["rooms"] if r["id"] == "f0.kitchen")
+        fridge = next(b for b in kitchen["big_objects"] if b["id"] == "f0.kitchen.fridge")
+        fridge["small_objects"].append({"label": "cup", "relation": "in"})
+        r = ask(load_world_truth(data), "How many cups are on the table next to the refrigerator?")
+        assert (r.status, r.answer) == (EpisodeStatus.ANSWERED, "2")
+
+    @pytest.mark.parametrize("room_level_only", [False, True])
+    @pytest.mark.parametrize(
+        "question,answer",
+        [
+            ("How many desks are in the living room?", "2"),
+            ("Is there a wardrobe in the bedroom?", "yes"),
+        ],
+    )
+    def test_a_big_object_tally_counts_under_its_room(
+        self, demo_truth, question, answer, room_level_only
+    ):
+        # a room-level look focuses on the target, which holds none of its kind
+        r = ask(demo_truth, question, room_level_only=room_level_only)
+        assert (r.status, r.answer) == (EpisodeStatus.ANSWERED, answer)
 
     @pytest.mark.parametrize(
         "question,answer",

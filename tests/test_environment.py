@@ -6,6 +6,7 @@ import threading
 from concurrent.futures import ThreadPoolExecutor
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from stepqa.agent import ingest_observation
 from stepqa.environment import (
@@ -16,8 +17,10 @@ from stepqa.environment import (
     load_world_truth,
 )
 from stepqa.rules import Plan, PlanKind, resolve_near_pose
-from stepqa.scene_graph import Layer, UnknownNodeError
+from stepqa.scene_graph import Layer, SceneNode, UnknownNodeError, build_prior_graph
 from stepqa.worldgen import random_world_data
+
+from conftest import multi_floor_data
 
 
 def move(goal_id=None, label=None, layer=None) -> Plan:
@@ -493,3 +496,235 @@ class TestViewCache:
             assert results[0][key] == fresh.view(*key)
             # threads that lost the race return the kept view, not their own
             assert all(r[key] is world.view(*key) for r in results)
+
+
+# -- folding a view by reference ---------------------------------------------
+
+
+def reference_ingest(graph, obs):
+    """ingest_observation as a fold of the observation's own parts, one
+    node at a time, that builds and merges every node itself: the reference."""
+    complete = obs.anchor_id in graph
+    for v in obs.visible:
+        if v.node_id in graph:
+            continue
+        if v.layer is Layer.SMALL_OBJECT and obs.anchor_layer is Layer.BIG_OBJECT:
+            tail = v.node_id.rsplit(".", 1)[-1]
+            node = SceneNode(v.node_id, v.layer, v.label, int(tail) if tail.isdigit() else 0)
+            graph.add_node(node, obs.anchor_id)
+        else:
+            complete = False
+    for node_id, attrs in obs.revealed.items():
+        if node_id in graph:
+            graph.update_attributes(node_id, attrs)
+        else:
+            complete = False
+    return complete
+
+
+def occluded_world_data(seed, floors, occlude):
+    """multi_floor_data with the small objects whose index is in occlude
+    hidden from their support's view."""
+    data = multi_floor_data(seed, floors)
+    bigs = [b for f in data["floors"] for r in f["rooms"] for b in r["big_objects"]]
+    for i, small in enumerate(s for b in bigs for s in b["small_objects"]):
+        small["occluded_from_parent"] = i in occlude
+    return data
+
+
+def fold_ops(world, data):
+    """A drawn sequence of looks (anchor, focus) and of writes through
+    set_attribute and add_observed_node, some of them of true values. A
+    write may be followed by a look that shows the node written."""
+    truth = world.graph
+    ids = sorted(n.id for n in truth.nodes)
+    objects = sorted(n.id for n in truth.nodes if n.layer >= Layer.BIG_OBJECT)
+    bigs = sorted(n.id for n in truth.nodes_at(Layer.BIG_OBJECT))
+    names = sorted({k for n in truth.nodes for k in n.attributes} | {"state"})
+    values = sorted({v for n in truth.nodes for v in n.attributes.values()} | {"plaid"})
+    smalls = [n.label for n in truth.nodes_at(Layer.SMALL_OBJECT)]
+    labels = sorted({*smalls, *(label + "s" for label in smalls), "cup", "Cup"})
+    look = st.tuples(st.just("look"), st.sampled_from(ids), st.one_of(st.none(), st.sampled_from(ids)))
+    write = st.tuples(
+        st.just("set"), st.sampled_from(objects), st.sampled_from(names), st.sampled_from(values)
+    )
+
+    def true_value(node_id):
+        # one of the node's own values, or a value for a name it lacks
+        items = sorted(truth.node(node_id).attributes.items()) or [("state", "plaid")]
+        return st.sampled_from(items).map(lambda item: ("set", node_id, *item))
+
+    true = st.sampled_from(objects).flatmap(true_value)
+
+    def labels_for(big):
+        # the support's own labels, respelled, so an added node may take the id of one it holds
+        own = sorted({spelling for n in truth.children(big) for spelling in (n.label, n.label.title())})
+        return st.one_of(st.sampled_from(labels), *([st.sampled_from(own)] if own else []))
+
+    add = st.sampled_from(bigs).flatmap(
+        lambda big: st.tuples(
+            st.just("add"),
+            st.just(big),
+            labels_for(big),
+            st.dictionaries(st.sampled_from(names), st.sampled_from(values), max_size=2),
+            st.one_of(st.none(), st.integers(0, 2)),
+        )
+    )
+
+    def then_look(op):
+        # a look at the written node or at its parent, which may reveal it
+        near = [op[1], truth.parent(op[1]).id]
+        return st.tuples(st.just(op), st.tuples(st.just("look"), st.sampled_from(near), st.none()))
+
+    step = st.one_of(look.map(lambda op: (op,)), st.one_of(write, true, add).flatmap(then_look))
+    return [op for ops in data.draw(st.lists(step, min_size=4, max_size=16)) for op in ops]
+
+
+def run_fold_ops(world, ops, ingest):
+    """A fresh prior graph grown by the ops, and the complete flag of each look."""
+    graph = world.prior_graph()
+    flags = []
+    for op in ops:
+        if op[0] == "look":
+            flags.append(ingest(graph, world.view(op[1], op[2])))
+        elif op[0] == "set":
+            if op[1] in graph:
+                graph.set_attribute(*op[1:])
+        else:
+            graph.add_observed_node(*op[1:])
+    return graph, flags
+
+
+def graph_state(graph):
+    """Nodes with their attributes and children, and what label lookups find."""
+    nodes = [(n.to_dict(), [c.id for c in graph.children(n.id)]) for n in graph.nodes]
+    labels = sorted({"cup", "couch", "table", "unicorn", *(n.label + end for n in graph.nodes for end in ("", "s"))})
+    scopes = [None, *(n.id for n in graph.nodes if n.layer <= Layer.BIG_OBJECT)]
+    constraints = [None, *sorted({a for n in graph.nodes for a in n.attributes.items()})[:4]]
+    found = [
+        [n.id for n in graph.resolve_label(label, layer, scope, constraint)]
+        for label in labels
+        for layer in (None, Layer.SMALL_OBJECT)
+        for scope in scopes[::3]
+        for constraint in constraints
+    ]
+    under = [
+        [n.id for n in graph.matches_under(scope, query, layer)]
+        for scope in scopes[1:]
+        for query in (None, *labels[::2])
+        for layer in (Layer.BIG_OBJECT, Layer.SMALL_OBJECT)
+    ]
+    return nodes, found, under
+
+
+def assert_world_untouched(world, source):
+    """The world's graph, prior template and cached views equal a fresh
+    load's, fold nodes and their attributes included."""
+    fresh = load_world_truth(source)
+    assert [n.to_dict() for n in world.graph.nodes] == [n.to_dict() for n in fresh.graph.nodes]
+    template = [n.to_dict() for n in world._prior_template.nodes]
+    assert template == [n.to_dict() for n in fresh.prior_graph().nodes]
+    for key, view in world._views.items():
+        want = fresh.view(*key)
+        assert view == want and view.to_dict() == want.to_dict(), key
+
+
+class TestFoldByReference:
+    """A view's fold, taken by reference, grows a graph exactly as folding
+    the view's parts node by node does, and writes nothing it shares."""
+
+    def test_a_graph_takes_the_views_nodes_and_clones_them_to_write(self, demo_truth):
+        graph = demo_truth.prior_graph()
+        room, table = demo_truth.view("f0.living"), demo_truth.view("f0.living.table")
+        assert ingest_observation(graph, room) and ingest_observation(graph, table)
+        sofa = next(n for n in room.fold.revealed if n.id == "f0.living.sofa")
+        assert graph.node("f0.living.sofa") is sofa
+        assert [graph.node(n.id) for n in table.fold.adopted] == list(table.fold.adopted)
+        assert all(graph.node(n.id) is n for n in table.fold.adopted)
+        graph.set_attribute("f0.living.sofa", "color", "green")
+        book = graph.add_observed_node("f0.living.table", "book", {"color": "blue"})
+        assert graph.node("f0.living.sofa").attributes["color"] == "green"
+        assert book.attributes == {"color": "blue"} and graph.node(book.id) is book
+        assert sofa.attributes["color"] == "blue" and room.revealed["f0.living.sofa"]["color"] == "blue"
+        assert table.revealed["f0.living.table.book.0"] == {"color": "red"}
+        assert next(n for n in table.fold.adopted if n.id == book.id).attributes == {"color": "red"}
+        assert demo_truth.prior_graph().node("f0.living.sofa").attributes == {}
+
+    def test_a_value_the_view_does_not_reveal_is_kept(self, demo_truth):
+        graph = demo_truth.prior_graph()
+        graph.set_attribute("f0.living.sofa", "material", "fabric")
+        graph.set_attribute("f0.living.sofa", "color", "green")
+        assert ingest_observation(graph, demo_truth.view("f0.living"))
+        assert graph.node("f0.living.sofa").attributes == {"material": "fabric", "color": "blue"}
+        assert demo_truth.view("f0.living").revealed["f0.living.sofa"] == {"color": "blue"}
+
+    def test_a_relabelled_node_is_merged_not_replaced(self, demo_truth):
+        graph = demo_truth.prior_graph()
+        graph.add_observed_node("f0.living.table", "books", instance_index=0)
+        assert ingest_observation(graph, demo_truth.view("f0.living.table"))
+        book = graph.node("f0.living.table.book.0")
+        assert (book.label, book.attributes) == ("books", {"color": "red"})
+
+    def test_a_view_showing_a_node_the_graph_lacks_is_not_complete(self, demo_truth):
+        # a graph that is not the world's own prior: the floor without its study
+        prior = demo_truth.graph.to_prior_dict()
+        rooms = prior["floors"][0]["rooms"]
+        study = next(r for r in rooms if r["id"] == "f0.study")
+        rooms.remove(study)
+        gone = {study["id"], *(b["id"] for b in study["big_objects"])}
+        prior["spatial_edges"] = [e for e in prior["spatial_edges"] if not {e["a"], e["b"]} & gone]
+        for ingest in (ingest_observation, reference_ingest):
+            graph = build_prior_graph(prior)
+            # a floor's view reveals no attributes, so only what it shows can be missing
+            assert not demo_truth.view("f0").revealed
+            assert ingest(graph, demo_truth.view("f0")) is False
+            assert ingest(graph, demo_truth.view("f0.living")) is True
+            assert not gone & {n.id for n in graph.nodes}
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        seed=st.integers(1, 10_000),
+        floors=st.integers(1, 3),
+        occlude=st.frozensets(st.integers(0, 40)),
+        data=st.data(),
+    )
+    def test_folds_match_a_node_by_node_fold(self, seed, floors, occlude, data):
+        source = occluded_world_data(seed, floors, occlude)
+        world, reference = load_world_truth(source), load_world_truth(source)
+        ops = fold_ops(world, data)
+        graph, flags = run_fold_ops(world, ops, ingest_observation)
+        want_graph, want_flags = run_fold_ops(reference, ops, reference_ingest)
+        assert flags == want_flags
+        assert graph_state(graph) == graph_state(want_graph)
+        assert_world_untouched(world, source)
+
+    @settings(max_examples=8, deadline=None)
+    @given(
+        seed=st.integers(1, 10_000),
+        floors=st.integers(1, 3),
+        occlude=st.frozensets(st.integers(0, 40)),
+        data=st.data(),
+    )
+    def test_threads_folding_one_world_match_a_node_by_node_fold(self, seed, floors, occlude, data):
+        source = occluded_world_data(seed, floors, occlude)
+        world, reference = load_world_truth(source), load_world_truth(source)
+        ops = [fold_ops(world, data) for _ in range(2)]
+        start = threading.Barrier(2)
+
+        def grow(mine):
+            start.wait(timeout=10)
+            graph, flags = run_fold_ops(world, mine, ingest_observation)
+            return graph_state(graph), flags
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(2) as pool:
+                results = [f.result(timeout=60) for f in [pool.submit(grow, mine) for mine in ops]]
+        finally:
+            sys.setswitchinterval(interval)
+        for mine, (state, flags) in zip(ops, results):
+            want_graph, want_flags = run_fold_ops(reference, mine, reference_ingest)
+            assert flags == want_flags
+            assert state == graph_state(want_graph)
+        assert_world_untouched(world, source)

@@ -21,10 +21,10 @@ from stepqa.rules import (
     observation_layer,
     resolve_near_pose,
 )
-from stepqa.scene_graph import Layer
+from stepqa.scene_graph import Layer, SceneGraph, SceneNode
 from stepqa.worldgen import random_world_data
 
-from conftest import WORLDS, scan_resolve_label
+from conftest import WORLDS, multi_floor_data, scan_resolve_label
 
 
 def entrance() -> AgentPose:
@@ -362,18 +362,6 @@ def reference_resolve_near_pose(graph, pose, label, layer, constraint=None):
     return None
 
 
-def multi_floor_data(seed, floors):
-    """A generated world whose rooms are dealt round-robin onto floors f0..fn,
-    without the spatial edges (which may not cross floors)."""
-    data = random_world_data(seed, rooms=4)
-    rooms = data["floors"][0]["rooms"]
-    data["floors"] = [
-        {"id": f"f{i}", "label": f"floor {i}", "rooms": rooms[i::floors]} for i in range(floors)
-    ]
-    data["spatial_edges"] = []
-    return data
-
-
 def pose_at(graph, anchor_id):
     layer = graph.node(anchor_id).layer if anchor_id in graph else Layer.FLOOR
     return AgentPose(anchor_id, layer, 0)
@@ -543,3 +531,120 @@ class TestLazySweep:
         assert plan.kind is PlanKind.MOVE_TO
         assert len(sorted_calls) == 2  # the floor's rooms, then the nearest room's objects
         assert len(graph.children("f0")) > 2
+
+
+def counting_nearest_first(monkeypatch):
+    """A list that gets one entry per SceneGraph.nearest_first call."""
+    calls = []
+    nearest_first = SceneGraph.nearest_first
+    monkeypatch.setattr(
+        SceneGraph,
+        "nearest_first",
+        lambda self, nodes, origin: calls.append(origin) or nearest_first(self, nodes, origin),
+    )
+    return calls
+
+
+def every_sweep(graph):
+    """Every sweep order of the graph, from every anchor and for every scope."""
+    scopes = [*graph.nodes_at(Layer.FLOOR), *graph.nodes_at(Layer.ROOM)]
+    return {
+        (anchor, scope.id): [n.id for n in _sweep_anchors(graph, scope, pose_at(graph, anchor))]
+        for anchor in [*sorted(n.id for n in graph.nodes), "nowhere"]
+        for scope in scopes
+    }
+
+
+def every_order(graph):
+    """Each floor's and room's children nearest first, from every origin."""
+    parents = [*graph.nodes_at(Layer.FLOOR), *graph.nodes_at(Layer.ROOM)]
+    origins = [*sorted(n.id for n in graph.nodes), "nowhere"]
+    return {
+        (p.id, origin): [n.id for n in graph.children_nearest_first(p.id, origin)]
+        for p in parents
+        for origin in origins
+    }
+
+
+def every_full_order(graph):
+    """every_order from one sort per parent and origin: the reference."""
+    parents = [*graph.nodes_at(Layer.FLOOR), *graph.nodes_at(Layer.ROOM)]
+    out = {}
+    for origin in [*sorted(n.id for n in graph.nodes), "nowhere"]:
+        here = graph.position_of(origin) if origin in graph else None
+        for p in parents:
+            def key(n):
+                pos = graph.position_of(n.id)
+                return (math.dist(here, pos) if here and pos else math.inf, n.instance_index, n.id)
+
+            out[p.id, origin] = [n.id for n in sorted(graph.children(p.id), key=key)]
+    return out
+
+
+def every_full_sweep(graph):
+    scopes = [*graph.nodes_at(Layer.FLOOR), *graph.nodes_at(Layer.ROOM)]
+    return {
+        (anchor, scope.id): [n.id for n in full_sweep(graph, scope, pose_at(graph, anchor))]
+        for anchor in [*sorted(n.id for n in graph.nodes), "nowhere"]
+        for scope in scopes
+    }
+
+
+class TestSweepMemo:
+    PHONE = "V4[phone] -> V2[?]"
+
+    def test_a_second_plan_from_the_same_anchor_sorts_nothing(self, demo_truth, monkeypatch):
+        calls = counting_nearest_first(monkeypatch)
+        graph = demo_truth.prior_graph()
+        first = next_plan(parse_pattern_string(self.PHONE), 0, graph, entrance())
+        assert len(calls) == 2
+        del calls[:]
+        assert next_plan(parse_pattern_string(self.PHONE), 0, graph, entrance()) == first
+        # another episode's graph reads the orders its world already sorted
+        assert next_plan(parse_pattern_string(self.PHONE), 0, demo_truth.prior_graph(), entrance()) == first
+        assert calls == []
+
+    @settings(max_examples=10, deadline=None)
+    @given(seed=st.integers(1, 10_000), floors=st.integers(1, 3))
+    def test_warm_orders_match_a_full_sort(self, seed, floors):
+        world = load_world_truth(multi_floor_data(seed, floors))
+        graph = world.prior_graph()
+        want = every_full_sweep(graph)
+        assert every_sweep(graph) == want
+        assert every_sweep(graph) == want
+        assert every_sweep(world.prior_graph()) == want
+
+    @pytest.mark.parametrize(
+        "layer,node_id,parent,position",
+        [
+            # a room next to the first room, which also moves its floor's centroid
+            (Layer.ROOM, "f0.new", "f0", (0.0, 0.0)),
+            # a room at a position another room has
+            (Layer.ROOM, "f1.new", "f1", (12.0, 2.0)),
+            # big objects at the far end of a room, and at another's spot
+            (Layer.BIG_OBJECT, "f0.r0.new", "f0.r0", (-30.0, 2.0)),
+            (Layer.BIG_OBJECT, "f0.r1.new", "f0.r1", (12.0, 2.0)),
+        ],
+    )
+    def test_a_copy_that_adds_a_room_or_big_object_sorts_afresh(self, layer, node_id, parent, position):
+        world = load_world_truth(multi_floor_data(7, 2))
+        before = every_order(world.prior_graph())
+        assert before == every_full_order(world.prior_graph())
+        grown, sibling = world.prior_graph(), world.prior_graph()
+        shared = sibling._near
+        grown.add_node(SceneNode(node_id, layer, "crate", position=position), parent)
+        assert grown._near is not shared
+        assert every_order(grown) == every_full_order(grown)
+        assert every_sweep(grown) == every_full_sweep(grown)
+        assert any(node_id in order for order in every_order(grown).values())
+        for kept in (sibling, world.prior_graph()):
+            assert kept._near is shared
+            assert every_order(kept) == before
+
+    def test_small_objects_keep_the_memo(self, demo_truth):
+        graph = demo_truth.prior_graph()
+        memo = graph._near
+        graph.add_observed_node("f0.living.sofa", "phone")
+        assert graph._near is memo
+        assert every_sweep(graph) == every_full_sweep(graph)
+

@@ -163,6 +163,27 @@ class TestGraphStructure:
         with pytest.raises(UnknownNodeError):
             g.node("nope")
 
+    def test_share_stands_in_only_for_a_node_in_the_same_place(self):
+        g = build_prior_graph(small_world())
+        known = g.node("f0.a.t")
+        g.set_attribute(known.id, "color", "red")
+        fuller = known.clone({"color": "red", "material": "oak"})
+        for other in (
+            fuller.clone({"material": "oak"}),  # drops a value the graph has
+            fuller.clone({"color": "blue", "material": "oak"}),
+            SceneNode(known.id, known.layer, "desk", known.instance_index, known.position, fuller.attributes),
+            SceneNode(known.id, Layer.ROOM, known.label, known.instance_index, known.position, fuller.attributes),
+            SceneNode(known.id, known.layer, known.label, known.instance_index + 1, known.position, fuller.attributes),
+            SceneNode(known.id, known.layer, known.label, known.instance_index, (9.0, 9.0), fuller.attributes),
+        ):
+            assert not g.share(other)
+            assert g.node(known.id).attributes == {"color": "red"}
+        assert g.share(fuller)
+        assert g.node(known.id) is fuller
+        g.set_attribute(known.id, "color", "green")  # a write clones the shared node
+        assert fuller.attributes == {"color": "red", "material": "oak"}
+        assert g.node(known.id).attributes == {"color": "green", "material": "oak"}
+
     def test_traversal_helpers(self):
         g = build_prior_graph(small_world())
         assert g.parent("f0.a.t").id == "f0.a"
