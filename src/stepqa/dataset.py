@@ -161,7 +161,8 @@ def _candidates_for_world(world: WorldTruth, simple_filter: bool) -> list[dict[s
     for room in sorted(graph.nodes_at(Layer.ROOM), key=lambda n: n.id):
         for big in graph.children(room.id):
             bindings = bigs_by_norm[big.norm_label]
-            in_room = [b for b in bindings if graph.room_of(b.id).id == room.id]
+            # the question names the room by label, so every room with it counts
+            in_room = [b for b in bindings if graph.room_of(b.id).norm_label == room.norm_label]
 
             for attr in sorted(big.attributes):
                 if len(bindings) == 1:

@@ -1,8 +1,9 @@
 """Simulated indoor world and what the agent gets to see in it.
 
 The world truth is a full scene graph down to small objects, plus
-per-node perception metadata. What an observation reveals depends only
-on where the agent stands:
+per-node perception metadata. The agent starts from its prior: the
+floors, rooms and big objects of that graph, with no attributes. What an
+observation reveals depends only on where the agent stands:
 
   * at a floor: the labels of its rooms, nothing else
   * at a room: the labels of its big objects and their remote attributes
@@ -74,11 +75,11 @@ class Fold(NamedTuple):
     """What one anchor's view adds to an agent's graph, built once per world.
 
     adopted holds the small objects a big-object anchor shows, as nodes
-    to add under it: instance index from the id, attributes as revealed.
-    revealed holds a node for each node whose attributes the view
-    reveals: an adopted node, the prior template node's clone, or for a
-    small-object anchor the anchor as its parent's view adopts it, each
-    with the revealed attributes. A node's attribute map is the very dict
+    to add under it. revealed holds a node for each node whose attributes
+    the view reveals, an adopted node included. Each is a clone of the
+    world's node that carries only the revealed attributes, so it differs
+    from the prior template's node, or from the node its parent's view
+    adopts, in nothing but those. A node's attribute map is the very dict
     the view's ``revealed`` wraps read-only, so no graph may write to it
     in place; a graph holds these nodes without owning them.
     """
@@ -120,10 +121,10 @@ class Observation(NamedTuple):
 class WorldTruth:
     """Ground-truth world: full graph plus perception metadata.
 
-    The prior graph template (``graph``'s prior file, read back) and every
-    observation view, with its fold, are built from ``graph`` on first use
-    and kept for the life of the world, so ``graph`` must not be mutated
-    after the first episode.
+    The prior graph template (``graph``'s layers 1 to 3 without
+    attributes) and every observation view, with its fold, are built from
+    ``graph`` on first use and kept for the life of the world, so
+    ``graph`` must not be mutated after the first episode.
     """
 
     def __init__(
@@ -213,59 +214,57 @@ class WorldTruth:
         with_values: list[SceneNode] = []
         # A floor shows its rooms' labels only; a small object has no children.
         if anchor.layer is not Layer.FLOOR:
-            template = self._template()
             if anchor.attributes:
                 attributes = dict(anchor.attributes)
                 revealed[anchor.id] = MappingProxyType(attributes)
-                if anchor.id in template:
-                    with_values.append(template.node(anchor.id).clone(attributes))
-                else:
-                    with_values.append(_adopted(anchor, attributes))
+                with_values.append(anchor.clone(attributes))
             for child in children:
                 remote = self.remote_attributes(child.id)
-                node = _adopted(child, remote) if big else None
-                if node is not None:
+                node = child.clone(remote)
+                if big:
                     adopted.append(node)
                 if remote:
                     revealed[child.id] = MappingProxyType(remote)
-                    if node is None:
-                        node = template.node(child.id).clone(remote)
                     with_values.append(node)
         fold = Fold(tuple(adopted), tuple(with_values))
         parts = _AnchorParts(children, MappingProxyType(revealed), fold)
         return self._anchors.setdefault(anchor.id, parts)
 
     def _template(self) -> SceneGraph:
-        if self._prior_template is None:
-            self._prior_template = build_prior_graph(self.graph.to_prior_dict())
-        return self._prior_template
+        template = self._prior_template
+        if template is None:
+            graph = self.graph
+            template = SceneGraph()
+            for floor in graph.nodes_at(Layer.FLOOR):
+                template.add_node(floor.clone({}))
+                for room in graph.children(floor.id):
+                    template.add_node(room.clone({}), floor.id)
+                    for big in graph.children(room.id):
+                        template.add_node(big.clone({}), room.id)
+            template.spatial_edges = [e for e in graph.spatial_edges if e.a in template and e.b in template]
+            template.validate()
+            self._prior_template = template
+        return template
 
     def prior_graph(self) -> SceneGraph:
-        """The agent's starting knowledge: ``graph``'s prior file read back.
+        """The agent's starting knowledge: layers 1 to 3 of ``graph``.
 
-        That is layers 1 to 3 without attributes, and no spatial edge that
-        touches a small object; ``SceneGraph.to_prior_dict`` defines it. The
-        template is built from ``graph`` on the first call and kept for the
-        life of this world. Each call returns an overlay on it
-        (``SceneGraph.copy``): the node objects and the label index stay
-        shared with the template, and the overlay keeps only what it adds
-        or writes. Callers may grow it freely through ``SceneGraph``
-        methods, which clone a shared node before its first attribute write;
-        writing to ``node.attributes`` directly would reach the template.
-        ``graph`` must not be mutated once the template exists: later calls
-        would not see the change. Two threads that race on the first call
-        both build the same template and index, which is harmless.
+        That is a new node without attributes for each floor, room and big
+        object, with its id, label, instance index and position, and the
+        spatial edges between them; a room or big object without a
+        position raises ``GraphValidationError``. The template is built from
+        ``graph`` on the first call and kept for the life of this world.
+        Each call returns an overlay on it (``SceneGraph.copy``): the node
+        objects and the label index stay shared with the template, and the
+        overlay keeps only what it adds or writes. Callers may grow it
+        freely through ``SceneGraph`` methods, which clone a shared node
+        before its first attribute write; writing to ``node.attributes``
+        directly would reach the template. ``graph`` must not be mutated
+        once the template exists: later calls would not see the change.
+        Two threads that race on the first call both build the same
+        template and index, which is harmless.
         """
         return self._template().copy()
-
-
-def _adopted(node: SceneNode, attributes: dict[str, str]) -> SceneNode:
-    """A small object as an agent's graph adopts it: the world's id, label
-    and layer, the instance index the id ends in, no position, and the
-    revealed attributes."""
-    tail = node.id.rsplit(".", 1)[-1]
-    index = int(tail) if tail.isdigit() else 0
-    return SceneNode(node.id, node.layer, node.label, index, attributes=attributes)
 
 
 def load_world_truth(source: Any) -> WorldTruth:

@@ -99,26 +99,18 @@ def _run_record(
     config: AgentConfig | None,
     judge: Any,
 ) -> dict[str, Any]:
-    world = worlds.get(record.world_id)
-    if world is None:
-        return {
-            "id": record.id,
-            "category": record.category,
-            "question": record.question,
-            "gold": record.gold_answer,
-            "answer": None,
-            "status": "missing_world",
-            "steps": 0,
-            "plans": 0,
-            "score": 1,
-        }
-    env = Environment(world)
-    result = run_episode(record.question, env, config=config)
-    return {
+    row = {
         "id": record.id,
         "category": record.category,
         "question": record.question,
         "gold": record.gold_answer,
+    }
+    world = worlds.get(record.world_id)
+    if world is None:
+        return {**row, "answer": None, "status": "missing_world", "steps": 0, "plans": 0, "score": 1}
+    result = run_episode(record.question, Environment(world), config=config)
+    return {
+        **row,
         "answer": result.answer,
         "status": result.status.value,
         "steps": result.steps,

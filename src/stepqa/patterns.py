@@ -85,10 +85,6 @@ class SubGoal:
                 text += f"{{{attr}={value}}}"
         return text
 
-    @property
-    def is_attribute_step(self) -> bool:
-        return self.attribute_step
-
 
 @dataclass(frozen=True)
 class PatternChain:
@@ -112,7 +108,7 @@ def _validate(steps: list[SubGoal], kind: TargetKind) -> None:
     if not steps:
         raise PatternStructureError("empty chain")
     for i, step in enumerate(steps[:-1]):
-        if step.is_attribute_step:
+        if step.attribute_step:
             raise PatternStructureError(f"attribute step only allowed in final position, found at step {i}")
     for step in steps:
         if step.attribute_constraint is not None and step.layer not in (
@@ -122,7 +118,7 @@ def _validate(steps: list[SubGoal], kind: TargetKind) -> None:
             raise PatternStructureError(
                 f"attribute constraint not allowed on a {step.layer.tag} step"
             )
-    if steps[0].is_attribute_step:
+    if steps[0].attribute_step:
         raise PatternStructureError("chain cannot open with an attribute step")
     if kind is TargetKind.ROOM:
         if len(steps) < 2 or steps[-1].layer is not Layer.ROOM:
@@ -130,7 +126,7 @@ def _validate(steps: list[SubGoal], kind: TargetKind) -> None:
         if steps[0].layer <= Layer.ROOM:
             raise PatternStructureError("room chain must start below V2")
     else:
-        layers = [s.layer for s in steps if not s.is_attribute_step]
+        layers = [s.layer for s in steps if not s.attribute_step]
         for a, b in zip(layers, layers[1:]):
             if b < a:
                 raise PatternStructureError(
@@ -139,7 +135,7 @@ def _validate(steps: list[SubGoal], kind: TargetKind) -> None:
 
 
 def _infer_kind(steps: list[SubGoal]) -> TargetKind:
-    if steps[-1].is_attribute_step:
+    if steps[-1].attribute_step:
         return TargetKind.ATTRIBUTE
     if len(steps) >= 2 and steps[-1].layer is Layer.ROOM and steps[0].layer > Layer.ROOM:
         return TargetKind.ROOM

@@ -109,7 +109,7 @@ def observation_layer(target: SubGoal, attr_class: PerceptionRange | None = None
     one layer above the owning object, close-range ones from the object
     itself. Any other target has no rule and raises PlanningDomainError.
     """
-    if target.is_attribute_step:
+    if target.attribute_step:
         if attr_class is None:
             raise PlanningDomainError("attribute target needs a perception range")
         if target.layer is Layer.BIG_OBJECT:

@@ -624,7 +624,7 @@ class SceneGraph:
                 return _INVERSE_RELATION.get(edge.relation, edge.relation)
         return None
 
-    # -- validation and serialization ----------------------------------
+    # -- validation and copying ----------------------------------------
 
     def validate(self) -> None:
         for node in self._nodes.values():
@@ -674,38 +674,6 @@ class SceneGraph:
         self._owned = set()
         self._index_owned = False
         return out
-
-    def to_prior_dict(self) -> dict[str, Any]:
-        """Serialize the graph as a prior file: what the agent knows before
-        looking. That is layers 1 to 3 without attributes, and the spatial
-        edges that touch no small object. ``WorldTruth.prior_graph`` reads
-        this back, and ``load_world_prior`` accepts nothing more."""
-        floors = []
-        for floor in self.nodes_at(Layer.FLOOR):
-            rooms = []
-            for room in self.children(floor.id):
-                bigs = []
-                for big in self.children(room.id):
-                    if big.layer is not Layer.BIG_OBJECT:
-                        continue
-                    bigs.append(
-                        {"id": big.id, "label": big.label, "position": list(big.position or ())}
-                    )
-                rooms.append(
-                    {
-                        "id": room.id,
-                        "label": room.label,
-                        "position": list(room.position or ()),
-                        "big_objects": bigs,
-                    }
-                )
-            floors.append({"id": floor.id, "label": floor.label, "rooms": rooms})
-        edges = [
-            {"a": e.a, "b": e.b, "relation": e.relation}
-            for e in self.spatial_edges
-            if self._nodes[e.a].layer is not Layer.SMALL_OBJECT
-        ]
-        return {"floors": floors, "spatial_edges": edges}
 
 
 # -- world prior loading ----------------------------------------------------

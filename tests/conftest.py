@@ -3,13 +3,14 @@
 from __future__ import annotations
 
 import contextlib
+import copy
 import math
 import pathlib
 
 import pytest
 
 from stepqa.environment import Environment, WorldTruth, load_world_truth
-from stepqa.scene_graph import alias_label, normalize_label
+from stepqa.scene_graph import alias_label, normalize_label, read_world_source
 from stepqa.worldgen import random_world_data
 
 WORLDS = pathlib.Path(__file__).resolve().parent.parent / "worlds"
@@ -98,4 +99,16 @@ def multi_floor_data(seed, floors):
         {"id": f"f{i}", "label": f"floor {i}", "rooms": rooms[i::floors]} for i in range(floors)
     ]
     data["spatial_edges"] = []
+    return data
+
+
+def prior_data(source):
+    """A world file cut down to the prior schema: its big objects without
+    small objects, attributes or close_only lists."""
+    data = copy.deepcopy(read_world_source(source))
+    for floor in data["floors"]:
+        for room in floor["rooms"]:
+            for big in room["big_objects"]:
+                for key in ("small_objects", "attributes", "close_only"):
+                    big.pop(key, None)
     return data

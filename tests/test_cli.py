@@ -6,7 +6,7 @@ import pytest
 
 from stepqa.cli import EX_ERROR, EX_NOT_FOUND, EX_OK, EX_USAGE, main
 
-from conftest import WORLDS
+from conftest import WORLDS, prior_data
 
 DEMO = str(WORLDS / "demo_house.json")
 
@@ -86,9 +86,9 @@ class TestValidateWorld:
         assert code == EX_ERROR
         assert "invalid:" in capsys.readouterr().err
 
-    def test_strict_prior_accepts_prior_files(self, tmp_path, demo_truth, capsys):
+    def test_strict_prior_accepts_prior_files(self, tmp_path, capsys):
         p = tmp_path / "prior.json"
-        p.write_text(json.dumps(demo_truth.prior_graph().to_prior_dict()))
+        p.write_text(json.dumps(prior_data(DEMO)))
         assert main(["validate-world", str(p), "--strict-prior"]) == EX_OK
 
     def test_broken_json_exits_one(self, tmp_path, capsys):

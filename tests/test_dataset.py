@@ -5,9 +5,11 @@ import json
 import pytest
 
 from stepqa.agent import normalize_answer
+from stepqa.environment import load_world_truth
 from stepqa.dataset import (
     DatasetFormatError,
     QARecord,
+    _candidates_for_world,
     default_phrasings,
     generate_dataset,
     load_records,
@@ -166,6 +168,21 @@ class TestGoldAnswers:
                 if r.slots["attribute"] in m.attributes
             }
             assert values == {normalize_answer(r.gold_answer)}, (r.question, values)
+
+    def test_a_room_label_on_two_floors_needs_both_rooms_to_agree(self):
+        def study(floor, smalls):
+            desk = {"id": f"{floor}.study.desk", "label": "desk", "position": [0, 1]}
+            desk["small_objects"] = [{"label": label} for label in smalls]
+            return {"id": floor, "rooms": [{"id": f"{floor}.study", "label": "study", "position": [0, 0], "big_objects": [desk]}]}
+
+        world = load_world_truth({"floors": [study("f0", ["cup", "cup", "book"]), study("f1", ["cup", "book"])]})
+        counts = {
+            c["fields"]["object"]: c["gold"]
+            for c in _candidates_for_world(world, simple_filter=True)
+            if c["family"] == "count_small"
+        }
+        # two cups on one study's desk and one on the other's: "the study" could mean either
+        assert counts == {"book": "1"}
 
 
 class TestTruthOracles:

@@ -17,10 +17,10 @@ from stepqa.environment import (
     load_world_truth,
 )
 from stepqa.rules import Plan, PlanKind, resolve_near_pose
-from stepqa.scene_graph import Layer, SceneNode, UnknownNodeError, build_prior_graph
+from stepqa.scene_graph import Layer, SceneGraph, SceneNode, UnknownNodeError, build_prior_graph
 from stepqa.worldgen import random_world_data
 
-from conftest import multi_floor_data
+from conftest import multi_floor_data, prior_data
 
 
 def move(goal_id=None, label=None, layer=None) -> Plan:
@@ -314,6 +314,20 @@ class TestWorldTruthLoading:
         assert parent.resolve_label("cushion") == [] and child.resolve_label("book") == []
         assert [n.label for n in child.resolve_label("phone")] == ["phone"]
         assert all(n.attributes == {} for n in demo_truth.prior_graph().nodes)
+
+    def test_a_prior_with_a_room_without_position_is_refused(self):
+        graph = SceneGraph()
+        graph.add_node(SceneNode("f0", Layer.FLOOR, "floor"))
+        graph.add_node(SceneNode("f0.hall", Layer.ROOM, "hall"), "f0")
+        world = WorldTruth(graph)
+        with pytest.raises(ValueError):
+            world.prior_graph()
+
+    def test_the_prior_keeps_no_spatial_edge_between_small_objects(self, demo_truth):
+        graph = demo_truth.graph
+        graph.add_spatial_edge("f0.living.table.book.0", "f0.living.table.potted_plant.0", "next-to")
+        prior = demo_truth.prior_graph()
+        assert prior.spatial_edges == graph.spatial_edges[:-1]
 
     def test_prior_graph_built_by_racing_threads_is_the_same(self, demo_path):
         world = load_world_truth(demo_path)
@@ -665,9 +679,9 @@ class TestFoldByReference:
         book = graph.node("f0.living.table.book.0")
         assert (book.label, book.attributes) == ("books", {"color": "red"})
 
-    def test_a_view_showing_a_node_the_graph_lacks_is_not_complete(self, demo_truth):
+    def test_a_view_showing_a_node_the_graph_lacks_is_not_complete(self, demo_truth, demo_path):
         # a graph that is not the world's own prior: the floor without its study
-        prior = demo_truth.graph.to_prior_dict()
+        prior = prior_data(demo_path)
         rooms = prior["floors"][0]["rooms"]
         study = next(r for r in rooms if r["id"] == "f0.study")
         rooms.remove(study)

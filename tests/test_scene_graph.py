@@ -1,5 +1,6 @@
 """Graph structure, label handling, and world file loading."""
 
+import copy
 import math
 
 import pytest
@@ -23,7 +24,7 @@ from stepqa.scene_graph import (
 from stepqa.environment import load_world_truth
 from stepqa.worldgen import random_world, random_world_data
 
-from conftest import WORLDS, scan_resolve_label
+from conftest import WORLDS, multi_floor_data, prior_data, scan_resolve_label
 
 
 def small_world() -> dict:
@@ -350,11 +351,11 @@ class TestWorldFiles:
         with pytest.raises(WorldFormatError):
             build_prior_graph(data)
 
-    def test_load_world_prior_from_path(self, tmp_path, demo_truth):
+    def test_load_world_prior_from_path(self, tmp_path, demo_path):
         p = tmp_path / "prior.json"
         import json
 
-        p.write_text(json.dumps(demo_truth.prior_graph().to_prior_dict()))
+        p.write_text(json.dumps(prior_data(demo_path)))
         g = load_world_prior(p)
         assert len(g.nodes_at(Layer.ROOM)) == 4
         assert g.nodes_at(Layer.SMALL_OBJECT) == []
@@ -372,15 +373,29 @@ class TestWorldFiles:
             load_world_prior(p)
         assert "line" in str(err.value)
 
-    def test_prior_dict_round_trip(self):
+    def test_prior_graph_matches_the_strict_load_of_its_prior_file(self):
         def contents(graph):
-            parent = lambda n: graph.parent(n.id).id if graph.parent(n.id) else None
-            return [(n.to_dict(), parent(n)) for n in graph.nodes], graph.spatial_edges
+            def row(n):
+                parent = graph.parent(n.id)
+                children = [c.id for c in graph.children(n.id)]
+                return (n.id, n.layer, n.label, n.instance_index, n.position, n.attributes, parent and parent.id, children)
+
+            return [row(n) for n in graph.nodes], graph.spatial_edges
+
+        # a generated world with its first room twice on its floor, so rooms share a label
+        twin = random_world_data(11)
+        room = copy.deepcopy(twin["floors"][0]["rooms"][0])
+        room["id"] += ".twin"
+        for big in room["big_objects"]:
+            big["id"] += ".twin"
+        twin["floors"][0]["rooms"].append(room)
 
         names = ("demo_house", "clutter_clear", "clutter_occluded")
-        for source in [*(WORLDS / f"{name}.json" for name in names), random_world_data(11)]:
+        sources = [*(WORLDS / f"{name}.json" for name in names), random_world_data(11), twin]
+        sources += [multi_floor_data(seed, 3) for seed in (2, 7)]
+        for source in sources:
             prior = load_world_truth(source).prior_graph()
-            assert contents(build_prior_graph(prior.to_prior_dict())) == contents(prior), source
+            assert contents(prior) == contents(load_world_prior(prior_data(source))), source
 
 
 # -- the label index against a brute-force scan ----------------------------
