@@ -422,6 +422,57 @@ class TestWorldTruthLoading:
             load_world_truth(p)
 
 
+def _big(data, room=0, big=0):
+    return data["floors"][0]["rooms"][room]["big_objects"][big]
+
+
+_BIG0 = "floors[0].rooms[0].big_objects[0]"
+
+# (break one thing in demo_house, where the loader must say it broke)
+LOADER_REJECTIONS = {
+    "floors_empty": (lambda d: d.update(floors=[]), "world"),
+    "rooms_not_array": (lambda d: d["floors"][0].update(rooms={}), "floors[0]"),
+    "room_without_position": (lambda d: d["floors"][0]["rooms"][1].pop("position"), "floors[0].rooms[1]"),
+    "big_objects_not_array": (lambda d: d["floors"][0]["rooms"][2].update(big_objects="bed"), "floors[0].rooms[2]"),
+    "bad_big_position": (lambda d: _big(d, 1, 1).update(position=[1.0]), "floors[0].rooms[1].big_objects[1]"),
+    "attributes_not_object": (lambda d: _big(d).update(attributes=["brown"]), _BIG0),
+    "close_only_not_array": (lambda d: _big(d).update(close_only="material"), _BIG0),
+    "small_objects_not_array": (lambda d: _big(d).update(small_objects={"label": "book"}), _BIG0),
+    "small_without_label": (lambda d: _big(d)["small_objects"][0].pop("label"), f"{_BIG0}.small_objects[0]"),
+    "small_is_a_string": (lambda d: _big(d)["small_objects"].__setitem__(0, "book"), f"{_BIG0}.small_objects[0]"),
+    "unknown_small_relation": (
+        lambda d: _big(d)["small_objects"][1].update(relation="orbiting"),
+        f"{_BIG0}.small_objects[1]",
+    ),
+    "spatial_edges_not_array": (lambda d: d.update(spatial_edges={}), "world"),
+    "edge_to_unknown_node": (
+        lambda d: d["spatial_edges"].append({"a": "f0.living.table", "b": "f0.attic", "relation": "next-to"}),
+        "spatial_edges[4]",
+    ),
+    "edge_relation_orbiting": (
+        lambda d: d["spatial_edges"].append({"a": "f0.living.table", "b": "f0.living.sofa", "relation": "orbiting"}),
+        "spatial_edges[4]",
+    ),
+    "edge_big_object_to_room": (
+        lambda d: d["spatial_edges"].append({"a": "f0.living.table", "b": "f0.kitchen", "relation": "next-to"}),
+        "spatial_edges[4]",
+    ),
+    "unknown_entrance": (lambda d: d.update(entrance="f9"), "entrance"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(LOADER_REJECTIONS))
+def test_the_loader_names_where_a_world_file_breaks(case, demo_path):
+    from stepqa.scene_graph import WorldFormatError
+
+    breaks, locus = LOADER_REJECTIONS[case]
+    data = json.loads(demo_path.read_text())
+    breaks(data)
+    with pytest.raises(WorldFormatError) as caught:
+        load_world_truth(data)
+    assert locus in str(caught.value)
+
+
 VIEW_WORLDS = ["demo_house.json", "clutter_clear.json", "clutter_occluded.json", "random"]
 
 
