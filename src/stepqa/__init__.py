@@ -6,12 +6,12 @@ and grades answers with a coarse rubric. See the README for a tour.
 """
 
 from .agent import AgentConfig, EpisodeResult, EpisodeStatus, run_episode
-from .environment import Environment, WorldTruth, load_world_truth
+from .environment import Environment, WorldTruth, load_world_prior, load_world_truth
 from .evaluation import ChatJudge, MockJudge, llm_match, run_benchmark
 from .parsing import parse_question
 from .patterns import PatternChain, SubGoal, TargetKind, parse_pattern_string, render, shape
 from .rules import PerceptionRange, Plan, PlanKind, next_plan, observation_layer
-from .scene_graph import Layer, SceneGraph, load_world_prior
+from .scene_graph import Layer, SceneGraph
 
 __version__ = "0.1.0"
 

@@ -47,6 +47,9 @@ from .scene_graph import (
     normalize_label,
 )
 
+# Feedback retries per subgoal before the fallback planner takes over.
+RETRIES = 2
+
 
 class EpisodeStatus(Enum):
     ANSWERED = "answered"
@@ -64,7 +67,6 @@ class AgentConfig:
     lower layers buy.
     """
 
-    retries: int = 2
     max_plans: int | None = None
     room_level_only: bool = False
 
@@ -595,7 +597,7 @@ def run_episode(
                     break
             # a failed check, or a final look that did not yield the answer
             step_retries += 1
-            if step_retries > config.retries:
+            if step_retries > RETRIES:
                 step_retries = 0
                 pending_fallback = True
 

@@ -15,9 +15,9 @@ from typing import Any
 
 from .agent import AgentConfig, EpisodeStatus, run_episode
 from .dataset import DatasetFormatError, generate_dataset, load_records, save_records
-from .environment import Environment, load_world_truth
+from .environment import Environment, load_world_prior, load_world_truth
 from .evaluation import MockJudge, format_report, run_benchmark, save_report
-from .scene_graph import WorldFormatError, load_world_prior
+from .scene_graph import WorldFormatError
 from .worldgen import random_world_data
 
 EX_OK = 0
@@ -36,14 +36,12 @@ class _Parser(argparse.ArgumentParser):
 
 def _agent_config(args: argparse.Namespace) -> AgentConfig:
     return AgentConfig(
-        retries=args.retries,
         max_plans=args.max_plans,
         room_level_only=args.room_level_only,
     )
 
 
 def _add_agent_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--retries", type=int, default=2, help="feedback retries per subgoal")
     parser.add_argument("--max-plans", type=int, default=None, help="hard plan budget per episode")
     parser.add_argument(
         "--room-level-only",

@@ -1,7 +1,8 @@
 """Simulated indoor world and what the agent gets to see in it.
 
 The world truth is a full scene graph down to small objects, plus
-per-node perception metadata. The agent starts from its prior: the
+per-node perception metadata; ``load_world_truth`` is the one reader of
+the world-file format. The agent starts from its prior: the
 floors, rooms and big objects of that graph, with no attributes. What an
 observation reveals depends only on where the agent stands:
 
@@ -31,21 +32,21 @@ built before the change would not see it.
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass
+from pathlib import Path
 from types import MappingProxyType
 from typing import Any, Mapping, NamedTuple
 
 from .rules import Plan, PlanKind, resolve_near_pose
 from .scene_graph import (
+    GraphValidationError,
     Layer,
     SceneGraph,
     SceneNode,
     WorldFormatError,
     _INVERSE_RELATION,
-    build_prior_graph,
     normalize_label,
-    read_world_source,
-    world_source_path,
 )
 
 _DEFAULT_PLACEMENT = {Layer.ROOM: "in", Layer.BIG_OBJECT: "in", Layer.SMALL_OBJECT: "on"}
@@ -267,49 +268,129 @@ class WorldTruth:
         return self._template().copy()
 
 
+# -- world files ------------------------------------------------------------
+
+
+def _require(mapping: Any, key: str, where: str) -> Any:
+    if not isinstance(mapping, dict):
+        raise WorldFormatError(f"{where}: expected an object")
+    if key not in mapping:
+        raise WorldFormatError(f"{where}: missing field {key!r}")
+    return mapping[key]
+
+
+def _array(entry: dict[str, Any], key: str, where: str, default: list[Any] | None = None) -> list[Any]:
+    """The array under the key, which is required unless a default is given."""
+    value = _require(entry, key, where) if default is None else entry.get(key, default)
+    if not isinstance(value, list):
+        raise WorldFormatError(f"{where}: {key} must be an array")
+    return value
+
+
+def _position(value: Any, where: str) -> tuple[float, float]:
+    if (
+        not isinstance(value, (list, tuple))
+        or len(value) != 2
+        or not all(isinstance(v, (int, float)) for v in value)
+    ):
+        raise WorldFormatError(f"{where}: position must be [x, y] in meters")
+    return (float(value[0]), float(value[1]))
+
+
+def _attributes(entry: dict[str, Any], where: str) -> tuple[dict[str, str], frozenset[str]]:
+    """An object's attribute map and the names its close_only list hides."""
+    attrs = entry.get("attributes", {})
+    if not isinstance(attrs, dict):
+        raise WorldFormatError(f"{where}: attributes must be an object")
+    hidden = _array(entry, "close_only", where, [])
+    unknown = [h for h in hidden if h not in attrs]
+    if unknown:
+        raise WorldFormatError(f"{where}: close_only names absent attribute {unknown[0]!r}")
+    return {str(k): str(v) for k, v in attrs.items()}, frozenset(str(h) for h in hidden)
+
+
+def world_source_path(source: Any) -> Path | None:
+    """The file a world source names; None for a dict, JSON text or open file."""
+    if isinstance(source, Path):
+        return source
+    if isinstance(source, str) and not source.lstrip().startswith("{"):
+        return Path(source)
+    return None
+
+
+def read_world_source(source: Any) -> dict[str, Any]:
+    """Accept a dict, a JSON string, a path, or an open file."""
+    if isinstance(source, dict):
+        return source
+    path = world_source_path(source)
+    if path is not None:
+        text = path.read_text()
+    elif isinstance(source, str):
+        text = source
+    elif hasattr(source, "read"):
+        text = source.read()
+    else:
+        raise WorldFormatError(f"unsupported world source: {type(source).__name__}")
+    try:
+        data = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise WorldFormatError(f"invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
+    if not isinstance(data, dict):
+        raise WorldFormatError("world file must be a JSON object")
+    return data
+
+
 def load_world_truth(source: Any) -> WorldTruth:
-    """Load a full world file (prior schema plus small objects and attributes)."""
+    """Load a world file in one pass.
+
+    Each floor, room, big object and small object becomes a node as it
+    is read, with its attributes and perception flags; the spatial edges
+    join floors, rooms or big objects within one layer. Raises
+    WorldFormatError naming the first field that is wrong.
+    """
     data = read_world_source(source)
-    graph = build_prior_graph(data, strict_prior=False)
+    graph = SceneGraph()
     close_only: dict[str, frozenset[str]] = {}
     occluded: set[str] = set()
     placement: dict[str, str] = {}
+    seen: dict[tuple[str, str], int] = {}
 
-    def visit_attrs(node_id: str, entry: dict[str, Any], where: str) -> None:
-        attrs = entry.get("attributes", {})
-        if not isinstance(attrs, dict):
-            raise WorldFormatError(f"{where}: attributes must be an object")
-        for name, value in attrs.items():
-            graph.set_attribute(node_id, str(name), str(value))
-        hidden = entry.get("close_only", [])
-        if not isinstance(hidden, list):
-            raise WorldFormatError(f"{where}: close_only must be an array of attribute names")
-        if hidden:
-            unknown = [h for h in hidden if h not in attrs]
-            if unknown:
-                raise WorldFormatError(f"{where}: close_only names absent attribute {unknown[0]!r}")
-            close_only[node_id] = frozenset(str(h) for h in hidden)
+    def instance_index(parent_id: str, label: str) -> int:
+        """The number of earlier siblings with this normalized label."""
+        key = (parent_id, normalize_label(label))
+        seen[key] = index = seen.get(key, -1) + 1
+        return index
 
-    for fi, floor in enumerate(data.get("floors", [])):
-        for ri, room in enumerate(floor.get("rooms", [])):
-            for bi, big in enumerate(room.get("big_objects", [])):
-                bwhere = f"floors[{fi}].rooms[{ri}].big_objects[{bi}]"
-                bid = str(big["id"])
-                visit_attrs(bid, big, bwhere)
-                smalls = big.get("small_objects", [])
-                if not isinstance(smalls, list):
-                    raise WorldFormatError(f"{bwhere}: small_objects must be an array")
-                counts: dict[str, int] = {}
-                for si, small in enumerate(smalls):
+    floors = _array(data, "floors", "world")
+    if not floors:
+        raise WorldFormatError("world: floors must be a non-empty array")
+    for fi, floor in enumerate(floors):
+        fwhere = f"floors[{fi}]"
+        fid = str(_require(floor, "id", fwhere))
+        graph.add_node(SceneNode(fid, Layer.FLOOR, str(floor.get("label", "floor"))))
+        for ri, room in enumerate(_array(floor, "rooms", fwhere)):
+            rwhere = f"{fwhere}.rooms[{ri}]"
+            rid = str(_require(room, "id", rwhere))
+            label = str(_require(room, "label", rwhere))
+            position = _position(_require(room, "position", rwhere), rwhere)
+            graph.add_node(SceneNode(rid, Layer.ROOM, label, instance_index(fid, label), position), fid)
+            for bi, big in enumerate(_array(room, "big_objects", rwhere)):
+                bwhere = f"{rwhere}.big_objects[{bi}]"
+                bid = str(_require(big, "id", bwhere))
+                label = str(_require(big, "label", bwhere))
+                position = _position(_require(big, "position", bwhere), bwhere)
+                attrs, hidden = _attributes(big, bwhere)
+                index = instance_index(rid, label)
+                graph.add_node(SceneNode(bid, Layer.BIG_OBJECT, label, index, position, attrs), rid)
+                if hidden:
+                    close_only[bid] = hidden
+                for si, small in enumerate(_array(big, "small_objects", bwhere, [])):
                     swhere = f"{bwhere}.small_objects[{si}]"
-                    if not isinstance(small, dict) or "label" not in small:
-                        raise WorldFormatError(f"{swhere}: missing field 'label'")
-                    label = str(small["label"])
-                    norm = normalize_label(label)
-                    index = counts.setdefault(norm, 0)
-                    counts[norm] += 1
-                    node = graph.add_observed_node(bid, label, instance_index=index)
-                    visit_attrs(node.id, small, swhere)
+                    label = str(_require(small, "label", swhere))
+                    attrs, hidden = _attributes(small, swhere)
+                    node = graph.add_observed_node(bid, label, attrs, instance_index(bid, label))
+                    if hidden:
+                        close_only[node.id] = hidden
                     relation = small.get("relation", "on")
                     if relation not in _SMALL_RELATIONS:
                         raise WorldFormatError(f"{swhere}: unknown relation {relation!r}")
@@ -317,6 +398,16 @@ def load_world_truth(source: Any) -> WorldTruth:
                         placement[node.id] = str(relation)
                     if small.get("occluded_from_parent"):
                         occluded.add(node.id)
+    for ei, edge in enumerate(_array(data, "spatial_edges", "world", [])):
+        ewhere = f"spatial_edges[{ei}]"
+        a, b, relation = (str(_require(edge, key, ewhere)) for key in ("a", "b", "relation"))
+        for end in (a, b):  # a small object's id is made here, not written in the file
+            if end not in graph or graph.node(end).layer is Layer.SMALL_OBJECT:
+                raise WorldFormatError(f"{ewhere}: references unknown node {end!r}")
+        try:
+            graph.add_spatial_edge(a, b, relation)
+        except GraphValidationError as exc:
+            raise WorldFormatError(f"{ewhere}: {exc}") from exc
     graph.validate()
     path = world_source_path(source)
     world_id = str(data.get("id", path.stem if path is not None else "world"))
@@ -329,6 +420,19 @@ def load_world_truth(source: Any) -> WorldTruth:
         occluded=occluded,
         placement=placement,
     )
+
+
+def load_world_prior(source: Any) -> SceneGraph:
+    """Load a prior world file: what the agent knows before looking.
+
+    It is read as any world file, then refused, naming the first node,
+    if it holds a small object or an attribute value.
+    """
+    graph = load_world_truth(source).graph
+    for node in graph.nodes:
+        if node.layer is Layer.SMALL_OBJECT or node.attributes:
+            raise WorldFormatError(f"{node.id}: prior files cannot carry small objects or attribute values")
+    return graph
 
 
 class MoveError(ValueError):

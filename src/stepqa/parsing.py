@@ -436,12 +436,9 @@ class LlmBackend:
     def __init__(self, client: ChatClient) -> None:
         self.client = client
 
-    def parse(self, question: str) -> ParsedQuestion | None:
-        """The model's chain, or None when no reply validated, so the next backend gets a turn."""
-        try:
-            return ask(self.client, "extract_pattern", question, self._validated)
-        except SchemaError:
-            return None
+    def parse(self, question: str) -> ParsedQuestion:
+        """The model's chain; raises SchemaError when no reply validated."""
+        return ask(self.client, "extract_pattern", question, self._validated)
 
     def _validated(self, reply: str) -> ParsedQuestion:
         data = json.loads(strip_fences(reply))
@@ -469,11 +466,20 @@ def json_text(value: Any, name: str, error: type[ValueError] = ValueError) -> st
 
 
 def parse_question(question: str, backends: list[Any]) -> ParsedQuestion:
-    """Run the question through the backends in order; first chain wins."""
+    """Run the question through the backends in order; first chain wins.
+
+    A backend that raises SchemaError gives way to the next one. When no
+    backend parses, UnparsedQuestionError is raised from the last such error.
+    """
     if not isinstance(question, str) or not question.strip():
         raise EmptyQuestionError("question text is empty")
+    last_error: SchemaError | None = None
     for backend in backends:
-        parsed = backend.parse(question)
+        try:
+            parsed = backend.parse(question)
+        except SchemaError as exc:
+            last_error = exc
+            continue
         if parsed is not None:
             return parsed
-    raise UnparsedQuestionError(question)
+    raise UnparsedQuestionError(question) from last_error

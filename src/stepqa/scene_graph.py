@@ -1,9 +1,9 @@
 """Layered indoor scene graph.
 
 Four layers, ordered top-down: floor (1), room (2), big object (3),
-small object (4). Floors, rooms and big objects come from a world prior
-file and carry 2D positions in meters. Small objects are never part of
-the prior; they enter the graph only when an observation reveals them.
+small object (4). Floors, rooms and big objects carry 2D positions in
+meters and make up the agent's prior; small objects enter its graph only
+when an observation reveals them. ``environment`` reads world files.
 Containment edges connect adjacent layers, spatial edges connect nodes
 within a single layer.
 """
@@ -11,11 +11,9 @@ within a single layer.
 from __future__ import annotations
 
 import functools
-import json
 import math
 from dataclasses import dataclass, field
 from enum import IntEnum
-from pathlib import Path
 from typing import Any, Iterable, Mapping, NamedTuple
 
 
@@ -674,137 +672,3 @@ class SceneGraph:
         self._owned = set()
         self._index_owned = False
         return out
-
-
-# -- world prior loading ----------------------------------------------------
-
-
-def _require(mapping: Any, key: str, where: str) -> Any:
-    if not isinstance(mapping, dict):
-        raise WorldFormatError(f"{where}: expected an object")
-    if key not in mapping:
-        raise WorldFormatError(f"{where}: missing field {key!r}")
-    return mapping[key]
-
-
-def _position(value: Any, where: str) -> tuple[float, float]:
-    if (
-        not isinstance(value, (list, tuple))
-        or len(value) != 2
-        or not all(isinstance(v, (int, float)) for v in value)
-    ):
-        raise WorldFormatError(f"{where}: position must be [x, y] in meters")
-    return (float(value[0]), float(value[1]))
-
-
-def world_source_path(source: Any) -> Path | None:
-    """The file a world source names; None for a dict, JSON text or open file."""
-    if isinstance(source, Path):
-        return source
-    if isinstance(source, str) and not source.lstrip().startswith("{"):
-        return Path(source)
-    return None
-
-
-def read_world_source(source: Any) -> dict[str, Any]:
-    """Accept a dict, a JSON string, a path, or an open file."""
-    if isinstance(source, dict):
-        return source
-    path = world_source_path(source)
-    if path is not None:
-        text = path.read_text()
-    elif isinstance(source, str):
-        text = source
-    elif hasattr(source, "read"):
-        text = source.read()
-    else:
-        raise WorldFormatError(f"unsupported world source: {type(source).__name__}")
-    try:
-        data = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise WorldFormatError(f"invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
-    if not isinstance(data, dict):
-        raise WorldFormatError("world file must be a JSON object")
-    return data
-
-
-def build_prior_graph(data: dict[str, Any], strict_prior: bool = True) -> SceneGraph:
-    """Build a graph from prior-file JSON; see load_world_prior."""
-    graph = SceneGraph()
-    floors = _require(data, "floors", "world")
-    if not isinstance(floors, list) or not floors:
-        raise WorldFormatError("world: floors must be a non-empty array")
-    for fi, floor in enumerate(floors):
-        fwhere = f"floors[{fi}]"
-        fid = _require(floor, "id", fwhere)
-        fnode = SceneNode(id=str(fid), layer=Layer.FLOOR, label=str(floor.get("label", "floor")))
-        graph.add_node(fnode)
-        rooms = _require(floor, "rooms", fwhere)
-        if not isinstance(rooms, list):
-            raise WorldFormatError(f"{fwhere}: rooms must be an array")
-        room_counts: dict[str, int] = {}
-        for ri, room in enumerate(rooms):
-            rwhere = f"{fwhere}.rooms[{ri}]"
-            rid = str(_require(room, "id", rwhere))
-            rlabel = str(_require(room, "label", rwhere))
-            rpos = _position(_require(room, "position", rwhere), rwhere)
-            rnorm = normalize_label(rlabel)
-            rnode = SceneNode(
-                id=rid,
-                layer=Layer.ROOM,
-                label=rlabel,
-                instance_index=room_counts.setdefault(rnorm, 0),
-                position=rpos,
-            )
-            room_counts[rnorm] += 1
-            graph.add_node(rnode, fnode.id)
-            bigs = _require(room, "big_objects", rwhere)
-            if not isinstance(bigs, list):
-                raise WorldFormatError(f"{rwhere}: big_objects must be an array")
-            big_counts: dict[str, int] = {}
-            for bi, big in enumerate(bigs):
-                bwhere = f"{rwhere}.big_objects[{bi}]"
-                bid = str(_require(big, "id", bwhere))
-                blabel = str(_require(big, "label", bwhere))
-                bpos = _position(_require(big, "position", bwhere), bwhere)
-                if strict_prior:
-                    if "small_objects" in big:
-                        raise WorldFormatError(f"{bwhere}: prior files cannot carry small_objects")
-                    if big.get("attributes"):
-                        raise WorldFormatError(f"{bwhere}: prior files cannot carry attributes")
-                bnorm = normalize_label(blabel)
-                bnode = SceneNode(
-                    id=bid,
-                    layer=Layer.BIG_OBJECT,
-                    label=blabel,
-                    instance_index=big_counts.setdefault(bnorm, 0),
-                    position=bpos,
-                )
-                big_counts[bnorm] += 1
-                graph.add_node(bnode, rid)
-    edges = data.get("spatial_edges", [])
-    if not isinstance(edges, list):
-        raise WorldFormatError("world: spatial_edges must be an array")
-    for ei, edge in enumerate(edges):
-        ewhere = f"spatial_edges[{ei}]"
-        a = str(_require(edge, "a", ewhere))
-        b = str(_require(edge, "b", ewhere))
-        relation = str(_require(edge, "relation", ewhere))
-        if a not in graph or b not in graph:
-            raise WorldFormatError(f"{ewhere}: references unknown node {a if a not in graph else b!r}")
-        try:
-            graph.add_spatial_edge(a, b, relation)
-        except GraphValidationError as exc:
-            raise WorldFormatError(f"{ewhere}: {exc}") from exc
-    graph.validate()
-    return graph
-
-
-def load_world_prior(source: Any) -> SceneGraph:
-    """Load a prior world file.
-
-    The returned graph carries exactly the floor, room and big-object
-    content of the file. Small objects and attribute maps are rejected;
-    a prior is what the agent knows before looking at anything.
-    """
-    return build_prior_graph(read_world_source(source), strict_prior=True)

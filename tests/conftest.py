@@ -9,8 +9,8 @@ import pathlib
 
 import pytest
 
-from stepqa.environment import Environment, WorldTruth, load_world_truth
-from stepqa.scene_graph import alias_label, normalize_label, read_world_source
+from stepqa.environment import Environment, WorldTruth, load_world_truth, read_world_source
+from stepqa.scene_graph import alias_label, normalize_label
 from stepqa.worldgen import random_world_data
 
 WORLDS = pathlib.Path(__file__).resolve().parent.parent / "worlds"

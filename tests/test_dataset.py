@@ -184,6 +184,19 @@ class TestGoldAnswers:
         # two cups on one study's desk and one on the other's: "the study" could mean either
         assert counts == {"book": "1"}
 
+    @pytest.mark.parametrize("source", ["random", "demo_house"])
+    def test_keeping_simple_questions_adds_room_questions_for_unique_big_objects(self, source, demo_path):
+        world = random_world(1) if source == "random" else load_world_truth(demo_path)
+
+        def room_of_big(simple_filter):
+            cands = _candidates_for_world(world, simple_filter=simple_filter)
+            return {(c["fields"]["object"], c["gold"]) for c in cands if c["family"] == "room_of_big"}
+
+        kept, filtered = room_of_big(False), room_of_big(True)
+        assert filtered < kept
+        for label, _ in kept - filtered:
+            assert len(world.graph.find_nodes(label, Layer.BIG_OBJECT)) == 1, label
+
 
 class TestTruthOracles:
     def test_on_labels_follow_placement(self, demo_truth):

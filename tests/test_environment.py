@@ -14,10 +14,11 @@ from stepqa.environment import (
     Environment,
     MoveError,
     WorldTruth,
+    load_world_prior,
     load_world_truth,
 )
 from stepqa.rules import Plan, PlanKind, resolve_near_pose
-from stepqa.scene_graph import Layer, SceneGraph, SceneNode, UnknownNodeError, build_prior_graph
+from stepqa.scene_graph import Layer, SceneGraph, SceneNode, UnknownNodeError, WorldFormatError
 from stepqa.worldgen import random_world_data
 
 from conftest import multi_floor_data, prior_data
@@ -375,6 +376,12 @@ class TestWorldTruthLoading:
         path.write_text(json.dumps(data))
         assert load_world_truth(path).world_id == "attic"
         assert load_world_truth(str(path)).world_id == "attic"
+
+    def test_a_spatial_edge_may_not_name_a_small_object(self, demo_path):
+        data = json.loads(demo_path.read_text())
+        data["spatial_edges"].append({"a": "f0.living.table.book.0", "b": "f0.living.table.potted_plant.0", "relation": "next-to"})
+        with pytest.raises(WorldFormatError, match="references unknown node 'f0.living.table.book.0'"):
+            load_world_truth(data)
 
     def test_unknown_entrance_rejected(self, demo_truth):
         with pytest.raises(Exception):
@@ -739,7 +746,7 @@ class TestFoldByReference:
         gone = {study["id"], *(b["id"] for b in study["big_objects"])}
         prior["spatial_edges"] = [e for e in prior["spatial_edges"] if not {e["a"], e["b"]} & gone]
         for ingest in (ingest_observation, reference_ingest):
-            graph = build_prior_graph(prior)
+            graph = load_world_prior(prior)
             # a floor's view reveals no attributes, so only what it shows can be missing
             assert not demo_truth.view("f0").revealed
             assert ingest(graph, demo_truth.view("f0")) is False

@@ -259,13 +259,9 @@ class Scripted:
 class TestAsk:
     def test_bad_replies_give_up_after_three_requests(self, name, demo_truth):
         client = Scripted(*[""] * (TRIES + 1))
-        if name == "extract_pattern":
-            # the parser gives way to the next backend instead of raising
-            assert chat_call(name, client, demo_truth) is None
-        else:
-            prefix = f"^{name.replace('_', ' ')} never validated after 3 tries: "
-            with pytest.raises(SchemaError, match=prefix):
-                chat_call(name, client, demo_truth)
+        prefix = f"^{name.replace('_', ' ')} never validated after 3 tries: "
+        with pytest.raises(SchemaError, match=prefix):
+            chat_call(name, client, demo_truth)
         assert client.systems == [prompts.load(name)] * 3
 
     def test_a_valid_second_reply_is_returned(self, name, demo_truth):

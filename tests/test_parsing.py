@@ -8,7 +8,7 @@ import pytest
 from stepqa import parsing, prompts
 from stepqa.dataset import generate_dataset
 from stepqa.environment import load_world_truth
-from stepqa.llm_client import ChatClient, ChatMessage, ChatRequest, ReplayTransport
+from stepqa.llm_client import ChatClient, ChatMessage, ChatRequest, ReplayTransport, SchemaError
 from stepqa.parsing import (
     EmptyQuestionError,
     GoldBackend,
@@ -234,7 +234,8 @@ class TestLlmBackend:
             json.dumps({"no_pattern": True}),
             json.dumps({"pattern": "V9[nope]"}),
         )
-        assert backend.parse(self.QUESTION) is None
+        with pytest.raises(SchemaError):
+            backend.parse(self.QUESTION)
 
     def test_a_model_that_never_validates_falls_through_to_the_next_backend(self):
         question = "What color is the sofa in the living room?"
@@ -244,6 +245,16 @@ class TestLlmBackend:
         assert render(pq.chain) == rendered(TemplateBackend(None), question)
         with pytest.raises(UnparsedQuestionError):
             parse_question(question, [junk])
+
+    def test_an_unparsed_question_keeps_the_backends_error(self):
+        question = "What color is the sofa in the living room?"
+        junk = llm_backend_answering(question, "not json")
+        with pytest.raises(UnparsedQuestionError) as err:
+            parse_question(question, [junk])
+        assert isinstance(err.value.__cause__, SchemaError)
+        assert "extract pattern" in str(err.value.__cause__)
+        pq = parse_question(question, [junk, TemplateBackend(None)])
+        assert pq.source is ParseSource.TEMPLATE
 
     def test_recovers_on_a_later_try(self):
         backend = llm_backend_answering(
@@ -268,7 +279,8 @@ class TestLlmBackend:
         with pytest.raises(ValueError) as err:
             llm_backend_answering(self.QUESTION, bad)._validated(bad)
         assert str(err.value) == message
-        assert llm_backend_answering(self.QUESTION, bad, bad, bad).parse(self.QUESTION) is None
+        with pytest.raises(SchemaError):
+            llm_backend_answering(self.QUESTION, bad, bad, bad).parse(self.QUESTION)
         good = json.dumps({"pattern": "V4[book] -> V2", "slots": {"object": "book"}})
         pq = llm_backend_answering(self.QUESTION, bad, good).parse(self.QUESTION)
         assert pq.slots == {"object": "book"}

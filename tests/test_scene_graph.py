@@ -15,13 +15,11 @@ from stepqa.scene_graph import (
     UnknownNodeError,
     WorldFormatError,
     alias_label,
-    build_prior_graph,
     labels_match,
-    load_world_prior,
     normalize_label,
     singularize,
 )
-from stepqa.environment import load_world_truth
+from stepqa.environment import load_world_prior, load_world_truth
 from stepqa.worldgen import random_world, random_world_data
 
 from conftest import WORLDS, multi_floor_data, prior_data, scan_resolve_label
@@ -165,7 +163,7 @@ class TestGraphStructure:
             g.node("nope")
 
     def test_share_stands_in_only_for_a_node_in_the_same_place(self):
-        g = build_prior_graph(small_world())
+        g = load_world_prior(small_world())
         known = g.node("f0.a.t")
         g.set_attribute(known.id, "color", "red")
         fuller = known.clone({"color": "red", "material": "oak"})
@@ -186,7 +184,7 @@ class TestGraphStructure:
         assert g.node(known.id).attributes == {"color": "green", "material": "oak"}
 
     def test_traversal_helpers(self):
-        g = build_prior_graph(small_world())
+        g = load_world_prior(small_world())
         assert g.parent("f0.a.t").id == "f0.a"
         assert [c.id for c in g.children("f0.a")] == ["f0.a.t", "f0.a.s"]
         assert [a.id for a in g.ancestors("f0.a.t")] == ["f0.a", "f0"]
@@ -224,39 +222,39 @@ class TestGraphStructure:
         assert [n.id for n in g.descendants("n1400")] == ids[1401:]
 
     def test_room_of_on_a_room_is_identity(self):
-        g = build_prior_graph(small_world())
+        g = load_world_prior(small_world())
         assert g.room_of("f0.a").id == "f0.a"
 
     def test_room_of_rejects_floors(self):
-        g = build_prior_graph(small_world())
+        g = load_world_prior(small_world())
         with pytest.raises(LayerError):
             g.room_of("f0")
 
     def test_spatial_edges_same_layer_with_weights(self):
-        g = build_prior_graph(small_world())
+        g = load_world_prior(small_world())
         assert g.spatial_relation("f0.a.t", "f0.a.s") == "next-to"
         assert g.spatial_relation("f0.a.s", "f0.a.t") == "next-to"
         assert g.spatial_relation("f0.a.t", "f0.b.t") is None
         assert math.isclose(math.dist(g.position_of("f0.a.t"), g.position_of("f0.a.s")), 1.0)
 
     def test_nearest_first_orders_by_distance_then_instance(self):
-        g = build_prior_graph(small_world())
+        g = load_world_prior(small_world())
         bigs = g.nodes_at(Layer.BIG_OBJECT)
         assert [n.id for n in g.nearest_first(bigs, "f0.b")] == ["f0.b.t", "f0.a.s", "f0.a.t"]
         assert g.nearest_first(bigs, "nowhere") == sorted(bigs, key=lambda n: (n.instance_index, n.id))
 
     def test_cross_layer_edge_rejected(self):
-        g = build_prior_graph(small_world())
+        g = load_world_prior(small_world())
         with pytest.raises(GraphValidationError):
             g.add_spatial_edge("f0.a", "f0.a.t", "next-to")
 
     def test_unknown_relation_rejected(self):
-        g = build_prior_graph(small_world())
+        g = load_world_prior(small_world())
         with pytest.raises(GraphValidationError):
             g.add_spatial_edge("f0.a.t", "f0.a.s", "orbiting")
 
     def test_observed_node_attaches_to_big_object_only(self):
-        g = build_prior_graph(small_world())
+        g = load_world_prior(small_world())
         node = g.add_observed_node("f0.a.t", "book", attributes={"color": "red"})
         assert node.layer is Layer.SMALL_OBJECT
         assert g.parent(node.id).id == "f0.a.t"
@@ -264,21 +262,21 @@ class TestGraphStructure:
             g.add_observed_node("f0.a", "book")
 
     def test_reobservation_merges_instead_of_duplicating(self):
-        g = build_prior_graph(small_world())
+        g = load_world_prior(small_world())
         first = g.add_observed_node("f0.a.t", "book", attributes={"color": "red"})
         again = g.add_observed_node("f0.a.t", "book", attributes={"state": "open"})
         assert again.id == first.id
         assert first.attributes == {"color": "red", "state": "open"}
 
     def test_explicit_instance_index_keeps_twins_apart(self):
-        g = build_prior_graph(small_world())
+        g = load_world_prior(small_world())
         a = g.add_observed_node("f0.a.t", "cup", instance_index=0)
         b = g.add_observed_node("f0.a.t", "cup", instance_index=1)
         assert a.id != b.id
         assert len(g.resolve_label("cup")) == 2
 
     def test_copy_is_deep_for_attributes(self):
-        g = build_prior_graph(small_world())
+        g = load_world_prior(small_world())
         node = g.add_observed_node("f0.a.t", "book")
         dup = g.copy()
         dup.set_attribute(node.id, "color", "red")
@@ -286,37 +284,37 @@ class TestGraphStructure:
         assert dup.node(node.id).attributes["color"] == "red"
 
     def test_validate_passes_on_well_formed_graph(self):
-        build_prior_graph(small_world()).validate()
+        load_world_prior(small_world()).validate()
 
 
 class TestResolveLabel:
     def test_scope_narrows_matches(self):
-        g = build_prior_graph(small_world())
+        g = load_world_prior(small_world())
         everywhere = g.resolve_label("table")
         assert {n.id for n in everywhere} == {"f0.a.t", "f0.b.t"}
         scoped = g.resolve_label("table", scope_id="f0.b")
         assert [n.id for n in scoped] == ["f0.b.t"]
 
     def test_alias_applies_during_resolution(self):
-        g = build_prior_graph(small_world())
+        g = load_world_prior(small_world())
         assert [n.id for n in g.resolve_label("couch")] == ["f0.a.s"]
 
     def test_constraint_filters_on_attributes(self):
-        g = build_prior_graph(small_world())
+        g = load_world_prior(small_world())
         a = g.add_observed_node("f0.a.t", "cup", attributes={"color": "white"}, instance_index=0)
         g.add_observed_node("f0.a.t", "cup", attributes={"color": "blue"}, instance_index=1)
         got = g.resolve_label("cup", constraint=("color", "White"))
         assert [n.id for n in got] == [a.id]
 
     def test_constraint_keeps_unverified_candidates_when_none_match(self):
-        g = build_prior_graph(small_world())
+        g = load_world_prior(small_world())
         g.add_observed_node("f0.a.t", "cup", attributes={"color": "blue"}, instance_index=0)
         unseen = g.add_observed_node("f0.a.t", "cup", instance_index=1)
         got = g.resolve_label("cup", constraint=("color", "white"))
         assert [n.id for n in got] == [unseen.id]
 
     def test_near_orders_by_distance(self):
-        g = build_prior_graph(small_world())
+        g = load_world_prior(small_world())
         got = g.resolve_label("table", near=(6.0, 0.0))
         assert [n.id for n in got] == ["f0.b.t", "f0.a.t"]
 
@@ -326,9 +324,9 @@ class TestWorldFiles:
         data = small_world()
         data["floors"][0]["rooms"][0]["big_objects"][0]["attributes"] = {"color": "brown"}
         with pytest.raises(WorldFormatError):
-            build_prior_graph(data, strict_prior=True)
+            load_world_prior(data)
         # truth loading tolerates the same payload
-        build_prior_graph(data, strict_prior=False)
+        load_world_truth(data)
 
     def test_prior_file_rejects_small_objects(self):
         data = small_world()
@@ -336,20 +334,35 @@ class TestWorldFiles:
             {"id": "x", "label": "book"}
         ]
         with pytest.raises(WorldFormatError):
-            build_prior_graph(data, strict_prior=True)
+            load_world_prior(data)
+
+    def test_a_prior_file_is_checked_on_content(self):
+        data = small_world()
+        big = data["floors"][0]["rooms"][0]["big_objects"][0]
+        big.update(small_objects=[], attributes={}, close_only=[])
+        assert len(load_world_prior(data).nodes_at(Layer.BIG_OBJECT)) == 3
+
+    def test_a_prior_files_entrance_must_name_a_node(self):
+        data = small_world()
+        data["entrance"] = "f0.a"
+        assert "f0.a" in load_world_prior(data)
+        data["entrance"] = "f9"
+        with pytest.raises(WorldFormatError) as err:
+            load_world_prior(data)
+        assert "entrance" in str(err.value)
 
     def test_missing_fields_are_reported_with_locus(self):
         data = small_world()
         del data["floors"][0]["rooms"][1]["position"]
         with pytest.raises(WorldFormatError) as err:
-            build_prior_graph(data)
+            load_world_prior(data)
         assert "position" in str(err.value)
 
     def test_edge_to_unknown_node_rejected(self):
         data = small_world()
         data["spatial_edges"].append({"a": "f0.a.t", "b": "ghost", "relation": "on"})
         with pytest.raises(WorldFormatError):
-            build_prior_graph(data)
+            load_world_prior(data)
 
     def test_load_world_prior_from_path(self, tmp_path, demo_path):
         p = tmp_path / "prior.json"
@@ -499,7 +512,7 @@ class TestLabelIndex:
         assert snapshot(world.prior_graph()) == snapshot(template)
 
     def test_index_built_before_a_node_is_added_stays_current(self):
-        g = build_prior_graph(small_world())
+        g = load_world_prior(small_world())
         assert g.resolve_label("cup") == []
         cup = g.add_observed_node("f0.a.t", "coffee cup")
         assert g.resolve_label("cup") == [cup]
