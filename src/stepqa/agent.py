@@ -3,12 +3,12 @@
 One episode grows its own overlay of the prior graph from
 observations. The overlay shares the nodes and the label index of a
 template each world builds once, on its first episode, and keeps only
-what the episode adds or writes; every write goes through a SceneGraph
-method, which clones a shared node first. A world's graph must stay
-fixed while episodes run. Each anchor's view is folded in once, unless
-that fold left something out. Planning, acting and feedback checking
-alternate until the chain is exhausted, the plan budget runs out, or
-the fallback gives up.
+what the episode adds or writes. A node object is never written once it
+is in a graph: a write puts a new node in its place. A world's graph
+must stay fixed while episodes run. Each anchor's view is folded in
+once, unless that fold left something out. Planning, acting and
+feedback checking alternate until the chain is exhausted, the plan
+budget runs out, or the fallback gives up.
 Every plan and observation lands in the trace, so an episode can be
 replayed or audited after the fact.
 """
@@ -191,7 +191,7 @@ def ingest_observation(graph: SceneGraph, obs: Observation) -> bool:
 
     The view's fold (``environment.Fold``) holds its nodes prebuilt, once
     per world, and they go into the graph by reference
-    (``SceneGraph.share``): the graph's first write to one clones it.
+    (``SceneGraph.share``): a node in a graph is never written in place.
     Newly seen small objects are adopted under the anchor they were seen
     from, keeping the environment's ids so later plans can address them
     directly. Revealed attribute values overwrite prior beliefs: a node

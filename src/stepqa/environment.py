@@ -36,7 +36,7 @@ import json
 from dataclasses import dataclass
 from pathlib import Path
 from types import MappingProxyType
-from typing import Any, Mapping, NamedTuple
+from typing import Any, Callable, Mapping, NamedTuple
 
 from .rules import Plan, PlanKind, resolve_near_pose
 from .scene_graph import (
@@ -81,8 +81,8 @@ class Fold(NamedTuple):
     world's node that carries only the revealed attributes, so it differs
     from the prior template's node, or from the node its parent's view
     adopts, in nothing but those. A node's attribute map is the very dict
-    the view's ``revealed`` wraps read-only, so no graph may write to it
-    in place; a graph holds these nodes without owning them.
+    the view's ``revealed`` wraps read-only; no graph writes a node it
+    holds in place, so graphs hold these nodes by reference.
     """
 
     adopted: tuple[SceneNode, ...]
@@ -258,10 +258,10 @@ class WorldTruth:
         Each call returns an overlay on it (``SceneGraph.copy``): the node
         objects and the label index stay shared with the template, and the
         overlay keeps only what it adds or writes. Callers may grow it
-        freely through ``SceneGraph`` methods, which clone a shared node
-        before its first attribute write; writing to ``node.attributes``
-        directly would reach the template. ``graph`` must not be mutated
-        once the template exists: later calls would not see the change.
+        freely through ``SceneGraph`` methods, which put a new node in
+        place of one they write; writing to ``node.attributes`` directly
+        would reach the template. ``graph`` must not be mutated once the
+        template exists: later calls would not see the change.
         Two threads that race on the first call both build the same
         template and index, which is harmless.
         """
@@ -307,6 +307,15 @@ def _attributes(entry: dict[str, Any], where: str) -> tuple[dict[str, str], froz
     if unknown:
         raise WorldFormatError(f"{where}: close_only names absent attribute {unknown[0]!r}")
     return {str(k): str(v) for k, v in attrs.items()}, frozenset(str(h) for h in hidden)
+
+
+def _add(where: str, add: Callable[..., Any], *args: Any) -> Any:
+    """Call a graph method; a GraphValidationError it raises (a duplicate
+    id, a bad spatial edge) becomes a WorldFormatError naming the locus."""
+    try:
+        return add(*args)
+    except GraphValidationError as exc:
+        raise WorldFormatError(f"{where}: {exc}") from exc
 
 
 def world_source_path(source: Any) -> Path | None:
@@ -367,28 +376,29 @@ def load_world_truth(source: Any) -> WorldTruth:
     for fi, floor in enumerate(floors):
         fwhere = f"floors[{fi}]"
         fid = str(_require(floor, "id", fwhere))
-        graph.add_node(SceneNode(fid, Layer.FLOOR, str(floor.get("label", "floor"))))
+        _add(fwhere, graph.add_node, SceneNode(fid, Layer.FLOOR, str(floor.get("label", "floor"))))
         for ri, room in enumerate(_array(floor, "rooms", fwhere)):
             rwhere = f"{fwhere}.rooms[{ri}]"
             rid = str(_require(room, "id", rwhere))
             label = str(_require(room, "label", rwhere))
             position = _position(_require(room, "position", rwhere), rwhere)
-            graph.add_node(SceneNode(rid, Layer.ROOM, label, instance_index(fid, label), position), fid)
+            room_node = SceneNode(rid, Layer.ROOM, label, instance_index(fid, label), position)
+            _add(rwhere, graph.add_node, room_node, fid)
             for bi, big in enumerate(_array(room, "big_objects", rwhere)):
                 bwhere = f"{rwhere}.big_objects[{bi}]"
                 bid = str(_require(big, "id", bwhere))
                 label = str(_require(big, "label", bwhere))
                 position = _position(_require(big, "position", bwhere), bwhere)
                 attrs, hidden = _attributes(big, bwhere)
-                index = instance_index(rid, label)
-                graph.add_node(SceneNode(bid, Layer.BIG_OBJECT, label, index, position, attrs), rid)
+                big_node = SceneNode(bid, Layer.BIG_OBJECT, label, instance_index(rid, label), position, attrs)
+                _add(bwhere, graph.add_node, big_node, rid)
                 if hidden:
                     close_only[bid] = hidden
                 for si, small in enumerate(_array(big, "small_objects", bwhere, [])):
                     swhere = f"{bwhere}.small_objects[{si}]"
                     label = str(_require(small, "label", swhere))
                     attrs, hidden = _attributes(small, swhere)
-                    node = graph.add_observed_node(bid, label, attrs, instance_index(bid, label))
+                    node = _add(swhere, graph.add_observed_node, bid, label, attrs, instance_index(bid, label))
                     if hidden:
                         close_only[node.id] = hidden
                     relation = small.get("relation", "on")
@@ -404,10 +414,7 @@ def load_world_truth(source: Any) -> WorldTruth:
         for end in (a, b):  # a small object's id is made here, not written in the file
             if end not in graph or graph.node(end).layer is Layer.SMALL_OBJECT:
                 raise WorldFormatError(f"{ewhere}: references unknown node {end!r}")
-        try:
-            graph.add_spatial_edge(a, b, relation)
-        except GraphValidationError as exc:
-            raise WorldFormatError(f"{ewhere}: {exc}") from exc
+        _add(ewhere, graph.add_spatial_edge, a, b, relation)
     graph.validate()
     path = world_source_path(source)
     world_id = str(data.get("id", path.stem if path is not None else "world"))

@@ -88,7 +88,7 @@ def _nearest_unexplored_sibling(
             if s.id != probe and s.id not in explored
         ]
         if siblings:
-            return graph.nearest_first(siblings, pose.anchor_id)[0]
+            return graph.nearest_first(siblings, graph.position_of(pose.anchor_id))[0]
         probe = parent.id
 
 

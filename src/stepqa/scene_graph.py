@@ -150,11 +150,9 @@ class SceneNode:
     def __post_init__(self) -> None:
         self.norm_label = normalize_label(self.label)
 
-    def clone(self, attributes: dict[str, str] | None = None) -> SceneNode:
-        """A copy with its own attribute map, or with ``attributes`` when
-        given. It skips ``__init__``, which would normalize the label again."""
-        if attributes is None:
-            attributes = dict(self.attributes)
+    def clone(self, attributes: dict[str, str]) -> SceneNode:
+        """A copy that carries ``attributes``. It skips ``__init__``, which
+        would normalize the label again."""
         clone = object.__new__(SceneNode)
         clone.__dict__.update(self.__dict__, attributes=attributes)
         return clone
@@ -219,13 +217,15 @@ def _constrained(candidates: list[SceneNode], constraint: tuple[str, str]) -> li
 class SceneGraph:
     """Mutable containment-plus-spatial graph over SceneNode objects.
 
+    A node object is never written once it is in a graph: a write puts a
+    new node in its place. So graphs may share node objects freely.
+
     Label lookups read an index, built on the first lookup and kept
     current by ``add_node`` after that: normalized label to node ids,
     and head word to the ids of multiword labels. Nearest-first orders
     of a node's children are memoized by ``children_nearest_first``. A
     copy shares the node objects, the index and that memo with its
-    source (see ``copy``), so every attribute write goes through a graph
-    method, which clones a shared node before its first write.
+    source (see ``copy``).
     """
 
     def __init__(self) -> None:
@@ -233,8 +233,6 @@ class SceneGraph:
         self._parent: dict[str, str] = {}
         self._children: dict[str, tuple[str, ...]] = {}
         self.spatial_edges: list[SpatialEdge] = []
-        # ids of the nodes no other graph shares, which may be written in place
-        self._owned: set[str] = set()
         self._index: _LabelIndex | None = None
         self._index_owned = False
         # children ids nearest first, by (node id, origin position)
@@ -258,7 +256,6 @@ class SceneGraph:
                     f"{parent.id} at {parent.layer.tag}"
                 )
         self._nodes[node.id] = node
-        self._owned.add(node.id)
         self._children[node.id] = ()
         if parent_id is not None:
             self._parent[node.id] = parent_id
@@ -274,9 +271,7 @@ class SceneGraph:
         return node
 
     def share(self, node: SceneNode, parent_id: str | None = None) -> bool:
-        """Put a node that other graphs may hold into this one without
-        owning it, so the first write to it here clones it, as for a node
-        ``copy`` shares; it must not be written to directly. Returns
+        """Put a node that other graphs may hold into this one. Returns
         whether it went in.
 
         A node with a new id is added under the parent as ``add_node``
@@ -298,7 +293,6 @@ class SceneGraph:
             return False
         else:
             self._nodes[node.id] = node
-        self._owned.discard(node.id)
         return True
 
     def add_spatial_edge(self, a: str, b: str, relation: str) -> SpatialEdge:
@@ -322,8 +316,8 @@ class SceneGraph:
     ) -> SceneNode:
         """Attach a small object discovered by observation.
 
-        Re-inserting an existing (parent, label, instance) returns the node
-        already in place, with any new attribute values merged in.
+        Re-inserting an existing (parent, label, instance) merges any new
+        attribute values into that node (``update_attributes``).
         """
         parent = self.node(parent_id)
         if parent.layer is not Layer.BIG_OBJECT:
@@ -348,23 +342,11 @@ class SceneGraph:
         )
         return self.add_node(node, parent_id)
 
-    def set_attribute(self, node_id: str, name: str, value: str) -> None:
-        self._writable(node_id).attributes[name] = value
-
     def update_attributes(self, node_id: str, values: Mapping[str, str]) -> SceneNode:
-        """Merge attribute values into a node; returns the node as now stored."""
-        node = self._writable(node_id)
-        # items() is the fast path: update() given a read-only view looks up each key
-        node.attributes.update(values.items())
-        return node
-
-    def _writable(self, node_id: str) -> SceneNode:
-        """The node, cloned first if another graph shares it."""
+        """Merge attribute values into a node: a copy that carries them
+        takes its place. Returns the copy."""
         node = self.node(node_id)
-        if node_id not in self._owned:
-            node = node.clone()
-            self._nodes[node_id] = node
-            self._owned.add(node_id)
+        self._nodes[node_id] = node = node.clone({**node.attributes, **values})
         return node
 
     # -- access ---------------------------------------------------------
@@ -509,7 +491,7 @@ class SceneGraph:
             if constraint is not None and candidates:
                 candidates = _constrained(candidates, constraint)
             if candidates:
-                return self._best_first(candidates, near) if len(candidates) > 1 else candidates
+                return self.nearest_first(candidates, near) if len(candidates) > 1 else candidates
         return []
 
     def _within(self, candidates: list[SceneNode], scope_id: str | None) -> list[SceneNode]:
@@ -518,12 +500,6 @@ class SceneGraph:
             return candidates
         under = self._under
         return [n for n in candidates if under(n.id, scope_id)]
-
-    def _best_first(self, candidates: list[SceneNode], near: tuple[float, float] | None) -> list[SceneNode]:
-        """Nearest to ``near`` first, when given, then by layer, instance and id."""
-        if near is None:
-            return sorted(candidates, key=lambda n: (n.layer, n.instance_index, n.id))
-        return sorted(candidates, key=lambda n: (self._distance(near, n), n.layer, n.instance_index, n.id))
 
     def _labels(self) -> _LabelIndex:
         """The label index, built on the first call. It is published only
@@ -581,18 +557,17 @@ class SceneGraph:
         pos = node.position if node.position is not None else self.position_of(node.id)
         return math.dist(here, pos) if pos is not None else math.inf
 
-    def nearest_first(self, nodes: Iterable[SceneNode], origin_id: str) -> list[SceneNode]:
-        """Nodes by distance from the origin node, ties broken by instance and id.
+    def nearest_first(self, nodes: Iterable[SceneNode], near: tuple[float, float] | None) -> list[SceneNode]:
+        """Nodes nearest to ``near`` first, when given, then by layer,
+        instance and id.
 
-        Nodes without a position, and every node when the origin is not in
-        the graph, sort after the positioned ones. A node's own position is
-        read directly, so sorting rooms and big objects never calls
-        ``position_of`` for them.
+        Nodes without a position sort after the positioned ones. A node's
+        own position is read directly, so sorting rooms and big objects
+        never calls ``position_of`` for them.
         """
-        here = self.position_of(origin_id) if origin_id in self._nodes else None
-        if here is None:
-            return sorted(nodes, key=lambda n: (n.instance_index, n.id))
-        return sorted(nodes, key=lambda n: (self._distance(here, n), n.instance_index, n.id))
+        if near is None:
+            return sorted(nodes, key=lambda n: (n.layer, n.instance_index, n.id))
+        return sorted(nodes, key=lambda n: (self._distance(near, n), n.layer, n.instance_index, n.id))
 
     def children_nearest_first(self, node_id: str, origin_id: str) -> list[SceneNode]:
         """A node's children in ``nearest_first`` order from the origin.
@@ -608,7 +583,7 @@ class SceneGraph:
         key = (node_id, here)
         ids = self._near.get(key)
         if ids is None:
-            order = self.nearest_first(self.children(node_id), origin_id)
+            order = self.nearest_first(self.children(node_id), here)
             self._near[key] = tuple(n.id for n in order)
             return order
         return list(map(self._nodes.__getitem__, ids))
@@ -656,11 +631,10 @@ class SceneGraph:
         """A copy that shares the node objects and the label index with
         this graph: children are tuples, so copying the maps is enough.
 
-        From then on neither graph owns a shared node: the first attribute
-        write to it, through ``set_attribute``, ``update_attributes`` or
-        ``add_observed_node``, clones it in the graph that writes. The
-        first node a graph adds gives it its own index, and the first
-        floor, room or big object its own nearest-first memo.
+        A write to a node in either graph puts a new node in its place, so
+        it never reaches the other. The first node a graph adds gives it
+        its own index, and the first floor, room or big object its own
+        nearest-first memo.
         """
         out = SceneGraph()
         out._nodes = dict(self._nodes)
@@ -669,6 +643,5 @@ class SceneGraph:
         out.spatial_edges = list(self.spatial_edges)
         out._index = self._labels()
         out._near = self._near
-        self._owned = set()
         self._index_owned = False
         return out

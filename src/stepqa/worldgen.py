@@ -74,7 +74,6 @@ def random_world_data(
     rooms: int = 4,
     big_range: tuple[int, int] = (2, 4),
     small_range: tuple[int, int] = (0, 3),
-    people: bool = True,
 ) -> dict[str, Any]:
     """Build the raw world dictionary for one seed."""
     rng = random.Random(seed)
@@ -112,7 +111,7 @@ def random_world_data(
                         "close_only": _close_only(sattrs),
                     }
                 )
-            if people and not placed_person and label in _SEATS and rng.random() < 0.8:
+            if not placed_person and label in _SEATS and rng.random() < 0.8:
                 sattrs = _sample_attrs(rng, _PERSON_TEMPLATE[1])
                 big["small_objects"].append(
                     {

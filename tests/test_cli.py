@@ -91,6 +91,16 @@ class TestValidateWorld:
         p.write_text(json.dumps(prior_data(DEMO)))
         assert main(["validate-world", str(p), "--strict-prior"]) == EX_OK
 
+    def test_a_duplicate_node_id_exits_one_without_a_traceback(self, tmp_path, capsys):
+        data = json.loads((WORLDS / "demo_house.json").read_text())
+        data["floors"][0]["rooms"][1]["big_objects"][0]["id"] = "f0.living.table"
+        p = tmp_path / "duplicate.json"
+        p.write_text(json.dumps(data))
+        assert main(["validate-world", str(p)]) == EX_ERROR
+        err = capsys.readouterr().err
+        assert err.startswith("invalid: floors[0].rooms[1].big_objects[0]: duplicate node id: f0.living.table")
+        assert "Traceback" not in err
+
     def test_broken_json_exits_one(self, tmp_path, capsys):
         p = tmp_path / "broken.json"
         p.write_text("{not json")

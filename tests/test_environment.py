@@ -276,7 +276,7 @@ class TestWorldTruthLoading:
         sofa = template.node("f0.living.sofa")
 
         first.add_observed_node("f0.kitchen.table", "spoon", {"color": "silver"})
-        first.set_attribute("f0.living.sofa", "color", "green")
+        first.update_attributes("f0.living.sofa", {"color": "green"})
         first.add_observed_node("f0.living.table", "book", {"title": "dune"}, instance_index=0)
         demo_env.reset()
         ingest_observation(first, demo_env.execute(move(goal_id="f0.living")))
@@ -297,15 +297,15 @@ class TestWorldTruthLoading:
 
     def test_copies_of_copies_stay_apart(self, demo_truth):
         parent = demo_truth.prior_graph()
-        # the parent owns what it wrote and added before it was copied
-        parent.set_attribute("f0.living.sofa", "color", "blue")
+        # the child shares what the parent wrote and added before the copy
+        parent.update_attributes("f0.living.sofa", {"color": "blue"})
         parent.add_observed_node("f0.living.sofa", "phone")
         child = parent.copy()
-        parent.set_attribute("f0.living.sofa", "material", "leather")
+        parent.update_attributes("f0.living.sofa", {"material": "leather"})
         parent.add_observed_node("f0.living.sofa", "book")
-        child.set_attribute("f0.living.sofa", "color", "green")
+        child.update_attributes("f0.living.sofa", {"color": "green"})
         child.add_observed_node("f0.living.sofa", "cushion", {"color": "white"})
-        parent.set_attribute("f0.kitchen.table", "color", "brown")
+        parent.update_attributes("f0.kitchen.table", {"color": "brown"})
 
         assert parent.node("f0.living.sofa").attributes == {"color": "blue", "material": "leather"}
         assert child.node("f0.living.sofa").attributes == {"color": "green"}
@@ -465,6 +465,22 @@ LOADER_REJECTIONS = {
         "spatial_edges[4]",
     ),
     "unknown_entrance": (lambda d: d.update(entrance="f9"), "entrance"),
+    "duplicate_room_id": (
+        lambda d: d["floors"][0]["rooms"][1].update(id="f0.living"),
+        "floors[0].rooms[1]: duplicate node id: f0.living",
+    ),
+    "duplicate_big_object_id_in_another_room": (
+        lambda d: _big(d, 1).update(id="f0.living.table"),
+        "floors[0].rooms[1].big_objects[0]: duplicate node id: f0.living.table",
+    ),
+    "big_object_with_a_small_objects_id": (
+        lambda d: _big(d, 1, 1).update(id="f0.living.table.book.0"),
+        "floors[0].rooms[1].big_objects[1]: duplicate node id: f0.living.table.book.0",
+    ),
+    "small_object_with_a_big_objects_id": (
+        lambda d: _big(d, 0, 3).update(id="f0.kitchen.table.cup.0"),
+        "floors[0].rooms[1].big_objects[0].small_objects[0]: duplicate node id: f0.kitchen.table.cup.0",
+    ),
 }
 
 
@@ -606,7 +622,7 @@ def occluded_world_data(seed, floors, occlude):
 
 def fold_ops(world, data):
     """A drawn sequence of looks (anchor, focus) and of writes through
-    set_attribute and add_observed_node, some of them of true values. A
+    update_attributes and add_observed_node, some of them of true values. A
     write may be followed by a look that shows the node written."""
     truth = world.graph
     ids = sorted(n.id for n in truth.nodes)
@@ -661,7 +677,7 @@ def run_fold_ops(world, ops, ingest):
             flags.append(ingest(graph, world.view(op[1], op[2])))
         elif op[0] == "set":
             if op[1] in graph:
-                graph.set_attribute(*op[1:])
+                graph.update_attributes(op[1], {op[2]: op[3]})
         else:
             graph.add_observed_node(*op[1:])
     return graph, flags
@@ -713,7 +729,7 @@ class TestFoldByReference:
         assert graph.node("f0.living.sofa") is sofa
         assert [graph.node(n.id) for n in table.fold.adopted] == list(table.fold.adopted)
         assert all(graph.node(n.id) is n for n in table.fold.adopted)
-        graph.set_attribute("f0.living.sofa", "color", "green")
+        graph.update_attributes("f0.living.sofa", {"color": "green"})
         book = graph.add_observed_node("f0.living.table", "book", {"color": "blue"})
         assert graph.node("f0.living.sofa").attributes["color"] == "green"
         assert book.attributes == {"color": "blue"} and graph.node(book.id) is book
@@ -724,8 +740,8 @@ class TestFoldByReference:
 
     def test_a_value_the_view_does_not_reveal_is_kept(self, demo_truth):
         graph = demo_truth.prior_graph()
-        graph.set_attribute("f0.living.sofa", "material", "fabric")
-        graph.set_attribute("f0.living.sofa", "color", "green")
+        graph.update_attributes("f0.living.sofa", {"material": "fabric"})
+        graph.update_attributes("f0.living.sofa", {"color": "green"})
         assert ingest_observation(graph, demo_truth.view("f0.living"))
         assert graph.node("f0.living.sofa").attributes == {"material": "fabric", "color": "blue"}
         assert demo_truth.view("f0.living").revealed["f0.living.sofa"] == {"color": "blue"}

@@ -253,7 +253,7 @@ class TestTallyPlans:
     def test_verified_candidates_get_the_final_tally_observe(self, demo_truth):
         graph = demo_truth.prior_graph()
         person = graph.add_observed_node("f0.living.sofa", "person")
-        graph.set_attribute(person.id, "state", "awake")
+        graph.update_attributes(person.id, {"state": "awake"})
         pose = AgentPose("f0.living.sofa", Layer.BIG_OBJECT, 2)
         plan = next_plan(
             self.chain(), 2, graph, pose, constraint_class=PerceptionRange.CLOSE_RANGE
@@ -525,7 +525,7 @@ class TestLazySweep:
         monkeypatch.setattr(
             type(graph),
             "nearest_first",
-            lambda self, nodes, origin: sorted_calls.append(1) or nearest_first(self, nodes, origin),
+            lambda self, nodes, near: sorted_calls.append(1) or nearest_first(self, nodes, near),
         )
         plan = next_plan(parse_pattern_string("V4[phone] -> V2[?]"), 0, graph, entrance())
         assert plan.kind is PlanKind.MOVE_TO
@@ -540,7 +540,7 @@ def counting_nearest_first(monkeypatch):
     monkeypatch.setattr(
         SceneGraph,
         "nearest_first",
-        lambda self, nodes, origin: calls.append(origin) or nearest_first(self, nodes, origin),
+        lambda self, nodes, near: calls.append(near) or nearest_first(self, nodes, near),
     )
     return calls
 

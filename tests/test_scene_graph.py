@@ -165,7 +165,7 @@ class TestGraphStructure:
     def test_share_stands_in_only_for_a_node_in_the_same_place(self):
         g = load_world_prior(small_world())
         known = g.node("f0.a.t")
-        g.set_attribute(known.id, "color", "red")
+        g.update_attributes(known.id, {"color": "red"})
         fuller = known.clone({"color": "red", "material": "oak"})
         for other in (
             fuller.clone({"material": "oak"}),  # drops a value the graph has
@@ -179,7 +179,7 @@ class TestGraphStructure:
             assert g.node(known.id).attributes == {"color": "red"}
         assert g.share(fuller)
         assert g.node(known.id) is fuller
-        g.set_attribute(known.id, "color", "green")  # a write clones the shared node
+        g.update_attributes(known.id, {"color": "green"})  # a write puts a new node in its place
         assert fuller.attributes == {"color": "red", "material": "oak"}
         assert g.node(known.id).attributes == {"color": "green", "material": "oak"}
 
@@ -240,8 +240,8 @@ class TestGraphStructure:
     def test_nearest_first_orders_by_distance_then_instance(self):
         g = load_world_prior(small_world())
         bigs = g.nodes_at(Layer.BIG_OBJECT)
-        assert [n.id for n in g.nearest_first(bigs, "f0.b")] == ["f0.b.t", "f0.a.s", "f0.a.t"]
-        assert g.nearest_first(bigs, "nowhere") == sorted(bigs, key=lambda n: (n.instance_index, n.id))
+        assert [n.id for n in g.nearest_first(bigs, g.position_of("f0.b"))] == ["f0.b.t", "f0.a.s", "f0.a.t"]
+        assert g.nearest_first(bigs, None) == sorted(bigs, key=lambda n: (n.instance_index, n.id))
 
     def test_cross_layer_edge_rejected(self):
         g = load_world_prior(small_world())
@@ -266,7 +266,17 @@ class TestGraphStructure:
         first = g.add_observed_node("f0.a.t", "book", attributes={"color": "red"})
         again = g.add_observed_node("f0.a.t", "book", attributes={"state": "open"})
         assert again.id == first.id
-        assert first.attributes == {"color": "red", "state": "open"}
+        assert g.node(first.id).attributes == {"color": "red", "state": "open"}
+
+    def test_a_write_puts_a_new_node_in_place_of_the_held_one(self):
+        g = load_world_prior(small_world())
+        table = g.node("f0.a.t")
+        book = g.add_observed_node("f0.a.t", "book", attributes={"color": "red"})
+        written = g.update_attributes(table.id, {"color": "brown"})
+        merged = g.add_observed_node("f0.a.t", "book", attributes={"state": "open"})
+        assert table.attributes == {} and book.attributes == {"color": "red"}
+        assert g.node(table.id) is written is not table and written.attributes == {"color": "brown"}
+        assert g.node(book.id) is merged is not book and merged.attributes == {"color": "red", "state": "open"}
 
     def test_explicit_instance_index_keeps_twins_apart(self):
         g = load_world_prior(small_world())
@@ -279,7 +289,7 @@ class TestGraphStructure:
         g = load_world_prior(small_world())
         node = g.add_observed_node("f0.a.t", "book")
         dup = g.copy()
-        dup.set_attribute(node.id, "color", "red")
+        dup.update_attributes(node.id, {"color": "red"})
         assert "color" not in g.node(node.id).attributes
         assert dup.node(node.id).attributes["color"] == "red"
 
