@@ -563,3 +563,31 @@ class TestTrace:
         ]
         asked = ("What is the title of the book?", "rules", "What is the title of the book?")
         assert looks == [asked] * 3 + [("Look under the cushions.", "fallback", None)] + [asked] * 3
+
+    def test_a_failed_chat_fallback_move_marks_only_its_own_observation(self, demo_truth):
+        fallbacks = iter(
+            [
+                json.dumps({"kind": "MoveTo", "goal": "aquarium"}),
+                json.dumps({"kind": "Answer", "value": "not found"}),
+            ]
+        )
+
+        class Model:
+            def complete_text(self, system, user):
+                if system == prompts.load("fallback_plan"):
+                    return next(fallbacks)
+                return "What is the title of the book?"
+
+        r = run_episode(
+            BOOK_QUESTION,
+            Environment(demo_truth),
+            config=AgentConfig(room_level_only=True),
+            planner=ChatPlanner(Model()),
+        )
+        events = r.trace.events
+        i = next(i for i, e in enumerate(events) if e.action.goal_label == "aquarium")
+        failed, after = events[i].observation, events[i + 1].observation
+        assert failed["move_failed"] is True and failed["step"] == events[i].t
+        assert after["anchor"] == failed["anchor"] and after["move_failed"] is False
+        assert demo_truth.view(failed["anchor"]).move_failed is False
+        assert [e.observation["step"] for e in events] == [e.t for e in events]
