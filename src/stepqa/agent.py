@@ -286,7 +286,7 @@ def _tally_scope(chain: PatternChain, plan: Plan, obs: Observation, graph: Scene
     focus = graph.node(plan.focus_id) if plan.focus_id in graph else None
     if focus is not None and focus.layer == chain.steps[-1].layer - 1 and chain_has_support(chain):
         return focus.id
-    return scope_node(chain, graph, AgentPose(obs.anchor_id, obs.anchor_layer)).id
+    return scope_node(chain, graph, AgentPose(obs.anchor_id)).id
 
 
 def tally_matches(graph: SceneGraph, scope_id: str, step: SubGoal) -> list[SceneNode]:

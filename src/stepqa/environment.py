@@ -57,7 +57,6 @@ _SMALL_RELATIONS = ("on", "in", "above", "below", "next-to", "held")
 @dataclass
 class AgentPose:
     anchor_id: str
-    layer: Layer
     steps_taken: int = 0
 
 
@@ -456,17 +455,11 @@ class Environment:
 
     def __init__(self, world: WorldTruth) -> None:
         self.world = world
-        self.pose = AgentPose(
-            anchor_id=world.entrance,
-            layer=world.graph.node(world.entrance).layer,
-        )
+        self.pose = AgentPose(world.entrance)
         self._observations = 0
 
     def reset(self) -> tuple[AgentPose, Observation]:
-        self.pose = AgentPose(
-            anchor_id=self.world.entrance,
-            layer=self.world.graph.node(self.world.entrance).layer,
-        )
+        self.pose = AgentPose(self.world.entrance)
         self._observations = 0
         return self.pose, self.observe()
 
@@ -498,7 +491,6 @@ class Environment:
         if goal is None:
             return self.observe(move_failed=True)
         self.pose.anchor_id = goal.id
-        self.pose.layer = goal.layer
         return self.observe()
 
     def _resolve_goal(self, plan: Plan) -> SceneNode | None:

@@ -36,7 +36,7 @@ class TestReset:
     def test_starts_at_entrance_with_room_labels_only(self, demo_env):
         pose, obs = demo_env.reset()
         assert pose.anchor_id == "f0"
-        assert pose.layer is Layer.FLOOR
+        assert obs.anchor_layer is Layer.FLOOR
         assert pose.steps_taken == 0
         assert {v.label for v in obs.visible} == {"living room", "kitchen", "bedroom", "study"}
         assert all(v.layer is Layer.ROOM for v in obs.visible)
@@ -131,7 +131,7 @@ def test_close_range_values_never_leak_from_a_distance(demo_truth):
     env = Environment(demo_truth)
     for node in demo_truth.graph.nodes:
         env.reset()
-        env.pose = AgentPose(node.id, node.layer, 0)
+        env.pose = AgentPose(node.id, 0)
         obs = env.observe()
         for nid, attrs in obs.revealed.items():
             if nid == node.id:
@@ -524,9 +524,9 @@ class TestViewCache:
         fresh = _load(name, demo_path.parent)
         for anchor_id in reversed(node_ids):
             for focus_id in reversed(focuses):
-                env.pose = AgentPose(anchor_id, world.graph.node(anchor_id).layer)
+                env.pose = AgentPose(anchor_id)
                 want = Environment(fresh)
-                want.pose = AgentPose(anchor_id, fresh.graph.node(anchor_id).layer)
+                want.pose = AgentPose(anchor_id)
                 assert _shown(env.observe(focus_id)) == _shown(want.observe(focus_id)), (anchor_id, focus_id)
 
     def test_focus_outside_the_graph_uses_the_anchor(self, demo_truth):
@@ -546,7 +546,7 @@ class TestViewCache:
             assert obs._replace(step=0, move_failed=False) == view
 
     def test_unknown_anchor_raises(self, demo_env):
-        demo_env.pose = AgentPose("nowhere", Layer.ROOM)
+        demo_env.pose = AgentPose("nowhere")
         with pytest.raises(UnknownNodeError):
             demo_env.observe()
 

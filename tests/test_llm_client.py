@@ -26,7 +26,6 @@ from stepqa.llm_client import (
 from stepqa.llm_planner import ChatPlanner
 from stepqa.parsing import LlmBackend
 from stepqa.patterns import parse_pattern_string
-from stepqa.scene_graph import Layer
 
 
 def make_request(user="hello", model="m") -> ChatRequest:
@@ -234,7 +233,7 @@ def chat_call(name, client, world):
     if name == "simplify_question":
         chain = parse_pattern_string("exists: V2[kitchen] -> V3[table] -> V4[cup]")
         return planner.simplify_question("Is there a cup on the table?", chain, 2, {})
-    pose = AgentPose("f0.living", Layer.ROOM, 1)
+    pose = AgentPose("f0.living", 1)
     return planner.fallback_plan(world.prior_graph(), pose, frozenset(), "q")
 
 

@@ -73,7 +73,7 @@ class TestSimplifyQuestion:
 class TestFallback:
     def test_moves_to_nearest_unexplored_sibling(self, lookup, demo_truth):
         graph = demo_truth.prior_graph()
-        pose = AgentPose("f0.living.desk1", Layer.BIG_OBJECT, 3)
+        pose = AgentPose("f0.living.desk1", 3)
         plan = lookup.fallback_plan(graph, pose, frozenset(), "")
         assert plan.kind is PlanKind.MOVE_TO
         assert plan.tool == "fallback"
@@ -82,7 +82,7 @@ class TestFallback:
 
     def test_explored_siblings_are_skipped(self, lookup, demo_truth):
         graph = demo_truth.prior_graph()
-        pose = AgentPose("f0.living.desk1", Layer.BIG_OBJECT, 3)
+        pose = AgentPose("f0.living.desk1", 3)
         explored = frozenset({"f0.living.desk2", "f0.living.sofa", "f0.living.table"})
         plan = lookup.fallback_plan(graph, pose, explored, "")
         # no sibling left in the room: climb and try the next room
@@ -92,7 +92,7 @@ class TestFallback:
     def test_exhausted_world_gives_up(self, lookup, demo_truth):
         graph = demo_truth.prior_graph()
         explored = frozenset(n.id for n in graph.nodes)
-        pose = AgentPose("f0.living", Layer.ROOM, 5)
+        pose = AgentPose("f0.living", 5)
         plan = lookup.fallback_plan(graph, pose, explored, "")
         assert plan.kind is PlanKind.ANSWER
         assert plan.value == "not found"
@@ -131,7 +131,7 @@ class TestChatPlanner:
 
     def test_fallback_accepts_valid_json_plan(self, demo_truth):
         graph = demo_truth.prior_graph()
-        pose = AgentPose("f0.living", Layer.ROOM, 1)
+        pose = AgentPose("f0.living", 1)
         user = json.dumps(
             {
                 "question": "where is it",
@@ -162,7 +162,7 @@ class TestChatPlanner:
 
     def test_fallback_retries_then_raises_on_junk(self, demo_truth):
         graph = demo_truth.prior_graph()
-        pose = AgentPose("f0.living", Layer.ROOM, 1)
+        pose = AgentPose("f0.living", 1)
 
         class JunkClient:
             model = "test"
@@ -178,7 +178,7 @@ class TestChatPlanner:
 
     def test_json_that_is_not_an_object_is_retried_then_raises(self, demo_truth):
         graph = demo_truth.prior_graph()
-        pose = AgentPose("f0.living", Layer.ROOM, 1)
+        pose = AgentPose("f0.living", 1)
 
         class ListClient:
             model = "test"
@@ -195,7 +195,7 @@ class TestChatPlanner:
 
     def test_fenced_json_is_tolerated(self, demo_truth):
         graph = demo_truth.prior_graph()
-        pose = AgentPose("f0.living", Layer.ROOM, 1)
+        pose = AgentPose("f0.living", 1)
 
         class FencedClient:
             model = "test"

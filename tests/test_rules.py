@@ -28,7 +28,7 @@ from conftest import WORLDS, multi_floor_data, scan_resolve_label
 
 
 def entrance() -> AgentPose:
-    return AgentPose(anchor_id="f0", layer=Layer.FLOOR, steps_taken=0)
+    return AgentPose(anchor_id="f0", steps_taken=0)
 
 
 def object_step(layer: Layer) -> SubGoal:
@@ -119,7 +119,7 @@ class Walker:
             seen.append(plan)
             if plan.kind is PlanKind.MOVE_TO:
                 node = self.graph.node(plan.goal_id)
-                self.pose = AgentPose(node.id, node.layer, self.pose.steps_taken + 1)
+                self.pose = AgentPose(node.id, self.pose.steps_taken + 1)
             if plan.kind is PlanKind.ANSWER:
                 return seen
             if plan.advance_to is not None:
@@ -228,7 +228,7 @@ class TestResolutionFailures:
     def test_unknown_support_inside_known_room(self, demo_truth):
         graph = demo_truth.prior_graph()
         chain = parse_pattern_string("V2[living room] -> V3[aquarium] -> V4[fish]")
-        pose = AgentPose("f0.living", Layer.ROOM, 1)
+        pose = AgentPose("f0.living", 1)
         with pytest.raises(ResolutionFailure):
             next_plan(chain, 1, graph, pose)
 
@@ -242,7 +242,7 @@ class TestTallyPlans:
     def test_close_constraint_visits_unverified_candidates(self, demo_truth):
         graph = demo_truth.prior_graph()
         person = graph.add_observed_node("f0.living.sofa", "person")
-        pose = AgentPose("f0.living.sofa", Layer.BIG_OBJECT, 2)
+        pose = AgentPose("f0.living.sofa", 2)
         plan = next_plan(
             self.chain(), 2, graph, pose, constraint_class=PerceptionRange.CLOSE_RANGE
         )
@@ -254,7 +254,7 @@ class TestTallyPlans:
         graph = demo_truth.prior_graph()
         person = graph.add_observed_node("f0.living.sofa", "person")
         graph.update_attributes(person.id, {"state": "awake"})
-        pose = AgentPose("f0.living.sofa", Layer.BIG_OBJECT, 2)
+        pose = AgentPose("f0.living.sofa", 2)
         plan = next_plan(
             self.chain(), 2, graph, pose, constraint_class=PerceptionRange.CLOSE_RANGE
         )
@@ -267,7 +267,7 @@ class TestTallyPlans:
         chain = parse_pattern_string(
             "count: V2[living room] -> V3[sofa] -> V4[cushion]{color=white}"
         )
-        pose = AgentPose("f0.living.sofa", Layer.BIG_OBJECT, 2)
+        pose = AgentPose("f0.living.sofa", 2)
         plan = next_plan(chain, 2, graph, pose, constraint_class=PerceptionRange.REMOTE)
         assert plan.kind is PlanKind.OBSERVE
         assert plan.expects == ("count", "cushion")
@@ -302,7 +302,7 @@ class TestPlannerTail:
                 return plan
             assert plan.kind is PlanKind.MOVE_TO
             node = graph.node(plan.goal_id)
-            pose = AgentPose(node.id, node.layer, pose.steps_taken + 1)
+            pose = AgentPose(node.id, pose.steps_taken + 1)
         raise AssertionError("planner never looked")
 
     @pytest.mark.parametrize(
@@ -363,8 +363,7 @@ def reference_resolve_near_pose(graph, pose, label, layer, constraint=None):
 
 
 def pose_at(graph, anchor_id):
-    layer = graph.node(anchor_id).layer if anchor_id in graph else Layer.FLOOR
-    return AgentPose(anchor_id, layer, 0)
+    return AgentPose(anchor_id, 0)
 
 
 def resolve_queries(graph):
