@@ -81,7 +81,8 @@ class TraceEvent:
     """One executed plan. The plan and the observation are immutable
     records, kept as they are and serialized only when ``plan`` and
     ``observation`` are read. The plan's ``step_index`` is the event's
-    ``k``, and a final look's ``content`` is the event's subquestion."""
+    ``k``, the observation's ``step`` is its ``t``, and a final look's
+    ``content`` is the event's subquestion."""
 
     t: int
     k: int
@@ -97,7 +98,7 @@ class TraceEvent:
 
     @property
     def observation(self) -> dict[str, Any] | None:
-        return self.obs.to_dict() if self.obs is not None else None
+        return self.obs.to_dict(self.t) if self.obs is not None else None
 
     def to_dict(self) -> dict[str, Any]:
         return {
@@ -128,7 +129,7 @@ class EpisodeTrace:
 
     @property
     def entrance_observation(self) -> dict[str, Any] | None:
-        return self.entrance.to_dict() if self.entrance is not None else None
+        return self.entrance.to_dict(0) if self.entrance is not None else None
 
     def header(self) -> dict[str, Any]:
         return {

@@ -18,16 +18,18 @@ up; they require standing at the node. Movement between anchors is by
 teleport, one step per MoveTo whether it succeeds or not. Observing is
 free. A failed move is reported through the observation, not raised.
 
-A view is what an observation shows from one anchor, with relations
-taken to one reference node: the step-0 Observation of that anchor. It
-is built once per world, and every observation of that anchor and
-reference shares its parts read-only, across episodes and threads. The
-parts that do not depend on the reference, the revealed attributes and
-the view's fold, are built once per anchor. A fold is what the view
-adds to an agent's graph, as prebuilt nodes the graph takes by
-reference (see ``Fold`` and ``agent.ingest_observation``). A world's
-graph must therefore not be mutated after its first episode: views
-built before the change would not see it.
+An observation is a view: what one anchor shows, with relations taken
+to one reference node. Each view is built once per world, and every
+observation of that anchor and reference is that very record, across
+episodes and threads; only a failed move's observation is a copy,
+marked as failed. The anchor's own view (reference = anchor) holds the
+parts every view of the anchor shares: the revealed attributes and the
+fold. A fold is what the view adds to an agent's graph, as prebuilt
+nodes the graph takes by reference (see ``Fold`` and
+``agent.ingest_observation``). An observation carries no step number;
+the trace event that holds it does. A world's graph must therefore not
+be mutated after its first episode: views built before the change
+would not see it.
 """
 
 from __future__ import annotations
@@ -72,7 +74,8 @@ class VisibleNode:
 
 
 class Fold(NamedTuple):
-    """What one anchor's view adds to an agent's graph, built once per world.
+    """What one anchor's views add to an agent's graph, built once per
+    world with the anchor's own view and shared by its other views.
 
     adopted holds the small objects a big-object anchor shows, as nodes
     to add under it. revealed holds a node for each node whose attributes
@@ -88,28 +91,23 @@ class Fold(NamedTuple):
     revealed: tuple[SceneNode, ...]
 
 
-class _AnchorParts(NamedTuple):
-    children: tuple[SceneNode, ...]
-    revealed: Mapping[str, Mapping[str, str]]
-    fold: Fold
-
-
 class Observation(NamedTuple):
-    """What the agent sees at one step. ``revealed`` is read-only at both
-    levels, because observations of the same view share it, as they share
-    the view's ``fold``."""
+    """What the agent sees at one step: the view ``WorldTruth.view``
+    memoizes, shared by every observation of it, or for a failed move a
+    copy of it with ``move_failed`` set. ``revealed`` is read-only at both
+    levels, because every view of the anchor shares it, as they share
+    its ``fold``. The step is the trace's: ``to_dict`` takes it."""
 
     anchor_id: str
     anchor_layer: Layer
     visible: tuple[VisibleNode, ...]
     revealed: Mapping[str, Mapping[str, str]]
     fold: Fold
-    step: int = 0
     move_failed: bool = False
 
-    def to_dict(self) -> dict[str, Any]:
+    def to_dict(self, step: int = 0) -> dict[str, Any]:
         return {
-            "step": self.step,
+            "step": step,
             "anchor": self.anchor_id,
             "anchor_layer": self.anchor_layer.tag,
             "visible": [v.to_list() for v in self.visible],
@@ -151,7 +149,6 @@ class WorldTruth:
         self.entrance = entrance
         self._prior_template: SceneGraph | None = None
         self._views: dict[tuple[str, str], Observation] = {}
-        self._anchors: dict[str, _AnchorParts] = {}
 
     # -- queries used by the environment and by dataset oracles ---------
 
@@ -165,46 +162,45 @@ class WorldTruth:
         return self.placement.get(node_id, _DEFAULT_PLACEMENT.get(node.layer, "in"))
 
     def view(self, anchor_id: str, focus_id: str | None = None) -> Observation:
-        """What standing at the anchor shows, relations taken to the focus,
-        as the anchor's step-0 Observation.
+        """What standing at the anchor shows, relations taken to the focus.
 
         The reference for relations is the focus if it is in the graph,
         else the anchor. Each (anchor, reference) view is built on first
-        request and shared after that; its ``revealed`` mapping is
-        read-only. Two threads that race on the first request both build
+        request and shared after that. The anchor's own view is built from
+        its children; a view with another reference takes that view's
+        ``revealed`` and ``fold`` and works out only the relations in
+        ``visible``. Two threads that race on the first request both build
         the same view and one of them is kept, which is harmless. Raises
         UnknownNodeError for an anchor not in the graph.
         """
-        graph = self.graph
-        reference_id = focus_id if focus_id is not None and focus_id in graph else anchor_id
+        reference_id = focus_id if focus_id is not None and focus_id in self.graph else anchor_id
         key = (anchor_id, reference_id)
         cached = self._views.get(key)
         if cached is not None:
             return cached
+        if reference_id == anchor_id:
+            view = self._anchor_view(self.graph.node(anchor_id))
+        else:
+            # A visible node is the anchor's child, so the reference,
+            # which is not the anchor, is never its parent.
+            own = self.view(anchor_id)
+            ref_parent = self.graph.parent(reference_id)
 
-        anchor = graph.node(anchor_id)
-        children, revealed, fold = self._anchors.get(anchor_id) or self._anchor_parts(anchor)
-        ref_parent = graph.parent(reference_id)
+            def relation(node_id: str) -> str | None:
+                if node_id == reference_id:
+                    return "here"
+                if ref_parent is not None and ref_parent.id == node_id:
+                    rel = self.placement_relation(reference_id)
+                    return _INVERSE_RELATION.get(rel, rel)
+                return self.graph.spatial_relation(node_id, reference_id)
 
-        def relation(node: SceneNode) -> str | None:
-            if node.id == reference_id:
-                return "here"
-            parent = graph.parent(node.id)
-            if parent is not None and parent.id == reference_id:
-                return self.placement_relation(node.id)
-            if ref_parent is not None and ref_parent.id == node.id:
-                rel = self.placement_relation(reference_id)
-                return _INVERSE_RELATION.get(rel, rel)
-            return graph.spatial_relation(node.id, reference_id)
-
-        visible = tuple(VisibleNode(c.id, c.label, c.layer, relation(c)) for c in children)
-        view = Observation(anchor_id, anchor.layer, visible, revealed, fold)
+            visible = tuple(VisibleNode(v.node_id, v.label, v.layer, relation(v.node_id)) for v in own.visible)
+            view = own._replace(visible=visible)
         return self._views.setdefault(key, view)
 
-    def _anchor_parts(self, anchor: SceneNode) -> _AnchorParts:
-        """The children the anchor shows, the attributes it reveals and its
-        fold: what every view of the anchor shares, whatever its reference.
-        Built on first request and kept, as views are."""
+    def _anchor_view(self, anchor: SceneNode) -> Observation:
+        """The anchor's own view: the children it shows, the attributes it
+        reveals and its fold, which its views with other references share."""
         big = anchor.layer is Layer.BIG_OBJECT
         children = tuple(self.graph.children(anchor.id))
         if big and self.occluded:
@@ -226,9 +222,10 @@ class WorldTruth:
                 if remote:
                     revealed[child.id] = MappingProxyType(remote)
                     with_values.append(node)
+        # a child stands to its anchor as it is placed there
+        visible = tuple(VisibleNode(c.id, c.label, c.layer, self.placement_relation(c.id)) for c in children)
         fold = Fold(tuple(adopted), tuple(with_values))
-        parts = _AnchorParts(children, MappingProxyType(revealed), fold)
-        return self._anchors.setdefault(anchor.id, parts)
+        return Observation(anchor.id, anchor.layer, visible, MappingProxyType(revealed), fold)
 
     def _template(self) -> SceneGraph:
         template = self._prior_template
@@ -456,28 +453,16 @@ class Environment:
     def __init__(self, world: WorldTruth) -> None:
         self.world = world
         self.pose = AgentPose(world.entrance)
-        self._observations = 0
 
     def reset(self) -> tuple[AgentPose, Observation]:
         self.pose = AgentPose(self.world.entrance)
-        self._observations = 0
         return self.pose, self.observe()
 
     # -- observation ----------------------------------------------------
 
-    def observe(self, focus_id: str | None = None, move_failed: bool = False) -> Observation:
-        view = self.world.view(self.pose.anchor_id, focus_id)
-        obs = Observation(
-            view.anchor_id,
-            view.anchor_layer,
-            view.visible,
-            view.revealed,
-            view.fold,
-            self._observations,
-            move_failed,
-        )
-        self._observations += 1
-        return obs
+    def observe(self, focus_id: str | None = None) -> Observation:
+        """The world's view from the pose's anchor, itself, not a copy."""
+        return self.world.view(self.pose.anchor_id, focus_id)
 
     # -- plan execution -------------------------------------------------
 
@@ -489,7 +474,7 @@ class Environment:
         self.pose.steps_taken += 1
         goal = self._resolve_goal(plan)
         if goal is None:
-            return self.observe(move_failed=True)
+            return self.observe()._replace(move_failed=True)
         self.pose.anchor_id = goal.id
         return self.observe()
 
