@@ -121,10 +121,6 @@ _RELATION_CANON = {
 }
 
 
-class EmptyQuestionError(ValueError):
-    pass
-
-
 class UnparsedQuestionError(ValueError):
     def __init__(self, question: str) -> None:
         super().__init__(f"no backend could parse {question!r}")
@@ -469,10 +465,11 @@ def parse_question(question: str, backends: list[Any]) -> ParsedQuestion:
     """Run the question through the backends in order; first chain wins.
 
     A backend that raises SchemaError gives way to the next one. When no
-    backend parses, UnparsedQuestionError is raised from the last such error.
+    backend parses, UnparsedQuestionError is raised from the last such error;
+    blank text reaches no backend and raises it at once.
     """
     if not isinstance(question, str) or not question.strip():
-        raise EmptyQuestionError("question text is empty")
+        raise UnparsedQuestionError(question)
     last_error: SchemaError | None = None
     for backend in backends:
         try:

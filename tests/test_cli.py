@@ -45,6 +45,11 @@ class TestAsk:
         code = main(["ask", "Ponder the meaning of furniture.", "--world", DEMO])
         assert code == EX_ERROR
 
+    def test_a_blank_question_fails_its_episode(self, capsys):
+        code = main(["ask", "  ", "--world", DEMO])
+        assert code == EX_ERROR
+        assert "status: failed" in capsys.readouterr().out
+
     def test_missing_world_file_exits_one(self, capsys):
         code = main(["ask", "Where is the bag?", "--world", "/nonexistent.json"])
         assert code == EX_ERROR
@@ -187,6 +192,20 @@ class TestGenerateAndBench:
         out = capsys.readouterr().out
         assert code == EX_OK
         assert "score=100.0" in out
+
+    def test_two_world_files_with_one_id_exit_one(self, tmp_path, capsys):
+        worlds_dir = tmp_path / "worlds"
+        worlds_dir.mkdir()
+        text = (WORLDS / "demo_house.json").read_text()
+        for name in ("a.json", "b.json"):
+            (worlds_dir / name).write_text(text)
+        dataset = tmp_path / "data.jsonl"
+        dataset.write_text("")
+        code = main(["bench", "--dataset", str(dataset), "--worlds", str(worlds_dir)])
+        assert code == EX_ERROR
+        err = capsys.readouterr().err
+        assert err.startswith("error: world id 'demo_house'")
+        assert str(worlds_dir / "a.json") in err and str(worlds_dir / "b.json") in err
 
     @pytest.mark.parametrize("line", ["[1, 2]", '{"id": "q", "slots": "none"}'])
     def test_a_malformed_dataset_line_exits_one(self, tmp_path, capsys, line):

@@ -171,6 +171,22 @@ class TestRunBenchmark:
         assert report["overall"]["n"] == len(records) + 1
         assert report["overall"]["failed"] >= 1
 
+    def test_a_blank_question_is_one_failed_row(self, bench_setup):
+        worlds, records = bench_setup
+        blank = QARecord(
+            id="zz-blank",
+            world_id=records[0].world_id,
+            category="template",
+            question="  ",
+            gold_answer="blue",
+            gold_pattern="V2[living room] -> V3(A)[sofa] -> A[color]",
+            slots={},
+        )
+        report = run_benchmark(list(records) + [blank], worlds)
+        rows = {r["id"]: r for r in report["rows"]}
+        assert rows.pop("zz-blank")["status"] == "failed"
+        assert list(rows.values()) == run_benchmark(records, worlds)["rows"]
+
     def test_parallel_report_is_identical(self, bench_setup):
         worlds, records = bench_setup
         serial = run_benchmark(records, worlds, parallel=1)

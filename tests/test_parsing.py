@@ -10,7 +10,6 @@ from stepqa.dataset import generate_dataset
 from stepqa.environment import load_world_truth
 from stepqa.llm_client import ChatClient, ChatMessage, ChatRequest, ReplayTransport, SchemaError
 from stepqa.parsing import (
-    EmptyQuestionError,
     GoldBackend,
     LlmBackend,
     ParseSource,
@@ -163,9 +162,10 @@ class TestBackendOrchestration:
         assert pq.source is ParseSource.GOLD
         assert render(pq.chain) == "V2[study] -> V3[bookshelf]"
 
-    def test_empty_question_is_its_own_error(self, backend):
-        with pytest.raises(EmptyQuestionError):
+    def test_a_blank_question_is_unparsed(self, backend):
+        with pytest.raises(UnparsedQuestionError) as err:
             parse_question("   ", [backend])
+        assert err.value.question == "   "
 
     def test_no_backend_hit_raises_with_the_question(self, backend):
         with pytest.raises(UnparsedQuestionError) as err:
