@@ -5,7 +5,8 @@ import json
 import pytest
 
 from stepqa import prompts
-from stepqa.environment import AgentPose
+from stepqa.agent import ingest_observation
+from stepqa.environment import AgentPose, load_world_truth
 from stepqa.llm_client import ChatClient, ChatMessage, ChatRequest, ReplayTransport
 from stepqa.llm_planner import (
     CLOSE_RANGE_ATTRIBUTES,
@@ -19,6 +20,7 @@ from stepqa.parsing import TemplateBackend
 from stepqa.rules import PlanKind
 from stepqa.scene_graph import Layer
 
+from conftest import WORLDS
 
 @pytest.fixture()
 def lookup():
@@ -97,6 +99,32 @@ class TestFallback:
         assert plan.kind is PlanKind.ANSWER
         assert plan.value == "not found"
         assert plan.tool == "fallback"
+
+    @pytest.mark.parametrize("world", ["demo_house", "clutter_clear", "clutter_occluded"])
+    def test_the_pick_is_the_nearest_first_sort_of_the_unexplored_siblings(self, lookup, world):
+        truth = load_world_truth(WORLDS / f"{world}.json")
+        graph = truth.prior_graph()
+        # small objects become anchors once their support's view is folded
+        for big in graph.nodes_at(Layer.BIG_OBJECT):
+            ingest_observation(graph, truth.view(big.id))
+        assert graph.nodes_at(Layer.SMALL_OBJECT)
+
+        def reference(anchor_id, explored):
+            near = graph.position_of(anchor_id)
+            probe = anchor_id
+            while (parent := graph.parent(probe)) is not None:
+                siblings = [s for s in graph.children(parent.id) if s.id != probe and s.id not in explored]
+                if siblings:
+                    return graph.nearest_first(siblings, near)[0].id
+                probe = parent.id
+            return None
+
+        for anchor in graph.nodes:
+            parent = graph.parent(anchor.id)
+            siblings = [s.id for s in graph.children(parent.id)] if parent is not None else []
+            for explored in [frozenset(), *(frozenset({s}) for s in siblings), frozenset(siblings)]:
+                plan = lookup.fallback_plan(graph, AgentPose(anchor.id), explored, "")
+                assert plan.goal_id == reference(anchor.id, explored), (anchor.id, sorted(explored))
 
 
 def canned_client(pairs):
