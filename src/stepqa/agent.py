@@ -116,7 +116,7 @@ class TraceEvent:
 class EpisodeTrace:
     question: str
     world_id: str
-    pattern: str | None = None
+    chain: PatternChain | None = None
     parse_source: str | None = None
     prompt_versions: dict[str, str] = field(default_factory=dict)
     entrance: Observation | None = None
@@ -126,6 +126,12 @@ class EpisodeTrace:
     steps: int = 0
     plans: int = 0
     wall_ms: float = 0.0
+
+    @property
+    def pattern(self) -> str | None:
+        """The parsed chain as text, rendered when read; None when the
+        question did not parse."""
+        return render(self.chain) if self.chain is not None else None
 
     @property
     def entrance_observation(self) -> dict[str, Any] | None:
@@ -486,7 +492,7 @@ def run_episode(
     except UnparsedQuestionError:
         return finish("not found", EpisodeStatus.FAILED, None)
 
-    trace.pattern = render(parsed.chain)
+    trace.chain = parsed.chain
     trace.parse_source = parsed.source.value
     slots = parsed.slots
 

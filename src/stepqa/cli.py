@@ -151,20 +151,17 @@ def _cmd_gen_dataset(args: argparse.Namespace) -> int:
 
 def _cmd_validate_world(args: argparse.Namespace) -> int:
     try:
+        world = load_world_truth(args.path)
         if args.strict_prior:
-            graph = load_world_prior(args.path)
-            world_id = Path(args.path).stem
-        else:
-            world = load_world_truth(args.path)
-            graph, world_id = world.graph, world.world_id
+            load_world_prior(args.path)
     except (WorldFormatError, OSError) as exc:
         print(f"invalid: {exc}", file=sys.stderr)
         return EX_ERROR
     from .scene_graph import Layer
 
-    counts = {layer: len(graph.nodes_at(layer)) for layer in Layer}
+    counts = {layer: len(world.graph.nodes_at(layer)) for layer in Layer}
     print(
-        f"ok: {world_id} with {counts[Layer.FLOOR]} floors, "
+        f"ok: {world.world_id} with {counts[Layer.FLOOR]} floors, "
         f"{counts[Layer.ROOM]} rooms, {counts[Layer.BIG_OBJECT]} big objects, "
         f"{counts[Layer.SMALL_OBJECT]} small objects"
     )

@@ -16,7 +16,7 @@ from typing import Any
 from .llm_client import ChatClient, SchemaError, ask, strip_fences
 from .patterns import PatternChain, TargetKind, render
 from .rules import PerceptionRange, Plan, PlanKind, move_plan
-from .scene_graph import SceneGraph, SceneNode
+from .scene_graph import Layer, SceneGraph, SceneNode
 
 # Attribute families that resolve from one layer above the object.
 REMOTE_ATTRIBUTES = frozenset({"color", "quantity", "existence", "location"})
@@ -74,22 +74,26 @@ def _last_labeled(chain: PatternChain) -> str | None:
 def _nearest_unexplored_sibling(
     graph: SceneGraph, pose: Any, explored: frozenset[str]
 ) -> SceneNode | None:
-    """Unexplored sibling of the anchor, then of its parent, nearest first."""
-    if pose.anchor_id not in graph:
+    """Unexplored sibling of the anchor, then of its parent, nearest first.
+
+    A floor's or a room's children are read in their memoized order
+    (``SceneGraph.children_nearest_first``). A big object's are sorted on
+    each call: they grow as an episode adopts small objects.
+    """
+    anchor_id = pose.anchor_id
+    if anchor_id not in graph:
         return None
-    probe: str | None = pose.anchor_id
-    while probe is not None:
-        parent = graph.parent(probe)
-        if parent is None:
-            return None
-        siblings = [
-            s
-            for s in graph.children(parent.id)
-            if s.id != probe and s.id not in explored
-        ]
-        if siblings:
-            return graph.nearest_first(siblings, graph.position_of(pose.anchor_id))[0]
+    probe = anchor_id
+    while (parent := graph.parent(probe)) is not None:
+        if parent.layer is Layer.BIG_OBJECT:
+            siblings = graph.nearest_first(graph.children(parent.id), graph.position_of(anchor_id))
+        else:
+            siblings = graph.children_nearest_first(parent.id, anchor_id)
+        for s in siblings:
+            if s.id != probe and s.id not in explored:
+                return s
         probe = parent.id
+    return None
 
 
 class ChatPlanner:

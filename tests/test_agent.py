@@ -19,7 +19,7 @@ from stepqa.agent import (
 from stepqa.environment import Environment, load_world_truth
 from stepqa.llm_planner import ChatPlanner, LookupPlanner
 from stepqa.parsing import TemplateBackend, parse_question
-from stepqa.patterns import parse_pattern_string
+from stepqa.patterns import parse_pattern_string, render
 from stepqa.rules import Plan, PlanKind
 from stepqa.scene_graph import Layer, SceneGraph
 from stepqa.worldgen import random_world_data
@@ -471,6 +471,17 @@ class TestTrace:
         assert header["parse_source"] == "template"
         assert header["world_id"] == "demo_house"
         assert "entrance_observation" in header
+
+    def test_the_pattern_is_rendered_only_when_read(self, demo_truth, monkeypatch):
+        rendered = []
+        monkeypatch.setattr(agent_module, "render", lambda chain: rendered.append(chain) or render(chain))
+        result = ask(demo_truth, "What color is the sofa in the living room?")
+        assert rendered == []
+        assert result.trace.pattern == render(result.chain) == "V2[living room] -> V3(A)[sofa] -> A[color]"
+        assert rendered == [result.chain]
+        blank = ask(demo_truth, "   ")
+        assert blank.chain is None and blank.trace.pattern is None
+        assert json.loads(blank.trace.lines()[0])["pattern"] is None
 
     def test_final_line_matches_the_result(self, result, tmp_path):
         path = tmp_path / "trace.jsonl"

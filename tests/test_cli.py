@@ -96,6 +96,15 @@ class TestValidateWorld:
         p.write_text(json.dumps(prior_data(DEMO)))
         assert main(["validate-world", str(p), "--strict-prior"]) == EX_OK
 
+    @pytest.mark.parametrize("flags", [[], ["--strict-prior"]])
+    def test_the_world_is_named_by_its_id_not_its_file(self, tmp_path, capsys, flags):
+        data = prior_data(DEMO)
+        data["id"] = "house_prior"
+        p = tmp_path / "some_other_name.json"
+        p.write_text(json.dumps(data))
+        assert main(["validate-world", str(p), *flags]) == EX_OK
+        assert capsys.readouterr().out.startswith("ok: house_prior with 1 floors, 4 rooms")
+
     def test_a_duplicate_node_id_exits_one_without_a_traceback(self, tmp_path, capsys):
         data = json.loads((WORLDS / "demo_house.json").read_text())
         data["floors"][0]["rooms"][1]["big_objects"][0]["id"] = "f0.living.table"
