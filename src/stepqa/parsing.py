@@ -150,10 +150,10 @@ def _connector_at(tokens: list[str], i: int) -> tuple[str, ...] | None:
     return None
 
 
-# A noun-phrase part is a tuple (label, constraint, layer, guessed): its
-# first attribute constraint or None, and whether its layer is a guess,
-# for a label neither the vocabulary nor the graph knows.
-_Part = tuple
+# A noun-phrase part: (label, its first attribute constraint or None,
+# layer, whether the layer is a guess for a label neither the vocabulary
+# nor the graph knows). A plain tuple, as a question makes several.
+_Part = tuple[str, tuple[str, str] | None, Layer, bool]
 
 
 def _parts(np_text: str, graph: SceneGraph | None) -> list[_Part]:
@@ -272,7 +272,8 @@ def _parsed(
         chain = make_chain(steps, kind)
     except PatternStructureError:
         return None
-    return ParsedQuestion(chain, {**slots, **_scope_slots(scope)}, ParseSource.TEMPLATE)
+    slots.update(_scope_slots(scope))
+    return ParsedQuestion(chain, slots, ParseSource.TEMPLATE)
 
 
 class TemplateBackend:
@@ -297,52 +298,55 @@ class TemplateBackend:
 
     # -- builders, one per skeleton -------------------------------------
 
-    def _head(self, m: re.Match) -> list[_Part] | None:
-        """The noun phrase's parts, the innermost one first, or None when
-        there is no part or the innermost one is a room."""
+    def _head(self, m: re.Match) -> tuple[_Part, list[_Part]] | None:
+        """The noun phrase's innermost part and the parts that scope it,
+        or None when there is no part or the innermost one is a room."""
         parts = _parts(m.group("np"), self.graph)
         if not parts or parts[0][2] is Layer.ROOM:
             return None
-        return parts
+        return parts[0], parts[1:]
 
     def _room_query(self, m: re.Match) -> ParsedQuestion | None:
-        parts = self._head(m)
-        if parts is None:
+        head = self._head(m)
+        if head is None:
             return None
-        steps = [*_steps(parts[:1]), SubGoal._of(Layer.ROOM)]
-        return _parsed(steps, TargetKind.ROOM, parts[1:], object=parts[0][0])
+        (label, constraint, layer, _), scope = head
+        steps = [SubGoal._of(layer, label, constraint), SubGoal._of(Layer.ROOM)]
+        return _parsed(steps, TargetKind.ROOM, scope, object=label)
 
     def _relational(self, m: re.Match) -> ParsedQuestion | None:
         relation = _RELATION_CANON.get(m.group("rel"), m.group("rel"))
-        parts = self._head(m)
-        if parts is None:
+        head = self._head(m)
+        if head is None:
             return None
-        ref = parts[0]
-        if ref[2] is Layer.BIG_OBJECT and relation == "next-to":
+        ref, scope = head
+        label, _, layer, _ = ref
+        if layer is Layer.BIG_OBJECT and relation == "next-to":
             target_layer = Layer.BIG_OBJECT
         else:
             target_layer = Layer.SMALL_OBJECT
+        parts = [ref, *scope]
         steps = [*_steps(parts), SubGoal._of(target_layer)]
-        return _parsed(steps, TargetKind.OBJECT, parts, relation=relation, support=ref[0])
+        return _parsed(steps, TargetKind.OBJECT, parts, relation=relation, support=label)
 
     def _attribute(self, m: re.Match, attribute: str | None = None) -> ParsedQuestion | None:
         """An attribute question. An unknown target label also gets a
         big-object reading as the chain's alternative, if that builds."""
         attribute = attribute or m.group("attr")
-        parts = self._head(m)
-        if parts is None:
+        head = self._head(m)
+        if head is None:
             return None
-        target, scope = parts[0], parts[1:]
+        (label, constraint, layer, guessed), scope = head
 
         def reading(layer: Layer) -> list[SubGoal]:
             return [
                 *_steps(scope),
-                SubGoal._of(layer, target[0], target[1], marked=True),
+                SubGoal._of(layer, label, constraint, marked=True),
                 SubGoal._of(layer, queried=attribute),
             ]
 
-        parsed = _parsed(reading(target[2]), TargetKind.ATTRIBUTE, scope, object=target[0], attribute=attribute)
-        if parsed is not None and target[3]:
+        parsed = _parsed(reading(layer), TargetKind.ATTRIBUTE, scope, object=label, attribute=attribute)
+        if parsed is not None and guessed:
             alt = _parsed(reading(Layer.BIG_OBJECT), TargetKind.ATTRIBUTE, scope)
             if alt is not None:
                 parsed.chain = replace(parsed.chain, alternatives=(alt.chain,))
@@ -368,13 +372,14 @@ class TemplateBackend:
     def _yes_no_attribute(self, m: re.Match) -> ParsedQuestion | None:
         value = m.group("value")
         attribute = VALUE_ATTRIBUTE.get(value)
-        parts = self._head(m) if attribute is not None else None
-        if parts is None:
+        head = self._head(m) if attribute is not None else None
+        if head is None:
             return None
-        label, _, layer, guessed = parts[0]
-        steps = _steps([(label, (attribute, value), layer, guessed), *parts[1:]])
+        (label, _, layer, guessed), scope = head
+        # the asked value comes before any constraint the phrase carries
+        steps = _steps([(label, (attribute, value), layer, guessed), *scope])
         slots = dict(object=label, attribute=attribute, value=value)
-        return _parsed(steps, TargetKind.EXISTENCE, parts[1:], **slots)
+        return _parsed(steps, TargetKind.EXISTENCE, scope, **slots)
 
 
 # The skeletons in the order they are tried, each with the first words of
