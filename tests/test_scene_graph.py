@@ -463,6 +463,11 @@ def assert_lookups_match_scan(graph, rng):
             assert [n.id for n in graph.find_nodes(label, layer)] == scan_find_nodes(graph, label, layer)
             got = [n.id for n in graph.resolve_label(label, layer)]
             assert got == scan_resolve_label(graph, label, layer)
+            if layer is not None:
+                norm = normalize_label(label)
+                assert graph.has_label(norm, layer) == bool(scan_find_nodes(graph, label, layer))
+                ending = [n for n in graph.nodes if n.layer is layer and n.norm_label.endswith(" " + norm)]
+                assert graph.has_label_ending(norm, layer) == bool(ending)
     for scope in ids:
         label, layer, constraint = rng.choice(labels), rng.choice(LAYERS), rng.choice(constraints)
         near = rng.choice([None, (rng.uniform(-5, 60), rng.uniform(-5, 5))])
