@@ -102,6 +102,10 @@ class TestTemplateSkeletons:
         assert person.attribute_constraint == ("shirt", "black")
         assert pq.chain.steps[1].label == "phone"
 
+    def test_the_first_garment_is_the_constraint(self, backend):
+        pq = backend.parse("Where is the person in a red hat wearing a black shirt?")
+        assert pq.chain.steps[0].attribute_constraint == ("hat", "red")
+
     def test_leading_adjective_becomes_a_constraint(self, backend):
         pq = backend.parse("Where is the red book?")
         assert pq.chain.steps[0].attribute_constraint == ("color", "red")
@@ -124,6 +128,16 @@ class TestLayerAssignment:
         # wardrobe is in the demo furniture, not in the core vocab lists
         pq = TemplateBackend(demo_truth.prior_graph()).parse("Where is the wardrobe?")
         assert pq.chain.steps[0].layer is Layer.BIG_OBJECT
+
+    def test_a_room_in_the_graph_wins_over_the_vocabulary(self, demo_path):
+        data = json.loads(demo_path.read_text())
+        data["floors"][0]["rooms"][0]["label"] = "closet"
+        pq = TemplateBackend(load_world_truth(data).prior_graph()).parse("What color is the book in the closet?")
+        assert render(pq.chain) == "V2[closet] -> V4(A)[book] -> A[color]"
+        assert pq.slots["room"] == "closet"
+        assert rendered(TemplateBackend(None), "What color is the book in the closet?") == (
+            "V3[closet] -> V4(A)[book] -> A[color]"
+        )
 
     def test_unknown_label_guesses_small_with_a_big_alternative(self, backend):
         pq = backend.parse("What color is the doohickey in the kitchen?")

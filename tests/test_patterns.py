@@ -115,6 +115,20 @@ class TestStructureErrors:
         with pytest.raises(PatternStructureError):
             parse_pattern_string(text)
 
+    @pytest.mark.parametrize(
+        "text,message",
+        [
+            ("V3[a] -> V2[b] -> V1[c]", "descending chain cannot step upward from V3 to V2"),
+            ("V1[f]{color=red} -> V2[a]{color=blue}", "attribute constraint not allowed on a V1 step"),
+            ("V3[t]{c=d} -> V2[a]{c=d}", "attribute constraint not allowed on a V2 step"),
+            ("V2[a] -> A[color] -> V1[f]{c=d}", "attribute step only allowed in final position, found at step 1"),
+        ],
+    )
+    def test_the_first_broken_rule_is_named(self, text, message):
+        with pytest.raises(PatternStructureError) as err:
+            parse_pattern_string(text)
+        assert str(err.value) == message
+
     def test_room_kind_needs_an_upward_chain(self):
         with pytest.raises(PatternStructureError):
             make_chain([SubGoal(layer=Layer.BIG_OBJECT, label="bed")], TargetKind.ROOM)
