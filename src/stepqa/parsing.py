@@ -250,7 +250,7 @@ _VOCAB_LAYERS = {
 
 def _steps(parts: list[_Part]) -> list[SubGoal]:
     """One step per part, outermost first."""
-    return [SubGoal._of(layer, label, constraint) for label, constraint, layer, _ in reversed(parts)]
+    return [SubGoal(layer, label, constraint) for label, constraint, layer, _ in reversed(parts)]
 
 
 def _scope_slots(parts: list[_Part]) -> dict[str, str]:
@@ -311,7 +311,7 @@ class TemplateBackend:
         if head is None:
             return None
         (label, constraint, layer, _), scope = head
-        steps = [SubGoal._of(layer, label, constraint), SubGoal._of(Layer.ROOM)]
+        steps = [SubGoal(layer, label, constraint), SubGoal(Layer.ROOM)]
         return _parsed(steps, TargetKind.ROOM, scope, object=label)
 
     def _relational(self, m: re.Match) -> ParsedQuestion | None:
@@ -326,7 +326,7 @@ class TemplateBackend:
         else:
             target_layer = Layer.SMALL_OBJECT
         parts = [ref, *scope]
-        steps = [*_steps(parts), SubGoal._of(target_layer)]
+        steps = [*_steps(parts), SubGoal(target_layer)]
         return _parsed(steps, TargetKind.OBJECT, parts, relation=relation, support=label)
 
     def _attribute(self, m: re.Match, attribute: str | None = None) -> ParsedQuestion | None:
@@ -341,8 +341,8 @@ class TemplateBackend:
         def reading(layer: Layer) -> list[SubGoal]:
             return [
                 *_steps(scope),
-                SubGoal._of(layer, label, constraint, marked=True),
-                SubGoal._of(layer, queried=attribute),
+                SubGoal(layer, label, constraint, attribute_marked=True),
+                SubGoal(layer, queried_attribute=attribute),
             ]
 
         parsed = _parsed(reading(layer), TargetKind.ATTRIBUTE, scope, object=label, attribute=attribute)
@@ -356,8 +356,11 @@ class TemplateBackend:
 
     def _tally(self, m: re.Match, kind: TargetKind) -> ParsedQuestion | None:
         """A count or existence question. Only a count singularizes the
-        object word: existence keeps it, as singularize("lens") is "len"."""
+        object word: existence keeps it, as singularize("lens") is "len".
+        A blank object word ("how many   are ...") parses to nothing."""
         words = m.group("obj").split()
+        if not words:
+            return None
         if kind is TargetKind.COUNT:
             words[-1] = singularize(words[-1])
         scope = _parts(m.group("np"), self.graph)
@@ -397,7 +400,7 @@ _SKELETON_ORDER: list[tuple[tuple[str, ...], re.Pattern[str], Any]] = [
 ]
 _SKELETONS: dict[str, list[tuple[re.Pattern[str], Any]]] = {
     word: [(pattern, builder) for words, pattern, builder in _SKELETON_ORDER if word in words]
-    for word in ("what", "which", "where", "how", "is")
+    for word in {word for words, _, _ in _SKELETON_ORDER for word in words}
 }
 
 

@@ -47,13 +47,15 @@ class PatternStructureError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class SubGoal:
     """One step of a chain.
 
     For object steps the layer is the layer of the thing to reach. The
     final step of an attribute chain instead names what to read off the
     object reached just before it; its layer repeats the object's layer.
+    A constraint marks the step, and a queried attribute makes it an
+    attribute step.
     """
 
     layer: Layer
@@ -63,35 +65,25 @@ class SubGoal:
     attribute_marked: bool = False
     attribute_step: bool = False
 
-    def __post_init__(self) -> None:
-        if self.attribute_constraint is not None:
-            object.__setattr__(self, "attribute_marked", True)
-        if self.queried_attribute is not None:
-            object.__setattr__(self, "attribute_step", True)
-
-    @classmethod
-    def _of(
-        cls,
+    def __init__(
+        self,
         layer: Layer,
         label: str | None = None,
-        constraint: tuple[str, str] | None = None,
-        queried: str | None = None,
-        marked: bool = False,
-    ) -> SubGoal:
-        """``SubGoal(layer, label, constraint, queried, marked)``, the same
-        value, equal and hashing alike, built at a third of the cost: its
-        fields go straight into the instance dict, not through the frozen
-        dataclass's ``__setattr__`` one at a time."""
-        step = object.__new__(cls)
-        step.__dict__.update(
+        attribute_constraint: tuple[str, str] | None = None,
+        queried_attribute: str | None = None,
+        attribute_marked: bool = False,
+        attribute_step: bool = False,
+    ) -> None:
+        # One dict update: the frozen dataclass's generated __init__ would
+        # set each field through object.__setattr__, at three times the cost.
+        self.__dict__.update(
             layer=layer,
             label=label,
-            attribute_constraint=constraint,
-            queried_attribute=queried,
-            attribute_marked=marked or constraint is not None,
-            attribute_step=queried is not None,
+            attribute_constraint=attribute_constraint,
+            queried_attribute=queried_attribute,
+            attribute_marked=attribute_marked or attribute_constraint is not None,
+            attribute_step=attribute_step or queried_attribute is not None,
         )
-        return step
 
     def token(self, with_slots: bool = True) -> str:
         if self.attribute_step:
@@ -111,11 +103,19 @@ class SubGoal:
         return text
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class PatternChain:
     steps: tuple[SubGoal, ...]
     target_kind: TargetKind
     alternatives: tuple["PatternChain", ...] = field(default=(), compare=False)
+
+    def __init__(
+        self,
+        steps: tuple[SubGoal, ...],
+        target_kind: TargetKind,
+        alternatives: tuple[PatternChain, ...] = (),
+    ) -> None:
+        self.__dict__.update(steps=steps, target_kind=target_kind, alternatives=alternatives)
 
     def __len__(self) -> int:
         return len(self.steps)
@@ -255,14 +255,8 @@ def make_chain(
     kind: TargetKind | None = None,
     alternatives: tuple[PatternChain, ...] = (),
 ) -> PatternChain:
-    """Build and validate a chain from step objects.
-
-    The chain's fields go straight into its instance dict: the frozen
-    dataclass's ``__init__`` would set them one ``__setattr__`` at a time.
-    """
+    """Build and validate a chain from step objects."""
     steps = tuple(steps)
     resolved = kind or _infer_kind(steps)
     _validate(steps, resolved)
-    chain = object.__new__(PatternChain)
-    object.__setattr__(chain, "__dict__", {"steps": steps, "target_kind": resolved, "alternatives": alternatives})
-    return chain
+    return PatternChain(steps, resolved, alternatives)

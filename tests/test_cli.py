@@ -50,6 +50,11 @@ class TestAsk:
         assert code == EX_ERROR
         assert "status: failed" in capsys.readouterr().out
 
+    def test_a_blank_counted_noun_fails_its_episode(self, capsys):
+        code = main(["ask", "How many    are in the kitchen?", "--world", DEMO])
+        assert code == EX_ERROR
+        assert "status: failed" in capsys.readouterr().out
+
     def test_missing_world_file_exits_one(self, capsys):
         code = main(["ask", "Where is the bag?", "--world", "/nonexistent.json"])
         assert code == EX_ERROR

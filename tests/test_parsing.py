@@ -181,6 +181,12 @@ class TestBackendOrchestration:
             parse_question("   ", [backend])
         assert err.value.question == "   "
 
+    @pytest.mark.parametrize("question", ["How many    are in the kitchen?", "Is there a    on the table?"])
+    def test_a_blank_counted_noun_is_unparsed(self, backend, question):
+        assert backend.parse(question) is None
+        with pytest.raises(UnparsedQuestionError):
+            parse_question(question, [backend])
+
     def test_no_backend_hit_raises_with_the_question(self, backend):
         with pytest.raises(UnparsedQuestionError) as err:
             parse_question("Ponder the meaning of furniture.", [backend])
