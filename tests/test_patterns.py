@@ -1,5 +1,7 @@
 """Chain grammar: parse, render, validation, and kind inference."""
 
+from dataclasses import FrozenInstanceError, replace
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -53,6 +55,21 @@ def test_constraint_survives_round_trip():
     assert step.attribute_constraint == ("color", "white")
     assert step.attribute_marked
     assert "{color=white}" in render(chain)
+
+
+def test_a_step_derives_its_marks_and_stays_a_frozen_value():
+    marked = SubGoal(Layer.SMALL_OBJECT, "cup", ("color", "red"))
+    assert marked.attribute_marked and not marked.attribute_step
+    assert SubGoal(Layer.SMALL_OBJECT, queried_attribute="color").attribute_step
+    spelled = SubGoal(
+        layer=Layer.SMALL_OBJECT, label="cup", attribute_constraint=("color", "red"), attribute_marked=True
+    )
+    assert marked == spelled and hash(marked) == hash(spelled)
+    assert replace(marked, label="mug") == SubGoal(Layer.SMALL_OBJECT, "mug", ("color", "red"))
+    with pytest.raises(FrozenInstanceError):
+        marked.label = "mug"
+    chain = make_chain([SubGoal(Layer.ROOM, "kitchen"), marked])
+    assert replace(chain, alternatives=(chain,)) == chain == PatternChain(chain.steps, TargetKind.OBJECT)
 
 
 def test_target_is_last_step():
