@@ -75,7 +75,7 @@ class SubGoal:
         attribute_step: bool = False,
     ) -> None:
         # One dict update: the frozen dataclass's generated __init__ would
-        # set each field through object.__setattr__, at three times the cost.
+        # set each field through object.__setattr__, at about twice the cost.
         self.__dict__.update(
             layer=layer,
             label=label,
