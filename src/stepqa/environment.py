@@ -2,7 +2,9 @@
 
 The world truth is a full scene graph down to small objects, plus
 per-node perception metadata; ``load_world_truth`` is the one reader of
-the world-file format. The agent starts from its prior: the
+the world-file format. A world file writes no small object's id: the
+loader makes it from the support's id, the label and the object's index
+among its same-label siblings. The agent starts from its prior: the
 floors, rooms and big objects of that graph, with no attributes. What an
 observation reveals depends only on where the agent stands:
 
@@ -40,6 +42,7 @@ from pathlib import Path
 from types import MappingProxyType
 from typing import Any, Callable, Mapping, NamedTuple
 
+from .parsing import json_text
 from .rules import Plan, PlanKind, resolve_near_pose
 from .scene_graph import (
     GraphValidationError,
@@ -239,7 +242,6 @@ class WorldTruth:
                     for big in graph.children(room.id):
                         template.add_node(big.clone({}), room.id)
             template.spatial_edges = [e for e in graph.spatial_edges if e.a in template and e.b in template]
-            template.validate()
             self._prior_template = template
         return template
 
@@ -248,8 +250,7 @@ class WorldTruth:
 
         That is a new node without attributes for each floor, room and big
         object, with its id, label, instance index and position, and the
-        spatial edges between them; a room or big object without a
-        position raises ``GraphValidationError``. The template is built from
+        spatial edges between them. The template is built from
         ``graph`` on the first call and kept for the life of this world.
         Each call returns an overlay on it (``SceneGraph.copy``): the node
         objects and the label index stay shared with the template, and the
@@ -283,11 +284,18 @@ def _array(entry: dict[str, Any], key: str, where: str, default: list[Any] | Non
     return value
 
 
+def _text(entry: dict[str, Any], key: str, where: str, default: str | None = None) -> str:
+    """The text under the key, which is required unless a default is
+    given: a string, or a number read as its text."""
+    value = _require(entry, key, where) if default is None else entry.get(key, default)
+    return json_text(value, f"{where}: {key}", WorldFormatError)
+
+
 def _position(value: Any, where: str) -> tuple[float, float]:
     if (
         not isinstance(value, (list, tuple))
         or len(value) != 2
-        or not all(isinstance(v, (int, float)) for v in value)
+        or not all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in value)
     ):
         raise WorldFormatError(f"{where}: position must be [x, y] in meters")
     return (float(value[0]), float(value[1]))
@@ -299,10 +307,11 @@ def _attributes(entry: dict[str, Any], where: str) -> tuple[dict[str, str], froz
     if not isinstance(attrs, dict):
         raise WorldFormatError(f"{where}: attributes must be an object")
     hidden = _array(entry, "close_only", where, [])
-    unknown = [h for h in hidden if h not in attrs]
+    unknown = [h for h in hidden if not isinstance(h, str) or h not in attrs]
     if unknown:
         raise WorldFormatError(f"{where}: close_only names absent attribute {unknown[0]!r}")
-    return {str(k): str(v) for k, v in attrs.items()}, frozenset(str(h) for h in hidden)
+    values = {str(k): json_text(v, f"{where}: attributes.{k}", WorldFormatError) for k, v in attrs.items()}
+    return values, frozenset(hidden)
 
 
 def _add(where: str, add: Callable[..., Any], *args: Any) -> Any:
@@ -315,7 +324,7 @@ def _add(where: str, add: Callable[..., Any], *args: Any) -> Any:
 
 
 def world_source_path(source: Any) -> Path | None:
-    """The file a world source names; None for a dict, JSON text or open file."""
+    """The file a world source names; None for a dict or JSON text."""
     if isinstance(source, Path):
         return source
     if isinstance(source, str) and not source.lstrip().startswith("{"):
@@ -324,7 +333,7 @@ def world_source_path(source: Any) -> Path | None:
 
 
 def read_world_source(source: Any) -> dict[str, Any]:
-    """Accept a dict, a JSON string, a path, or an open file."""
+    """Accept a dict, a JSON string, or a path."""
     if isinstance(source, dict):
         return source
     path = world_source_path(source)
@@ -332,8 +341,6 @@ def read_world_source(source: Any) -> dict[str, Any]:
         text = path.read_text()
     elif isinstance(source, str):
         text = source
-    elif hasattr(source, "read"):
-        text = source.read()
     else:
         raise WorldFormatError(f"unsupported world source: {type(source).__name__}")
     try:
@@ -350,8 +357,10 @@ def load_world_truth(source: Any) -> WorldTruth:
 
     Each floor, room, big object and small object becomes a node as it
     is read, with its attributes and perception flags; the spatial edges
-    join floors, rooms or big objects within one layer. Raises
-    WorldFormatError naming the first field that is wrong.
+    join floors, rooms or big objects within one layer. A small object's
+    id is made here, as "f0.living.table.cup.1" for the second cup on
+    that table. Ids, labels and attribute values are strings or numbers.
+    Raises WorldFormatError naming the first field that is wrong.
     """
     data = read_world_source(source)
     graph = SceneGraph()
@@ -371,19 +380,19 @@ def load_world_truth(source: Any) -> WorldTruth:
         raise WorldFormatError("world: floors must be a non-empty array")
     for fi, floor in enumerate(floors):
         fwhere = f"floors[{fi}]"
-        fid = str(_require(floor, "id", fwhere))
-        _add(fwhere, graph.add_node, SceneNode(fid, Layer.FLOOR, str(floor.get("label", "floor"))))
+        fid = _text(floor, "id", fwhere)
+        _add(fwhere, graph.add_node, SceneNode(fid, Layer.FLOOR, _text(floor, "label", fwhere, "floor")))
         for ri, room in enumerate(_array(floor, "rooms", fwhere)):
             rwhere = f"{fwhere}.rooms[{ri}]"
-            rid = str(_require(room, "id", rwhere))
-            label = str(_require(room, "label", rwhere))
+            rid = _text(room, "id", rwhere)
+            label = _text(room, "label", rwhere)
             position = _position(_require(room, "position", rwhere), rwhere)
             room_node = SceneNode(rid, Layer.ROOM, label, instance_index(fid, label), position)
             _add(rwhere, graph.add_node, room_node, fid)
             for bi, big in enumerate(_array(room, "big_objects", rwhere)):
                 bwhere = f"{rwhere}.big_objects[{bi}]"
-                bid = str(_require(big, "id", bwhere))
-                label = str(_require(big, "label", bwhere))
+                bid = _text(big, "id", bwhere)
+                label = _text(big, "label", bwhere)
                 position = _position(_require(big, "position", bwhere), bwhere)
                 attrs, hidden = _attributes(big, bwhere)
                 big_node = SceneNode(bid, Layer.BIG_OBJECT, label, instance_index(rid, label), position, attrs)
@@ -392,9 +401,12 @@ def load_world_truth(source: Any) -> WorldTruth:
                     close_only[bid] = hidden
                 for si, small in enumerate(_array(big, "small_objects", bwhere, [])):
                     swhere = f"{bwhere}.small_objects[{si}]"
-                    label = str(_require(small, "label", swhere))
+                    label = _text(small, "label", swhere)
                     attrs, hidden = _attributes(small, swhere)
-                    node = _add(swhere, graph.add_observed_node, bid, label, attrs, instance_index(bid, label))
+                    index = instance_index(bid, label)
+                    sid = f"{bid}.{normalize_label(label).replace(' ', '_')}.{index}"
+                    node = SceneNode(sid, Layer.SMALL_OBJECT, label, index, attributes=attrs)
+                    _add(swhere, graph.add_node, node, bid)
                     if hidden:
                         close_only[node.id] = hidden
                     relation = small.get("relation", "on")
@@ -406,14 +418,13 @@ def load_world_truth(source: Any) -> WorldTruth:
                         occluded.add(node.id)
     for ei, edge in enumerate(_array(data, "spatial_edges", "world", [])):
         ewhere = f"spatial_edges[{ei}]"
-        a, b, relation = (str(_require(edge, key, ewhere)) for key in ("a", "b", "relation"))
+        a, b, relation = (_text(edge, key, ewhere) for key in ("a", "b", "relation"))
         for end in (a, b):  # a small object's id is made here, not written in the file
             if end not in graph or graph.node(end).layer is Layer.SMALL_OBJECT:
                 raise WorldFormatError(f"{ewhere}: references unknown node {end!r}")
         _add(ewhere, graph.add_spatial_edge, a, b, relation)
-    graph.validate()
     path = world_source_path(source)
-    world_id = str(data.get("id", path.stem if path is not None else "world"))
+    world_id = _text(data, "id", "world", path.stem if path is not None else "world")
     entrance = data.get("entrance")
     return WorldTruth(
         graph,

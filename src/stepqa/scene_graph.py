@@ -217,6 +217,11 @@ def _constrained(candidates: list[SceneNode], constraint: tuple[str, str]) -> li
 class SceneGraph:
     """Mutable containment-plus-spatial graph over SceneNode objects.
 
+    Every node with a new id enters through ``add_node``, which checks
+    the structure as it enters: a new id, a parent one layer up (none
+    for a floor) and a position for a room or big object. Spatial edges
+    join known nodes within one layer. No later pass checks a graph.
+
     A node object is never written once it is in a graph: a write puts a
     new node in its place. So graphs may share node objects freely.
 
@@ -243,6 +248,8 @@ class SceneGraph:
     def add_node(self, node: SceneNode, parent_id: str | None = None) -> SceneNode:
         if node.id in self._nodes:
             raise GraphValidationError(f"duplicate node id: {node.id}")
+        if node.position is None and node.layer in (Layer.ROOM, Layer.BIG_OBJECT):
+            raise GraphValidationError(f"node {node.id} at {node.layer.tag} has no position")
         if node.layer is Layer.FLOOR:
             if parent_id is not None:
                 raise GraphValidationError(f"floor node {node.id} cannot have a parent")
@@ -306,41 +313,6 @@ class SceneGraph:
         edge = SpatialEdge(a, b, relation)
         self.spatial_edges.append(edge)
         return edge
-
-    def add_observed_node(
-        self,
-        parent_id: str,
-        label: str,
-        attributes: dict[str, str] | None = None,
-        instance_index: int | None = None,
-    ) -> SceneNode:
-        """Attach a small object discovered by observation.
-
-        Re-inserting an existing (parent, label, instance) merges any new
-        attribute values into that node (``update_attributes``).
-        """
-        parent = self.node(parent_id)
-        if parent.layer is not Layer.BIG_OBJECT:
-            raise LayerError(f"observed objects attach to {Layer.BIG_OBJECT.tag}, got {parent.layer.tag}")
-        norm = normalize_label(label)
-        same = [self._nodes[c] for c in self._children[parent_id] if self._nodes[c].norm_label == norm]
-        if instance_index is None:
-            if same:
-                return self.update_attributes(same[0].id, attributes or {})
-            instance_index = 0
-        else:
-            for node in same:
-                if node.instance_index == instance_index:
-                    return self.update_attributes(node.id, attributes or {})
-        node_id = f"{parent_id}.{norm.replace(' ', '_')}.{instance_index}"
-        node = SceneNode(
-            id=node_id,
-            layer=Layer.SMALL_OBJECT,
-            label=label,
-            instance_index=instance_index,
-            attributes=dict(attributes or {}),
-        )
-        return self.add_node(node, parent_id)
 
     def update_attributes(self, node_id: str, values: Mapping[str, str]) -> SceneNode:
         """Merge attribute values into a node: a copy that carries them
@@ -612,35 +584,7 @@ class SceneGraph:
                 return _INVERSE_RELATION.get(edge.relation, edge.relation)
         return None
 
-    # -- validation and copying ----------------------------------------
-
-    def validate(self) -> None:
-        for node in self._nodes.values():
-            if node.layer is Layer.FLOOR:
-                if node.id in self._parent:
-                    raise GraphValidationError(f"floor {node.id} has a parent")
-                continue
-            pid = self._parent.get(node.id)
-            if pid is None:
-                raise GraphValidationError(f"node {node.id} at {node.layer.tag} has no parent")
-            parent = self._nodes[pid]
-            if parent.layer != node.layer - 1:
-                raise GraphValidationError(
-                    f"node {node.id} at {node.layer.tag} sits under {pid} at {parent.layer.tag}"
-                )
-            if node.layer in (Layer.ROOM, Layer.BIG_OBJECT) and node.position is None:
-                raise GraphValidationError(f"node {node.id} at {node.layer.tag} has no position")
-        for node in self._nodes.values():
-            cur: str | None = node.id
-            hops = 0
-            while cur is not None:
-                hops += 1
-                if hops > len(self._nodes):
-                    raise GraphValidationError(f"containment cycle through {node.id}")
-                cur = self._parent.get(cur)
-        for edge in self.spatial_edges:
-            if edge.a not in self._nodes or edge.b not in self._nodes:
-                raise GraphValidationError(f"spatial edge {edge.a} -> {edge.b} references unknown node")
+    # -- copying --------------------------------------------------------
 
     def copy(self) -> SceneGraph:
         """A copy that shares the node objects and the label index with

@@ -10,7 +10,7 @@ import pathlib
 import pytest
 
 from stepqa.environment import Environment, WorldTruth, load_world_truth, read_world_source
-from stepqa.scene_graph import alias_label, normalize_label
+from stepqa.scene_graph import Layer, SceneNode, alias_label, normalize_label
 from stepqa.worldgen import random_world_data
 
 WORLDS = pathlib.Path(__file__).resolve().parent.parent / "worlds"
@@ -64,6 +64,18 @@ def clear_truth() -> WorldTruth:
 @pytest.fixture()
 def occluded_truth() -> WorldTruth:
     return load_world_truth(WORLDS / "clutter_occluded.json")
+
+
+def small_id(parent_id, label, index=0):
+    """The id the world loader gives a small object."""
+    return f"{parent_id}.{normalize_label(label).replace(' ', '_')}.{index}"
+
+
+def add_small(graph, parent_id, label, attributes=None, index=0):
+    """Add a small object under a big object, as the world loader does."""
+    node_id = small_id(parent_id, label, index)
+    node = SceneNode(node_id, Layer.SMALL_OBJECT, label, index, attributes=dict(attributes or {}))
+    return graph.add_node(node, parent_id)
 
 
 def scan_resolve_label(graph, label, layer=None, scope_id=None, constraint=None, near=None):

@@ -24,6 +24,8 @@ from stepqa.rules import Plan, PlanKind
 from stepqa.scene_graph import Layer, SceneGraph
 from stepqa.worldgen import random_world_data
 
+from conftest import add_small
+
 
 GOLDEN = pathlib.Path(__file__).resolve().parent / "golden"
 BOOK_QUESTION = "What is the title of the book on the coffee table in the living room?"
@@ -163,7 +165,7 @@ class TestEpisodes:
     def test_a_tally_focused_on_its_own_target_counts_under_the_room(self, demo_truth):
         # a room-level look focuses on the chain's object once the graph holds one
         graph = demo_truth.prior_graph()
-        book = graph.add_observed_node("f0.living.table", "book")
+        book = add_small(graph, "f0.living.table", "book")
         question = "How many books are on the coffee table in the living room?"
         parsed = parse_question(question, [TemplateBackend(graph)])
         look = Plan(kind=PlanKind.OBSERVE, focus_id=book.id, advance_to=len(parsed.chain.steps))

@@ -18,10 +18,10 @@ from stepqa.environment import (
     load_world_truth,
 )
 from stepqa.rules import Plan, PlanKind, resolve_near_pose
-from stepqa.scene_graph import Layer, SceneGraph, SceneNode, UnknownNodeError, WorldFormatError
+from stepqa.scene_graph import GraphValidationError, Layer, SceneGraph, SceneNode, UnknownNodeError, WorldFormatError
 from stepqa.worldgen import random_world_data
 
-from conftest import multi_floor_data, prior_data
+from conftest import add_small, multi_floor_data, prior_data, small_id
 
 
 def move(goal_id=None, label=None, layer=None) -> Plan:
@@ -278,9 +278,9 @@ class TestWorldTruthLoading:
         index_before = {k: dict(v) for k, v in template._index._asdict().items()}
         sofa = template.node("f0.living.sofa")
 
-        first.add_observed_node("f0.kitchen.table", "spoon", {"color": "silver"})
+        add_small(first, "f0.kitchen.table", "spoon", {"color": "silver"})
         first.update_attributes("f0.living.sofa", {"color": "green"})
-        first.add_observed_node("f0.living.table", "book", {"title": "dune"}, instance_index=0)
+        add_small(first, "f0.living.table", "book", {"title": "dune"})
         demo_env.reset()
         ingest_observation(first, demo_env.execute(move(goal_id="f0.living")))
         ingest_observation(first, demo_env.execute(move(goal_id="f0.living.table")))
@@ -302,12 +302,12 @@ class TestWorldTruthLoading:
         parent = demo_truth.prior_graph()
         # the child shares what the parent wrote and added before the copy
         parent.update_attributes("f0.living.sofa", {"color": "blue"})
-        parent.add_observed_node("f0.living.sofa", "phone")
+        add_small(parent, "f0.living.sofa", "phone")
         child = parent.copy()
         parent.update_attributes("f0.living.sofa", {"material": "leather"})
-        parent.add_observed_node("f0.living.sofa", "book")
+        add_small(parent, "f0.living.sofa", "book")
         child.update_attributes("f0.living.sofa", {"color": "green"})
-        child.add_observed_node("f0.living.sofa", "cushion", {"color": "white"})
+        add_small(child, "f0.living.sofa", "cushion", {"color": "white"})
         parent.update_attributes("f0.kitchen.table", {"color": "brown"})
 
         assert parent.node("f0.living.sofa").attributes == {"color": "blue", "material": "leather"}
@@ -320,12 +320,12 @@ class TestWorldTruthLoading:
         assert all(n.attributes == {} for n in demo_truth.prior_graph().nodes)
 
     def test_a_prior_with_a_room_without_position_is_refused(self):
+        # refused as the room enters the graph, before any world holds it
         graph = SceneGraph()
         graph.add_node(SceneNode("f0", Layer.FLOOR, "floor"))
-        graph.add_node(SceneNode("f0.hall", Layer.ROOM, "hall"), "f0")
-        world = WorldTruth(graph)
-        with pytest.raises(ValueError):
-            world.prior_graph()
+        with pytest.raises(GraphValidationError, match="node f0.hall at V2 has no position"):
+            graph.add_node(SceneNode("f0.hall", Layer.ROOM, "hall"), "f0")
+        assert "f0.hall" not in graph
 
     def test_the_prior_keeps_no_spatial_edge_between_small_objects(self, demo_truth):
         graph = demo_truth.graph
@@ -468,6 +468,34 @@ LOADER_REJECTIONS = {
         "spatial_edges[4]",
     ),
     "unknown_entrance": (lambda d: d.update(entrance="f9"), "entrance"),
+    "null_attribute_value": (
+        lambda d: _big(d)["attributes"].update(color=None),
+        f"{_BIG0}: attributes.color must be a string or a number, not null",
+    ),
+    "boolean_attribute_value": (
+        lambda d: _big(d)["attributes"].update(color=True),
+        f"{_BIG0}: attributes.color must be a string or a number, not bool",
+    ),
+    "array_attribute_value": (
+        lambda d: _big(d)["small_objects"][0]["attributes"].update(color=["a", "b"]),
+        f"{_BIG0}.small_objects[0]: attributes.color must be a string or a number, not list",
+    ),
+    "null_room_id": (
+        lambda d: d["floors"][0]["rooms"][1].update(id=None),
+        "floors[0].rooms[1]: id must be a string or a number, not null",
+    ),
+    "object_label": (
+        lambda d: _big(d, 1).update(label={"en": "table"}),
+        "floors[0].rooms[1].big_objects[0]: label must be a string or a number, not dict",
+    ),
+    "boolean_position": (
+        lambda d: d["floors"][0]["rooms"][1].update(position=[True, False]),
+        "floors[0].rooms[1]: position must be [x, y] in meters",
+    ),
+    "close_only_names_an_array": (
+        lambda d: _big(d).update(close_only=[["material"]]),
+        f"{_BIG0}: close_only names absent attribute ['material']",
+    ),
     "duplicate_room_id": (
         lambda d: d["floors"][0]["rooms"][1].update(id="f0.living"),
         "floors[0].rooms[1]: duplicate node id: f0.living",
@@ -497,6 +525,15 @@ def test_the_loader_names_where_a_world_file_breaks(case, demo_path):
     with pytest.raises(WorldFormatError) as caught:
         load_world_truth(data)
     assert locus in str(caught.value)
+
+
+def test_the_loader_reads_a_number_as_its_text(demo_path):
+    data = json.loads(demo_path.read_text())
+    _big(data).update(attributes={"color": "brown", "material": 3, "height": 0.5})
+    _big(data)["small_objects"][0].update(label=42)
+    graph = load_world_truth(data).graph
+    assert graph.node("f0.living.table").attributes == {"color": "brown", "material": "3", "height": "0.5"}
+    assert graph.node("f0.living.table.42.0").label == "42"
 
 
 VIEW_WORLDS = ["demo_house.json", "clutter_clear.json", "clutter_occluded.json", "random"]
@@ -630,7 +667,7 @@ def occluded_world_data(seed, floors, occlude):
 
 def fold_ops(world, data):
     """A drawn sequence of looks (anchor, focus) and of writes through
-    update_attributes and add_observed_node, some of them of true values. A
+    update_attributes and adds of small objects, some of them of true values. A
     write may be followed by a look that shows the node written."""
     truth = world.graph
     ids = sorted(n.id for n in truth.nodes)
@@ -663,7 +700,7 @@ def fold_ops(world, data):
             st.just(big),
             labels_for(big),
             st.dictionaries(st.sampled_from(names), st.sampled_from(values), max_size=2),
-            st.one_of(st.none(), st.integers(0, 2)),
+            st.integers(0, 2),
         )
     )
 
@@ -687,7 +724,12 @@ def run_fold_ops(world, ops, ingest):
             if op[1] in graph:
                 graph.update_attributes(op[1], {op[2]: op[3]})
         else:
-            graph.add_observed_node(*op[1:])
+            _, big, label, attributes, index = op
+            node_id = small_id(big, label, index)
+            if node_id in graph:  # the graph holds a node with this id: merge into it
+                graph.update_attributes(node_id, attributes)
+            else:
+                add_small(graph, big, label, attributes, index)
     return graph, flags
 
 
@@ -738,7 +780,7 @@ class TestFoldByReference:
         assert [graph.node(n.id) for n in table.fold.adopted] == list(table.fold.adopted)
         assert all(graph.node(n.id) is n for n in table.fold.adopted)
         graph.update_attributes("f0.living.sofa", {"color": "green"})
-        book = graph.add_observed_node("f0.living.table", "book", {"color": "blue"})
+        book = graph.update_attributes("f0.living.table.book.0", {"color": "blue"})
         assert graph.node("f0.living.sofa").attributes["color"] == "green"
         assert book.attributes == {"color": "blue"} and graph.node(book.id) is book
         assert sofa.attributes["color"] == "blue" and room.revealed["f0.living.sofa"]["color"] == "blue"
@@ -756,7 +798,7 @@ class TestFoldByReference:
 
     def test_a_relabelled_node_is_merged_not_replaced(self, demo_truth):
         graph = demo_truth.prior_graph()
-        graph.add_observed_node("f0.living.table", "books", instance_index=0)
+        add_small(graph, "f0.living.table", "books")
         assert ingest_observation(graph, demo_truth.view("f0.living.table"))
         book = graph.node("f0.living.table.book.0")
         assert (book.label, book.attributes) == ("books", {"color": "red"})

@@ -24,7 +24,7 @@ from stepqa.rules import (
 from stepqa.scene_graph import Layer, SceneGraph, SceneNode
 from stepqa.worldgen import random_world_data
 
-from conftest import WORLDS, multi_floor_data, scan_resolve_label
+from conftest import WORLDS, add_small, multi_floor_data, scan_resolve_label
 
 
 def entrance() -> AgentPose:
@@ -241,7 +241,7 @@ class TestTallyPlans:
 
     def test_close_constraint_visits_unverified_candidates(self, demo_truth):
         graph = demo_truth.prior_graph()
-        person = graph.add_observed_node("f0.living.sofa", "person")
+        person = add_small(graph, "f0.living.sofa", "person")
         pose = AgentPose("f0.living.sofa", 2)
         plan = next_plan(
             self.chain(), 2, graph, pose, constraint_class=PerceptionRange.CLOSE_RANGE
@@ -252,7 +252,7 @@ class TestTallyPlans:
 
     def test_verified_candidates_get_the_final_tally_observe(self, demo_truth):
         graph = demo_truth.prior_graph()
-        person = graph.add_observed_node("f0.living.sofa", "person")
+        person = add_small(graph, "f0.living.sofa", "person")
         graph.update_attributes(person.id, {"state": "awake"})
         pose = AgentPose("f0.living.sofa", 2)
         plan = next_plan(
@@ -263,7 +263,7 @@ class TestTallyPlans:
 
     def test_remote_constraint_needs_no_visits(self, demo_truth):
         graph = demo_truth.prior_graph()
-        graph.add_observed_node("f0.living.sofa", "cushion")
+        add_small(graph, "f0.living.sofa", "cushion")
         chain = parse_pattern_string(
             "count: V2[living room] -> V3[sofa] -> V4[cushion]{color=white}"
         )
@@ -487,7 +487,7 @@ class TestOutwardSearch:
             }
         )
         graph = world.prior_graph()
-        book = graph.add_observed_node("f0.a.lamp", "book")
+        book = add_small(graph, "f0.a.lamp", "book")
         pose = pose_at(graph, book.id if on_lamp else "f0.a.lamp")
         found = resolve_near_pose(graph, pose, label, Layer.BIG_OBJECT)
         assert found.id.startswith("f0.a.")
@@ -643,7 +643,7 @@ class TestSweepMemo:
     def test_small_objects_keep_the_memo(self, demo_truth):
         graph = demo_truth.prior_graph()
         memo = graph._near
-        graph.add_observed_node("f0.living.sofa", "phone")
+        add_small(graph, "f0.living.sofa", "phone")
         assert graph._near is memo
         assert every_sweep(graph) == every_full_sweep(graph)
 

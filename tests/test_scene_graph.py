@@ -22,7 +22,7 @@ from stepqa.scene_graph import (
 from stepqa.environment import load_world_prior, load_world_truth
 from stepqa.worldgen import random_world, random_world_data
 
-from conftest import WORLDS, multi_floor_data, prior_data, scan_resolve_label
+from conftest import WORLDS, add_small, multi_floor_data, prior_data, scan_resolve_label, small_id
 
 
 def small_world() -> dict:
@@ -151,6 +151,14 @@ class TestGraphStructure:
                 parent_id="f0",
             )
 
+    @pytest.mark.parametrize("layer", [Layer.ROOM, Layer.BIG_OBJECT])
+    def test_a_room_or_big_object_needs_a_position(self, layer):
+        g = load_world_prior(small_world())
+        parent = g.nodes_at(Layer(layer - 1))[0]
+        with pytest.raises(GraphValidationError, match=f"node x at {layer.tag} has no position"):
+            g.add_node(SceneNode("x", layer, "hall"), parent.id)
+        assert "x" not in g
+
     def test_duplicate_id_rejected(self):
         g = SceneGraph()
         g.add_node(SceneNode("f0", Layer.FLOOR, "ground floor"))
@@ -253,48 +261,30 @@ class TestGraphStructure:
         with pytest.raises(GraphValidationError):
             g.add_spatial_edge("f0.a.t", "f0.a.s", "orbiting")
 
-    def test_observed_node_attaches_to_big_object_only(self):
-        g = load_world_prior(small_world())
-        node = g.add_observed_node("f0.a.t", "book", attributes={"color": "red"})
-        assert node.layer is Layer.SMALL_OBJECT
-        assert g.parent(node.id).id == "f0.a.t"
-        with pytest.raises(LayerError):
-            g.add_observed_node("f0.a", "book")
-
-    def test_reobservation_merges_instead_of_duplicating(self):
-        g = load_world_prior(small_world())
-        first = g.add_observed_node("f0.a.t", "book", attributes={"color": "red"})
-        again = g.add_observed_node("f0.a.t", "book", attributes={"state": "open"})
-        assert again.id == first.id
-        assert g.node(first.id).attributes == {"color": "red", "state": "open"}
-
     def test_a_write_puts_a_new_node_in_place_of_the_held_one(self):
         g = load_world_prior(small_world())
         table = g.node("f0.a.t")
-        book = g.add_observed_node("f0.a.t", "book", attributes={"color": "red"})
+        book = add_small(g, "f0.a.t", "book", {"color": "red"})
         written = g.update_attributes(table.id, {"color": "brown"})
-        merged = g.add_observed_node("f0.a.t", "book", attributes={"state": "open"})
+        merged = g.update_attributes(book.id, {"state": "open"})
         assert table.attributes == {} and book.attributes == {"color": "red"}
         assert g.node(table.id) is written is not table and written.attributes == {"color": "brown"}
         assert g.node(book.id) is merged is not book and merged.attributes == {"color": "red", "state": "open"}
 
     def test_explicit_instance_index_keeps_twins_apart(self):
         g = load_world_prior(small_world())
-        a = g.add_observed_node("f0.a.t", "cup", instance_index=0)
-        b = g.add_observed_node("f0.a.t", "cup", instance_index=1)
+        a = add_small(g, "f0.a.t", "cup", index=0)
+        b = add_small(g, "f0.a.t", "cup", index=1)
         assert a.id != b.id
         assert len(g.resolve_label("cup")) == 2
 
     def test_copy_is_deep_for_attributes(self):
         g = load_world_prior(small_world())
-        node = g.add_observed_node("f0.a.t", "book")
+        node = add_small(g, "f0.a.t", "book")
         dup = g.copy()
         dup.update_attributes(node.id, {"color": "red"})
         assert "color" not in g.node(node.id).attributes
         assert dup.node(node.id).attributes["color"] == "red"
-
-    def test_validate_passes_on_well_formed_graph(self):
-        load_world_prior(small_world()).validate()
 
 
 class TestResolveLabel:
@@ -311,15 +301,15 @@ class TestResolveLabel:
 
     def test_constraint_filters_on_attributes(self):
         g = load_world_prior(small_world())
-        a = g.add_observed_node("f0.a.t", "cup", attributes={"color": "white"}, instance_index=0)
-        g.add_observed_node("f0.a.t", "cup", attributes={"color": "blue"}, instance_index=1)
+        a = add_small(g, "f0.a.t", "cup", {"color": "white"}, index=0)
+        add_small(g, "f0.a.t", "cup", {"color": "blue"}, index=1)
         got = g.resolve_label("cup", constraint=("color", "White"))
         assert [n.id for n in got] == [a.id]
 
     def test_constraint_keeps_unverified_candidates_when_none_match(self):
         g = load_world_prior(small_world())
-        g.add_observed_node("f0.a.t", "cup", attributes={"color": "blue"}, instance_index=0)
-        unseen = g.add_observed_node("f0.a.t", "cup", instance_index=1)
+        add_small(g, "f0.a.t", "cup", {"color": "blue"}, index=0)
+        unseen = add_small(g, "f0.a.t", "cup", index=1)
         got = g.resolve_label("cup", constraint=("color", "white"))
         assert [n.id for n in got] == [unseen.id]
 
@@ -368,6 +358,25 @@ class TestWorldFiles:
             load_world_prior(data)
         assert "position" in str(err.value)
 
+    def test_the_loader_makes_small_object_ids_and_indices(self):
+        data = small_world()
+        smalls = [{"label": "cup"}, {"label": "potted plant"}, {"label": "cups"}]
+        data["floors"][0]["rooms"][0]["big_objects"][0]["small_objects"] = smalls
+        g = load_world_truth(data).graph
+        got = [(n.id, n.label, n.instance_index) for n in g.children("f0.a.t")]
+        assert got == [
+            ("f0.a.t.cup.0", "cup", 0),
+            ("f0.a.t.potted_plant.0", "potted plant", 0),
+            ("f0.a.t.cup.1", "cups", 1),
+        ]
+
+    def test_an_edge_naming_a_small_object_is_refused(self):
+        data = small_world()
+        data["floors"][0]["rooms"][0]["big_objects"][0]["small_objects"] = [{"label": "cup"}]
+        data["spatial_edges"].append({"a": "f0.a.t.cup.0", "b": "f0.a.t.cup.0", "relation": "next-to"})
+        with pytest.raises(WorldFormatError, match="references unknown node 'f0.a.t.cup.0'"):
+            load_world_truth(data)
+
     def test_edge_to_unknown_node_rejected(self):
         data = small_world()
         data["spatial_edges"].append({"a": "f0.a.t", "b": "ghost", "relation": "on"})
@@ -388,6 +397,10 @@ class TestWorldFiles:
     def test_truth_file_is_not_a_valid_prior(self, demo_path):
         with pytest.raises(WorldFormatError):
             load_world_prior(demo_path)
+
+    def test_an_open_file_is_not_a_world_source(self, demo_path):
+        with demo_path.open() as f, pytest.raises(WorldFormatError, match="unsupported world source"):
+            load_world_truth(f)
 
     def test_bad_json_reports_position(self, tmp_path):
         p = tmp_path / "broken.json"
@@ -488,10 +501,14 @@ def grow(graph, world, data):
         st.sampled_from(bigs),
         st.sampled_from(["cup", "cups", "coffee cup", "red book", "book", "couch", "tv"]),
         st.dictionaries(st.sampled_from(["color", "state"]), st.sampled_from(["red", "open"]), max_size=2),
-        st.one_of(st.none(), st.integers(0, 2)),
+        st.integers(0, 2),
     )
     for parent, label, attributes, index in data.draw(st.lists(adds, max_size=6)):
-        graph.add_observed_node(parent, label, attributes, index)
+        node_id = small_id(parent, label, index)
+        if node_id in graph:  # the graph holds a node with this id: merge into it
+            graph.update_attributes(node_id, attributes)
+        else:
+            add_small(graph, parent, label, attributes, index)
     for anchor in data.draw(st.lists(st.sampled_from(sorted(n.id for n in world.graph.nodes)), max_size=6)):
         ingest_observation(graph, world.view(anchor))
 
@@ -529,7 +546,7 @@ class TestLabelIndex:
     def test_index_built_before_a_node_is_added_stays_current(self):
         g = load_world_prior(small_world())
         assert g.resolve_label("cup") == []
-        cup = g.add_observed_node("f0.a.t", "coffee cup")
+        cup = add_small(g, "f0.a.t", "coffee cup")
         assert g.resolve_label("cup") == [cup]
         assert g.find_nodes("coffee cups") == [cup]
         assert g.matches_under("f0.a", "cup", Layer.SMALL_OBJECT) == [cup]
