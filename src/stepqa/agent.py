@@ -39,13 +39,9 @@ from .rules import (
     scope_node,
     target_expects,
 )
-from .scene_graph import (
-    Layer,
-    SceneGraph,
-    SceneNode,
-    labels_match,
-    normalize_label,
-)
+from .scene_graph import Layer, SceneGraph, SceneNode, has_value, labels_match
+# perfbench/spans.py counts label normalization by wrapping this module's name.
+from .scene_graph import normalize_label  # noqa: F401
 
 # Feedback retries per subgoal before the fallback planner takes over.
 RETRIES = 2
@@ -61,18 +57,14 @@ class EpisodeStatus(Enum):
 class AgentConfig:
     """Knobs for one episode.
 
-    max_plans of None means the budget scales with the chain: four plans
-    per subgoal plus eight spare. room_level_only keeps the agent from
-    ever anchoring below a room; it exists to measure how much the
-    lower layers buy.
+    room_level_only keeps the agent from ever anchoring below a room; it
+    exists to measure how much the lower layers buy.
     """
 
-    max_plans: int | None = None
     room_level_only: bool = False
 
     def plan_budget(self, chain_length: int) -> int:
-        if self.max_plans is not None:
-            return self.max_plans
+        """Four plans per subgoal plus eight spare."""
         return 4 * chain_length + 8
 
 
@@ -302,11 +294,7 @@ def tally_matches(graph: SceneGraph, scope_id: str, step: SubGoal) -> list[Scene
     if step.attribute_constraint is None:
         return found
     attr, want = step.attribute_constraint
-    return [
-        n
-        for n in found
-        if attr in n.attributes and normalize_label(n.attributes[attr]) == normalize_label(want)
-    ]
+    return [n for n in found if has_value(n, attr, want)]
 
 
 def extract_answer(
@@ -415,7 +403,7 @@ def room_level_plan(
 
     It looks from the chain's room with next_plan's look_plan, focused
     on the chain's object or support when the room holds it. look is
-    the chain's room_look, which run_episode works out once per chain
+    the chain's room_look, which run_episode works out once per episode
     and again only when the graph has gained nodes; without it the look
     is worked out here. It is not a layer cap on next_plan because the
     benchmark counts the ablation by this name: perfbench/spans.py wraps
@@ -496,123 +484,109 @@ def run_episode(
     trace.parse_source = parsed.source.value
     slots = parsed.slots
 
-    candidates = [parsed.chain, *parsed.chain.alternatives]
-    budget = config.plan_budget(len(parsed.chain.steps))
+    chain = parsed.chain
+    n = len(chain.steps)
+    budget = config.plan_budget(n)
+    attr_class: PerceptionRange | None = None
+    constraint_class: PerceptionRange | None = None
+    # room_level_plan reads neither class, so the room-level agent asks for none.
+    if chain.target_kind is TargetKind.ATTRIBUTE and not config.room_level_only:
+        attr_class = planner.classify_attribute(chain.steps[-1].queried_attribute or "", slots.get("object", ""))
+    if chain.steps[-1].attribute_constraint is not None and not config.room_level_only:
+        constraint_class = planner.classify_attribute(
+            chain.steps[-1].attribute_constraint[0], chain.steps[-1].label or ""
+        )
+
     explored: set[str] = set()
+    look: RoomLook | None = None
     t = 0
+    k = 0
+    step_retries = 0
+    pending_fallback = False
+    final_subquestion: str | None = None
     outcome: tuple[str, EpisodeStatus] | None = None
 
-    for chain in candidates:
-        n = len(chain.steps)
-        attr_class: PerceptionRange | None = None
-        constraint_class: PerceptionRange | None = None
-        # room_level_plan reads neither class, so the room-level agent asks for none.
-        if chain.target_kind is TargetKind.ATTRIBUTE and not config.room_level_only:
-            attr_class = planner.classify_attribute(
-                chain.steps[-1].queried_attribute or "", slots.get("object", "")
-            )
-        if chain.steps[-1].attribute_constraint is not None and not config.room_level_only:
-            constraint_class = planner.classify_attribute(
-                chain.steps[-1].attribute_constraint[0], chain.steps[-1].label or ""
-            )
-
-        look: RoomLook | None = None
-        k = 0
-        step_retries = 0
-        pending_fallback = False
-        final_subquestion: str | None = None
-        gave_up = False
-
-        while t < budget:
-            if pending_fallback:
-                pending_fallback = False
-                plan = planner.fallback_plan(graph, env.pose, frozenset(explored), question=question)
-            else:
-                try:
-                    if config.room_level_only:
-                        if look is None or look.size != len(graph):
-                            look = room_look(chain, graph, slots)
-                        plan = room_level_plan(chain, k, graph, env.pose, slots, look)
-                    else:
-                        plan = next_plan(
-                            chain,
-                            k,
-                            graph,
-                            env.pose,
-                            attr_class=attr_class,
-                            explored=frozenset(explored),
-                            slots=slots,
-                            constraint_class=constraint_class,
-                        )
-                except ResolutionFailure:
-                    pending_fallback = True
-                    continue
-                except PlanningDomainError:
-                    outcome = ("not found", EpisodeStatus.FAILED)
-                    break
-            t += 1
-
-            subquestion: str | None = None
-            if plan.kind is PlanKind.OBSERVE and plan.advance_to == n:
-                if final_subquestion is None:
-                    final_subquestion = planner.simplify_question(question, chain, k, slots)
-                subquestion = final_subquestion
-
-            if plan.kind is PlanKind.ANSWER:
-                echo = env.observe()
-                fold(echo)
-                trace.events.append(
-                    TraceEvent(t=t, k=k, action=plan, obs=echo, feedback=True)
-                )
-                if plan.tool == "fallback":
-                    gave_up = True
-                    break
-                outcome = (plan.value or "not found", EpisodeStatus.ANSWERED)
-                break
-
-            obs = env.execute(plan)
-            fold(obs)
-            ok = check_feedback(plan, obs, graph)
-            secondary = False
-            if not ok and plan.kind is PlanKind.MOVE_TO and not obs.move_failed:
-                secondary = secondary_perception(plan, obs, graph)
-                ok = ok or secondary
-            trace.events.append(
-                TraceEvent(
-                    t=t,
-                    k=k,
-                    action=plan,
-                    obs=obs,
-                    feedback=ok,
-                    secondary=secondary,
-                    subquestion=subquestion,
-                )
-            )
-            if plan.kind is PlanKind.MOVE_TO and not obs.move_failed:
-                explored.add(env.pose.anchor_id)
-
-            if ok:
-                step_retries = 0
-                if plan.tool == "fallback" or plan.advance_to is None:
-                    continue
-                if plan.advance_to < n:
-                    k = plan.advance_to
-                    continue
-                value = extract_answer(chain, slots, plan, obs, graph)
-                if value is not None:
-                    outcome = (value, EpisodeStatus.ANSWERED)
-                    break
-            # a failed check, or a final look that did not yield the answer
-            step_retries += 1
-            if step_retries > RETRIES:
-                step_retries = 0
+    while t < budget:
+        if pending_fallback:
+            pending_fallback = False
+            plan = planner.fallback_plan(graph, env.pose, frozenset(explored), question=question)
+        else:
+            try:
+                if config.room_level_only:
+                    if look is None or look.size != len(graph):
+                        look = room_look(chain, graph, slots)
+                    plan = room_level_plan(chain, k, graph, env.pose, slots, look)
+                else:
+                    plan = next_plan(
+                        chain,
+                        k,
+                        graph,
+                        env.pose,
+                        attr_class=attr_class,
+                        explored=frozenset(explored),
+                        slots=slots,
+                        constraint_class=constraint_class,
+                    )
+            except ResolutionFailure:
                 pending_fallback = True
+                continue
+            except PlanningDomainError:
+                outcome = ("not found", EpisodeStatus.FAILED)
+                break
+        t += 1
 
-        if outcome is not None:
+        subquestion: str | None = None
+        if plan.kind is PlanKind.OBSERVE and plan.advance_to == n:
+            if final_subquestion is None:
+                final_subquestion = planner.simplify_question(question, chain, k, slots)
+            subquestion = final_subquestion
+
+        if plan.kind is PlanKind.ANSWER:
+            echo = env.observe()
+            fold(echo)
+            trace.events.append(TraceEvent(t=t, k=k, action=plan, obs=echo, feedback=True))
+            if plan.tool != "fallback":  # a fallback answer gives up
+                outcome = (plan.value or "not found", EpisodeStatus.ANSWERED)
             break
-        if not gave_up and t >= budget:
-            break  # budget exhausted; alternatives get no fresh budget
+
+        obs = env.execute(plan)
+        fold(obs)
+        ok = check_feedback(plan, obs, graph)
+        secondary = False
+        if not ok and plan.kind is PlanKind.MOVE_TO and not obs.move_failed:
+            secondary = secondary_perception(plan, obs, graph)
+            ok = ok or secondary
+        trace.events.append(
+            TraceEvent(
+                t=t,
+                k=k,
+                action=plan,
+                obs=obs,
+                feedback=ok,
+                secondary=secondary,
+                subquestion=subquestion,
+            )
+        )
+        if plan.kind is PlanKind.MOVE_TO and not obs.move_failed:
+            explored.add(env.pose.anchor_id)
+
+        if ok:
+            step_retries = 0
+            if plan.tool == "fallback" or plan.advance_to is None:
+                continue
+            if plan.advance_to < n:
+                k = plan.advance_to
+                continue
+            value = extract_answer(chain, slots, plan, obs, graph)
+            if value is not None:
+                outcome = (value, EpisodeStatus.ANSWERED)
+                break
+        # a failed check, or a final look that did not yield the answer
+        step_retries += 1
+        if step_retries > RETRIES:
+            step_retries = 0
+            pending_fallback = True
 
     if outcome is None:
         outcome = ("not found", EpisodeStatus.NOT_FOUND)
-    return finish(outcome[0], outcome[1], parsed.chain)
+    return finish(outcome[0], outcome[1], chain)

@@ -35,14 +35,10 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _agent_config(args: argparse.Namespace) -> AgentConfig:
-    return AgentConfig(
-        max_plans=args.max_plans,
-        room_level_only=args.room_level_only,
-    )
+    return AgentConfig(room_level_only=args.room_level_only)
 
 
 def _add_agent_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--max-plans", type=int, default=None, help="hard plan budget per episode")
     parser.add_argument(
         "--room-level-only",
         action="store_true",

@@ -324,27 +324,19 @@ def _add(where: str, add: Callable[..., Any], *args: Any) -> Any:
 
 
 def world_source_path(source: Any) -> Path | None:
-    """The file a world source names; None for a dict or JSON text."""
-    if isinstance(source, Path):
-        return source
-    if isinstance(source, str) and not source.lstrip().startswith("{"):
-        return Path(source)
-    return None
+    """The file a world source names; None for a dict."""
+    return Path(source) if isinstance(source, (str, Path)) else None
 
 
 def read_world_source(source: Any) -> dict[str, Any]:
-    """Accept a dict, a JSON string, or a path."""
+    """Accept a dict or the path of a JSON file."""
     if isinstance(source, dict):
         return source
     path = world_source_path(source)
-    if path is not None:
-        text = path.read_text()
-    elif isinstance(source, str):
-        text = source
-    else:
+    if path is None:
         raise WorldFormatError(f"unsupported world source: {type(source).__name__}")
     try:
-        data = json.loads(text)
+        data = json.loads(path.read_text())
     except json.JSONDecodeError as exc:
         raise WorldFormatError(f"invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
     if not isinstance(data, dict):
@@ -414,7 +406,10 @@ def load_world_truth(source: Any) -> WorldTruth:
                         raise WorldFormatError(f"{swhere}: unknown relation {relation!r}")
                     if relation != "on":
                         placement[node.id] = str(relation)
-                    if small.get("occluded_from_parent"):
+                    hides = small.get("occluded_from_parent", False)
+                    if not isinstance(hides, bool):
+                        raise WorldFormatError(f"{swhere}: occluded_from_parent must be a boolean, not {hides!r}")
+                    if hides:
                         occluded.add(node.id)
     for ei, edge in enumerate(_array(data, "spatial_edges", "world", [])):
         ewhere = f"spatial_edges[{ei}]"

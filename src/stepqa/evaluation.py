@@ -73,7 +73,7 @@ def _rung(reply: str) -> int:
     return int(m.group(1))
 
 
-def llm_match(scores: Iterable[int], total: int | None = None) -> float:
+def llm_match(scores: Iterable[int]) -> float:
     """Rescale rung scores to 0..100.
 
     The sum of (rung - 1) is an integer, so the single division at the
@@ -84,10 +84,9 @@ def llm_match(scores: Iterable[int], total: int | None = None) -> float:
     for s in scores:
         if s not in VALID_SCORES:
             raise ValueError(f"score {s!r} is not one of {VALID_SCORES}")
-    n = total if total is not None else len(scores)
-    if n <= 0:
+    if not scores:
         raise ValueError("cannot aggregate zero scores")
-    return sum(s - 1 for s in scores) * 25 / n
+    return sum(s - 1 for s in scores) * 25 / len(scores)
 
 
 # -- benchmark --------------------------------------------------------------

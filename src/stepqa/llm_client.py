@@ -222,10 +222,6 @@ class ChatClient:
         )
         return self.transport.complete(request).content
 
-    @property
-    def log(self) -> SessionLog:
-        return self.transport.log
-
 
 T = TypeVar("T")
 

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 from functools import partialmethod
 from typing import Any
@@ -151,9 +151,8 @@ def _connector_at(tokens: list[str], i: int) -> tuple[str, ...] | None:
 
 
 # A noun-phrase part: (label, its first attribute constraint or None,
-# layer, whether the layer is a guess for a label neither the vocabulary
-# nor the graph knows). A plain tuple, as a question makes several.
-_Part = tuple[str, tuple[str, str] | None, Layer, bool]
+# layer). A plain tuple, as a question makes several.
+_Part = tuple[str, tuple[str, str] | None, Layer]
 
 
 def _parts(np_text: str, graph: SceneGraph | None) -> list[_Part]:
@@ -209,7 +208,7 @@ def _part(words: list[str], constraint: tuple[str, str] | None, graph: SceneGrap
     become constraints ("red cup" is a cup whose color is red). The layer
     is the vocabulary's, unless the graph has a room of that label; a
     label the vocabulary lacks takes the layer of a graph node with that
-    label or one ending in it, and is a guessed small object otherwise.
+    label or one ending in it, and is a small object otherwise.
     """
     label = " ".join(words)
     while len(words) >= 2 and label not in _ALL_KNOWN:
@@ -224,15 +223,15 @@ def _part(words: list[str], constraint: tuple[str, str] | None, graph: SceneGrap
     norm = alias_label(label)
     layer = _VOCAB_LAYERS.get(norm)
     if layer is Layer.ROOM or graph is not None and graph.has_label(norm, Layer.ROOM):
-        return label, constraint, Layer.ROOM, False
+        return label, constraint, Layer.ROOM
     if layer is not None:
-        return label, constraint, layer, False
+        return label, constraint, layer
     if graph is not None:
         for layer in (Layer.BIG_OBJECT, Layer.SMALL_OBJECT):
             if graph.has_label(norm, layer) or graph.has_label_ending(norm, layer):
-                return label, constraint, layer, False
+                return label, constraint, layer
     # a label the prior graph does not know cannot be furniture
-    return label, constraint, Layer.SMALL_OBJECT, True
+    return label, constraint, Layer.SMALL_OBJECT
 
 
 _ROOMS = frozenset(normalize_label(x) for x in ROOM_LABELS)
@@ -250,12 +249,12 @@ _VOCAB_LAYERS = {
 
 def _steps(parts: list[_Part]) -> list[SubGoal]:
     """One step per part, outermost first."""
-    return [SubGoal(layer, label, constraint) for label, constraint, layer, _ in reversed(parts)]
+    return [SubGoal(layer, label, constraint) for label, constraint, layer in reversed(parts)]
 
 
 def _scope_slots(parts: list[_Part]) -> dict[str, str]:
     slots: dict[str, str] = {}
-    for label, _, layer, _ in parts:
+    for label, _, layer in parts:
         if layer is Layer.ROOM:
             slots.setdefault("room", label)
         elif layer is Layer.BIG_OBJECT:
@@ -310,7 +309,7 @@ class TemplateBackend:
         head = self._head(m)
         if head is None:
             return None
-        (label, constraint, layer, _), scope = head
+        (label, constraint, layer), scope = head
         steps = [SubGoal(layer, label, constraint), SubGoal(Layer.ROOM)]
         return _parsed(steps, TargetKind.ROOM, scope, object=label)
 
@@ -320,7 +319,7 @@ class TemplateBackend:
         if head is None:
             return None
         ref, scope = head
-        label, _, layer, _ = ref
+        label, _, layer = ref
         if layer is Layer.BIG_OBJECT and relation == "next-to":
             target_layer = Layer.BIG_OBJECT
         else:
@@ -330,27 +329,17 @@ class TemplateBackend:
         return _parsed(steps, TargetKind.OBJECT, parts, relation=relation, support=label)
 
     def _attribute(self, m: re.Match, attribute: str | None = None) -> ParsedQuestion | None:
-        """An attribute question. An unknown target label also gets a
-        big-object reading as the chain's alternative, if that builds."""
         attribute = attribute or m.group("attr")
         head = self._head(m)
         if head is None:
             return None
-        (label, constraint, layer, guessed), scope = head
-
-        def reading(layer: Layer) -> list[SubGoal]:
-            return [
-                *_steps(scope),
-                SubGoal(layer, label, constraint, attribute_marked=True),
-                SubGoal(layer, queried_attribute=attribute),
-            ]
-
-        parsed = _parsed(reading(layer), TargetKind.ATTRIBUTE, scope, object=label, attribute=attribute)
-        if parsed is not None and guessed:
-            alt = _parsed(reading(Layer.BIG_OBJECT), TargetKind.ATTRIBUTE, scope)
-            if alt is not None:
-                parsed.chain = replace(parsed.chain, alternatives=(alt.chain,))
-        return parsed
+        (label, constraint, layer), scope = head
+        steps = [
+            *_steps(scope),
+            SubGoal(layer, label, constraint, attribute_marked=True),
+            SubGoal(layer, queried_attribute=attribute),
+        ]
+        return _parsed(steps, TargetKind.ATTRIBUTE, scope, object=label, attribute=attribute)
 
     _activity = partialmethod(_attribute, attribute="activity")
 
@@ -378,9 +367,9 @@ class TemplateBackend:
         head = self._head(m) if attribute is not None else None
         if head is None:
             return None
-        (label, _, layer, guessed), scope = head
+        (label, _, layer), scope = head
         # the asked value comes before any constraint the phrase carries
-        steps = _steps([(label, (attribute, value), layer, guessed), *scope])
+        steps = _steps([(label, (attribute, value), layer), *scope])
         slots = dict(object=label, attribute=attribute, value=value)
         return _parsed(steps, TargetKind.EXISTENCE, scope, **slots)
 

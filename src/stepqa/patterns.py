@@ -17,7 +17,7 @@ a step symbol of their own.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import Sequence
 
@@ -107,15 +107,9 @@ class SubGoal:
 class PatternChain:
     steps: tuple[SubGoal, ...]
     target_kind: TargetKind
-    alternatives: tuple["PatternChain", ...] = field(default=(), compare=False)
 
-    def __init__(
-        self,
-        steps: tuple[SubGoal, ...],
-        target_kind: TargetKind,
-        alternatives: tuple[PatternChain, ...] = (),
-    ) -> None:
-        self.__dict__.update(steps=steps, target_kind=target_kind, alternatives=alternatives)
+    def __init__(self, steps: tuple[SubGoal, ...], target_kind: TargetKind) -> None:
+        self.__dict__.update(steps=steps, target_kind=target_kind)
 
     def __len__(self) -> int:
         return len(self.steps)
@@ -250,13 +244,9 @@ def shape(chain: PatternChain) -> str:
     return " -> ".join(step.token(with_slots=False) for step in chain.steps)
 
 
-def make_chain(
-    steps: Sequence[SubGoal],
-    kind: TargetKind | None = None,
-    alternatives: tuple[PatternChain, ...] = (),
-) -> PatternChain:
+def make_chain(steps: Sequence[SubGoal], kind: TargetKind | None = None) -> PatternChain:
     """Build and validate a chain from step objects."""
     steps = tuple(steps)
     resolved = kind or _infer_kind(steps)
     _validate(steps, resolved)
-    return PatternChain(steps, resolved, alternatives)
+    return PatternChain(steps, resolved)

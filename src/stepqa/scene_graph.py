@@ -205,12 +205,19 @@ def _at_layer(nodes: Mapping[str, SceneNode], ids: Iterable[str], layer: Layer |
     return [n for n in map(nodes.__getitem__, ids) if n.layer is layer]
 
 
+def has_value(node: SceneNode, attr: str, want: str) -> bool:
+    """Whether the node's attribute has the wanted value, case and
+    whitespace folded. A value is not singularized as a label is:
+    "canvas" is not "canva"."""
+    value = node.attributes.get(attr)
+    return value is not None and " ".join(value.lower().split()) == " ".join(want.lower().split())
+
+
 def _constrained(candidates: list[SceneNode], constraint: tuple[str, str]) -> list[SceneNode]:
     """The candidates whose attribute has the wanted value, else those that
     do not know the attribute yet."""
-    attr, value = constraint
-    want = value.strip().lower()
-    matching = [n for n in candidates if n.attributes.get(attr, "").strip().lower() == want]
+    attr, want = constraint
+    matching = [n for n in candidates if has_value(n, attr, want)]
     return matching or [n for n in candidates if attr not in n.attributes]
 
 

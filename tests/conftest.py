@@ -90,8 +90,8 @@ def scan_resolve_label(graph, label, layer=None, scope_id=None, constraint=None,
         found = [n for n in pool if normalize_label(n.label).endswith(" " + norm)]
     if constraint is not None and found:
         attr, value = constraint
-        want = value.strip().lower()
-        matching = [n for n in found if n.attributes.get(attr, "").strip().lower() == want]
+        want = value.lower().split()
+        matching = [n for n in found if attr in n.attributes and n.attributes[attr].lower().split() == want]
         found = matching or [n for n in found if attr not in n.attributes]
 
     def key(n):

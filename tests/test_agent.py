@@ -15,11 +15,12 @@ from stepqa.agent import (
     normalize_answer,
     run_episode,
     secondary_perception,
+    tally_matches,
 )
 from stepqa.environment import Environment, load_world_truth
 from stepqa.llm_planner import ChatPlanner, LookupPlanner
 from stepqa.parsing import TemplateBackend, parse_question
-from stepqa.patterns import parse_pattern_string, render
+from stepqa.patterns import SubGoal, parse_pattern_string, render
 from stepqa.rules import Plan, PlanKind
 from stepqa.scene_graph import Layer, SceneGraph
 from stepqa.worldgen import random_world_data
@@ -258,18 +259,25 @@ class TestEpisodes:
         assert r.status is EpisodeStatus.FAILED
         assert r.plans == 0
 
-    def test_plan_budget_caps_the_search(self, demo_truth):
-        r = ask(
-            demo_truth,
-            "What is the title of the book on the coffee table in the living room?",
-            max_plans=1,
-        )
+    def test_plan_budget_caps_the_search(self, demo_truth, monkeypatch):
+        monkeypatch.setattr(AgentConfig, "plan_budget", lambda self, chain_length: 1)
+        r = ask(demo_truth, BOOK_QUESTION)
         assert r.status is EpisodeStatus.NOT_FOUND
         assert r.plans == 1
 
     def test_default_budget_scales_with_chain_length(self):
         assert AgentConfig().plan_budget(4) == 24
-        assert AgentConfig(max_plans=7).plan_budget(4) == 7
+        assert AgentConfig(room_level_only=True).plan_budget(2) == 16
+
+    def test_an_unknown_label_is_looked_for_as_a_small_object_only(self, demo_truth):
+        # the prior's label index never places "doohickey", so the episode
+        # runs its one chain, V4 under the kitchen, and ends when the
+        # fallback gives up: 7 plans, where a second, big-object reading
+        # took 9
+        r = ask(demo_truth, "What is the color of the doohickey in the kitchen?")
+        assert render(r.chain) == "V2[kitchen] -> V4(A)[doohickey] -> A[color]"
+        assert (r.status, r.answer, r.plans, r.steps) == (EpisodeStatus.NOT_FOUND, "not found", 7, 6)
+        assert r.trace.events[-1].action.tool == "fallback"
 
 
 class TestSecondaryPerception:
@@ -359,10 +367,9 @@ class TestRoomLevelAblation:
 
     def test_each_chain_resolves_its_room_once(self, demo_truth, resolves):
         r = ask(demo_truth, BOOK_QUESTION, room_level_only=True)
-        chains = 1 + len(r.chain.alternatives)
         assert r.plans == 20
         # the chain's room, then the book inside it; not two per plan
-        assert len(resolves) <= 2 * chains
+        assert len(resolves) <= 2
 
     def test_a_grown_graph_resolves_the_room_again(self, demo_truth, resolves, monkeypatch):
         def episode():
@@ -399,6 +406,32 @@ class ScriptedFallback(LookupPlanner):
 
     def fallback_plan(self, graph, pose, explored, question=""):
         return next(self.plans, Plan(kind=PlanKind.ANSWER, value="not found", tool="fallback"))
+
+
+class TestAttributeValues:
+    """Resolution and a tally decide alike whether a node has a wanted value."""
+
+    @pytest.fixture()
+    def graph(self, demo_path):
+        data = json.loads(demo_path.read_text())
+        data["floors"][0]["rooms"][1]["big_objects"][0]["small_objects"][0]["attributes"]["color"] = "dark blue"
+        data["floors"][0]["rooms"][1]["big_objects"][0]["small_objects"][1]["attributes"]["material"] = "canvas"
+        return load_world_truth(data).graph
+
+    def found(self, graph, constraint):
+        resolved = [n.id for n in graph.resolve_label("cup", Layer.SMALL_OBJECT, "f0.kitchen", constraint)]
+        tallied = [n.id for n in tally_matches(graph, "f0.kitchen", SubGoal(Layer.SMALL_OBJECT, "cup", constraint))]
+        return resolved, tallied
+
+    def test_case_and_whitespace_are_folded(self, graph):
+        for want in ("dark  blue", " Dark Blue "):
+            assert self.found(graph, ("color", want)) == (["f0.kitchen.table.cup.0"], ["f0.kitchen.table.cup.0"])
+
+    def test_a_value_is_not_singularized(self, graph):
+        resolved, tallied = self.found(graph, ("material", "canva"))
+        # no cup is made of "canva": resolution keeps the cups that might
+        # be, those with no material yet, and there are none
+        assert (resolved, tallied) == ([], [])
 
 
 class TestFoldOnce:

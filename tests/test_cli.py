@@ -41,6 +41,11 @@ class TestAsk:
         assert code == EX_NOT_FOUND
         assert "status: not_found" in capsys.readouterr().out
 
+    def test_an_unknown_label_exits_two(self, capsys):
+        code = main(["ask", "What is the color of the doohickey in the kitchen?", "--world", DEMO])
+        assert code == EX_NOT_FOUND
+        assert "status: not_found  steps: 6  plans: 7" in capsys.readouterr().out
+
     def test_unparseable_question_exits_one(self, capsys):
         code = main(["ask", "Ponder the meaning of furniture.", "--world", DEMO])
         assert code == EX_ERROR
@@ -120,6 +125,16 @@ class TestValidateWorld:
         assert err.startswith("invalid: floors[0].rooms[1].big_objects[0]: duplicate node id: f0.living.table")
         assert "Traceback" not in err
 
+    def test_a_string_occlusion_flag_exits_one_without_a_traceback(self, tmp_path, capsys):
+        data = json.loads((WORLDS / "demo_house.json").read_text())
+        data["floors"][0]["rooms"][0]["big_objects"][0]["small_objects"][0]["occluded_from_parent"] = "false"
+        p = tmp_path / "occluded.json"
+        p.write_text(json.dumps(data))
+        assert main(["validate-world", str(p)]) == EX_ERROR
+        err = capsys.readouterr().err
+        assert err.startswith("invalid: floors[0].rooms[0].big_objects[0].small_objects[0]: occluded_from_parent")
+        assert "Traceback" not in err
+
     def test_broken_json_exits_one(self, tmp_path, capsys):
         p = tmp_path / "broken.json"
         p.write_text("{not json")
@@ -142,6 +157,9 @@ class TestUsageErrors:
 
     def test_no_arguments_at_all(self, capsys):
         assert self.usage_code([]) == EX_USAGE
+
+    def test_the_plan_budget_is_not_a_flag(self, capsys):
+        assert self.usage_code(["ask", "Where is the bag?", "--world", DEMO, "--max-plans", "3"]) == EX_USAGE
 
 
 class TestGenerateAndBench:
@@ -178,8 +196,6 @@ class TestGenerateAndBench:
                 str(worlds_dir),
                 "--parallel",
                 "2",
-                "--max-plans",
-                "96",
                 "--report",
                 str(report),
             ]

@@ -365,12 +365,17 @@ class TestWorldTruthLoading:
             assert found == expected_lookups
             assert lookups(graph) == expected_lookups
 
-    def test_json_text_without_an_id_is_named_world(self):
-        data = random_world_data(1, rooms=6, small_range=(20, 30))
+    def test_a_dict_without_an_id_is_named_world(self):
+        data = random_world_data(1)
         del data["id"]
-        text = json.dumps(data)
-        assert len(text) > 4096  # far longer than any file name
-        assert load_world_truth(text).world_id == "world"
+        assert load_world_truth(data).world_id == "world"
+
+    def test_a_file_name_that_opens_with_a_brace_is_read_as_a_path(self, tmp_path, monkeypatch):
+        data = random_world_data(1)
+        del data["id"]
+        (tmp_path / "{draft}.json").write_text(json.dumps(data))
+        monkeypatch.chdir(tmp_path)
+        assert load_world_truth("{draft}.json").world_id == "{draft}"
 
     def test_file_without_an_id_is_named_after_the_file(self, tmp_path):
         data = random_world_data(1)
@@ -468,6 +473,14 @@ LOADER_REJECTIONS = {
         "spatial_edges[4]",
     ),
     "unknown_entrance": (lambda d: d.update(entrance="f9"), "entrance"),
+    "occluded_from_parent_string": (
+        lambda d: _big(d)["small_objects"][0].update(occluded_from_parent="false"),
+        f"{_BIG0}.small_objects[0]: occluded_from_parent must be a boolean, not 'false'",
+    ),
+    "occluded_from_parent_number": (
+        lambda d: _big(d)["small_objects"][1].update(occluded_from_parent=0.5),
+        f"{_BIG0}.small_objects[1]: occluded_from_parent must be a boolean, not 0.5",
+    ),
     "null_attribute_value": (
         lambda d: _big(d)["attributes"].update(color=None),
         f"{_BIG0}: attributes.color must be a string or a number, not null",

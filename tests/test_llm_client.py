@@ -185,7 +185,7 @@ class TestChatClient:
         http = ChatClient(HttpTransport("http://api/chat", post=post), model="m")
         assert http.complete_text("sys", "hello") == "from http"
 
-        replay = ChatClient(ReplayTransport(http.log.to_replay_fixture()), model="m")
+        replay = ChatClient(ReplayTransport(http.transport.log.to_replay_fixture()), model="m")
         assert replay.complete_text("sys", "hello") == "from http"
         assert live["messages"][1]["content"] == "hello"
 

@@ -139,18 +139,12 @@ class TestLayerAssignment:
             "V3[closet] -> V4(A)[book] -> A[color]"
         )
 
-    def test_unknown_label_guesses_small_with_a_big_alternative(self, backend):
-        pq = backend.parse("What color is the doohickey in the kitchen?")
-        assert render(pq.chain) == "V2[kitchen] -> V4(A)[doohickey] -> A[color]"
-        assert [render(a) for a in pq.chain.alternatives] == [
-            "V2[kitchen] -> V3(A)[doohickey] -> A[color]"
-        ]
-
-    def test_attribute_mark_lands_on_the_alternative_too(self, backend):
-        pq = backend.parse("What color is the doohickey in the kitchen?")
-        alt = pq.chain.alternatives[0]
-        assert alt.steps[-2].attribute_marked
-        assert alt.steps[-1].queried_attribute == "color"
+    def test_an_unknown_label_gets_one_reading_as_a_small_object(self, demo_truth):
+        for graph in (None, demo_truth.prior_graph()):
+            pq = TemplateBackend(graph).parse("What color is the doohickey in the kitchen?")
+            assert render(pq.chain) == "V2[kitchen] -> V4(A)[doohickey] -> A[color]"
+            assert not hasattr(pq.chain, "alternatives")
+            assert pq.chain.steps[-2].attribute_marked
 
 
     def test_precomputed_vocabularies_track_the_label_lists(self):
@@ -383,7 +377,6 @@ def _parse_record(backend, graph_name, question):
         parsed = {
             "kind": pq.chain.target_kind.value,
             "pattern": render(pq.chain),
-            "alternatives": [render(a) for a in pq.chain.alternatives],
             "slots": sorted(pq.slots.items()),
         }
     return json.dumps({"graph": graph_name, "question": question, "parsed": parsed}, sort_keys=True)
@@ -418,7 +411,6 @@ class TestGoldenParses:
         records = [json.loads(line) for line in lines]
         parsed = [r["parsed"] for r in records if r["parsed"] is not None]
         assert {p["kind"] for p in parsed} == {k.value for k in TargetKind}
-        assert any(p["alternatives"] for p in parsed)
         by_question = {(r["graph"], r["question"]): r["parsed"] for r in records}
         for graph in ("none", "demo_house"):
             assert by_question[(graph, "Where is the living room?")] is None
@@ -428,4 +420,9 @@ class TestGoldenParses:
             assert by_question[(graph, "Is there a lens on the desk?")]["pattern"].endswith(
                 "V4[lens]"
             )
+            assert by_question[(graph, "What color is the doohickey in the kitchen?")] == {
+                "kind": "attribute",
+                "pattern": "V2[kitchen] -> V4(A)[doohickey] -> A[color]",
+                "slots": [["attribute", "color"], ["object", "doohickey"], ["room", "kitchen"]],
+            }
         assert len({r["graph"] for r in records}) == 7

@@ -69,7 +69,7 @@ def test_a_step_derives_its_marks_and_stays_a_frozen_value():
     with pytest.raises(FrozenInstanceError):
         marked.label = "mug"
     chain = make_chain([SubGoal(Layer.ROOM, "kitchen"), marked])
-    assert replace(chain, alternatives=(chain,)) == chain == PatternChain(chain.steps, TargetKind.OBJECT)
+    assert chain == PatternChain(chain.steps, TargetKind.OBJECT)
 
 
 def test_target_is_last_step():
@@ -168,14 +168,6 @@ class TestStructureErrors:
     def test_make_chain_validates_too(self):
         with pytest.raises(PatternStructureError):
             make_chain([SubGoal(layer=Layer.ROOM, queried_attribute="x", attribute_step=True)])
-
-
-def test_alternatives_do_not_affect_equality():
-    primary = parse_pattern_string("V2[a] -> V3[table] -> V4[widget]")
-    alt = parse_pattern_string("V2[a] -> V3[widget]")
-    wrapped = PatternChain(steps=primary.steps, target_kind=primary.target_kind, alternatives=(alt,))
-    assert wrapped == primary
-    assert wrapped.alternatives == (alt,)
 
 
 _LABELS = st.sampled_from(
