@@ -17,8 +17,12 @@ observation reveals depends only on where the agent stands:
 
 Attributes listed in a node's close_only set never show from one layer
 up; they require standing at the node. Movement between anchors is by
-teleport, one step per MoveTo whether it succeeds or not. Observing is
-free. A failed move is reported through the observation, not raised.
+teleport, one step per MoveTo whether it succeeds or not. A MoveTo that
+names a label instead of a node resolves it outward from the pose on the
+world's graph (``SceneGraph.resolve_from``), which memoizes each
+unconstrained floor, room or big-object answer for the world's life.
+Observing is free. A failed move is reported through the observation,
+not raised.
 
 An observation is a view: what one anchor shows, with relations taken
 to one reference node. Each view is built once per world, and every
@@ -329,14 +333,16 @@ def world_source_path(source: Any) -> Path | None:
 
 
 def read_world_source(source: Any) -> dict[str, Any]:
-    """Accept a dict or the path of a JSON file."""
+    """Accept a dict or the path of a JSON file, read as UTF-8."""
     if isinstance(source, dict):
         return source
     path = world_source_path(source)
     if path is None:
         raise WorldFormatError(f"unsupported world source: {type(source).__name__}")
     try:
-        data = json.loads(path.read_text())
+        data = json.loads(path.read_text(encoding="utf-8"))
+    except UnicodeDecodeError as exc:
+        raise WorldFormatError(f"{path}: not UTF-8 text at byte {exc.start}") from exc
     except json.JSONDecodeError as exc:
         raise WorldFormatError(f"invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
     if not isinstance(data, dict):
@@ -451,9 +457,9 @@ class MoveError(ValueError):
 class Environment:
     """Executes plans against one world, tracking the agent's pose.
 
-    The world's graph is never mutated (the world only memoizes views of
-    it); one Environment per episode keeps concurrent episodes
-    independent.
+    The world's graph is never mutated (the world memoizes views of it,
+    and the graph its label resolutions); one Environment per episode
+    keeps concurrent episodes independent.
     """
 
     def __init__(self, world: WorldTruth) -> None:

@@ -138,31 +138,10 @@ def resolve_near_pose(
     layer: Layer | None,
     constraint: tuple[str, str] | None = None,
 ) -> SceneNode | None:
-    """Best node for a label, searching outward from the agent's anchor.
-
-    The scopes are the anchor's subtree, its parent's, its room's, then the
-    whole graph. The first scope with a candidate answers, and its nearest
-    candidate wins (see ``SceneGraph.resolve_outward``). A label that no
-    node at the layer matches costs one lookup. The planner and the
-    environment both resolve labels here.
-    """
-    anchor = _anchor_node(graph, pose)
-    near = graph.position_of(anchor.id) if anchor else None
-    found = graph.resolve_outward(label, layer, _outward_scopes(graph, anchor), constraint, near)
-    return found[0] if found else None
-
-
-def _outward_scopes(graph: SceneGraph, anchor: SceneNode | None) -> Iterator[str | None]:
-    """The anchor, its parent, its room when that is not the parent, then
-    None for the whole graph; each is found only when the search asks."""
-    if anchor is not None:
-        yield anchor.id
-        parent = graph.parent(anchor.id)
-        if parent is not None:
-            yield parent.id
-            if parent.layer > Layer.ROOM:
-                yield graph.room_of(parent.id).id
-    yield None
+    """Best node for a label, searching outward from the agent's anchor
+    (see ``SceneGraph.resolve_from``). The planner and the environment
+    both resolve labels here."""
+    return graph.resolve_from(pose.anchor_id, label, layer, constraint)
 
 
 def scope_node(chain: PatternChain, graph: SceneGraph, pose: AgentPose) -> SceneNode:

@@ -14,7 +14,7 @@ import functools
 import math
 from dataclasses import dataclass, field
 from enum import IntEnum
-from typing import Any, Iterable, Mapping, NamedTuple
+from typing import Any, Iterable, Iterator, Mapping, NamedTuple
 
 
 class Layer(IntEnum):
@@ -198,6 +198,13 @@ class _LabelIndex(NamedTuple):
         return [i for i in ids if nodes[i].norm_label.endswith(tail)]
 
 
+# The layers of a prior. A lookup in this tuple matches by identity and
+# costs less than reading a member off the enum class on Python 3.11.
+_PRIOR_LAYERS = (Layer.FLOOR, Layer.ROOM, Layer.BIG_OBJECT)
+# what the memo of resolve_from gives for a key it has not stored
+_UNSEEN = object()
+
+
 def _at_layer(nodes: Mapping[str, SceneNode], ids: Iterable[str], layer: Layer | None) -> list[SceneNode]:
     """The nodes with these ids, those at the layer only unless it is None."""
     if layer is None:
@@ -234,10 +241,15 @@ class SceneGraph:
 
     Label lookups read an index, built on the first lookup and kept
     current by ``add_node`` after that: normalized label to node ids,
-    and head word to the ids of multiword labels. Nearest-first orders
-    of a node's children are memoized by ``children_nearest_first``. A
-    copy shares the node objects, the index and that memo with its
-    source (see ``copy``).
+    and head word to the ids of multiword labels.
+
+    One memo holds what depends only on the floors, rooms and big
+    objects: the nearest-first orders of ``children_nearest_first`` and
+    the unconstrained floor, room and big-object lookups of
+    ``resolve_from``. A copy shares the node objects, the index and the
+    memo with its source (see ``copy``). The memo's one reset rule: a
+    graph that adds a floor, room or big object starts an empty memo of
+    its own.
     """
 
     def __init__(self) -> None:
@@ -247,8 +259,9 @@ class SceneGraph:
         self.spatial_edges: list[SpatialEdge] = []
         self._index: _LabelIndex | None = None
         self._index_owned = False
-        # children ids nearest first, by (node id, origin position)
-        self._near: dict[tuple[str, tuple[float, float] | None], tuple[str, ...]] = {}
+        # (node id, origin position) -> children ids nearest first, and
+        # (anchor id, label, layer) -> the id resolve_from found, or None
+        self._memo: dict[tuple[Any, ...], Any] = {}
 
     # -- construction ---------------------------------------------------
 
@@ -280,8 +293,8 @@ class SceneGraph:
                 self._index_owned = True
             self._index.add(node)
         if node.layer is not Layer.SMALL_OBJECT:
-            # a new floor, room or big object changes some children's order
-            self._near = {}
+            # a new floor, room or big object can change any memoized answer
+            self._memo = {}
         return node
 
     def share(self, node: SceneNode, parent_id: str | None = None) -> bool:
@@ -488,6 +501,62 @@ class SceneGraph:
                 return self.nearest_first(candidates, near) if len(candidates) > 1 else candidates
         return []
 
+    def resolve_from(
+        self,
+        anchor_id: str,
+        label: str,
+        layer: Layer | None,
+        constraint: tuple[str, str] | None = None,
+    ) -> SceneNode | None:
+        """Best node for a label, searching outward from an anchor.
+
+        The scopes are the anchor's subtree, its parent's, its room's, then
+        the whole graph; an anchor not in the graph searches only the
+        whole graph. The first scope with a candidate answers, and its
+        candidate nearest the anchor wins (see ``resolve_outward``).
+
+        A floor, room or big-object lookup with no constraint, from a
+        floor, room or big object in the graph, is memoized by anchor id,
+        label as asked and layer. Its answer reads only the ids, labels,
+        layers, instance indices, positions and containment of layers 1
+        to 3, and no episode changes those: a fold adds small objects,
+        ``share`` swaps in a node only when its label, layer, instance
+        index and position are equal, and ``update_attributes`` writes
+        attributes only. So the answer holds for every graph that shares
+        the memo. A hit returns this graph's node for the id, which may
+        carry attributes a fold revealed. Like the orders of
+        ``children_nearest_first``, the key is world structure, not a
+        question. A small-object anchor enters with an episode, so a
+        lookup from one is not memoized.
+        """
+        nodes = self._nodes
+        anchor = nodes.get(anchor_id)
+        key = None
+        prior = anchor is not None and anchor.layer in _PRIOR_LAYERS and layer in _PRIOR_LAYERS
+        if prior and constraint is None:
+            key = (anchor_id, label, layer)
+            found = self._memo.get(key, _UNSEEN)
+            if found is not _UNSEEN:
+                return None if found is None else nodes[found]
+        near = self.position_of(anchor_id) if anchor is not None else None
+        best = self.resolve_outward(label, layer, self._outward_scopes(anchor), constraint, near)
+        node = best[0] if best else None
+        if key is not None:
+            self._memo[key] = node.id if node is not None else None
+        return node
+
+    def _outward_scopes(self, anchor: SceneNode | None) -> Iterator[str | None]:
+        """The anchor, its parent, its room when that is not the parent, then
+        None for the whole graph; each is found only when the search asks."""
+        if anchor is not None:
+            yield anchor.id
+            parent = self.parent(anchor.id)
+            if parent is not None:
+                yield parent.id
+                if parent.layer > Layer.ROOM:
+                    yield self.room_of(parent.id).id
+        yield None
+
     def _within(self, candidates: list[SceneNode], scope_id: str | None) -> list[SceneNode]:
         """The candidates under the scope; all of them for None."""
         if scope_id is None or not candidates:
@@ -575,10 +644,10 @@ class SceneGraph:
         """
         here = self.position_of(origin_id) if origin_id in self._nodes else None
         key = (node_id, here)
-        ids = self._near.get(key)
+        ids = self._memo.get(key)
         if ids is None:
             order = self.nearest_first(self.children(node_id), here)
-            self._near[key] = tuple(n.id for n in order)
+            self._memo[key] = tuple(n.id for n in order)
             return order
         return list(map(self._nodes.__getitem__, ids))
 
@@ -600,7 +669,7 @@ class SceneGraph:
         A write to a node in either graph puts a new node in its place, so
         it never reaches the other. The first node a graph adds gives it
         its own index, and the first floor, room or big object its own
-        nearest-first memo.
+        memo.
         """
         out = SceneGraph()
         out._nodes = dict(self._nodes)
@@ -608,6 +677,6 @@ class SceneGraph:
         out._children = dict(self._children)
         out.spatial_edges = list(self.spatial_edges)
         out._index = self._labels()
-        out._near = self._near
+        out._memo = self._memo
         self._index_owned = False
         return out

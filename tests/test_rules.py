@@ -630,20 +630,77 @@ class TestSweepMemo:
         before = every_order(world.prior_graph())
         assert before == every_full_order(world.prior_graph())
         grown, sibling = world.prior_graph(), world.prior_graph()
-        shared = sibling._near
+        shared = sibling._memo
         grown.add_node(SceneNode(node_id, layer, "crate", position=position), parent)
-        assert grown._near is not shared
+        assert grown._memo is not shared
         assert every_order(grown) == every_full_order(grown)
         assert every_sweep(grown) == every_full_sweep(grown)
         assert any(node_id in order for order in every_order(grown).values())
         for kept in (sibling, world.prior_graph()):
-            assert kept._near is shared
+            assert kept._memo is shared
             assert every_order(kept) == before
 
     def test_small_objects_keep_the_memo(self, demo_truth):
         graph = demo_truth.prior_graph()
-        memo = graph._near
+        memo = graph._memo
         add_small(graph, "f0.living.sofa", "phone")
-        assert graph._near is memo
+        assert graph._memo is memo
         assert every_sweep(graph) == every_full_sweep(graph)
 
+
+def every_resolution(graph):
+    """resolve_near_pose of every floor, room and big-object label (and
+    "crate") at each of those layers, from every anchor, by node id."""
+    labels = sorted({n.label for n in graph.nodes if n.layer is not Layer.SMALL_OBJECT} | {"crate"})
+    out = {}
+    for anchor in [*sorted(n.id for n in graph.nodes), "nowhere"]:
+        for label in labels:
+            for layer in (Layer.FLOOR, Layer.ROOM, Layer.BIG_OBJECT):
+                found = resolve_near_pose(graph, pose_at(graph, anchor), label, layer)
+                out[anchor, label, layer] = found.id if found else None
+    return out
+
+
+def every_reference_resolution(graph):
+    """every_resolution from the four-scope scan: the reference."""
+    out = {}
+    for anchor, label, layer in every_resolution(graph):
+        found = reference_resolve_near_pose(graph, pose_at(graph, anchor), label, layer)
+        out[anchor, label, layer] = found.id if found else None
+    return out
+
+
+class TestResolutionMemo:
+    @pytest.mark.parametrize(
+        "layer,node_id,parent,position",
+        [
+            (Layer.ROOM, "f0.new", "f0", (0.0, 0.0)),
+            (Layer.BIG_OBJECT, "f0.r0.new", "f0.r0", (-30.0, 2.0)),
+            (Layer.BIG_OBJECT, "f0.r1.new", "f0.r1", (12.0, 2.0)),
+        ],
+    )
+    def test_an_overlay_that_adds_a_room_or_big_object_resolves_afresh(self, layer, node_id, parent, position):
+        world = load_world_truth(multi_floor_data(7, 2))
+        sibling = world.prior_graph()
+        before = every_resolution(sibling)
+        assert before == every_reference_resolution(sibling)
+        shared = sibling._memo
+        stored = dict(shared)
+        assert any(len(key) == 3 for key in stored)
+        grown = world.prior_graph()
+        grown.add_node(SceneNode(node_id, layer, "crate", position=position), parent)
+        assert grown._memo is not shared
+        assert every_resolution(grown) == every_reference_resolution(grown)
+        assert node_id in every_resolution(grown).values()
+        assert shared == stored
+        for kept in (sibling, world.prior_graph()):
+            assert kept._memo is shared
+            assert every_resolution(kept) == before
+
+    def test_two_overlays_share_the_templates_memo(self, demo_truth, monkeypatch):
+        first, second = demo_truth.prior_graph(), demo_truth.prior_graph()
+        assert first._memo is second._memo
+        add_small(first, "f0.living.sofa", "phone")
+        found = resolve_near_pose(first, entrance(), "desk", Layer.BIG_OBJECT)
+        monkeypatch.setattr(SceneGraph, "resolve_outward", lambda *args: pytest.fail("searched"))
+        assert resolve_near_pose(second, entrance(), "desk", Layer.BIG_OBJECT) is found

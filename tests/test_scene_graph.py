@@ -2,6 +2,7 @@
 
 import copy
 import math
+import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -19,6 +20,7 @@ from stepqa.scene_graph import (
     normalize_label,
     singularize,
 )
+from stepqa.agent import ingest_observation
 from stepqa.environment import load_world_prior, load_world_truth
 from stepqa.worldgen import random_world, random_world_data
 
@@ -402,6 +404,12 @@ class TestWorldFiles:
         with demo_path.open() as f, pytest.raises(WorldFormatError, match="unsupported world source"):
             load_world_truth(f)
 
+    def test_a_file_that_is_not_utf8_is_a_format_error_naming_it(self, tmp_path):
+        p = tmp_path / "latin1.json"
+        p.write_bytes('{"id": "caf\u00e9", "floors": []}'.encode("latin-1"))
+        with pytest.raises(WorldFormatError, match=f"^{re.escape(str(p))}: not UTF-8 text at byte 11$"):
+            load_world_truth(p)
+
     def test_bad_json_reports_position(self, tmp_path):
         p = tmp_path / "broken.json"
         p.write_text("{\n  \"floors\": [,]\n}")
@@ -550,3 +558,106 @@ class TestLabelIndex:
         assert g.resolve_label("cup") == [cup]
         assert g.find_nodes("coffee cups") == [cup]
         assert g.matches_under("f0.a", "cup", Layer.SMALL_OBJECT) == [cup]
+
+
+# -- the memo of unconstrained floor, room and big-object lookups ----------
+
+MEMO_LAYERS = (Layer.FLOOR, Layer.ROOM, Layer.BIG_OBJECT)
+
+
+def memo_worlds():
+    yield load_world_truth(WORLDS / "demo_house.json")
+    for seed in range(1, 21):
+        yield random_world(seed)
+
+
+def memo_labels(graph):
+    """Every floor, room and big-object label, each multiword label's head
+    word, the aliases and a label nothing has."""
+    labels = {"couch", "fridge", "tv", "unicorn"}
+    for node in graph.nodes:
+        if node.layer is not Layer.SMALL_OBJECT:
+            labels.update({node.label, node.label.split()[-1]})
+    return sorted(labels)
+
+
+def resolutions(graph):
+    """The memo's resolution entries; the sort orders have two-part keys."""
+    return {k: v for k, v in graph._memo.items() if len(k) == 3}
+
+
+def fresh_resolve(graph, anchor_id, label, layer, constraint=None):
+    """resolve_from on a copy of the graph with an empty memo."""
+    fresh = graph.copy()
+    fresh._memo = {}
+    return fresh.resolve_from(anchor_id, label, layer, constraint)
+
+
+class TestResolutionMemo:
+    def test_memoized_lookups_match_a_fresh_lookup_with_every_view_folded_in(self):
+        checked = 0
+        for world in memo_worlds():
+            episode = world.prior_graph()
+            for node in world.graph.nodes:
+                ingest_observation(episode, world.view(node.id))
+            sibling = world.prior_graph()
+            assert sibling._memo is episode._memo
+            labels = memo_labels(episode)
+            anchors = [*sorted(n.id for n in episode.nodes), "nowhere"]
+            queries = [(a, label, layer) for a in anchors for label in labels for layer in MEMO_LAYERS]
+            for anchor, label, layer in queries:  # fill the shared memo from the bare prior
+                if anchor in sibling:
+                    sibling.resolve_from(anchor, label, layer)
+            for anchor, label, layer in queries:
+                want = fresh_resolve(episode, anchor, label, layer)
+                for _ in range(2):  # a miss, or a hit after the sibling's lookup, then a hit
+                    found = episode.resolve_from(anchor, label, layer)
+                    assert found is want, (world.world_id, anchor, label, layer)
+                    assert found is None or found is episode.node(found.id)
+                checked += 1
+            assert resolutions(episode)
+        assert checked > 40_000
+
+    def test_a_hit_returns_the_graphs_own_node(self):
+        world = load_world_truth(WORLDS / "demo_house.json")
+        template = world.prior_graph()
+        sofa = template.resolve_from("f0", "sofa", Layer.BIG_OBJECT)
+        episode = world.prior_graph()
+        seen = episode.update_attributes(sofa.id, {"color": "green"})
+        assert episode.resolve_from("f0", "couch", Layer.BIG_OBJECT) is seen
+        assert episode.resolve_from("f0", "sofa", Layer.BIG_OBJECT) is seen
+        assert template.resolve_from("f0", "sofa", Layer.BIG_OBJECT) is sofa
+        assert "color" not in sofa.attributes
+
+    def test_a_hit_searches_no_scope(self, monkeypatch):
+        graph = load_world_truth(WORLDS / "demo_house.json").prior_graph()
+        want = graph.resolve_from("f0", "table", Layer.BIG_OBJECT)
+        monkeypatch.setattr(SceneGraph, "resolve_outward", lambda *args: pytest.fail("searched"))
+        monkeypatch.setattr(SceneGraph, "position_of", lambda *args: pytest.fail("centroid"))
+        assert graph.resolve_from("f0", "table", Layer.BIG_OBJECT) is want
+
+    @pytest.mark.parametrize(
+        "anchor,label,layer,constraint",
+        [
+            ("f0", "sofa", Layer.BIG_OBJECT, ("color", "green")),  # a constraint
+            ("f0", "sofa", None, None),  # any layer
+            ("f0.living.table", "book", Layer.SMALL_OBJECT, None),  # a small object
+            ("nowhere", "sofa", Layer.BIG_OBJECT, None),  # an anchor not in the graph
+            ("f0.living.table.book.0", "sofa", Layer.BIG_OBJECT, None),  # a small anchor
+        ],
+    )
+    def test_lookups_that_are_never_stored(self, anchor, label, layer, constraint):
+        world = load_world_truth(WORLDS / "demo_house.json")
+        graph = world.prior_graph()
+        ingest_observation(graph, world.view("f0.living.table"))
+        assert anchor == "nowhere" or anchor in graph
+        want = fresh_resolve(graph, anchor, label, layer, constraint)
+        assert want is not None
+        for _ in range(2):
+            assert graph.resolve_from(anchor, label, layer, constraint) is want
+        assert resolutions(graph) == {}
+
+    def test_an_unresolved_label_is_stored_as_none(self):
+        graph = load_world_truth(WORLDS / "demo_house.json").prior_graph()
+        assert graph.resolve_from("f0", "unicorn", Layer.ROOM) is None
+        assert resolutions(graph) == {("f0", "unicorn", Layer.ROOM): None}
