@@ -351,8 +351,15 @@ def save_records(records: Iterable[QARecord], path: str | Path) -> None:
 
 
 def load_records(path: str | Path) -> list[QARecord]:
+    """The records of a JSONL file read as UTF-8; DatasetFormatError names
+    the first line that is not a record."""
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        line = exc.object[: exc.start].count(b"\n") + 1
+        raise DatasetFormatError(f"{path}: line {line}: not UTF-8 text") from exc
     out: list[QARecord] = []
-    for i, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines()):
+    for i, line in enumerate(text.splitlines()):
         if not line.strip():
             continue
         try:

@@ -183,8 +183,13 @@ class ReplayTransport:
             self.load(fixtures)
 
     def load(self, fixtures: Any) -> None:
+        """Add fixtures: a list of entries, or the path of a JSONL file of
+        them, read as UTF-8."""
         if isinstance(fixtures, (str, Path)):
-            lines = Path(fixtures).read_text().splitlines()
+            try:
+                lines = Path(fixtures).read_text(encoding="utf-8").splitlines()
+            except UnicodeDecodeError as exc:
+                raise ValueError(f"{fixtures}: not UTF-8 text at byte {exc.start}") from exc
             entries = [json.loads(line) for line in lines if line.strip()]
         else:
             entries = list(fixtures)

@@ -140,6 +140,14 @@ class TestValidateWorld:
         p.write_text("{not json")
         assert main(["validate-world", str(p)]) == EX_ERROR
 
+    def test_an_undecodable_world_file_exits_one_without_a_traceback(self, tmp_path, capsys):
+        p = tmp_path / "utf16.json"
+        p.write_bytes(b"\xff\xfe" + (WORLDS / "demo_house.json").read_bytes())
+        assert main(["validate-world", str(p)]) == EX_ERROR
+        assert capsys.readouterr().err == f"invalid: {p}: not UTF-8 text at byte 0\n"
+        assert main(["ask", "Where is the phone?", "--world", str(p)]) == EX_ERROR
+        assert capsys.readouterr().err == f"error: {p}: not UTF-8 text at byte 0\n"
+
 
 class TestUsageErrors:
     """Bad invocations exit through argparse with the usage code."""
@@ -236,6 +244,13 @@ class TestGenerateAndBench:
         err = capsys.readouterr().err
         assert err.startswith("error: world id 'demo_house'")
         assert str(worlds_dir / "a.json") in err and str(worlds_dir / "b.json") in err
+
+    def test_an_undecodable_dataset_line_exits_one(self, tmp_path, capsys):
+        dataset = tmp_path / "data.jsonl"
+        dataset.write_bytes(b"\n\xff\xfe\n")
+        code = main(["bench", "--dataset", str(dataset), "--worlds", DEMO])
+        assert code == EX_ERROR
+        assert capsys.readouterr().err == f"error: {dataset}: line 2: not UTF-8 text\n"
 
     @pytest.mark.parametrize("line", ["[1, 2]", '{"id": "q", "slots": "none"}'])
     def test_a_malformed_dataset_line_exits_one(self, tmp_path, capsys, line):

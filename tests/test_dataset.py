@@ -1,6 +1,7 @@
 """Benchmark corpus generation: determinism, golds, and file format."""
 
 import json
+import re
 
 import pytest
 
@@ -249,6 +250,13 @@ class TestFiles:
         with pytest.raises(DatasetFormatError) as err:
             load_records(p)
         assert "line 2" in str(err.value)
+
+    def test_a_line_that_is_not_utf8_is_a_format_error_naming_it(self, records, tmp_path):
+        p = tmp_path / "data.jsonl"
+        good = json.dumps(records[0].to_dict(), sort_keys=True)
+        p.write_bytes(good.encode() + b"\n\n\xff\xfe\n")
+        with pytest.raises(DatasetFormatError, match=f"^{re.escape(str(p))}: line 3: not UTF-8 text$"):
+            load_records(p)
 
     def test_missing_field_is_a_format_error(self):
         with pytest.raises(DatasetFormatError):

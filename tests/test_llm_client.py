@@ -1,6 +1,7 @@
 """Chat transport behavior: digests, retries, replay, logging."""
 
 import json
+import re
 
 import pytest
 
@@ -165,6 +166,12 @@ class TestReplayTransport:
         p.write_text(json.dumps(fixture))
         t2 = ReplayTransport(json.loads(p.read_text()))
         assert t2.complete(req).content == "live answer"
+
+    def test_a_fixture_file_that_is_not_utf8_is_refused_by_name(self, tmp_path):
+        p = tmp_path / "fixtures.jsonl"
+        p.write_bytes(b"\xff\xfe{}\n")
+        with pytest.raises(ValueError, match=f"^{re.escape(str(p))}: not UTF-8 text at byte 0$"):
+            ReplayTransport(p)
 
 
 class TestChatClient:
