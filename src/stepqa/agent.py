@@ -26,11 +26,22 @@ from . import prompts
 from .environment import AgentPose, Environment, Observation
 from .llm_planner import LookupPlanner
 from .parsing import TemplateBackend, UnparsedQuestionError, parse_question
-from .patterns import PatternChain, SubGoal, TargetKind, render
+from .patterns import (
+    ATTRIBUTE_TARGET,
+    COUNT_TARGET,
+    EXISTENCE_TARGET,
+    OBJECT_TARGET,
+    ROOM_TARGET,
+    PatternChain,
+    SubGoal,
+    render,
+)
 from .rules import (
+    ANSWER,
+    MOVE_TO,
+    OBSERVE,
     PerceptionRange,
     Plan,
-    PlanKind,
     PlanningDomainError,
     ResolutionFailure,
     chain_has_support,
@@ -39,7 +50,7 @@ from .rules import (
     scope_node,
     target_expects,
 )
-from .scene_graph import Layer, SceneGraph, SceneNode, has_value, labels_match
+from .scene_graph import BIG_OBJECT, ROOM, SceneGraph, SceneNode, has_value, labels_match
 # perfbench/spans.py counts label normalization by wrapping this module's name.
 from .scene_graph import normalize_label  # noqa: F401
 
@@ -51,6 +62,9 @@ class EpisodeStatus(Enum):
     ANSWERED = "answered"
     NOT_FOUND = "not_found"
     FAILED = "failed"
+
+
+ANSWERED, NOT_FOUND, FAILED = EpisodeStatus
 
 
 @dataclass
@@ -201,7 +215,7 @@ def ingest_observation(graph: SceneGraph, obs: Observation) -> bool:
     the graph afterwards.
     """
     complete = obs.anchor_id in graph
-    if obs.anchor_layer is Layer.BIG_OBJECT:
+    if obs.anchor_layer is BIG_OBJECT:
         for node in obs.fold.adopted:
             if node.id not in graph:
                 graph.share(node, obs.anchor_id)
@@ -231,14 +245,14 @@ def check_feedback(plan: Plan, obs: Observation, graph: SceneGraph) -> bool:
     about synonyms, so a move that lands on an aliased label fails here
     and is rescued by the secondary check.
     """
-    if plan.kind is PlanKind.MOVE_TO:
+    if plan.kind is MOVE_TO:
         if obs.move_failed:
             return False
         if not plan.goal_label:
             return True
         anchor = graph.node(obs.anchor_id) if obs.anchor_id in graph else None
         return anchor is not None and labels_match(plan.goal_label, anchor.label)
-    if plan.kind is PlanKind.OBSERVE:
+    if plan.kind is OBSERVE:
         if plan.expects is None:
             return True
         what, name = plan.expects
@@ -306,14 +320,14 @@ def extract_answer(
 ) -> str | None:
     """Read the answer off the final observation, or None if absent."""
     kind = chain.target_kind
-    if kind is TargetKind.ATTRIBUTE:
+    if kind is ATTRIBUTE_TARGET:
         attr = chain.steps[-1].queried_attribute or ""
         focus = plan.focus_id or obs.anchor_id
         value = obs.revealed.get(focus, {}).get(attr)
         if value is None and focus in graph:
             value = graph.node(focus).attributes.get(attr)
         return value
-    if kind is TargetKind.OBJECT:
+    if kind is OBJECT_TARGET:
         relation = slots.get("relation")
         target_layer = chain.steps[-1].layer
         labels: list[str] = []
@@ -327,10 +341,10 @@ def extract_answer(
             if v.label not in labels:
                 labels.append(v.label)
         return ", ".join(labels) if labels else None
-    if kind in (TargetKind.COUNT, TargetKind.EXISTENCE):
+    if kind in (COUNT_TARGET, EXISTENCE_TARGET):
         scope_id = _tally_scope(chain, plan, obs, graph)
         count = len(tally_matches(graph, scope_id, chain.steps[-1]))
-        if kind is TargetKind.COUNT:
+        if kind is COUNT_TARGET:
             return str(count)
         return "yes" if count > 0 else "no"
     return None
@@ -341,16 +355,16 @@ def extract_answer(
 
 def _room_for_chain(chain: PatternChain, graph: SceneGraph) -> SceneNode | None:
     for step in reversed(chain.steps):
-        if step.label and step.layer is Layer.ROOM:
-            found = graph.resolve_label(step.label, layer=Layer.ROOM)
+        if step.label and step.layer is ROOM:
+            found = graph.resolve_label(step.label, layer=ROOM)
             if found:
                 return found[0]
     for step in chain.steps:
         if step.label:
             found = graph.resolve_label(step.label, layer=step.layer)
-            if found and found[0].layer >= Layer.ROOM:
+            if found and found[0].layer >= ROOM:
                 return graph.room_of(found[0].id)
-    rooms = graph.nodes_at(Layer.ROOM)
+    rooms = graph.nodes_at(ROOM)
     return rooms[0] if rooms else None
 
 
@@ -377,7 +391,7 @@ def room_look(chain: PatternChain, graph: SceneGraph, slots: dict[str, str]) -> 
     look holds for as long as ``len(graph)`` equals its size.
     """
     expects = target_expects(chain, slots)
-    if chain.target_kind is TargetKind.ROOM:
+    if chain.target_kind is ROOM_TARGET:
         subject = chain.steps[0]
         found = graph.resolve_label(subject.label or "", layer=subject.layer)
         return RoomLook(len(graph), graph.room_of(found[0].id) if found else None, None, expects)
@@ -413,10 +427,10 @@ def room_level_plan(
     if look is None:
         look = room_look(chain, graph, slots or {})
     n = len(chain.steps)
-    if chain.target_kind is TargetKind.ROOM:
+    if chain.target_kind is ROOM_TARGET:
         if look.room is None:
             raise ResolutionFailure(chain.steps[0].label or "?", "room level")
-        return Plan(kind=PlanKind.ANSWER, value=look.room.label, advance_to=n)
+        return Plan(kind=ANSWER, value=look.room.label, advance_to=n)
     if look.room is None:
         raise ResolutionFailure("room", "prior graph")
     return look_plan(pose, look.room, look.focus_id, look.expects, n)
@@ -478,7 +492,7 @@ def run_episode(
             backends=parse_backends if parse_backends is not None else [TemplateBackend(graph)],
         )
     except UnparsedQuestionError:
-        return finish("not found", EpisodeStatus.FAILED, None)
+        return finish("not found", FAILED, None)
 
     trace.chain = parsed.chain
     trace.parse_source = parsed.source.value
@@ -490,7 +504,7 @@ def run_episode(
     attr_class: PerceptionRange | None = None
     constraint_class: PerceptionRange | None = None
     # room_level_plan reads neither class, so the room-level agent asks for none.
-    if chain.target_kind is TargetKind.ATTRIBUTE and not config.room_level_only:
+    if chain.target_kind is ATTRIBUTE_TARGET and not config.room_level_only:
         attr_class = planner.classify_attribute(chain.steps[-1].queried_attribute or "", slots.get("object", ""))
     if chain.steps[-1].attribute_constraint is not None and not config.room_level_only:
         constraint_class = planner.classify_attribute(
@@ -531,29 +545,29 @@ def run_episode(
                 pending_fallback = True
                 continue
             except PlanningDomainError:
-                outcome = ("not found", EpisodeStatus.FAILED)
+                outcome = ("not found", FAILED)
                 break
         t += 1
 
         subquestion: str | None = None
-        if plan.kind is PlanKind.OBSERVE and plan.advance_to == n:
+        if plan.kind is OBSERVE and plan.advance_to == n:
             if final_subquestion is None:
                 final_subquestion = planner.simplify_question(question, chain, k, slots)
             subquestion = final_subquestion
 
-        if plan.kind is PlanKind.ANSWER:
+        if plan.kind is ANSWER:
             echo = env.observe()
             fold(echo)
             trace.events.append(TraceEvent(t=t, k=k, action=plan, obs=echo, feedback=True))
             if plan.tool != "fallback":  # a fallback answer gives up
-                outcome = (plan.value or "not found", EpisodeStatus.ANSWERED)
+                outcome = (plan.value or "not found", ANSWERED)
             break
 
         obs = env.execute(plan)
         fold(obs)
         ok = check_feedback(plan, obs, graph)
         secondary = False
-        if not ok and plan.kind is PlanKind.MOVE_TO and not obs.move_failed:
+        if not ok and plan.kind is MOVE_TO and not obs.move_failed:
             secondary = secondary_perception(plan, obs, graph)
             ok = ok or secondary
         trace.events.append(
@@ -567,7 +581,7 @@ def run_episode(
                 subquestion=subquestion,
             )
         )
-        if plan.kind is PlanKind.MOVE_TO and not obs.move_failed:
+        if plan.kind is MOVE_TO and not obs.move_failed:
             explored.add(env.pose.anchor_id)
 
         if ok:
@@ -579,7 +593,7 @@ def run_episode(
                 continue
             value = extract_answer(chain, slots, plan, obs, graph)
             if value is not None:
-                outcome = (value, EpisodeStatus.ANSWERED)
+                outcome = (value, ANSWERED)
                 break
         # a failed check, or a final look that did not yield the answer
         step_retries += 1
@@ -588,5 +602,5 @@ def run_episode(
             pending_fallback = True
 
     if outcome is None:
-        outcome = ("not found", EpisodeStatus.NOT_FOUND)
+        outcome = ("not found", NOT_FOUND)
     return finish(outcome[0], outcome[1], chain)

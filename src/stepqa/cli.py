@@ -13,11 +13,11 @@ import sys
 from pathlib import Path
 from typing import Any
 
-from .agent import AgentConfig, EpisodeStatus, run_episode
+from .agent import ANSWERED, NOT_FOUND, AgentConfig, run_episode
 from .dataset import DatasetFormatError, generate_dataset, load_records, save_records
 from .environment import Environment, load_world_prior, load_world_truth
 from .evaluation import MockJudge, format_report, run_benchmark, save_report
-from .scene_graph import WorldFormatError
+from .scene_graph import BIG_OBJECT, FLOOR, ROOM, SMALL_OBJECT, WorldFormatError
 from .worldgen import random_world_data
 
 EX_OK = 0
@@ -79,22 +79,29 @@ def _cmd_ask(args: argparse.Namespace) -> int:
         result.trace.write(args.trace)
         print(f"trace written to {args.trace}")
 
-    if result.status is EpisodeStatus.ANSWERED:
+    if result.status is ANSWERED:
         return EX_OK
-    if result.status is EpisodeStatus.NOT_FOUND:
+    if result.status is NOT_FOUND:
         return EX_NOT_FOUND
     return EX_ERROR
 
 
 def _load_world_registry(path: Path) -> dict[str, Any]:
-    """Every world under the path by id; two files with one id are refused."""
+    """Every world under the path by id; two files with one id are refused.
+    An error in one file names that file once."""
     files = sorted(path.glob("*.json")) if path.is_dir() else [path]
     if not files:
         raise WorldFormatError(f"no world files under {path}")
     registry = {}
     origin: dict[str, Path] = {}
     for f in files:
-        world = load_world_truth(f)
+        try:
+            world = load_world_truth(f)
+        except WorldFormatError as exc:
+            message = str(exc)
+            if message.startswith(f"{f}: "):
+                raise
+            raise WorldFormatError(f"{f}: {message}") from exc
         if world.world_id in origin:
             raise WorldFormatError(f"world id {world.world_id!r} is in both {origin[world.world_id]} and {f}")
         registry[world.world_id] = world
@@ -153,14 +160,10 @@ def _cmd_validate_world(args: argparse.Namespace) -> int:
     except (WorldFormatError, OSError) as exc:
         print(f"invalid: {exc}", file=sys.stderr)
         return EX_ERROR
-    from .scene_graph import Layer
-
-    counts = {layer: len(world.graph.nodes_at(layer)) for layer in Layer}
-    print(
-        f"ok: {world.world_id} with {counts[Layer.FLOOR]} floors, "
-        f"{counts[Layer.ROOM]} rooms, {counts[Layer.BIG_OBJECT]} big objects, "
-        f"{counts[Layer.SMALL_OBJECT]} small objects"
+    floors, rooms, bigs, smalls = (
+        len(world.graph.nodes_at(layer)) for layer in (FLOOR, ROOM, BIG_OBJECT, SMALL_OBJECT)
     )
+    print(f"ok: {world.world_id} with {floors} floors, {rooms} rooms, {bigs} big objects, {smalls} small objects")
     return EX_OK
 
 

@@ -26,7 +26,7 @@ from .environment import WorldTruth
 from .parsing import TemplateBackend, json_text
 from .patterns import render
 # perfbench/spans.py wraps normalize_label in this module, so the import must stay.
-from .scene_graph import Layer, SceneNode, normalize_label, singularize
+from .scene_graph import BIG_OBJECT, ROOM, SMALL_OBJECT, SceneNode, normalize_label, singularize
 from .worldgen import SMALL_POOL_LABELS
 
 _CATEGORY_ORDER = ("template", "multi_step", "small_object", "people")
@@ -150,15 +150,15 @@ def _candidates_for_world(world: WorldTruth, simple_filter: bool) -> list[dict[s
         cands.append({"family": family, "fields": fields, "gold": normalize_answer(gold)})
 
     bigs_by_norm: dict[str, list[SceneNode]] = {}
-    for big in graph.nodes_at(Layer.BIG_OBJECT):
+    for big in graph.nodes_at(BIG_OBJECT):
         bigs_by_norm.setdefault(big.norm_label, []).append(big)
     smalls_by_norm: dict[str, list[SceneNode]] = {}
-    for small in graph.nodes_at(Layer.SMALL_OBJECT):
+    for small in graph.nodes_at(SMALL_OBJECT):
         smalls_by_norm.setdefault(small.norm_label, []).append(small)
 
     pool_labels = list(SMALL_POOL_LABELS)
 
-    for room in sorted(graph.nodes_at(Layer.ROOM), key=lambda n: n.id):
+    for room in sorted(graph.nodes_at(ROOM), key=lambda n: n.id):
         for big in graph.children(room.id):
             bindings = bigs_by_norm[big.norm_label]
             # the question names the room by label, so every room with it counts
@@ -207,7 +207,7 @@ def _candidates_for_world(world: WorldTruth, simple_filter: bool) -> list[dict[s
                 matching = [
                     c
                     for support in in_room
-                    for c in graph.matches_under(support.id, norm, Layer.SMALL_OBJECT)
+                    for c in graph.matches_under(support.id, norm, SMALL_OBJECT)
                     if c.norm_label != "person"
                 ]
                 if not matching:
@@ -223,17 +223,17 @@ def _candidates_for_world(world: WorldTruth, simple_filter: bool) -> list[dict[s
                     gold = _agree(c.attributes.get(attr) for c in matching)
                     if gold is not None:
                         add("attribute_small", {**base, "attribute": attr}, gold)
-                if all(graph.matches_under(s.id, norm, Layer.SMALL_OBJECT) for s in in_room):
+                if all(graph.matches_under(s.id, norm, SMALL_OBJECT) for s in in_room):
                     add("exists_small", dict(base), "yes")
                 count_gold = _agree(
-                    str(len(graph.matches_under(s.id, norm, Layer.SMALL_OBJECT))) for s in in_room
+                    str(len(graph.matches_under(s.id, norm, SMALL_OBJECT))) for s in in_room
                 )
                 plural = sample.label + "s"
                 if count_gold is not None and singularize(plural) == sample.label:
                     add("count_small", {**base, "plural": plural}, count_gold)
 
             for absent in pool_labels:
-                if any(graph.matches_under(s.id, absent, Layer.SMALL_OBJECT) for s in in_room):
+                if any(graph.matches_under(s.id, absent, SMALL_OBJECT) for s in in_room):
                     continue
                 add(
                     "exists_small",
@@ -259,7 +259,7 @@ def _candidates_for_world(world: WorldTruth, simple_filter: bool) -> list[dict[s
                 matching_people = [
                     p
                     for support in in_room
-                    for p in graph.matches_under(support.id, "person", Layer.SMALL_OBJECT)
+                    for p in graph.matches_under(support.id, "person", SMALL_OBJECT)
                 ]
                 activity_gold = _agree(p.attributes.get("activity") for p in matching_people)
                 if activity_gold is not None:
@@ -271,7 +271,7 @@ def _candidates_for_world(world: WorldTruth, simple_filter: bool) -> list[dict[s
                 global_people = [
                     p
                     for s in bindings
-                    for p in graph.matches_under(s.id, "person", Layer.SMALL_OBJECT)
+                    for p in graph.matches_under(s.id, "person", SMALL_OBJECT)
                 ]
                 if global_people == matching_people:
                     state_gold = _agree(p.attributes.get("state") for p in matching_people)

@@ -47,8 +47,12 @@ from types import MappingProxyType
 from typing import Any, Callable, Mapping, NamedTuple
 
 from .parsing import json_text
-from .rules import Plan, PlanKind, resolve_near_pose
+from .rules import MOVE_TO, OBSERVE, Plan
 from .scene_graph import (
+    BIG_OBJECT,
+    FLOOR,
+    ROOM,
+    SMALL_OBJECT,
     GraphValidationError,
     Layer,
     SceneGraph,
@@ -58,7 +62,7 @@ from .scene_graph import (
     normalize_label,
 )
 
-_DEFAULT_PLACEMENT = {Layer.ROOM: "in", Layer.BIG_OBJECT: "in", Layer.SMALL_OBJECT: "on"}
+_DEFAULT_PLACEMENT = {ROOM: "in", BIG_OBJECT: "in", SMALL_OBJECT: "on"}
 
 _SMALL_RELATIONS = ("on", "in", "above", "below", "next-to", "held")
 
@@ -147,7 +151,7 @@ class WorldTruth:
         self.occluded = occluded or set()
         self.placement = placement or {}
         if entrance is None:
-            floors = graph.nodes_at(Layer.FLOOR)
+            floors = graph.nodes_at(FLOOR)
             if not floors:
                 raise WorldFormatError("world has no floor")
             entrance = floors[0].id
@@ -208,7 +212,7 @@ class WorldTruth:
     def _anchor_view(self, anchor: SceneNode) -> Observation:
         """The anchor's own view: the children it shows, the attributes it
         reveals and its fold, which its views with other references share."""
-        big = anchor.layer is Layer.BIG_OBJECT
+        big = anchor.layer is BIG_OBJECT
         children = tuple(self.graph.children(anchor.id))
         if big and self.occluded:
             children = tuple(c for c in children if c.id not in self.occluded)
@@ -216,7 +220,7 @@ class WorldTruth:
         adopted: list[SceneNode] = []
         with_values: list[SceneNode] = []
         # A floor shows its rooms' labels only; a small object has no children.
-        if anchor.layer is not Layer.FLOOR:
+        if anchor.layer is not FLOOR:
             if anchor.attributes:
                 attributes = dict(anchor.attributes)
                 revealed[anchor.id] = MappingProxyType(attributes)
@@ -239,7 +243,7 @@ class WorldTruth:
         if template is None:
             graph = self.graph
             template = SceneGraph()
-            for floor in graph.nodes_at(Layer.FLOOR):
+            for floor in graph.nodes_at(FLOOR):
                 template.add_node(floor.clone({}))
                 for room in graph.children(floor.id):
                     template.add_node(room.clone({}), floor.id)
@@ -379,13 +383,13 @@ def load_world_truth(source: Any) -> WorldTruth:
     for fi, floor in enumerate(floors):
         fwhere = f"floors[{fi}]"
         fid = _text(floor, "id", fwhere)
-        _add(fwhere, graph.add_node, SceneNode(fid, Layer.FLOOR, _text(floor, "label", fwhere, "floor")))
+        _add(fwhere, graph.add_node, SceneNode(fid, FLOOR, _text(floor, "label", fwhere, "floor")))
         for ri, room in enumerate(_array(floor, "rooms", fwhere)):
             rwhere = f"{fwhere}.rooms[{ri}]"
             rid = _text(room, "id", rwhere)
             label = _text(room, "label", rwhere)
             position = _position(_require(room, "position", rwhere), rwhere)
-            room_node = SceneNode(rid, Layer.ROOM, label, instance_index(fid, label), position)
+            room_node = SceneNode(rid, ROOM, label, instance_index(fid, label), position)
             _add(rwhere, graph.add_node, room_node, fid)
             for bi, big in enumerate(_array(room, "big_objects", rwhere)):
                 bwhere = f"{rwhere}.big_objects[{bi}]"
@@ -393,7 +397,7 @@ def load_world_truth(source: Any) -> WorldTruth:
                 label = _text(big, "label", bwhere)
                 position = _position(_require(big, "position", bwhere), bwhere)
                 attrs, hidden = _attributes(big, bwhere)
-                big_node = SceneNode(bid, Layer.BIG_OBJECT, label, instance_index(rid, label), position, attrs)
+                big_node = SceneNode(bid, BIG_OBJECT, label, instance_index(rid, label), position, attrs)
                 _add(bwhere, graph.add_node, big_node, rid)
                 if hidden:
                     close_only[bid] = hidden
@@ -403,7 +407,7 @@ def load_world_truth(source: Any) -> WorldTruth:
                     attrs, hidden = _attributes(small, swhere)
                     index = instance_index(bid, label)
                     sid = f"{bid}.{normalize_label(label).replace(' ', '_')}.{index}"
-                    node = SceneNode(sid, Layer.SMALL_OBJECT, label, index, attributes=attrs)
+                    node = SceneNode(sid, SMALL_OBJECT, label, index, attributes=attrs)
                     _add(swhere, graph.add_node, node, bid)
                     if hidden:
                         close_only[node.id] = hidden
@@ -421,7 +425,7 @@ def load_world_truth(source: Any) -> WorldTruth:
         ewhere = f"spatial_edges[{ei}]"
         a, b, relation = (_text(edge, key, ewhere) for key in ("a", "b", "relation"))
         for end in (a, b):  # a small object's id is made here, not written in the file
-            if end not in graph or graph.node(end).layer is Layer.SMALL_OBJECT:
+            if end not in graph or graph.node(end).layer is SMALL_OBJECT:
                 raise WorldFormatError(f"{ewhere}: references unknown node {end!r}")
         _add(ewhere, graph.add_spatial_edge, a, b, relation)
     path = world_source_path(source)
@@ -445,7 +449,7 @@ def load_world_prior(source: Any) -> SceneGraph:
     """
     graph = load_world_truth(source).graph
     for node in graph.nodes:
-        if node.layer is Layer.SMALL_OBJECT or node.attributes:
+        if node.layer is SMALL_OBJECT or node.attributes:
             raise WorldFormatError(f"{node.id}: prior files cannot carry small objects or attribute values")
     return graph
 
@@ -479,9 +483,9 @@ class Environment:
     # -- plan execution -------------------------------------------------
 
     def execute(self, plan: Plan) -> Observation:
-        if plan.kind is PlanKind.OBSERVE:
+        if plan.kind is OBSERVE:
             return self.observe(focus_id=plan.focus_id)
-        if plan.kind is not PlanKind.MOVE_TO:
+        if plan.kind is not MOVE_TO:
             raise MoveError(f"environment cannot execute a {plan.kind.value} plan")
         self.pose.steps_taken += 1
         goal = self._resolve_goal(plan)
@@ -496,4 +500,4 @@ class Environment:
             return graph.node(plan.goal_id) if plan.goal_id in graph else None
         if not plan.goal_label:
             return None
-        return resolve_near_pose(graph, self.pose, plan.goal_label, plan.goal_layer)
+        return graph.resolve_from(self.pose.anchor_id, plan.goal_label, plan.goal_layer)

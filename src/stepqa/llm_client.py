@@ -184,16 +184,28 @@ class ReplayTransport:
 
     def load(self, fixtures: Any) -> None:
         """Add fixtures: a list of entries, or the path of a JSONL file of
-        them, read as UTF-8."""
+        them, read as UTF-8. A file line that is not JSON, or an entry
+        without "digest" or "response", is a ValueError naming the file
+        and its line (or the entry's place in the list)."""
         if isinstance(fixtures, (str, Path)):
             try:
                 lines = Path(fixtures).read_text(encoding="utf-8").splitlines()
             except UnicodeDecodeError as exc:
                 raise ValueError(f"{fixtures}: not UTF-8 text at byte {exc.start}") from exc
-            entries = [json.loads(line) for line in lines if line.strip()]
+            entries = []
+            for number, line in enumerate(lines, start=1):
+                if not line.strip():
+                    continue
+                where = f"{fixtures}: line {number}"
+                try:
+                    entries.append((where, json.loads(line)))
+                except json.JSONDecodeError as exc:
+                    raise ValueError(f"{where}: not JSON: {exc.msg}") from exc
         else:
-            entries = list(fixtures)
-        for entry in entries:
+            entries = [(f"entry {number}", entry) for number, entry in enumerate(fixtures, start=1)]
+        for where, entry in entries:
+            if not (isinstance(entry, dict) and "digest" in entry and "response" in entry):
+                raise ValueError(f'{where}: an entry needs "digest" and "response"')
             resp = entry["response"]
             if isinstance(resp, str):
                 resp = {"content": resp}

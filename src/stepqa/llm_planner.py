@@ -14,9 +14,16 @@ import json
 from typing import Any
 
 from .llm_client import ChatClient, SchemaError, ask, strip_fences
-from .patterns import PatternChain, TargetKind, render
-from .rules import PerceptionRange, Plan, PlanKind, move_plan
-from .scene_graph import Layer, SceneGraph, SceneNode
+from .patterns import (
+    ATTRIBUTE_TARGET,
+    COUNT_TARGET,
+    EXISTENCE_TARGET,
+    OBJECT_TARGET,
+    PatternChain,
+    render,
+)
+from .rules import ANSWER, CLOSE_RANGE, MOVE_TO, OBSERVE, REMOTE, PerceptionRange, Plan, move_plan
+from .scene_graph import BIG_OBJECT, SceneGraph, SceneNode
 
 # Attribute families that resolve from one layer above the object.
 REMOTE_ATTRIBUTES = frozenset({"color", "quantity", "existence", "location"})
@@ -33,19 +40,19 @@ class LookupPlanner:
     def classify_attribute(self, attribute: str, object_label: str) -> PerceptionRange:
         attr = attribute.strip().lower()
         if attr in REMOTE_ATTRIBUTES:
-            return PerceptionRange.REMOTE
-        return PerceptionRange.CLOSE_RANGE
+            return REMOTE
+        return CLOSE_RANGE
 
     def simplify_question(self, question: str, chain: PatternChain, k: int, slots: dict[str, str]) -> str:
         obj = slots.get("object") or _last_labeled(chain) or "object"
-        if chain.target_kind is TargetKind.ATTRIBUTE:
+        if chain.target_kind is ATTRIBUTE_TARGET:
             attr = slots.get("attribute") or chain.steps[-1].queried_attribute or "value"
             return f"What is the {attr} of the {obj}?"
-        if chain.target_kind is TargetKind.EXISTENCE:
+        if chain.target_kind is EXISTENCE_TARGET:
             return f"Is there a {obj}?"
-        if chain.target_kind is TargetKind.COUNT:
+        if chain.target_kind is COUNT_TARGET:
             return f"How many of the {obj} are there?"
-        if chain.target_kind is TargetKind.OBJECT:
+        if chain.target_kind is OBJECT_TARGET:
             rel = slots.get("relation") or "near"
             ref = slots.get("support") or slots.get("object") or "object"
             return f"What is {rel} the {ref}?"
@@ -61,7 +68,7 @@ class LookupPlanner:
         sibling = _nearest_unexplored_sibling(graph, pose, explored)
         if sibling is not None:
             return move_plan(sibling, tool="fallback")
-        return Plan(kind=PlanKind.ANSWER, value="not found", tool="fallback")
+        return Plan(kind=ANSWER, value="not found", tool="fallback")
 
 
 def _last_labeled(chain: PatternChain) -> str | None:
@@ -85,7 +92,7 @@ def _nearest_unexplored_sibling(
         return None
     probe = anchor_id
     while (parent := graph.parent(probe)) is not None:
-        if parent.layer is Layer.BIG_OBJECT:
+        if parent.layer is BIG_OBJECT:
             siblings = graph.nearest_first(graph.children(parent.id), graph.position_of(anchor_id))
         else:
             siblings = graph.children_nearest_first(parent.id, anchor_id)
@@ -150,26 +157,26 @@ class ChatPlanner:
                 raise SchemaError("MoveTo plan needs a goal string")
             if goal in graph:
                 return move_plan(graph.node(goal), tool="fallback")
-            return Plan(kind=PlanKind.MOVE_TO, goal_label=goal, tool="fallback")
+            return Plan(kind=MOVE_TO, goal_label=goal, tool="fallback")
         if kind == "Observe":
             content = data.get("content")
             if not isinstance(content, str) or not content:
                 raise SchemaError("Observe plan needs content")
-            return Plan(kind=PlanKind.OBSERVE, content=content, tool="fallback")
+            return Plan(kind=OBSERVE, content=content, tool="fallback")
         if kind == "Answer":
             value = data.get("value")
             if not isinstance(value, str) or not value:
                 raise SchemaError("Answer plan needs a value")
-            return Plan(kind=PlanKind.ANSWER, value=value, tool="fallback")
+            return Plan(kind=ANSWER, value=value, tool="fallback")
         raise SchemaError(f"unknown plan kind {kind!r}")
 
 
 def _perception_range(text: str) -> PerceptionRange:
     verdict = text.strip().lower()
     if "remote" in verdict and "close" not in verdict:
-        return PerceptionRange.REMOTE
+        return REMOTE
     if "close" in verdict:
-        return PerceptionRange.CLOSE_RANGE
+        return CLOSE_RANGE
     raise SchemaError(f"unusable perception verdict: {text!r}")
 
 

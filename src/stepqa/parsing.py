@@ -24,6 +24,11 @@ from typing import Any
 
 from .llm_client import ChatClient, SchemaError, ask, strip_fences
 from .patterns import (
+    ATTRIBUTE_TARGET,
+    COUNT_TARGET,
+    EXISTENCE_TARGET,
+    OBJECT_TARGET,
+    ROOM_TARGET,
     PatternChain,
     PatternStructureError,
     SubGoal,
@@ -31,7 +36,16 @@ from .patterns import (
     make_chain,
     parse_pattern_string,
 )
-from .scene_graph import Layer, SceneGraph, alias_label, normalize_label, singularize
+from .scene_graph import (
+    BIG_OBJECT,
+    ROOM,
+    SMALL_OBJECT,
+    Layer,
+    SceneGraph,
+    alias_label,
+    normalize_label,
+    singularize,
+)
 
 ROOM_LABELS = {
     "living room", "family room", "kitchen", "bedroom", "bathroom", "study",
@@ -135,6 +149,9 @@ class ParseSource(Enum):
     GOLD = "gold"
 
 
+TEMPLATE, LLM, GOLD = ParseSource
+
+
 @dataclass
 class ParsedQuestion:
     chain: PatternChain
@@ -222,16 +239,16 @@ def _part(words: list[str], constraint: tuple[str, str] | None, graph: SceneGrap
         label = " ".join(words)
     norm = alias_label(label)
     layer = _VOCAB_LAYERS.get(norm)
-    if layer is Layer.ROOM or graph is not None and graph.has_label(norm, Layer.ROOM):
-        return label, constraint, Layer.ROOM
+    if layer is ROOM or graph is not None and graph.has_label(norm, ROOM):
+        return label, constraint, ROOM
     if layer is not None:
         return label, constraint, layer
     if graph is not None:
-        for layer in (Layer.BIG_OBJECT, Layer.SMALL_OBJECT):
+        for layer in (BIG_OBJECT, SMALL_OBJECT):
             if graph.has_label(norm, layer) or graph.has_label_ending(norm, layer):
                 return label, constraint, layer
     # a label the prior graph does not know cannot be furniture
-    return label, constraint, Layer.SMALL_OBJECT
+    return label, constraint, SMALL_OBJECT
 
 
 _ROOMS = frozenset(normalize_label(x) for x in ROOM_LABELS)
@@ -241,9 +258,9 @@ _ALL_KNOWN = _ROOMS | _BIG_OBJECTS | _SMALL_OBJECTS
 # The vocabulary's layer of each label: a room label over a big-object
 # one, a big-object label over a small-object one.
 _VOCAB_LAYERS = {
-    **dict.fromkeys(_SMALL_OBJECTS, Layer.SMALL_OBJECT),
-    **dict.fromkeys(_BIG_OBJECTS, Layer.BIG_OBJECT),
-    **dict.fromkeys(_ROOMS, Layer.ROOM),
+    **dict.fromkeys(_SMALL_OBJECTS, SMALL_OBJECT),
+    **dict.fromkeys(_BIG_OBJECTS, BIG_OBJECT),
+    **dict.fromkeys(_ROOMS, ROOM),
 }
 
 
@@ -255,9 +272,9 @@ def _steps(parts: list[_Part]) -> list[SubGoal]:
 def _scope_slots(parts: list[_Part]) -> dict[str, str]:
     slots: dict[str, str] = {}
     for label, _, layer in parts:
-        if layer is Layer.ROOM:
+        if layer is ROOM:
             slots.setdefault("room", label)
-        elif layer is Layer.BIG_OBJECT:
+        elif layer is BIG_OBJECT:
             slots.setdefault("support", label)
     return slots
 
@@ -272,7 +289,7 @@ def _parsed(
     except PatternStructureError:
         return None
     slots.update(_scope_slots(scope))
-    return ParsedQuestion(chain, slots, ParseSource.TEMPLATE)
+    return ParsedQuestion(chain, slots, TEMPLATE)
 
 
 class TemplateBackend:
@@ -301,7 +318,7 @@ class TemplateBackend:
         """The noun phrase's innermost part and the parts that scope it,
         or None when there is no part or the innermost one is a room."""
         parts = _parts(m.group("np"), self.graph)
-        if not parts or parts[0][2] is Layer.ROOM:
+        if not parts or parts[0][2] is ROOM:
             return None
         return parts[0], parts[1:]
 
@@ -310,8 +327,8 @@ class TemplateBackend:
         if head is None:
             return None
         (label, constraint, layer), scope = head
-        steps = [SubGoal(layer, label, constraint), SubGoal(Layer.ROOM)]
-        return _parsed(steps, TargetKind.ROOM, scope, object=label)
+        steps = [SubGoal(layer, label, constraint), SubGoal(ROOM)]
+        return _parsed(steps, ROOM_TARGET, scope, object=label)
 
     def _relational(self, m: re.Match) -> ParsedQuestion | None:
         relation = _RELATION_CANON.get(m.group("rel"), m.group("rel"))
@@ -320,13 +337,13 @@ class TemplateBackend:
             return None
         ref, scope = head
         label, _, layer = ref
-        if layer is Layer.BIG_OBJECT and relation == "next-to":
-            target_layer = Layer.BIG_OBJECT
+        if layer is BIG_OBJECT and relation == "next-to":
+            target_layer = BIG_OBJECT
         else:
-            target_layer = Layer.SMALL_OBJECT
+            target_layer = SMALL_OBJECT
         parts = [ref, *scope]
         steps = [*_steps(parts), SubGoal(target_layer)]
-        return _parsed(steps, TargetKind.OBJECT, parts, relation=relation, support=label)
+        return _parsed(steps, OBJECT_TARGET, parts, relation=relation, support=label)
 
     def _attribute(self, m: re.Match, attribute: str | None = None) -> ParsedQuestion | None:
         attribute = attribute or m.group("attr")
@@ -339,7 +356,7 @@ class TemplateBackend:
             SubGoal(layer, label, constraint, attribute_marked=True),
             SubGoal(layer, queried_attribute=attribute),
         ]
-        return _parsed(steps, TargetKind.ATTRIBUTE, scope, object=label, attribute=attribute)
+        return _parsed(steps, ATTRIBUTE_TARGET, scope, object=label, attribute=attribute)
 
     _activity = partialmethod(_attribute, attribute="activity")
 
@@ -350,7 +367,7 @@ class TemplateBackend:
         words = m.group("obj").split()
         if not words:
             return None
-        if kind is TargetKind.COUNT:
+        if kind is COUNT_TARGET:
             words[-1] = singularize(words[-1])
         scope = _parts(m.group("np"), self.graph)
         target = _part([w for w in words if w not in _ARTICLES], None, self.graph)
@@ -358,8 +375,8 @@ class TemplateBackend:
         relation = _RELATION_CANON.get(m.group("rel"), m.group("rel"))
         return _parsed(steps, kind, scope, object=target[0], relation=relation)
 
-    _count = partialmethod(_tally, kind=TargetKind.COUNT)
-    _existence = partialmethod(_tally, kind=TargetKind.EXISTENCE)
+    _count = partialmethod(_tally, kind=COUNT_TARGET)
+    _existence = partialmethod(_tally, kind=EXISTENCE_TARGET)
 
     def _yes_no_attribute(self, m: re.Match) -> ParsedQuestion | None:
         value = m.group("value")
@@ -371,7 +388,7 @@ class TemplateBackend:
         # the asked value comes before any constraint the phrase carries
         steps = _steps([(label, (attribute, value), layer), *scope])
         slots = dict(object=label, attribute=attribute, value=value)
-        return _parsed(steps, TargetKind.EXISTENCE, scope, **slots)
+        return _parsed(steps, EXISTENCE_TARGET, scope, **slots)
 
 
 # The skeletons in the order they are tried, each with the first words of
@@ -404,7 +421,7 @@ class GoldBackend:
 
     def parse(self, question: str) -> ParsedQuestion | None:
         chain = parse_pattern_string(self.gold_pattern)
-        return ParsedQuestion(chain, dict(self.slots), ParseSource.GOLD)
+        return ParsedQuestion(chain, dict(self.slots), GOLD)
 
 
 class LlmBackend:
@@ -428,7 +445,7 @@ class LlmBackend:
         if not isinstance(slots_raw, dict):
             raise ValueError("'slots' must be an object")
         slots = {str(k): json_text(v, f"slot {k!r}") for k, v in slots_raw.items()}
-        return ParsedQuestion(chain, slots, ParseSource.LLM)
+        return ParsedQuestion(chain, slots, LLM)
 
 
 def json_text(value: Any, name: str, error: type[ValueError] = ValueError) -> str:

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Sequence
 
-from .scene_graph import Layer
+from .scene_graph import BIG_OBJECT, ROOM, SMALL_OBJECT, Layer
 
 
 class TargetKind(Enum):
@@ -32,7 +32,9 @@ class TargetKind(Enum):
     EXISTENCE = "existence"
 
 
-_KIND_PREFIXES = {"count": TargetKind.COUNT, "exists": TargetKind.EXISTENCE}
+OBJECT_TARGET, ATTRIBUTE_TARGET, ROOM_TARGET, COUNT_TARGET, EXISTENCE_TARGET = TargetKind
+
+_KIND_PREFIXES = {"count": COUNT_TARGET, "exists": EXISTENCE_TARGET}
 
 
 class PatternSyntaxError(ValueError):
@@ -123,7 +125,7 @@ _STEP_RE = re.compile(
 )
 
 
-_OBJECT_LAYERS = (Layer.BIG_OBJECT, Layer.SMALL_OBJECT)
+_OBJECT_LAYERS = (BIG_OBJECT, SMALL_OBJECT)
 
 
 def _validate(steps: tuple[SubGoal, ...], kind: TargetKind) -> None:
@@ -152,10 +154,10 @@ def _validate(steps: tuple[SubGoal, ...], kind: TargetKind) -> None:
         raise PatternStructureError(f"attribute constraint not allowed on a {constrained.layer.tag} step")
     if steps[0].attribute_step:
         raise PatternStructureError("chain cannot open with an attribute step")
-    if kind is TargetKind.ROOM:
-        if len(steps) < 2 or steps[-1].layer is not Layer.ROOM:
+    if kind is ROOM_TARGET:
+        if len(steps) < 2 or steps[-1].layer is not ROOM:
             raise PatternStructureError("room chain must end on a V2 step")
-        if steps[0].layer <= Layer.ROOM:
+        if steps[0].layer <= ROOM:
             raise PatternStructureError("room chain must start below V2")
     elif upward is not None:
         a, b = upward
@@ -164,10 +166,10 @@ def _validate(steps: tuple[SubGoal, ...], kind: TargetKind) -> None:
 
 def _infer_kind(steps: tuple[SubGoal, ...]) -> TargetKind:
     if steps[-1].attribute_step:
-        return TargetKind.ATTRIBUTE
-    if len(steps) >= 2 and steps[-1].layer is Layer.ROOM and steps[0].layer > Layer.ROOM:
-        return TargetKind.ROOM
-    return TargetKind.OBJECT
+        return ATTRIBUTE_TARGET
+    if len(steps) >= 2 and steps[-1].layer is ROOM and steps[0].layer > ROOM:
+        return ROOM_TARGET
+    return OBJECT_TARGET
 
 
 def parse_pattern_string(text: str) -> PatternChain:
@@ -232,9 +234,9 @@ def parse_pattern_string(text: str) -> PatternChain:
 def render(chain: PatternChain) -> str:
     """Chain back to text; ``shape`` gives the bare step shape."""
     body = " -> ".join(step.token() for step in chain.steps)
-    if chain.target_kind is TargetKind.COUNT:
+    if chain.target_kind is COUNT_TARGET:
         return f"count: {body}"
-    if chain.target_kind is TargetKind.EXISTENCE:
+    if chain.target_kind is EXISTENCE_TARGET:
         return f"exists: {body}"
     return body
 

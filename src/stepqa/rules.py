@@ -21,8 +21,8 @@ from __future__ import annotations
 from enum import Enum
 from typing import TYPE_CHECKING, Any, Iterable, Iterator, NamedTuple
 
-from .patterns import PatternChain, SubGoal, TargetKind
-from .scene_graph import Layer, SceneGraph, SceneNode
+from .patterns import ATTRIBUTE_TARGET, OBJECT_TARGET, ROOM_TARGET, PatternChain, SubGoal
+from .scene_graph import BIG_OBJECT, FLOOR, ROOM, SMALL_OBJECT, Layer, SceneGraph, SceneNode
 
 if TYPE_CHECKING:
     from .environment import AgentPose
@@ -33,10 +33,16 @@ class PerceptionRange(Enum):
     CLOSE_RANGE = "close_range"
 
 
+REMOTE, CLOSE_RANGE = PerceptionRange
+
+
 class PlanKind(Enum):
     MOVE_TO = "move_to"
     OBSERVE = "observe"
     ANSWER = "answer"
+
+
+MOVE_TO, OBSERVE, ANSWER = PlanKind
 
 
 class PlanningDomainError(ValueError):
@@ -86,13 +92,13 @@ class Plan(NamedTuple):
             "step_index": step_index,
             "tool": self.tool,
         }
-        if self.kind is PlanKind.MOVE_TO:
+        if self.kind is MOVE_TO:
             out["goal"] = self.goal_id or self.goal_label
             if self.goal_layer is not None:
                 out["goal_layer"] = self.goal_layer.tag
             if self.goal_label is not None:
                 out["goal_label"] = self.goal_label
-        elif self.kind is PlanKind.OBSERVE:
+        elif self.kind is OBSERVE:
             out["content"] = (content if content is not None else self.content) or ""
             if self.focus_id is not None:
                 out["focus"] = self.focus_id
@@ -112,15 +118,15 @@ def observation_layer(target: SubGoal, attr_class: PerceptionRange | None = None
     if target.attribute_step:
         if attr_class is None:
             raise PlanningDomainError("attribute target needs a perception range")
-        if target.layer is Layer.BIG_OBJECT:
-            return Layer.ROOM if attr_class is PerceptionRange.REMOTE else Layer.BIG_OBJECT
-        if target.layer is Layer.SMALL_OBJECT:
-            return Layer.BIG_OBJECT if attr_class is PerceptionRange.REMOTE else Layer.SMALL_OBJECT
+        if target.layer is BIG_OBJECT:
+            return ROOM if attr_class is REMOTE else BIG_OBJECT
+        if target.layer is SMALL_OBJECT:
+            return BIG_OBJECT if attr_class is REMOTE else SMALL_OBJECT
         raise PlanningDomainError(f"attributes live on object layers, not {target.layer.tag}")
-    if target.layer is Layer.SMALL_OBJECT:
-        return Layer.BIG_OBJECT
-    if target.layer is Layer.BIG_OBJECT:
-        return Layer.ROOM
+    if target.layer is SMALL_OBJECT:
+        return BIG_OBJECT
+    if target.layer is BIG_OBJECT:
+        return ROOM
     raise PlanningDomainError(f"no observation rule for a {target.layer.tag} object target")
 
 
@@ -131,32 +137,19 @@ def _anchor_node(graph: SceneGraph, pose: AgentPose) -> SceneNode | None:
     return graph.node(pose.anchor_id) if pose.anchor_id in graph else None
 
 
-def resolve_near_pose(
-    graph: SceneGraph,
-    pose: AgentPose,
-    label: str,
-    layer: Layer | None,
-    constraint: tuple[str, str] | None = None,
-) -> SceneNode | None:
-    """Best node for a label, searching outward from the agent's anchor
-    (see ``SceneGraph.resolve_from``). The planner and the environment
-    both resolve labels here."""
-    return graph.resolve_from(pose.anchor_id, label, layer, constraint)
-
-
 def scope_node(chain: PatternChain, graph: SceneGraph, pose: AgentPose) -> SceneNode:
     """Innermost room the chain names, else the floor under the agent."""
     anchor = _anchor_node(graph, pose)
     for step in reversed(chain.steps):
-        if step.layer is Layer.ROOM and step.label is not None:
+        if step.layer is ROOM and step.label is not None:
             near = graph.position_of(anchor.id) if anchor else None
-            rooms = graph.resolve_label(step.label, layer=Layer.ROOM, near=near)
+            rooms = graph.resolve_label(step.label, layer=ROOM, near=near)
             if rooms:
                 return rooms[0]
     if anchor is not None:
         path = graph.ancestors(anchor.id)
         return path[-1] if path else anchor
-    floors = graph.nodes_at(Layer.FLOOR)
+    floors = graph.nodes_at(FLOOR)
     if not floors:
         raise PlanningDomainError("graph has no floor node")
     return floors[0]
@@ -171,9 +164,9 @@ def _sweep_anchors(graph: SceneGraph, scope: SceneNode, pose: AgentPose) -> Iter
     first. Distances are from the agent's anchor, and each order is
     sorted once per world and origin (``SceneGraph.children_nearest_first``).
     """
-    if scope.layer is Layer.FLOOR:
+    if scope.layer is FLOOR:
         rooms: Iterable[SceneNode] = _floor_rooms(graph, scope, pose)
-    elif scope.layer is Layer.ROOM:
+    elif scope.layer is ROOM:
         rooms = [scope]
     else:
         return
@@ -183,7 +176,7 @@ def _sweep_anchors(graph: SceneGraph, scope: SceneNode, pose: AgentPose) -> Iter
 
 def _floor_rooms(graph: SceneGraph, floor: SceneNode, pose: AgentPose) -> Iterator[SceneNode]:
     yield from graph.children_nearest_first(floor.id, pose.anchor_id)
-    for other in graph.nodes_at(Layer.FLOOR):
+    for other in graph.nodes_at(FLOOR):
         if other.id != floor.id:
             yield from graph.children_nearest_first(other.id, pose.anchor_id)
 
@@ -193,7 +186,7 @@ def move_plan(
 ) -> Plan:
     """A MoveTo plan to a known node, its goal label the node's unless given."""
     return Plan(
-        kind=PlanKind.MOVE_TO,
+        kind=MOVE_TO,
         goal_id=node.id,
         goal_layer=node.layer,
         goal_label=label if label is not None else node.label,
@@ -214,7 +207,7 @@ def _sweep_move(
         if node.id not in explored:
             return move_plan(node)
     if (
-        scope.layer is Layer.ROOM
+        scope.layer is ROOM
         and scope.id not in explored
         and pose.anchor_id != scope.id
     ):
@@ -225,7 +218,7 @@ def _sweep_move(
 def chain_has_support(chain: PatternChain) -> bool:
     """Whether a big-object step comes before the chain's target: the
     chain names a support, not just a big-object target."""
-    return any(s.layer is Layer.BIG_OBJECT and s.label for s in chain.steps[:-1])
+    return any(s.layer is BIG_OBJECT and s.label for s in chain.steps[:-1])
 
 
 # -- the planner ------------------------------------------------------------
@@ -235,9 +228,9 @@ def target_expects(chain: PatternChain, slots: dict[str, str]) -> tuple[str, str
     """What the final look at the chain's target must reveal for feedback
     to count it a success."""
     target = chain.steps[-1]
-    if chain.target_kind is TargetKind.ATTRIBUTE:
+    if chain.target_kind is ATTRIBUTE_TARGET:
         return ("attribute", target.queried_attribute)
-    if chain.target_kind is TargetKind.OBJECT:
+    if chain.target_kind is OBJECT_TARGET:
         return ("relation", slots.get("relation"))
     return (chain.target_kind.value, target.label)
 
@@ -258,11 +251,11 @@ def look_plan(
     """
     if pose.anchor_id != stand.id:
         return move_plan(stand, label, advance_to=n - 1)
-    return Plan(kind=PlanKind.OBSERVE, focus_id=focus_id, expects=expects, advance_to=n)
+    return Plan(kind=OBSERVE, focus_id=focus_id, expects=expects, advance_to=n)
 
 
 def _resolve_step(graph: SceneGraph, pose: AgentPose, step: SubGoal) -> SceneNode:
-    node = resolve_near_pose(graph, pose, step.label or "", step.layer, step.attribute_constraint)
+    node = graph.resolve_from(pose.anchor_id, step.label or "", step.layer, step.attribute_constraint)
     if node is None:
         raise ResolutionFailure(step.label or step.layer.tag, pose.anchor_id)
     return node
@@ -293,7 +286,7 @@ def next_plan(
     if not 0 <= k < n:
         raise PlanningDomainError(f"subgoal index {k} outside chain of length {n}")
 
-    if chain.target_kind is TargetKind.ROOM:
+    if chain.target_kind is ROOM_TARGET:
         return _room_query_plan(chain, graph, pose, explored)
 
     if k < n - 2:
@@ -301,7 +294,7 @@ def next_plan(
         return move_plan(_resolve_step(graph, pose, step), step.label, advance_to=k + 1)
 
     expects = target_expects(chain, slots or {})
-    if chain.target_kind is TargetKind.ATTRIBUTE:
+    if chain.target_kind is ATTRIBUTE_TARGET:
         return _attribute_target_plan(chain, graph, pose, attr_class, expects, explored)
     return _object_target_plan(chain, graph, pose, constraint_class, expects, explored)
 
@@ -318,9 +311,9 @@ def _attribute_target_plan(
     says, and read the attribute."""
     stand_layer = observation_layer(chain.steps[-1], attr_class)
     obj_step = chain.steps[-2]
-    obj = resolve_near_pose(graph, pose, obj_step.label or "", obj_step.layer, obj_step.attribute_constraint)
+    obj = graph.resolve_from(pose.anchor_id, obj_step.label or "", obj_step.layer, obj_step.attribute_constraint)
     if obj is None:
-        if obj_step.layer is Layer.SMALL_OBJECT and not chain_has_support(chain):
+        if obj_step.layer is SMALL_OBJECT and not chain_has_support(chain):
             sweep = _sweep_move(chain, graph, pose, explored)
             if sweep is not None:
                 return sweep
@@ -353,22 +346,22 @@ def _object_target_plan(
     target = chain.steps[-1]
     stand_layer = observation_layer(target)
     ref_step = chain.steps[-2] if n >= 2 else None
-    if stand_layer is Layer.ROOM:
+    if stand_layer is ROOM:
         ref = None
-        if chain.target_kind is TargetKind.OBJECT and ref_step is not None and ref_step.label:
+        if chain.target_kind is OBJECT_TARGET and ref_step is not None and ref_step.label:
             ref = _resolve_step(graph, pose, ref_step)
-        if ref is not None and ref.layer >= Layer.BIG_OBJECT:
+        if ref is not None and ref.layer >= BIG_OBJECT:
             room = graph.room_of(ref.id)
         else:
             room = scope_node(chain, graph, pose)
-            if room.layer is not Layer.ROOM:
+            if room.layer is not ROOM:
                 raise ResolutionFailure(target.label or "?", "no room scope")
         return look_plan(pose, room, ref.id if ref is not None else room.id, expects, n)
 
     visit_each = (
-        chain.target_kind is not TargetKind.OBJECT
+        chain.target_kind is not OBJECT_TARGET
         and target.attribute_constraint is not None
-        and constraint_class is PerceptionRange.CLOSE_RANGE
+        and constraint_class is CLOSE_RANGE
     )
     if ref_step is not None and ref_step.layer is stand_layer and ref_step.label:
         support = _resolve_step(graph, pose, ref_step)
@@ -387,7 +380,7 @@ def _object_target_plan(
             return move_plan(pending, target.label)
     anchor = _anchor_node(graph, pose)
     return Plan(
-        kind=PlanKind.OBSERVE,
+        kind=OBSERVE,
         focus_id=anchor.id if anchor else None,
         expects=expects,
         advance_to=n,
@@ -406,7 +399,7 @@ def _unverified_candidate(
         return None
     found = [
         n
-        for n in graph.matches_under(scope_id, target_step.label, Layer.SMALL_OBJECT)
+        for n in graph.matches_under(scope_id, target_step.label, SMALL_OBJECT)
         if n.id not in explored and attr not in n.attributes
     ]
     return min(found, key=lambda n: (n.instance_index, n.id), default=None)
@@ -420,11 +413,11 @@ def _room_query_plan(
 ) -> Plan:
     n = len(chain.steps)
     subject = chain.steps[0]
-    node = resolve_near_pose(graph, pose, subject.label or "", subject.layer, subject.attribute_constraint)
+    node = graph.resolve_from(pose.anchor_id, subject.label or "", subject.layer, subject.attribute_constraint)
     if node is not None:
         room = graph.room_of(node.id)
-        return Plan(kind=PlanKind.ANSWER, value=room.label, advance_to=n)
-    if subject.layer is Layer.BIG_OBJECT:
+        return Plan(kind=ANSWER, value=room.label, advance_to=n)
+    if subject.layer is BIG_OBJECT:
         # the prior knows every big object; an unresolved label is a dead end
         raise ResolutionFailure(subject.label or "?", "prior graph")
     sweep = _sweep_move(chain, graph, pose, explored)

@@ -37,6 +37,11 @@ class Layer(IntEnum):
         raise ValueError(f"not a layer tag: {tag!r}")
 
 
+# The members as module names, which the package reads them through:
+# on Python 3.11 ``Layer.ROOM`` goes through the enum metaclass's slow
+# ``__getattr__`` hook, a module global does not.
+FLOOR, ROOM, BIG_OBJECT, SMALL_OBJECT = Layer
+
 SPATIAL_RELATIONS = ("on", "above", "below", "next-to")
 
 _INVERSE_RELATION = {
@@ -198,9 +203,10 @@ class _LabelIndex(NamedTuple):
         return [i for i in ids if nodes[i].norm_label.endswith(tail)]
 
 
-# The layers of a prior. A lookup in this tuple matches by identity and
-# costs less than reading a member off the enum class on Python 3.11.
-_PRIOR_LAYERS = (Layer.FLOOR, Layer.ROOM, Layer.BIG_OBJECT)
+# The layers of a prior. Like every enum member in the package, they are
+# read through module names, not off the class (see the README's
+# Performance section): on Python 3.11 a class read takes a slow hook.
+_PRIOR_LAYERS = (FLOOR, ROOM, BIG_OBJECT)
 # what the memo of resolve_from gives for a key it has not stored
 _UNSEEN = object()
 
@@ -268,9 +274,9 @@ class SceneGraph:
     def add_node(self, node: SceneNode, parent_id: str | None = None) -> SceneNode:
         if node.id in self._nodes:
             raise GraphValidationError(f"duplicate node id: {node.id}")
-        if node.position is None and node.layer in (Layer.ROOM, Layer.BIG_OBJECT):
+        if node.position is None and node.layer in (ROOM, BIG_OBJECT):
             raise GraphValidationError(f"node {node.id} at {node.layer.tag} has no position")
-        if node.layer is Layer.FLOOR:
+        if node.layer is FLOOR:
             if parent_id is not None:
                 raise GraphValidationError(f"floor node {node.id} cannot have a parent")
         else:
@@ -292,7 +298,7 @@ class SceneGraph:
                 self._index = _LabelIndex(dict(self._index.by_label), dict(self._index.by_head))
                 self._index_owned = True
             self._index.add(node)
-        if node.layer is not Layer.SMALL_OBJECT:
+        if node.layer is not SMALL_OBJECT:
             # a new floor, room or big object can change any memoized answer
             self._memo = {}
         return node
@@ -381,12 +387,12 @@ class SceneGraph:
 
     def room_of(self, node_id: str) -> SceneNode:
         node = self.node(node_id)
-        if node.layer is Layer.ROOM:
+        if node.layer is ROOM:
             return node
-        if node.layer is Layer.FLOOR:
+        if node.layer is FLOOR:
             raise LayerError(f"room_of is undefined for {node.layer.tag} node {node_id}")
         for anc in self.ancestors(node_id):
-            if anc.layer is Layer.ROOM:
+            if anc.layer is ROOM:
                 return anc
         raise GraphValidationError(f"node {node_id} has no room ancestor")
 
@@ -553,7 +559,7 @@ class SceneGraph:
             parent = self.parent(anchor.id)
             if parent is not None:
                 yield parent.id
-                if parent.layer > Layer.ROOM:
+                if parent.layer > ROOM:
                     yield self.room_of(parent.id).id
         yield None
 
@@ -601,10 +607,10 @@ class SceneGraph:
         node = self.node(node_id)
         if node.position is not None:
             return node.position
-        if node.layer is Layer.SMALL_OBJECT:
+        if node.layer is SMALL_OBJECT:
             parent = self.parent(node_id)
             return self.position_of(parent.id) if parent else None
-        if node.layer is Layer.FLOOR:
+        if node.layer is FLOOR:
             rooms = [c for c in self.children(node_id) if c.position is not None]
             if not rooms:
                 return None

@@ -245,6 +245,28 @@ class TestGenerateAndBench:
         assert err.startswith("error: world id 'demo_house'")
         assert str(worlds_dir / "a.json") in err and str(worlds_dir / "b.json") in err
 
+    @pytest.mark.parametrize(
+        "content,message",
+        [
+            (b"{bad", "invalid JSON at line 1, column 2: "),
+            (b'{"id": "w", "entrance": "f0", "floors": []}', "world: floors must be a non-empty array"),
+            (b"\xff\xfe{}", "not UTF-8 text at byte 0"),
+        ],
+    )
+    def test_a_broken_world_file_in_a_directory_is_named_once(self, tmp_path, capsys, content, message):
+        worlds_dir = tmp_path / "worlds"
+        worlds_dir.mkdir()
+        (worlds_dir / "demo_house.json").write_text((WORLDS / "demo_house.json").read_text())
+        broken = worlds_dir / "zz.json"
+        broken.write_bytes(content)
+        dataset = tmp_path / "data.jsonl"
+        dataset.write_text("")
+        code = main(["bench", "--dataset", str(dataset), "--worlds", str(worlds_dir)])
+        assert code == EX_ERROR
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {broken}: {message}")
+        assert err.count(str(broken)) == 1 and "Traceback" not in err
+
     def test_an_undecodable_dataset_line_exits_one(self, tmp_path, capsys):
         dataset = tmp_path / "data.jsonl"
         dataset.write_bytes(b"\n\xff\xfe\n")

@@ -17,7 +17,7 @@ from stepqa.environment import (
     load_world_prior,
     load_world_truth,
 )
-from stepqa.rules import Plan, PlanKind, resolve_near_pose
+from stepqa.rules import Plan, PlanKind
 from stepqa.scene_graph import GraphValidationError, Layer, SceneGraph, SceneNode, UnknownNodeError, WorldFormatError
 from stepqa.worldgen import random_world_data
 
@@ -203,7 +203,7 @@ class TestMovement:
         env = Environment(world)
         env.reset()
         env.execute(move(goal_id="f0.hall"))
-        planned = resolve_near_pose(world.prior_graph(), env.pose, "desk", layer)
+        planned = world.prior_graph().resolve_from(env.pose.anchor_id, "desk", layer)
         obs = env.execute(move(label="desk", layer=layer))
         # the nearer desk is upstairs; the planner and the move both stay on this floor
         assert obs.anchor_id == planned.id == "f0.study.desk"

@@ -173,6 +173,25 @@ class TestReplayTransport:
         with pytest.raises(ValueError, match=f"^{re.escape(str(p))}: not UTF-8 text at byte 0$"):
             ReplayTransport(p)
 
+    @pytest.mark.parametrize(
+        "second,message",
+        [
+            ("not json", "not JSON: Expecting value"),
+            ('{"response": "late"}', 'an entry needs "digest" and "response"'),
+            ('{"digest": "d2"}', 'an entry needs "digest" and "response"'),
+            ("[1, 2]", 'an entry needs "digest" and "response"'),
+        ],
+    )
+    def test_a_malformed_fixture_line_is_refused_by_file_and_line(self, tmp_path, second, message):
+        p = tmp_path / "fixtures.jsonl"
+        p.write_text('{"digest": "d1", "response": "first"}\n' + second + "\n")
+        with pytest.raises(ValueError, match=f"^{re.escape(str(p))}: line 2: {re.escape(message)}"):
+            ReplayTransport(p)
+
+    def test_a_fixture_entry_without_a_digest_is_refused_by_place(self):
+        with pytest.raises(ValueError, match='^entry 2: an entry needs "digest" and "response"$'):
+            ReplayTransport([{"digest": "d1", "response": "first"}, {"response": "second"}])
+
 
 class TestChatClient:
     def test_complete_text_wraps_messages(self):

@@ -19,7 +19,6 @@ from stepqa.rules import (
     _sweep_anchors,
     next_plan,
     observation_layer,
-    resolve_near_pose,
 )
 from stepqa.scene_graph import Layer, SceneGraph, SceneNode
 from stepqa.worldgen import random_world_data
@@ -342,7 +341,7 @@ class TestPlannerTail:
 
 
 def reference_resolve_near_pose(graph, pose, label, layer, constraint=None):
-    """The four-scope loop resolve_near_pose ran before the outward search,
+    """The four-scope loop the planner ran before the outward search,
     each scope resolved by a scan over its subtree: the reference."""
     anchor = graph.node(pose.anchor_id) if pose.anchor_id in graph else None
     near = graph.position_of(anchor.id) if anchor else None
@@ -423,7 +422,7 @@ class TestOutwardSearch:
                     layer = rng.choice((None, *Layer))
                     constraint = rng.choice(constraints)
                     want = reference_resolve_near_pose(graph, pose, label, layer, constraint)
-                    assert resolve_near_pose(graph, pose, label, layer, constraint) is want, (
+                    assert graph.resolve_from(anchor, label, layer, constraint) is want, (
                         anchor, label, layer, constraint,
                     )
 
@@ -440,7 +439,7 @@ class TestOutwardSearch:
                         if any(n.attributes.get(attr, value) == value for n in here):
                             continue
                         pose = pose_at(graph, support.id)
-                        found = resolve_near_pose(graph, pose, small.label, Layer.SMALL_OBJECT, (attr, value))
+                        found = graph.resolve_from(support.id, small.label, Layer.SMALL_OBJECT, (attr, value))
                         assert found is not None and found not in here
                         assert found is reference_resolve_near_pose(
                             graph, pose, small.label, Layer.SMALL_OBJECT, (attr, value)
@@ -489,7 +488,7 @@ class TestOutwardSearch:
         graph = world.prior_graph()
         book = add_small(graph, "f0.a.lamp", "book")
         pose = pose_at(graph, book.id if on_lamp else "f0.a.lamp")
-        found = resolve_near_pose(graph, pose, label, Layer.BIG_OBJECT)
+        found = graph.resolve_from(pose.anchor_id, label, Layer.BIG_OBJECT)
         assert found.id.startswith("f0.a.")
         assert found is reference_resolve_near_pose(graph, pose, label, Layer.BIG_OBJECT)
 
@@ -497,8 +496,8 @@ class TestOutwardSearch:
         graph = demo_truth.graph
         monkeypatch.setattr(type(graph), "_under", lambda *args: pytest.fail("scope read"))
         pose = pose_at(graph, "f0.living.coffee_table")
-        assert resolve_near_pose(graph, pose, "unicorn", None) is None
-        assert resolve_near_pose(graph, pose, "sofa", Layer.SMALL_OBJECT) is None
+        assert graph.resolve_from(pose.anchor_id, "unicorn", None) is None
+        assert graph.resolve_from(pose.anchor_id, "sofa", Layer.SMALL_OBJECT) is None
 
 
 class TestLazySweep:
@@ -649,14 +648,14 @@ class TestSweepMemo:
 
 
 def every_resolution(graph):
-    """resolve_near_pose of every floor, room and big-object label (and
+    """resolve_from of every floor, room and big-object label (and
     "crate") at each of those layers, from every anchor, by node id."""
     labels = sorted({n.label for n in graph.nodes if n.layer is not Layer.SMALL_OBJECT} | {"crate"})
     out = {}
     for anchor in [*sorted(n.id for n in graph.nodes), "nowhere"]:
         for label in labels:
             for layer in (Layer.FLOOR, Layer.ROOM, Layer.BIG_OBJECT):
-                found = resolve_near_pose(graph, pose_at(graph, anchor), label, layer)
+                found = graph.resolve_from(anchor, label, layer)
                 out[anchor, label, layer] = found.id if found else None
     return out
 
@@ -701,6 +700,6 @@ class TestResolutionMemo:
         first, second = demo_truth.prior_graph(), demo_truth.prior_graph()
         assert first._memo is second._memo
         add_small(first, "f0.living.sofa", "phone")
-        found = resolve_near_pose(first, entrance(), "desk", Layer.BIG_OBJECT)
+        found = first.resolve_from(entrance().anchor_id, "desk", Layer.BIG_OBJECT)
         monkeypatch.setattr(SceneGraph, "resolve_outward", lambda *args: pytest.fail("searched"))
-        assert resolve_near_pose(second, entrance(), "desk", Layer.BIG_OBJECT) is found
+        assert second.resolve_from(entrance().anchor_id, "desk", Layer.BIG_OBJECT) is found
