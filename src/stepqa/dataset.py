@@ -352,7 +352,7 @@ def save_records(records: Iterable[QARecord], path: str | Path) -> None:
 
 def load_records(path: str | Path) -> list[QARecord]:
     """The records of a JSONL file read as UTF-8; DatasetFormatError names
-    the first line that is not a record."""
+    the file and the first line that is not a record."""
     try:
         text = Path(path).read_text(encoding="utf-8")
     except UnicodeDecodeError as exc:
@@ -365,7 +365,7 @@ def load_records(path: str | Path) -> list[QARecord]:
         try:
             out.append(QARecord.from_dict(json.loads(line)))
         except json.JSONDecodeError as exc:
-            raise DatasetFormatError(f"line {i + 1}: {exc.msg}") from exc
+            raise DatasetFormatError(f"{path}: line {i + 1}: {exc.msg}") from exc
         except DatasetFormatError as exc:
-            raise DatasetFormatError(f"line {i + 1}: {exc}") from exc
+            raise DatasetFormatError(f"{path}: line {i + 1}: {exc}") from exc
     return out

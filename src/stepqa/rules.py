@@ -19,7 +19,7 @@ It never plans below that layer for the final look.
 from __future__ import annotations
 
 from enum import Enum
-from typing import TYPE_CHECKING, Any, Iterable, Iterator, NamedTuple
+from typing import TYPE_CHECKING, Any, NamedTuple
 
 from .patterns import ATTRIBUTE_TARGET, OBJECT_TARGET, ROOM_TARGET, PatternChain, SubGoal
 from .scene_graph import BIG_OBJECT, FLOOR, ROOM, SMALL_OBJECT, Layer, SceneGraph, SceneNode
@@ -138,12 +138,14 @@ def _anchor_node(graph: SceneGraph, pose: AgentPose) -> SceneNode | None:
 
 
 def scope_node(chain: PatternChain, graph: SceneGraph, pose: AgentPose) -> SceneNode:
-    """Innermost room the chain names, else the floor under the agent."""
+    """Innermost room the chain names, the one nearest the agent when two
+    match, else the floor under the agent."""
     anchor = _anchor_node(graph, pose)
     for step in reversed(chain.steps):
         if step.layer is ROOM and step.label is not None:
-            near = graph.position_of(anchor.id) if anchor else None
-            rooms = graph.resolve_label(step.label, layer=ROOM, near=near)
+            rooms = graph.resolve_outward(step.label, ROOM, (None,))
+            if len(rooms) > 1:
+                rooms = graph.nearest_first(rooms, graph.position_of(anchor.id) if anchor else None)
             if rooms:
                 return rooms[0]
     if anchor is not None:
@@ -153,32 +155,6 @@ def scope_node(chain: PatternChain, graph: SceneGraph, pose: AgentPose) -> Scene
     if not floors:
         raise PlanningDomainError("graph has no floor node")
     return floors[0]
-
-
-def _sweep_anchors(graph: SceneGraph, scope: SceneNode, pose: AgentPose) -> Iterator[SceneNode]:
-    """Big objects under the scope, nearest room first, nearest object
-    within, yielded one room at a time so a caller can stop early.
-
-    A floor scope goes on to the rooms of the other floors, in graph
-    order, once its own are exhausted; each floor's rooms come nearest
-    first. Distances are from the agent's anchor, and each order is
-    sorted once per world and origin (``SceneGraph.children_nearest_first``).
-    """
-    if scope.layer is FLOOR:
-        rooms: Iterable[SceneNode] = _floor_rooms(graph, scope, pose)
-    elif scope.layer is ROOM:
-        rooms = [scope]
-    else:
-        return
-    for room in rooms:
-        yield from graph.children_nearest_first(room.id, pose.anchor_id)
-
-
-def _floor_rooms(graph: SceneGraph, floor: SceneNode, pose: AgentPose) -> Iterator[SceneNode]:
-    yield from graph.children_nearest_first(floor.id, pose.anchor_id)
-    for other in graph.nodes_at(FLOOR):
-        if other.id != floor.id:
-            yield from graph.children_nearest_first(other.id, pose.anchor_id)
 
 
 def move_plan(
@@ -196,21 +172,31 @@ def move_plan(
 
 
 def _sweep_move(
-    chain: PatternChain,
+    scope: SceneNode,
     graph: SceneGraph,
     pose: AgentPose,
     explored: frozenset[str],
 ) -> Plan | None:
-    """Next unexplored big object under the chain's scope, if any."""
-    scope = scope_node(chain, graph, pose)
-    for node in _sweep_anchors(graph, scope, pose):
-        if node.id not in explored:
-            return move_plan(node)
-    if (
-        scope.layer is ROOM
-        and scope.id not in explored
-        and pose.anchor_id != scope.id
-    ):
+    """Next unexplored big object under a room or floor scope, if any.
+
+    Rooms come nearest first, and each room's big objects nearest first.
+    A floor scope goes on to the rooms of the other floors, in graph
+    order, once its own are swept. Distances are from the agent's anchor,
+    whose position is read once. Each order is a tuple of ids sorted once
+    per world and position (``SceneGraph.child_ids_nearest_first``), and a
+    room is sorted only when the sweep reaches it.
+    """
+    here = graph.position_of(pose.anchor_id) if pose.anchor_id in graph else None
+    order = graph.child_ids_nearest_first
+    sweeps = [(scope.id,) if scope.layer is ROOM else order(scope.id, here)]
+    for rooms in sweeps:  # the other floors join once the scope's rooms are swept
+        for room_id in rooms:
+            for big_id in order(room_id, here):
+                if big_id not in explored:
+                    return move_plan(graph.node(big_id))
+        if scope.layer is FLOOR and len(sweeps) == 1:
+            sweeps += [order(f.id, here) for f in graph.nodes_at(FLOOR) if f.id != scope.id]
+    if scope.layer is ROOM and scope.id not in explored and pose.anchor_id != scope.id:
         return move_plan(scope)
     return None
 
@@ -314,7 +300,7 @@ def _attribute_target_plan(
     obj = graph.resolve_from(pose.anchor_id, obj_step.label or "", obj_step.layer, obj_step.attribute_constraint)
     if obj is None:
         if obj_step.layer is SMALL_OBJECT and not chain_has_support(chain):
-            sweep = _sweep_move(chain, graph, pose, explored)
+            sweep = _sweep_move(scope_node(chain, graph, pose), graph, pose, explored)
             if sweep is not None:
                 return sweep
         raise ResolutionFailure(obj_step.label or "?", pose.anchor_id)
@@ -370,11 +356,11 @@ def _object_target_plan(
             if pending is not None:
                 return move_plan(pending, target.label)
         return look_plan(pose, support, support.id, expects, n, ref_step.label)
-    sweep = _sweep_move(chain, graph, pose, explored)
+    scope = scope_node(chain, graph, pose)
+    sweep = _sweep_move(scope, graph, pose, explored)
     if sweep is not None:
         return sweep
     if visit_each:
-        scope = scope_node(chain, graph, pose)
         pending = _unverified_candidate(graph, scope.id, target, explored)
         if pending is not None:
             return move_plan(pending, target.label)
@@ -420,7 +406,7 @@ def _room_query_plan(
     if subject.layer is BIG_OBJECT:
         # the prior knows every big object; an unresolved label is a dead end
         raise ResolutionFailure(subject.label or "?", "prior graph")
-    sweep = _sweep_move(chain, graph, pose, explored)
+    sweep = _sweep_move(scope_node(chain, graph, pose), graph, pose, explored)
     if sweep is not None:
         return sweep
     raise ResolutionFailure(subject.label or "?", "searched all big objects")

@@ -250,7 +250,7 @@ class SceneGraph:
     and head word to the ids of multiword labels.
 
     One memo holds what depends only on the floors, rooms and big
-    objects: the nearest-first orders of ``children_nearest_first`` and
+    objects: the nearest-first orders of ``child_ids_nearest_first`` and
     the unconstrained floor, room and big-object lookups of
     ``resolve_from``. A copy shares the node objects, the index and the
     memo with its source (see ``copy``). The memo's one reset rule: a
@@ -265,7 +265,7 @@ class SceneGraph:
         self.spatial_edges: list[SpatialEdge] = []
         self._index: _LabelIndex | None = None
         self._index_owned = False
-        # (node id, origin position) -> children ids nearest first, and
+        # (node id, point) -> children ids nearest first, and
         # (anchor id, label, layer) -> the id resolve_from found, or None
         self._memo: dict[tuple[Any, ...], Any] = {}
 
@@ -378,11 +378,12 @@ class SceneGraph:
 
     def ancestors(self, node_id: str) -> list[SceneNode]:
         """Containment path from the node's parent up to its floor."""
+        parents, nodes = self._parent, self._nodes
         out = []
-        cur = self.parent(node_id)
-        while cur is not None:
-            out.append(cur)
-            cur = self.parent(cur.id)
+        pid = parents.get(self.node(node_id).id)
+        while pid is not None:
+            out.append(nodes[pid])
+            pid = parents.get(pid)
         return out
 
     def room_of(self, node_id: str) -> SceneNode:
@@ -461,7 +462,8 @@ class SceneGraph:
         """
         if scope_id is not None and scope_id not in self._nodes:
             raise UnknownNodeError(scope_id)
-        return self.resolve_outward(label, layer, (scope_id,), constraint, near)
+        found = self.resolve_outward(label, layer, (scope_id,), constraint)
+        return self.nearest_first(found, near) if len(found) > 1 else found
 
     def resolve_outward(
         self,
@@ -469,11 +471,10 @@ class SceneGraph:
         layer: Layer | None,
         scopes: Iterable[str | None],
         constraint: tuple[str, str] | None = None,
-        near: tuple[float, float] | None = None,
     ) -> list[SceneNode]:
         """``resolve_label`` over nested scopes, innermost first: the
-        candidates of the first scope that has any, best first. A scope of
-        None is the whole graph.
+        candidates of the first scope that has any, not yet ordered. A
+        scope of None is the whole graph.
 
         Each scope applies the same tiers and constraint rule. The label is
         looked up once for all of them, and when no node at the layer
@@ -504,7 +505,7 @@ class SceneGraph:
             if constraint is not None and candidates:
                 candidates = _constrained(candidates, constraint)
             if candidates:
-                return self.nearest_first(candidates, near) if len(candidates) > 1 else candidates
+                return candidates
         return []
 
     def resolve_from(
@@ -518,8 +519,9 @@ class SceneGraph:
 
         The scopes are the anchor's subtree, its parent's, its room's, then
         the whole graph; an anchor not in the graph searches only the
-        whole graph. The first scope with a candidate answers, and its
-        candidate nearest the anchor wins (see ``resolve_outward``).
+        whole graph. The first scope with a candidate answers (see
+        ``resolve_outward``), and its candidate nearest the anchor wins.
+        The anchor's position is read only when there are two to order.
 
         A floor, room or big-object lookup with no constraint, from a
         floor, room or big object in the graph, is memoized by anchor id,
@@ -531,7 +533,7 @@ class SceneGraph:
         attributes only. So the answer holds for every graph that shares
         the memo. A hit returns this graph's node for the id, which may
         carry attributes a fold revealed. Like the orders of
-        ``children_nearest_first``, the key is world structure, not a
+        ``child_ids_nearest_first``, the key is world structure, not a
         question. A small-object anchor enters with an episode, so a
         lookup from one is not memoized.
         """
@@ -544,9 +546,10 @@ class SceneGraph:
             found = self._memo.get(key, _UNSEEN)
             if found is not _UNSEEN:
                 return None if found is None else nodes[found]
-        near = self.position_of(anchor_id) if anchor is not None else None
-        best = self.resolve_outward(label, layer, self._outward_scopes(anchor), constraint, near)
-        node = best[0] if best else None
+        found = self.resolve_outward(label, layer, self._outward_scopes(anchor), constraint)
+        if len(found) > 1:
+            found = self.nearest_first(found, self.position_of(anchor_id) if anchor is not None else None)
+        node = found[0] if found else None
         if key is not None:
             self._memo[key] = node.id if node is not None else None
         return node
@@ -639,23 +642,26 @@ class SceneGraph:
         return sorted(nodes, key=lambda n: (self._distance(near, n), n.layer, n.instance_index, n.id))
 
     def children_nearest_first(self, node_id: str, origin_id: str) -> list[SceneNode]:
-        """A node's children in ``nearest_first`` order from the origin.
-
-        The order's ids are memoized by node id and origin position: rooms
-        and big objects never move, and only a new floor, room or big
-        object can change a floor's or a room's children or the centroid
-        of a floor. The memo is shared with the graph's copies until one
-        of them adds such a node, which starts an empty memo of its own.
-        Two threads that race on one key both store the same order.
-        """
+        """A node's children in ``nearest_first`` order from the origin."""
         here = self.position_of(origin_id) if origin_id in self._nodes else None
+        return list(map(self._nodes.__getitem__, self.child_ids_nearest_first(node_id, here)))
+
+    def child_ids_nearest_first(self, node_id: str, here: tuple[float, float] | None) -> tuple[str, ...]:
+        """The ids of a node's children in ``nearest_first`` order from a
+        point, sorted on the first call for the node and point.
+
+        The order is memoized by node id and point: rooms and big objects
+        never move, and only a new floor, room or big object can change a
+        floor's or a room's children or the centroid of a floor. The memo
+        is shared with the graph's copies until one of them adds such a
+        node, which starts an empty memo of its own. Two threads that race
+        on one key both store the same order.
+        """
         key = (node_id, here)
         ids = self._memo.get(key)
         if ids is None:
-            order = self.nearest_first(self.children(node_id), here)
-            self._memo[key] = tuple(n.id for n in order)
-            return order
-        return list(map(self._nodes.__getitem__, ids))
+            ids = self._memo[key] = tuple(n.id for n in self.nearest_first(self.children(node_id), here))
+        return ids
 
     def spatial_relation(self, a: str, b: str) -> str | None:
         """Relation of node a with respect to node b along a same-layer edge."""

@@ -281,4 +281,4 @@ class TestGenerateAndBench:
         code = main(["bench", "--dataset", str(dataset), "--worlds", DEMO])
         assert code == EX_ERROR
         err = capsys.readouterr().err
-        assert err.startswith("error: line 1:")
+        assert err.startswith(f"error: {dataset}: line 1:")

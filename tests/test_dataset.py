@@ -249,7 +249,7 @@ class TestFiles:
         p.write_text(good + "\nnot json\n")
         with pytest.raises(DatasetFormatError) as err:
             load_records(p)
-        assert "line 2" in str(err.value)
+        assert str(err.value).startswith(f"{p}: line 2: ")
 
     def test_a_line_that_is_not_utf8_is_a_format_error_naming_it(self, records, tmp_path):
         p = tmp_path / "data.jsonl"
@@ -285,7 +285,7 @@ class TestFiles:
         p.write_text(json.dumps(good) + "\n" + json.dumps(bad) + "\n")
         with pytest.raises(DatasetFormatError) as err:
             load_records(p)
-        assert "line 2" in str(err.value)
+        assert str(err.value).startswith(f"{p}: line 2: ")
 
     def test_null_is_rejected_by_name_and_numbers_read_as_text(self, records):
         good = records[0].to_dict()

@@ -16,7 +16,8 @@ from stepqa.rules import (
     PlanKind,
     PlanningDomainError,
     ResolutionFailure,
-    _sweep_anchors,
+    _sweep_move,
+    move_plan,
     next_plan,
     observation_layer,
 )
@@ -495,9 +496,30 @@ class TestOutwardSearch:
     def test_a_label_nothing_matches_reads_no_scope(self, demo_truth, monkeypatch):
         graph = demo_truth.graph
         monkeypatch.setattr(type(graph), "_under", lambda *args: pytest.fail("scope read"))
-        pose = pose_at(graph, "f0.living.coffee_table")
+        monkeypatch.setattr(type(graph), "position_of", lambda *args: pytest.fail("position read"))
+        pose = pose_at(graph, "f0.living.table")
+        assert pose.anchor_id in graph
         assert graph.resolve_from(pose.anchor_id, "unicorn", None) is None
         assert graph.resolve_from(pose.anchor_id, "sofa", Layer.SMALL_OBJECT) is None
+
+
+class AskedAbout:
+    """An explored set that holds every id and records each one asked about."""
+
+    def __init__(self):
+        self.asked = []
+
+    def __contains__(self, node_id):
+        self.asked.append(node_id)
+        return True
+
+
+def sweep_walk(graph, scope, pose):
+    """The big objects _sweep_move walks, in order. With every id explored
+    it asks about each of them, and last about a room scope itself."""
+    explored = AskedAbout()
+    assert _sweep_move(scope, graph, pose, explored) is None
+    return [graph.node(i) for i in explored.asked if i != scope.id]
 
 
 class TestLazySweep:
@@ -512,9 +534,12 @@ class TestLazySweep:
             explored = data.draw(st.frozensets(st.sampled_from(bigs)))
             for scope in scopes:
                 order = full_sweep(graph, scope, pose)
-                assert list(_sweep_anchors(graph, scope, pose)) == order
-                first = next((n for n in _sweep_anchors(graph, scope, pose) if n.id not in explored), None)
-                assert first is next((n for n in order if n.id not in explored), None)
+                assert sweep_walk(graph, scope, pose) == order
+                first = next((n for n in order if n.id not in explored), None)
+                if first is None and scope.layer is Layer.ROOM and anchor != scope.id:
+                    first = scope
+                want = move_plan(first) if first is not None else None
+                assert _sweep_move(scope, graph, pose, explored) == want
 
     def test_sweep_stops_at_the_first_unexplored_big_object(self, demo_truth, monkeypatch):
         graph = demo_truth.prior_graph()
@@ -530,6 +555,22 @@ class TestLazySweep:
         assert len(sorted_calls) == 2  # the floor's rooms, then the nearest room's objects
         assert len(graph.children("f0")) > 2
 
+    def test_a_sweep_step_reads_one_position(self, demo_truth, monkeypatch):
+        graph = demo_truth.prior_graph()
+        positions = []
+        position_of = SceneGraph.position_of
+        monkeypatch.setattr(
+            SceneGraph, "position_of", lambda self, node_id: positions.append(node_id) or position_of(self, node_id)
+        )
+        chain = parse_pattern_string("V4[phone] -> V2[?]")
+        pose, explored = entrance(), frozenset()
+        for _ in range(3):  # from the entrance, then from each support it moved to
+            del positions[:]
+            plan = next_plan(chain, 0, graph, pose, explored=explored)
+            assert plan.kind is PlanKind.MOVE_TO and plan.goal_layer is Layer.BIG_OBJECT
+            assert positions == [pose.anchor_id]
+            pose, explored = AgentPose(plan.goal_id, 0), explored | {plan.goal_id}
+
 
 def counting_nearest_first(monkeypatch):
     """A list that gets one entry per SceneGraph.nearest_first call."""
@@ -544,10 +585,10 @@ def counting_nearest_first(monkeypatch):
 
 
 def every_sweep(graph):
-    """Every sweep order of the graph, from every anchor and for every scope."""
+    """Every sweep walk of the graph, from every anchor and for every scope."""
     scopes = [*graph.nodes_at(Layer.FLOOR), *graph.nodes_at(Layer.ROOM)]
     return {
-        (anchor, scope.id): [n.id for n in _sweep_anchors(graph, scope, pose_at(graph, anchor))]
+        (anchor, scope.id): [n.id for n in sweep_walk(graph, scope, pose_at(graph, anchor))]
         for anchor in [*sorted(n.id for n in graph.nodes), "nowhere"]
         for scope in scopes
     }
