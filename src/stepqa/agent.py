@@ -50,7 +50,7 @@ from .rules import (
     scope_node,
     target_expects,
 )
-from .scene_graph import BIG_OBJECT, ROOM, SceneGraph, SceneNode, has_value, labels_match
+from .scene_graph import ROOM, SceneGraph, SceneNode, has_value, labels_match
 # perfbench/spans.py counts label normalization by wrapping this module's name.
 from .scene_graph import normalize_label  # noqa: F401
 
@@ -82,10 +82,10 @@ class AgentConfig:
         return 4 * chain_length + 8
 
 
-@dataclass
-class TraceEvent:
-    """One executed plan. The plan and the observation are immutable
-    records, kept as they are and serialized only when ``plan`` and
+class TraceEvent(NamedTuple):
+    """One executed plan, an immutable record built positionally, as
+    ``Plan`` and ``Observation`` are. The plan and the observation are
+    kept as they are and serialized only when ``plan`` and
     ``observation`` are read. The plan's ``step_index`` is the event's
     ``k``, the observation's ``step`` is its ``t``, and a final look's
     ``content`` is the event's subquestion."""
@@ -203,36 +203,18 @@ def ingest_observation(graph: SceneGraph, obs: Observation) -> bool:
     """Fold an observation into the agent's graph.
 
     The view's fold (``environment.Fold``) holds its nodes prebuilt, once
-    per world, and they go into the graph by reference
-    (``SceneGraph.share``): a node in a graph is never written in place.
-    Newly seen small objects are adopted under the anchor they were seen
-    from, keeping the environment's ids so later plans can address them
-    directly. Revealed attribute values overwrite prior beliefs: a node
-    that already has every revealed value is left as it is, one the
-    fold's node may stand in for (``SceneGraph.share``) gives way to it,
-    and any other is merged. Returns whether the fold left nothing out:
-    the anchor and every node the observation shows or reveals are in
-    the graph afterwards.
+    per world, and the graph takes them by reference in one call
+    (``SceneGraph.fold_in``): a node in a graph is never written in
+    place. Newly seen small objects are adopted under the anchor they
+    were seen from, keeping the environment's ids so later plans can
+    address them directly. Revealed attribute values overwrite prior
+    beliefs: a node that already has every revealed value is left as it
+    is, one the fold's node may stand in for gives way to it, and any
+    other is merged. Returns whether the fold left nothing out: the
+    anchor and every node the observation shows or reveals are in the
+    graph afterwards.
     """
-    complete = obs.anchor_id in graph
-    if obs.anchor_layer is BIG_OBJECT:
-        for node in obs.fold.adopted:
-            if node.id not in graph:
-                graph.share(node, obs.anchor_id)
-    else:
-        for v in obs.visible:
-            if v.node_id not in graph:
-                complete = False
-    for seen in obs.fold.revealed:
-        if seen.id not in graph:
-            complete = False
-            continue
-        known = graph.node(seen.id).attributes
-        if known is seen.attributes or known.items() >= seen.attributes.items():
-            continue
-        if not graph.share(seen):
-            graph.update_attributes(seen.id, seen.attributes)
-    return complete
+    return graph.fold_in(obs.anchor_id, obs.fold)
 
 
 # -- feedback ---------------------------------------------------------------
@@ -511,7 +493,8 @@ def run_episode(
             chain.steps[-1].attribute_constraint[0], chain.steps[-1].label or ""
         )
 
-    explored: set[str] = set()
+    # the planners read membership only, so a move to a new anchor makes a new set
+    explored: frozenset[str] = frozenset()
     look: RoomLook | None = None
     t = 0
     k = 0
@@ -523,7 +506,7 @@ def run_episode(
     while t < budget:
         if pending_fallback:
             pending_fallback = False
-            plan = planner.fallback_plan(graph, env.pose, frozenset(explored), question=question)
+            plan = planner.fallback_plan(graph, env.pose, explored, question=question)
         else:
             try:
                 if config.room_level_only:
@@ -537,7 +520,7 @@ def run_episode(
                         graph,
                         env.pose,
                         attr_class=attr_class,
-                        explored=frozenset(explored),
+                        explored=explored,
                         slots=slots,
                         constraint_class=constraint_class,
                     )
@@ -558,7 +541,7 @@ def run_episode(
         if plan.kind is ANSWER:
             echo = env.observe()
             fold(echo)
-            trace.events.append(TraceEvent(t=t, k=k, action=plan, obs=echo, feedback=True))
+            trace.events.append(TraceEvent(t, k, plan, echo, True))
             if plan.tool != "fallback":  # a fallback answer gives up
                 outcome = (plan.value or "not found", ANSWERED)
             break
@@ -570,19 +553,9 @@ def run_episode(
         if not ok and plan.kind is MOVE_TO and not obs.move_failed:
             secondary = secondary_perception(plan, obs, graph)
             ok = ok or secondary
-        trace.events.append(
-            TraceEvent(
-                t=t,
-                k=k,
-                action=plan,
-                obs=obs,
-                feedback=ok,
-                secondary=secondary,
-                subquestion=subquestion,
-            )
-        )
-        if plan.kind is MOVE_TO and not obs.move_failed:
-            explored.add(env.pose.anchor_id)
+        trace.events.append(TraceEvent(t, k, plan, obs, ok, secondary, subquestion))
+        if plan.kind is MOVE_TO and not obs.move_failed and env.pose.anchor_id not in explored:
+            explored = explored | {env.pose.anchor_id}
 
         if ok:
             step_retries = 0

@@ -31,8 +31,11 @@ episodes and threads; only a failed move's observation is a copy,
 marked as failed. The anchor's own view (reference = anchor) holds the
 parts every view of the anchor shares: the revealed attributes and the
 fold. A fold is what the view adds to an agent's graph, as prebuilt
-nodes the graph takes by reference (see ``Fold`` and
-``agent.ingest_observation``). An observation carries no step number;
+nodes the graph takes by reference in one ``SceneGraph.fold_in`` call
+(see ``Fold`` and ``agent.ingest_observation``). Each revealed node is
+paired, once per world, with the prior template's node it may stand in
+for, so a graph that still holds that node swaps it out without
+comparing the two. An observation carries no step number;
 the trace event that holds it does. A world's graph must therefore not
 be mutated after its first episode: views built before the change
 would not see it.
@@ -60,6 +63,7 @@ from .scene_graph import (
     WorldFormatError,
     _INVERSE_RELATION,
     normalize_label,
+    stands_in_for,
 )
 
 _DEFAULT_PLACEMENT = {ROOM: "in", BIG_OBJECT: "in", SMALL_OBJECT: "on"}
@@ -96,10 +100,19 @@ class Fold(NamedTuple):
     adopts, in nothing but those. A node's attribute map is the very dict
     the view's ``revealed`` wraps read-only; no graph writes a node it
     holds in place, so graphs hold these nodes by reference.
+
+    replaces holds, for each revealed node, the prior template's node of
+    its id when the revealed node stands in for it
+    (``scene_graph.stands_in_for``), else None, as for a small object,
+    which the template lacks. shown holds the ids of the nodes the view shows
+    and does not adopt: a floor's rooms or a room's big objects.
+    ``SceneGraph.fold_in`` reads the whole fold.
     """
 
     adopted: tuple[SceneNode, ...]
     revealed: tuple[SceneNode, ...]
+    replaces: tuple[SceneNode | None, ...]
+    shown: tuple[str, ...]
 
 
 class Observation(NamedTuple):
@@ -211,7 +224,9 @@ class WorldTruth:
 
     def _anchor_view(self, anchor: SceneNode) -> Observation:
         """The anchor's own view: the children it shows, the attributes it
-        reveals and its fold, which its views with other references share."""
+        reveals and its fold, which its views with other references share.
+        The fold pairs each revealed node with the prior template's node it
+        stands in for, so the check runs here, once per world."""
         big = anchor.layer is BIG_OBJECT
         children = tuple(self.graph.children(anchor.id))
         if big and self.occluded:
@@ -235,7 +250,15 @@ class WorldTruth:
                     with_values.append(node)
         # a child stands to its anchor as it is placed there
         visible = tuple(VisibleNode(c.id, c.label, c.layer, self.placement_relation(c.id)) for c in children)
-        fold = Fold(tuple(adopted), tuple(with_values))
+        # A template node holds no values and a revealed node at least one,
+        # so a graph that holds the template node swaps it, never keeps it.
+        template = self._template()
+        replaces: list[SceneNode | None] = []
+        for node in with_values:
+            known = template.node(node.id) if node.id in template else None
+            replaces.append(known if known is not None and stands_in_for(node, known) else None)
+        shown = () if big else tuple(c.id for c in children)
+        fold = Fold(tuple(adopted), tuple(with_values), tuple(replaces), shown)
         return Observation(anchor.id, anchor.layer, visible, MappingProxyType(revealed), fold)
 
     def _template(self) -> SceneGraph:

@@ -14,7 +14,7 @@ import functools
 import math
 from dataclasses import dataclass, field
 from enum import IntEnum
-from typing import Any, Iterable, Iterator, Mapping, NamedTuple
+from typing import Any, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 
 class Layer(IntEnum):
@@ -234,12 +234,28 @@ def _constrained(candidates: list[SceneNode], constraint: tuple[str, str]) -> li
     return matching or [n for n in candidates if attr not in n.attributes]
 
 
+def stands_in_for(node: SceneNode, known: SceneNode) -> bool:
+    """Whether a node may take the place of a graph's node: it has the
+    same id, label, layer, instance index and position, and every
+    attribute value the known node has."""
+    return (
+        node.id == known.id
+        and node.label == known.label
+        and node.layer is known.layer
+        and node.instance_index == known.instance_index
+        and node.position == known.position
+        and known.attributes.items() <= node.attributes.items()
+    )
+
+
 class SceneGraph:
     """Mutable containment-plus-spatial graph over SceneNode objects.
 
-    Every node with a new id enters through ``add_node``, which checks
-    the structure as it enters: a new id, a parent one layer up (none
-    for a floor) and a position for a room or big object. Spatial edges
+    Every node with a new id enters through ``add_node``, one node or
+    several under one parent, which checks the structure as it enters:
+    a new id, a parent one layer up (none for a floor) and a position
+    for a room or big object. A view's fold enters in one ``fold_in``
+    call, whose new nodes go through ``add_node`` too. Spatial edges
     join known nodes within one layer. No later pass checks a graph.
 
     A node object is never written once it is in a graph: a write puts a
@@ -271,62 +287,100 @@ class SceneGraph:
 
     # -- construction ---------------------------------------------------
 
-    def add_node(self, node: SceneNode, parent_id: str | None = None) -> SceneNode:
-        if node.id in self._nodes:
-            raise GraphValidationError(f"duplicate node id: {node.id}")
-        if node.position is None and node.layer in (ROOM, BIG_OBJECT):
-            raise GraphValidationError(f"node {node.id} at {node.layer.tag} has no position")
-        if node.layer is FLOOR:
-            if parent_id is not None:
-                raise GraphValidationError(f"floor node {node.id} cannot have a parent")
+    def add_node(self, node: SceneNode | Sequence[SceneNode], parent_id: str | None = None) -> Any:
+        """Add a node, or several nodes under one parent, and return what
+        was given.
+
+        Every node is checked before any is written: a new id, also
+        within the batch, a position for a room or big object, and a
+        parent one layer up (none for a floor). A bad node raises
+        GraphValidationError naming it and leaves the graph unchanged.
+        The parent's child tuple is extended once for the batch, and an
+        index shared with another graph is copied at most once.
+        """
+        if isinstance(node, SceneNode):
+            batch, ids = (node,), (node.id,)
         else:
-            if parent_id is None:
-                raise GraphValidationError(f"node {node.id} at {node.layer.tag} needs a parent")
-            parent = self.node(parent_id)
-            if parent.layer != node.layer - 1:
-                raise GraphValidationError(
-                    f"node {node.id} at {node.layer.tag} cannot attach to "
-                    f"{parent.id} at {parent.layer.tag}"
-                )
-        self._nodes[node.id] = node
-        self._children[node.id] = ()
+            batch = tuple(node)
+            ids = tuple(new.id for new in batch)
+            if len(set(ids)) < len(ids):
+                twice = next(i for k, i in enumerate(ids) if i in ids[:k])
+                raise GraphValidationError(f"duplicate node id: {twice}")
+        nodes = self._nodes
+        parent: SceneNode | None = None
+        for new in batch:
+            if new.id in nodes:
+                raise GraphValidationError(f"duplicate node id: {new.id}")
+            if new.position is None and new.layer in (ROOM, BIG_OBJECT):
+                raise GraphValidationError(f"node {new.id} at {new.layer.tag} has no position")
+            if new.layer is FLOOR:
+                if parent_id is not None:
+                    raise GraphValidationError(f"floor node {new.id} cannot have a parent")
+            else:
+                if parent_id is None:
+                    raise GraphValidationError(f"node {new.id} at {new.layer.tag} needs a parent")
+                if parent is None:
+                    parent = self.node(parent_id)
+                if parent.layer != new.layer - 1:
+                    raise GraphValidationError(
+                        f"node {new.id} at {new.layer.tag} cannot attach to "
+                        f"{parent.id} at {parent.layer.tag}"
+                    )
+        index = self._index
+        if index is not None and not self._index_owned:
+            self._index = index = _LabelIndex(dict(index.by_label), dict(index.by_head))
+            self._index_owned = True
+        children, parents = self._children, self._parent
+        for new in batch:
+            nodes[new.id] = new
+            children[new.id] = ()
+            if parent_id is not None:
+                parents[new.id] = parent_id
+            if index is not None:
+                index.add(new)
+            if new.layer is not SMALL_OBJECT:
+                # a new floor, room or big object can change any memoized answer
+                self._memo = {}
         if parent_id is not None:
-            self._parent[node.id] = parent_id
-            self._children[parent_id] += (node.id,)
-        if self._index is not None:
-            if not self._index_owned:
-                self._index = _LabelIndex(dict(self._index.by_label), dict(self._index.by_head))
-                self._index_owned = True
-            self._index.add(node)
-        if node.layer is not SMALL_OBJECT:
-            # a new floor, room or big object can change any memoized answer
-            self._memo = {}
+            children[parent_id] += ids
         return node
 
-    def share(self, node: SceneNode, parent_id: str | None = None) -> bool:
-        """Put a node that other graphs may hold into this one. Returns
-        whether it went in.
+    def fold_in(self, anchor_id: str, fold: Any) -> bool:
+        """Take a view's fold (``environment.Fold``) into the graph, its
+        nodes by reference. Returns whether the fold left nothing out: the
+        anchor and every node the fold adopts, shows or reveals are in the
+        graph afterwards.
 
-        A node with a new id is added under the parent as ``add_node``
-        adds it. One whose id the graph has replaces that node only when
-        they differ in nothing but the shared node's extra attribute
-        values: same label, layer, instance index and position, and
-        every attribute value the graph's node has.
+        The adopted nodes the graph lacks enter in one ``add_node`` under
+        the anchor. Then each revealed node goes in by one rule: a node
+        that already has every revealed value is kept, one the revealed
+        node may stand in for (``stands_in_for``) gives way to it, and any
+        other is merged through ``update_attributes``. The fold pairs each
+        revealed node with the node it may stand in for, checked once per
+        world; a graph that still holds that very node takes the revealed
+        one without comparing them. Any other node goes through the rule.
         """
-        known = self._nodes.get(node.id)
-        if known is None:
-            self.add_node(node, parent_id)
-        elif (
-            known.label != node.label
-            or known.layer is not node.layer
-            or known.instance_index != node.instance_index
-            or known.position != node.position
-            or not known.attributes.items() <= node.attributes.items()
-        ):
-            return False
-        else:
-            self._nodes[node.id] = node
-        return True
+        nodes = self._nodes
+        if fold.adopted:
+            new = [n for n in fold.adopted if n.id not in nodes]
+            if new:
+                self.add_node(new, anchor_id)
+        complete = anchor_id in nodes and all(map(nodes.__contains__, fold.shown))
+        for seen, replaces in zip(fold.revealed, fold.replaces):
+            known = nodes.get(seen.id)
+            if known is seen:
+                continue
+            if known is None:
+                complete = False
+            elif known is replaces:
+                nodes[seen.id] = seen
+            elif known.attributes.items() >= seen.attributes.items():
+                continue
+            elif stands_in_for(seen, known):
+                nodes[seen.id] = seen
+            else:
+                self.update_attributes(seen.id, seen.attributes)
+        return complete
 
     def add_spatial_edge(self, a: str, b: str, relation: str) -> SpatialEdge:
         na, nb = self.node(a), self.node(b)
@@ -527,10 +581,11 @@ class SceneGraph:
         floor, room or big object in the graph, is memoized by anchor id,
         label as asked and layer. Its answer reads only the ids, labels,
         layers, instance indices, positions and containment of layers 1
-        to 3, and no episode changes those: a fold adds small objects,
-        ``share`` swaps in a node only when its label, layer, instance
-        index and position are equal, and ``update_attributes`` writes
-        attributes only. So the answer holds for every graph that shares
+        to 3, and no episode changes those: ``fold_in`` adds small
+        objects and swaps in a node only when it stands in for the node
+        it replaces (``stands_in_for``: the same label, layer, instance
+        index and position), and ``update_attributes`` writes attributes
+        only. So the answer holds for every graph that shares
         the memo. A hit returns this graph's node for the id, which may
         carry attributes a fold revealed. Like the orders of
         ``child_ids_nearest_first``, the key is world structure, not a

@@ -18,10 +18,18 @@ from stepqa.environment import (
     load_world_truth,
 )
 from stepqa.rules import Plan, PlanKind
-from stepqa.scene_graph import GraphValidationError, Layer, SceneGraph, SceneNode, UnknownNodeError, WorldFormatError
+from stepqa.scene_graph import (
+    GraphValidationError,
+    Layer,
+    SceneGraph,
+    SceneNode,
+    UnknownNodeError,
+    WorldFormatError,
+    stands_in_for,
+)
 from stepqa.worldgen import random_world_data
 
-from conftest import add_small, multi_floor_data, prior_data, small_id
+from conftest import WORLDS, add_small, multi_floor_data, prior_data, small_id
 
 
 def move(goal_id=None, label=None, layer=None) -> Plan:
@@ -647,6 +655,28 @@ class TestViewCache:
 # -- folding a view by reference ---------------------------------------------
 
 
+@pytest.mark.parametrize(
+    "source",
+    [*sorted(WORLDS.glob("*.json")), random_world_data(5, rooms=6, big_range=(4, 5), small_range=(20, 30))],
+    ids=lambda s: s.stem if hasattr(s, "stem") else "cluttered",
+)
+def test_each_revealed_prior_node_is_paired_with_the_template_node_it_stands_in_for(source):
+    world = load_world_truth(source)
+    template = world._template()
+    paired = 0
+    for anchor in world.graph.nodes:
+        fold = world.view(anchor.id).fold
+        assert len(fold.replaces) == len(fold.revealed)
+        for seen, known in zip(fold.revealed, fold.replaces):
+            if seen.layer is Layer.SMALL_OBJECT:
+                assert known is None  # the template holds no small object
+                continue
+            assert known is template.node(seen.id)
+            assert stands_in_for(seen, known)
+            paired += 1
+    assert paired
+
+
 def reference_ingest(graph, obs):
     """ingest_observation as a fold of the observation's own parts, one
     node at a time, that builds and merges every node itself: the reference."""
@@ -831,6 +861,20 @@ class TestFoldByReference:
             assert ingest(graph, demo_truth.view("f0")) is False
             assert ingest(graph, demo_truth.view("f0.living")) is True
             assert not gone & {n.id for n in graph.nodes}
+
+    @pytest.mark.parametrize("path", sorted(WORLDS.glob("*.json")), ids=lambda p: p.stem)
+    @pytest.mark.parametrize("descending", [False, True], ids=["rooms_first", "supports_first"])
+    def test_a_prior_file_takes_every_view_by_the_full_rule(self, path, descending):
+        # a graph read from a prior file holds none of the world's template
+        # nodes, so no fold finds its pair there
+        world = load_world_truth(path)
+        anchors = sorted(world.graph.nodes, key=lambda n: n.layer, reverse=descending)
+        graph, want = load_world_prior(prior_data(path)), load_world_prior(prior_data(path))
+        flags = [ingest_observation(graph, world.view(n.id)) for n in anchors]
+        assert flags == [reference_ingest(want, world.view(n.id)) for n in anchors]
+        assert graph_state(graph) == graph_state(want)
+        assert not {n.id for n in world._template().nodes} - {n.id for n in graph.nodes}
+        assert not set(map(id, world._template().nodes)) & set(map(id, graph.nodes))
 
     @settings(max_examples=25, deadline=None)
     @given(

@@ -7,6 +7,7 @@ import re
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from stepqa import scene_graph
 from stepqa.scene_graph import (
     GraphValidationError,
     Layer,
@@ -19,9 +20,10 @@ from stepqa.scene_graph import (
     labels_match,
     normalize_label,
     singularize,
+    stands_in_for,
 )
 from stepqa.agent import ingest_observation
-from stepqa.environment import load_world_prior, load_world_truth
+from stepqa.environment import Fold, load_world_prior, load_world_truth
 from stepqa.worldgen import random_world, random_world_data
 
 from conftest import WORLDS, add_small, multi_floor_data, prior_data, scan_resolve_label, small_id
@@ -172,10 +174,9 @@ class TestGraphStructure:
         with pytest.raises(UnknownNodeError):
             g.node("nope")
 
-    def test_share_stands_in_only_for_a_node_in_the_same_place(self):
-        g = load_world_prior(small_world())
-        known = g.node("f0.a.t")
-        g.update_attributes(known.id, {"color": "red"})
+    def test_fold_in_stands_in_only_for_a_node_in_the_same_place(self):
+        fresh = load_world_prior(small_world())
+        known = fresh.node("f0.a.t")
         fuller = known.clone({"color": "red", "material": "oak"})
         for other in (
             fuller.clone({"material": "oak"}),  # drops a value the graph has
@@ -185,13 +186,97 @@ class TestGraphStructure:
             SceneNode(known.id, known.layer, known.label, known.instance_index + 1, known.position, fuller.attributes),
             SceneNode(known.id, known.layer, known.label, known.instance_index, (9.0, 9.0), fuller.attributes),
         ):
-            assert not g.share(other)
-            assert g.node(known.id).attributes == {"color": "red"}
-        assert g.share(fuller)
+            assert not stands_in_for(other, fresh.node(known.id).clone({"color": "red"}))
+            g = fresh.copy()
+            g.update_attributes(known.id, {"color": "red"})
+            assert g.fold_in("f0.a", Fold((), (other,), (None,), ()))
+            # merged into the graph's own node, never swapped for the other
+            node = g.node(known.id)
+            assert node is not other
+            assert (node.label, node.layer, node.instance_index, node.position) == (
+                known.label, known.layer, known.instance_index, known.position
+            )
+            assert node.attributes == {"color": "red", **other.attributes}
+        g = fresh.copy()
+        g.update_attributes(known.id, {"color": "red"})
+        assert g.fold_in("f0.a", Fold((), (fuller,), (None,), ()))
         assert g.node(known.id) is fuller
         g.update_attributes(known.id, {"color": "green"})  # a write puts a new node in its place
         assert fuller.attributes == {"color": "red", "material": "oak"}
         assert g.node(known.id).attributes == {"color": "green", "material": "oak"}
+        # a node that already has every revealed value is kept
+        held = g.node(known.id)
+        assert g.fold_in("f0.a", Fold((), (known.clone({"color": "green"}),), (None,), ()))
+        assert g.node(known.id) is held
+
+    def test_fold_in_takes_a_paired_node_only_while_the_graph_holds_its_pair(self):
+        fresh = load_world_prior(small_world())
+        known = fresh.node("f0.a.t")
+        desk = SceneNode(known.id, known.layer, "desk", known.instance_index, known.position, {"color": "red"})
+        g = fresh.copy()
+        assert g.fold_in("f0.a", Fold((), (desk,), (known,), ()))
+        assert g.node(known.id) is desk  # the pairing is trusted, not compared
+        g = fresh.copy()
+        g.update_attributes(known.id, {"material": "oak"})  # the pair is gone: the full rule runs
+        assert g.fold_in("f0.a", Fold((), (desk,), (known,), ()))
+        assert (g.node(known.id).label, g.node(known.id).attributes) == ("coffee table", {"material": "oak", "color": "red"})
+        # a revealed node the graph lacks, or a missing anchor, leaves the fold incomplete
+        stray = SceneNode("f0.a.t.cup.0", Layer.SMALL_OBJECT, "cup", attributes={"color": "red"})
+        assert not g.fold_in("f0.a", Fold((), (stray,), (None,), ()))
+        assert not g.fold_in("f0.gone", Fold((), (), (), ()))
+        assert not g.fold_in("f0", Fold((), (), (), ("f0.a", "f0.gone")))
+        assert g.fold_in("f0", Fold((), (), (), ("f0.a", "f0.b")))
+        assert stray.id not in g and "f0.gone" not in g
+
+    @pytest.mark.parametrize(
+        "bad, message",
+        [
+            (SceneNode("f0.a.t", Layer.BIG_OBJECT, "cup", position=(0, 0)), "duplicate node id: f0.a.t"),
+            (SceneNode("f0.a.cup.1", Layer.BIG_OBJECT, "mug", position=(0, 0)), "duplicate node id: f0.a.cup.1"),
+            (SceneNode("f0.a.hall", Layer.ROOM, "hall", position=(0, 0)), "node f0.a.hall at V2 cannot attach to f0.a at V2"),
+            (SceneNode("f0.a.box", Layer.BIG_OBJECT, "box"), "node f0.a.box at V3 has no position"),
+        ],
+    )
+    def test_a_bad_batch_names_its_node_and_writes_nothing(self, bad, message):
+        g = load_world_prior(small_world()).copy()
+        g.resolve_label("sofa")  # build the index, so a write would show in it
+        before = snapshot(g)
+        good = [SceneNode(f"f0.a.cup.{i}", Layer.BIG_OBJECT, "cup", i, (0.0, float(i))) for i in range(3)]
+        for batch in (good[:2] + [bad], [bad] + good):
+            with pytest.raises(GraphValidationError, match=f"^{re.escape(message)}$"):
+                g.add_node(batch, "f0.a")
+            assert snapshot(g) == before
+            assert (g._children["f0.a"], g._index.by_label.get("cup")) == (("f0.a.t", "f0.a.s"), None)
+
+    @pytest.mark.parametrize("seed", [3, 8])
+    def test_a_batch_extends_a_cluttered_support_once(self, seed, monkeypatch):
+        world = load_world_truth(random_world_data(seed, rooms=6, big_range=(4, 5), small_range=(20, 30)))
+        support = max(world.graph.nodes_at(Layer.BIG_OBJECT), key=lambda b: len(world.graph.children(b.id)))
+        objects = world.graph.children(support.id)
+        assert 20 <= len(objects) <= 30
+        template = world._template()
+        template_index = {k: dict(v) for k, v in template._labels()._asdict().items()}
+        one_by_one = world.prior_graph()
+        for node in objects:
+            one_by_one.add_node(node, support.id)
+
+        class Writes(dict):
+            def __setitem__(self, key, value):
+                self.keys_written.append(key)
+                super().__setitem__(key, value)
+
+        graph = world.prior_graph()
+        graph._children = Writes(graph._children)
+        graph._children.keys_written = []
+        copies = []
+        index_type = scene_graph._LabelIndex
+        monkeypatch.setattr(scene_graph, "_LabelIndex", lambda *maps: copies.append(1) or index_type(*maps))
+        assert graph.add_node(objects, support.id) is objects
+        assert graph._children.keys_written.count(support.id) == 1
+        assert graph._children[support.id] == tuple(n.id for n in objects)
+        assert len(copies) == 1 and graph._index_owned
+        assert snapshot(graph) == snapshot(one_by_one)
+        assert {k: dict(v) for k, v in template._index._asdict().items()} == template_index
 
     def test_traversal_helpers(self):
         g = load_world_prior(small_world())
