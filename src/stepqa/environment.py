@@ -32,10 +32,15 @@ marked as failed. The anchor's own view (reference = anchor) holds the
 parts every view of the anchor shares: the revealed attributes and the
 fold. A fold is what the view adds to an agent's graph, as prebuilt
 nodes the graph takes by reference in one ``SceneGraph.fold_in`` call
-(see ``Fold`` and ``agent.ingest_observation``). Each revealed node is
-paired, once per world, with the prior template's node it may stand in
-for, so a graph that still holds that node swaps it out without
-comparing the two. An observation carries no step number;
+(see ``Fold`` and ``agent.ingest_observation``). A big object's fold
+carries its small objects as a prebuilt ``NodeBatch``: checked once per
+world and grouped for the label index, so a graph adopts them with a
+check of its own ids and parent and a few map updates. Each revealed
+node is paired, once per world, with the two prebuilt nodes it may
+stand in for: the prior template's node, and the node the parent
+anchor's view adopts or reveals for its id. A graph that still holds
+either one swaps it out without comparing the two. An observation
+carries no step number;
 the trace event that holds it does. A world's graph must therefore not
 be mutated after its first episode: views built before the change
 would not see it.
@@ -58,6 +63,7 @@ from .scene_graph import (
     SMALL_OBJECT,
     GraphValidationError,
     Layer,
+    NodeBatch,
     SceneGraph,
     SceneNode,
     WorldFormatError,
@@ -92,26 +98,34 @@ class Fold(NamedTuple):
     """What one anchor's views add to an agent's graph, built once per
     world with the anchor's own view and shared by its other views.
 
-    adopted holds the small objects a big-object anchor shows, as nodes
-    to add under it. revealed holds a node for each node whose attributes
-    the view reveals, an adopted node included. Each is a clone of the
-    world's node that carries only the revealed attributes, so it differs
-    from the prior template's node, or from the node its parent's view
-    adopts, in nothing but those. A node's attribute map is the very dict
-    the view's ``revealed`` wraps read-only; no graph writes a node it
-    holds in place, so graphs hold these nodes by reference.
+    adopted holds the small objects a big-object anchor shows, as a
+    ``NodeBatch`` to add under it, checked and grouped for the label
+    index once, here; None for a view that adopts nothing. revealed
+    holds a node for each node the view does not adopt and whose
+    attributes it reveals: the anchor, or a room's big objects. Each
+    adopted or revealed node is a clone of the world's node that carries
+    only the revealed attributes, so it differs from the prior template's
+    node, or from the node its parent's view adopts or reveals, in
+    nothing but those. A node's attribute map is the very dict the view's
+    ``revealed`` wraps read-only; no graph writes a node it holds in
+    place, so graphs hold these nodes by reference.
 
-    replaces holds, for each revealed node, the prior template's node of
-    its id when the revealed node stands in for it
-    (``scene_graph.stands_in_for``), else None, as for a small object,
-    which the template lacks. shown holds the ids of the nodes the view shows
-    and does not adopt: a floor's rooms or a room's big objects.
-    ``SceneGraph.fold_in`` reads the whole fold.
+    Each revealed node is paired with the two prebuilt nodes it may
+    replace, each checked once per world with ``scene_graph.stands_in_for``
+    and None where there is no such node or the check fails: replaces
+    holds the prior template's node of its id (None for a small object,
+    which the template lacks), and also_replaces the node the parent
+    anchor's view adopts or reveals for its id, as a room's view reveals
+    its big objects and a big object's view adopts its small objects.
+    shown holds the ids of the nodes the view shows and does not adopt:
+    a floor's rooms or a room's big objects. ``SceneGraph.fold_in``
+    reads the whole fold.
     """
 
-    adopted: tuple[SceneNode, ...]
+    adopted: NodeBatch | None
     revealed: tuple[SceneNode, ...]
     replaces: tuple[SceneNode | None, ...]
+    also_replaces: tuple[SceneNode | None, ...]
     shown: tuple[str, ...]
 
 
@@ -225,8 +239,9 @@ class WorldTruth:
     def _anchor_view(self, anchor: SceneNode) -> Observation:
         """The anchor's own view: the children it shows, the attributes it
         reveals and its fold, which its views with other references share.
-        The fold pairs each revealed node with the prior template's node it
-        stands in for, so the check runs here, once per world."""
+        The fold's batch is checked here, and each revealed node paired
+        with the nodes it stands in for, so the checks run once per world.
+        The parent's view is built first, for its nodes to pair with."""
         big = anchor.layer is BIG_OBJECT
         children = tuple(self.graph.children(anchor.id))
         if big and self.occluded:
@@ -243,22 +258,33 @@ class WorldTruth:
             for child in children:
                 remote = self.remote_attributes(child.id)
                 node = child.clone(remote)
-                if big:
-                    adopted.append(node)
                 if remote:
                     revealed[child.id] = MappingProxyType(remote)
+                if big:
+                    adopted.append(node)
+                elif remote:
                     with_values.append(node)
         # a child stands to its anchor as it is placed there
         visible = tuple(VisibleNode(c.id, c.label, c.layer, self.placement_relation(c.id)) for c in children)
         # A template node holds no values and a revealed node at least one,
         # so a graph that holds the template node swaps it, never keeps it.
         template = self._template()
-        replaces: list[SceneNode | None] = []
-        for node in with_values:
-            known = template.node(node.id) if node.id in template else None
-            replaces.append(known if known is not None and stands_in_for(node, known) else None)
+        above: dict[str, SceneNode] = {}
+        parent = self.graph.parent(anchor.id)
+        if parent is not None:
+            parent_fold = self.view(parent.id).fold
+            above = {n.id: n for n in parent_fold.revealed}
+            if parent_fold.adopted is not None:
+                above.update(parent_fold.adopted.by_id)
+
+        def pair(node: SceneNode, known: SceneNode | None) -> SceneNode | None:
+            return known if known is not None and stands_in_for(node, known) else None
+
+        replaces = tuple(pair(n, template.node(n.id) if n.id in template else None) for n in with_values)
+        also_replaces = tuple(pair(n, above.get(n.id)) for n in with_values)
+        batch = NodeBatch.under(anchor, adopted) if adopted else None
         shown = () if big else tuple(c.id for c in children)
-        fold = Fold(tuple(adopted), tuple(with_values), tuple(replaces), shown)
+        fold = Fold(batch, tuple(with_values), replaces, also_replaces, shown)
         return Observation(anchor.id, anchor.layer, visible, MappingProxyType(revealed), fold)
 
     def _template(self) -> SceneGraph:

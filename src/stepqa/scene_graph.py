@@ -11,7 +11,9 @@ within a single layer.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
+from collections import defaultdict
 from dataclasses import dataclass, field
 from enum import IntEnum
 from typing import Any, Iterable, Iterator, Mapping, NamedTuple, Sequence
@@ -189,18 +191,90 @@ class _LabelIndex(NamedTuple):
     by_label: dict[str, tuple[str, ...]]
     by_head: dict[str, tuple[str, ...]]
 
-    def add(self, node: SceneNode) -> None:
-        norm = node.norm_label
-        self.by_label[norm] = self.by_label.get(norm, ()) + (node.id,)
-        words, _, head = norm.rpartition(" ")
-        if words:
-            self.by_head[head] = self.by_head.get(head, ()) + (node.id,)
-
     def ending_with(self, norm: str, nodes: Mapping[str, SceneNode]) -> list[str]:
         """Ids of the nodes whose label ends in the word " " + norm."""
         tail = " " + norm
         ids = self.by_head.get(norm.rpartition(" ")[2], ())
         return [i for i in ids if nodes[i].norm_label.endswith(tail)]
+
+
+def _grouped(nodes: Iterable[SceneNode]) -> tuple[dict[str, tuple[str, ...]], dict[str, tuple[str, ...]]]:
+    """The ids of these nodes by normalized label and by the head word of
+    multiword labels, one tuple a group, in the nodes' order."""
+    by_label: defaultdict[str, list[str]] = defaultdict(list)
+    by_head: defaultdict[str, list[str]] = defaultdict(list)
+    for node in nodes:
+        norm = node.norm_label
+        by_label[norm].append(node.id)
+        words, _, head = norm.rpartition(" ")
+        if words:
+            by_head[head].append(node.id)
+    return {k: tuple(v) for k, v in by_label.items()}, {k: tuple(v) for k, v in by_head.items()}
+
+
+def _check_nodes(held: Mapping[str, SceneNode], batch: Sequence[SceneNode], parent_id: str | None) -> None:
+    """The checks a node passes before it enters a graph that holds
+    ``held``: a new id, also within the batch, a position for a room or
+    big object, and a parent in ``held`` one layer up (none for a floor).
+    Raises GraphValidationError naming the first bad node, or
+    UnknownNodeError for a parent ``held`` lacks."""
+    if len(batch) > 1:
+        ids = [new.id for new in batch]
+        if len(set(ids)) < len(ids):
+            twice = next(i for k, i in enumerate(ids) if i in ids[:k])
+            raise GraphValidationError(f"duplicate node id: {twice}")
+    parent: SceneNode | None = None
+    for new in batch:
+        if new.id in held:
+            raise GraphValidationError(f"duplicate node id: {new.id}")
+        if new.position is None and new.layer in (ROOM, BIG_OBJECT):
+            raise GraphValidationError(f"node {new.id} at {new.layer.tag} has no position")
+        if new.layer is FLOOR:
+            if parent_id is not None:
+                raise GraphValidationError(f"floor node {new.id} cannot have a parent")
+        else:
+            if parent_id is None:
+                raise GraphValidationError(f"node {new.id} at {new.layer.tag} needs a parent")
+            if parent is None:
+                parent = held.get(parent_id)
+                if parent is None:
+                    raise UnknownNodeError(parent_id)
+            if parent.layer != new.layer - 1:
+                raise GraphValidationError(
+                    f"node {new.id} at {new.layer.tag} cannot attach to "
+                    f"{parent.id} at {parent.layer.tag}"
+                )
+
+
+class NodeBatch(NamedTuple):
+    """Nodes prebuilt to enter graphs together under one parent: the
+    nodes, their ids in order, and what they add to a graph's maps, its
+    node, parent and child maps and its label index, built once.
+
+    ``under`` checks the nodes once, as ``add_node`` checks any node,
+    against the parent alone. ``add_node`` then takes the batch into any
+    graph with that parent and checks only what depends on the graph: the
+    parent is there, one layer up, and no id is.
+    """
+
+    nodes: tuple[SceneNode, ...]
+    ids: tuple[str, ...]
+    layer: Layer
+    parent_id: str
+    by_id: dict[str, SceneNode]
+    parents: dict[str, str]
+    no_children: dict[str, tuple[str, ...]]
+    # ids by normalized label and by head word, as ``_grouped`` groups them
+    labels: tuple[dict[str, tuple[str, ...]], dict[str, tuple[str, ...]]]
+
+    @classmethod
+    def under(cls, parent: SceneNode, nodes: Iterable[SceneNode]) -> NodeBatch:
+        """The nodes, checked to go under the parent, with their additions."""
+        batch = tuple(nodes)
+        _check_nodes({parent.id: parent}, batch, parent.id)
+        ids = tuple(n.id for n in batch)
+        by_id, parents, no_children = dict(zip(ids, batch)), dict.fromkeys(ids, parent.id), dict.fromkeys(ids, ())
+        return cls(batch, ids, Layer(parent.layer + 1), parent.id, by_id, parents, no_children, _grouped(batch))
 
 
 # The layers of a prior. Like every enum member in the package, they are
@@ -254,9 +328,12 @@ class SceneGraph:
     Every node with a new id enters through ``add_node``, one node or
     several under one parent, which checks the structure as it enters:
     a new id, a parent one layer up (none for a floor) and a position
-    for a room or big object. A view's fold enters in one ``fold_in``
-    call, whose new nodes go through ``add_node`` too. Spatial edges
-    join known nodes within one layer. No later pass checks a graph.
+    for a room or big object. A ``NodeBatch`` was checked for what does
+    not depend on the graph when it was built, once, so ``add_node``
+    checks it only for its parent and for ids the graph already holds.
+    A view's fold enters in one ``fold_in`` call, whose new nodes go
+    through ``add_node`` too. Spatial edges join known nodes within one
+    layer. No later pass checks a graph.
 
     A node object is never written once it is in a graph: a write puts a
     new node in its place. So graphs may share node objects freely.
@@ -287,63 +364,71 @@ class SceneGraph:
 
     # -- construction ---------------------------------------------------
 
-    def add_node(self, node: SceneNode | Sequence[SceneNode], parent_id: str | None = None) -> Any:
-        """Add a node, or several nodes under one parent, and return what
-        was given.
+    def add_node(self, node: SceneNode | Sequence[SceneNode] | NodeBatch, parent_id: str | None = None) -> Any:
+        """Add a node, several nodes under one parent, or a ``NodeBatch``,
+        and return what was given.
 
         Every node is checked before any is written: a new id, also
         within the batch, a position for a room or big object, and a
         parent one layer up (none for a floor). A bad node raises
         GraphValidationError naming it and leaves the graph unchanged.
-        The parent's child tuple is extended once for the batch, and an
+        A ``NodeBatch`` passed the checks that do not depend on the graph
+        as it was built, so here it is checked only for its parent and
+        for ids the graph holds, refused with the same message, and
+        written with one update of each map. The parent's child tuple and
+        each label's or head word's ids are extended once a call, and an
         index shared with another graph is copied at most once.
         """
-        if isinstance(node, SceneNode):
-            batch, ids = (node,), (node.id,)
+        nodes, children = self._nodes, self._children
+        if isinstance(node, NodeBatch):
+            ids, layer = node.ids, node.layer
+            parent = nodes.get(parent_id)
+            if parent is None or parent.layer != layer - 1 or not nodes.keys().isdisjoint(ids):
+                _check_nodes(nodes, node.nodes, parent_id)  # raises, naming the node as for any batch
+            self._index_more(*node.labels)
+            nodes.update(node.by_id)
+            children.update(node.no_children)
+            self._parent.update(node.parents if parent_id == node.parent_id else dict.fromkeys(ids, parent_id))
         else:
-            batch = tuple(node)
-            ids = tuple(new.id for new in batch)
-            if len(set(ids)) < len(ids):
-                twice = next(i for k, i in enumerate(ids) if i in ids[:k])
-                raise GraphValidationError(f"duplicate node id: {twice}")
-        nodes = self._nodes
-        parent: SceneNode | None = None
-        for new in batch:
-            if new.id in nodes:
-                raise GraphValidationError(f"duplicate node id: {new.id}")
-            if new.position is None and new.layer in (ROOM, BIG_OBJECT):
-                raise GraphValidationError(f"node {new.id} at {new.layer.tag} has no position")
-            if new.layer is FLOOR:
-                if parent_id is not None:
-                    raise GraphValidationError(f"floor node {new.id} cannot have a parent")
+            if isinstance(node, SceneNode):
+                batch, ids = (node,), (node.id,)
             else:
-                if parent_id is None:
-                    raise GraphValidationError(f"node {new.id} at {new.layer.tag} needs a parent")
-                if parent is None:
-                    parent = self.node(parent_id)
-                if parent.layer != new.layer - 1:
-                    raise GraphValidationError(
-                        f"node {new.id} at {new.layer.tag} cannot attach to "
-                        f"{parent.id} at {parent.layer.tag}"
-                    )
-        index = self._index
-        if index is not None and not self._index_owned:
-            self._index = index = _LabelIndex(dict(index.by_label), dict(index.by_head))
-            self._index_owned = True
-        children, parents = self._children, self._parent
-        for new in batch:
-            nodes[new.id] = new
-            children[new.id] = ()
-            if parent_id is not None:
-                parents[new.id] = parent_id
-            if index is not None:
-                index.add(new)
-            if new.layer is not SMALL_OBJECT:
-                # a new floor, room or big object can change any memoized answer
-                self._memo = {}
+                batch = tuple(node)
+                ids = tuple(new.id for new in batch)
+            _check_nodes(nodes, batch, parent_id)
+            if not batch:
+                return node
+            layer = batch[0].layer
+            if self._index is not None:
+                self._index_more(*_grouped(batch))
+            # Most nodes come one at a time, from a world file, and for
+            # one node a set is cheaper than an update.
+            for new in batch:
+                nodes[new.id] = new
+                children[new.id] = ()
+                if parent_id is not None:
+                    self._parent[new.id] = parent_id
         if parent_id is not None:
             children[parent_id] += ids
+        if layer is not SMALL_OBJECT:
+            # a new floor, room or big object can change any memoized answer
+            self._memo = {}
         return node
+
+    def _index_more(self, by_label: Mapping[str, tuple[str, ...]], by_head: Mapping[str, tuple[str, ...]]) -> None:
+        """Append ids grouped as ``_grouped`` groups them to the label
+        index, once it is built: each group after the ids the index holds
+        for its label or head word. An index shared with another graph is
+        copied first."""
+        index = self._index
+        if index is None:
+            return
+        if not self._index_owned:
+            self._index = index = _LabelIndex(dict(index.by_label), dict(index.by_head))
+            self._index_owned = True
+        for mine, more in zip(index, (by_label, by_head)):
+            for key, ids in more.items():
+                mine[key] = mine.get(key, ()) + ids
 
     def fold_in(self, anchor_id: str, fold: Any) -> bool:
         """Take a view's fold (``environment.Fold``) into the graph, its
@@ -351,28 +436,40 @@ class SceneGraph:
         anchor and every node the fold adopts, shows or reveals are in the
         graph afterwards.
 
-        The adopted nodes the graph lacks enter in one ``add_node`` under
-        the anchor. Then each revealed node goes in by one rule: a node
-        that already has every revealed value is kept, one the revealed
-        node may stand in for (``stands_in_for``) gives way to it, and any
-        other is merged through ``update_attributes``. The fold pairs each
-        revealed node with the node it may stand in for, checked once per
-        world; a graph that still holds that very node takes the revealed
-        one without comparing them. Any other node goes through the rule.
+        A graph that holds none of the adopted ids takes the fold's
+        prebuilt ``NodeBatch`` under the anchor in one ``add_node`` call,
+        and the nodes it just adopted need nothing more. Otherwise the
+        adopted nodes it lacks enter as a plain batch, and those it holds
+        go by the rule below with the revealed nodes.
+
+        The fold pairs each revealed node, checked once per world, with
+        the template's node it may stand in for and with the node the
+        parent anchor's view adopts or reveals for its id. A graph that
+        holds either one takes the revealed node after an identity check.
+        Any other node goes by one rule: a node that already has every
+        revealed value is kept, one the revealed node may stand in for
+        (``stands_in_for``) gives way to it, and any other is merged
+        through ``update_attributes``.
         """
         nodes = self._nodes
-        if fold.adopted:
-            new = [n for n in fold.adopted if n.id not in nodes]
-            if new:
-                self.add_node(new, anchor_id)
+        revealed: Iterable[tuple[SceneNode, Any, Any]] = zip(fold.revealed, fold.replaces, fold.also_replaces)
+        batch = fold.adopted
+        if batch is not None:
+            if nodes.keys().isdisjoint(batch.ids):
+                self.add_node(batch, anchor_id)
+            else:
+                new = [n for n in batch.nodes if n.id not in nodes]
+                if new:
+                    self.add_node(new, anchor_id)
+                revealed = itertools.chain(revealed, ((n, None, None) for n in batch.nodes))
         complete = anchor_id in nodes and all(map(nodes.__contains__, fold.shown))
-        for seen, replaces in zip(fold.revealed, fold.replaces):
+        for seen, replaces, also_replaces in revealed:
             known = nodes.get(seen.id)
             if known is seen:
                 continue
             if known is None:
                 complete = False
-            elif known is replaces:
+            elif known is replaces or known is also_replaces:
                 nodes[seen.id] = seen
             elif known.attributes.items() >= seen.attributes.items():
                 continue
@@ -634,9 +731,7 @@ class SceneGraph:
         index, and builds its own, or a whole one."""
         index = self._index
         if index is None:
-            index = _LabelIndex({}, {})
-            for node in self._nodes.values():
-                index.add(node)
+            index = _LabelIndex(*_grouped(self._nodes.values()))
             self._index, self._index_owned = index, True
         return index
 

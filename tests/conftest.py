@@ -102,10 +102,11 @@ def scan_resolve_label(graph, label, layer=None, scope_id=None, constraint=None,
     return [n.id for n in sorted(found, key=key)]
 
 
-def multi_floor_data(seed, floors):
+def multi_floor_data(seed, floors, **world):
     """A generated world whose rooms are dealt round-robin onto floors f0..fn,
-    without the spatial edges (which may not cross floors)."""
-    data = random_world_data(seed, rooms=4)
+    without the spatial edges (which may not cross floors). The keywords
+    go to random_world_data, 4 rooms unless they say otherwise."""
+    data = random_world_data(seed, **{"rooms": 4, **world})
     rooms = data["floors"][0]["rooms"]
     data["floors"] = [
         {"id": f"f{i}", "label": f"floor {i}", "rooms": rooms[i::floors]} for i in range(floors)

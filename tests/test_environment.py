@@ -8,6 +8,7 @@ from concurrent.futures import ThreadPoolExecutor
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from stepqa import scene_graph
 from stepqa.agent import ingest_observation
 from stepqa.environment import (
     AgentPose,
@@ -660,21 +661,36 @@ class TestViewCache:
     [*sorted(WORLDS.glob("*.json")), random_world_data(5, rooms=6, big_range=(4, 5), small_range=(20, 30))],
     ids=lambda s: s.stem if hasattr(s, "stem") else "cluttered",
 )
-def test_each_revealed_prior_node_is_paired_with_the_template_node_it_stands_in_for(source):
+def test_each_revealed_node_is_paired_with_the_nodes_it_stands_in_for(source):
     world = load_world_truth(source)
     template = world._template()
-    paired = 0
+    paired = paired_above = 0
     for anchor in world.graph.nodes:
         fold = world.view(anchor.id).fold
-        assert len(fold.replaces) == len(fold.revealed)
-        for seen, known in zip(fold.revealed, fold.replaces):
+        assert len(fold.replaces) == len(fold.also_replaces) == len(fold.revealed)
+        parent = world.graph.parent(anchor.id)
+        above = {}
+        if parent is not None:
+            # the nodes the parent's view adopts or reveals
+            parent_fold = world.view(parent.id).fold
+            above = {n.id: n for n in (*(parent_fold.adopted.nodes if parent_fold.adopted else ()), *parent_fold.revealed)}
+        for seen, known, also in zip(fold.revealed, fold.replaces, fold.also_replaces):
+            assert also is above.get(seen.id)
+            if also is not None:
+                assert stands_in_for(seen, also)
+                paired_above += 1
             if seen.layer is Layer.SMALL_OBJECT:
                 assert known is None  # the template holds no small object
                 continue
             assert known is template.node(seen.id)
             assert stands_in_for(seen, known)
             paired += 1
-    assert paired
+        if fold.adopted is not None:  # a node is adopted or revealed, not both
+            assert not {n.id for n in fold.revealed} & set(fold.adopted.ids)
+    assert paired and paired_above
+
+
+CLUTTERED = dict(rooms=6, big_range=(4, 5), small_range=(20, 30))
 
 
 def reference_ingest(graph, obs):
@@ -698,10 +714,10 @@ def reference_ingest(graph, obs):
     return complete
 
 
-def occluded_world_data(seed, floors, occlude):
+def occluded_world_data(seed, floors, occlude, **world):
     """multi_floor_data with the small objects whose index is in occlude
     hidden from their support's view."""
-    data = multi_floor_data(seed, floors)
+    data = multi_floor_data(seed, floors, **world)
     bigs = [b for f in data["floors"] for r in f["rooms"] for b in r["big_objects"]]
     for i, small in enumerate(s for b in bigs for s in b["small_objects"]):
         small["occluded_from_parent"] = i in occlude
@@ -720,7 +736,9 @@ def fold_ops(world, data):
     values = sorted({v for n in truth.nodes for v in n.attributes.values()} | {"plaid"})
     smalls = [n.label for n in truth.nodes_at(Layer.SMALL_OBJECT)]
     labels = sorted({*smalls, *(label + "s" for label in smalls), "cup", "Cup"})
-    look = st.tuples(st.just("look"), st.sampled_from(ids), st.one_of(st.none(), st.sampled_from(ids)))
+    # half the looks are at a support, whose fold adopts its small objects
+    anchors = st.one_of(st.sampled_from(ids), st.sampled_from(bigs))
+    look = st.tuples(st.just("look"), anchors, st.one_of(st.none(), st.sampled_from(ids)))
     write = st.tuples(
         st.just("set"), st.sampled_from(objects), st.sampled_from(names), st.sampled_from(values)
     )
@@ -820,15 +838,15 @@ class TestFoldByReference:
         assert ingest_observation(graph, room) and ingest_observation(graph, table)
         sofa = next(n for n in room.fold.revealed if n.id == "f0.living.sofa")
         assert graph.node("f0.living.sofa") is sofa
-        assert [graph.node(n.id) for n in table.fold.adopted] == list(table.fold.adopted)
-        assert all(graph.node(n.id) is n for n in table.fold.adopted)
+        assert [graph.node(n.id) for n in table.fold.adopted.nodes] == list(table.fold.adopted.nodes)
+        assert all(graph.node(n.id) is n for n in table.fold.adopted.nodes)
         graph.update_attributes("f0.living.sofa", {"color": "green"})
         book = graph.update_attributes("f0.living.table.book.0", {"color": "blue"})
         assert graph.node("f0.living.sofa").attributes["color"] == "green"
         assert book.attributes == {"color": "blue"} and graph.node(book.id) is book
         assert sofa.attributes["color"] == "blue" and room.revealed["f0.living.sofa"]["color"] == "blue"
         assert table.revealed["f0.living.table.book.0"] == {"color": "red"}
-        assert next(n for n in table.fold.adopted if n.id == book.id).attributes == {"color": "red"}
+        assert next(n for n in table.fold.adopted.nodes if n.id == book.id).attributes == {"color": "red"}
         assert demo_truth.prior_graph().node("f0.living.sofa").attributes == {}
 
     def test_a_value_the_view_does_not_reveal_is_kept(self, demo_truth):
@@ -876,6 +894,43 @@ class TestFoldByReference:
         assert not {n.id for n in world._template().nodes} - {n.id for n in graph.nodes}
         assert not set(map(id, world._template().nodes)) & set(map(id, graph.nodes))
 
+    @pytest.mark.parametrize("seed", [1, 4, 9])
+    def test_a_walk_on_the_worlds_own_overlay_runs_no_check(self, seed, monkeypatch):
+        # a world the size of the benchmark's pinned ones
+        world = load_world_truth(random_world_data(seed))
+        truth = world.graph
+        floor = truth.node(world.entrance)
+        walks = []
+        for room in truth.children(floor.id):
+            supports = truth.children(room.id)
+            smalls = [c for s in supports for c in truth.children(s.id)]
+            walks.append([floor, room, *supports, *smalls[:1]])
+        assert any(walk[-1].layer is Layer.SMALL_OBJECT for walk in walks)
+        # the once-per-world checks and pairings run as the views are built
+        walks = [[world.view(n.id) for n in walk] for walk in walks]
+        calls = []
+        for name in ("stands_in_for", "_check_nodes"):
+            real = getattr(scene_graph, name)
+            monkeypatch.setattr(scene_graph, name, lambda *a, real=real, name=name: calls.append(name) or real(*a))
+        swapped = 0
+        for walk in walks:
+            graph = world.prior_graph()
+            for obs in walk:
+                assert ingest_observation(graph, obs)
+                for node in obs.fold.adopted.nodes if obs.fold.adopted else ():
+                    assert graph.node(node.id) is node and graph.parent(node.id).id == obs.anchor_id
+                # each revealed node took the place of the prebuilt node the graph held
+                for seen, also in zip(obs.fold.revealed, obs.fold.also_replaces):
+                    assert graph.node(seen.id) is seen
+                    swapped += also is not None
+        assert calls == []
+        assert swapped
+
+    @pytest.mark.parametrize(
+        "world_size",
+        [{}, CLUTTERED],
+        ids=["small", "cluttered"],  # cluttered: 20-30 objects a support, labels repeated
+    )
     @settings(max_examples=25, deadline=None)
     @given(
         seed=st.integers(1, 10_000),
@@ -883,14 +938,16 @@ class TestFoldByReference:
         occlude=st.frozensets(st.integers(0, 40)),
         data=st.data(),
     )
-    def test_folds_match_a_node_by_node_fold(self, seed, floors, occlude, data):
-        source = occluded_world_data(seed, floors, occlude)
+    def test_folds_match_a_node_by_node_fold(self, world_size, seed, floors, occlude, data):
+        source = occluded_world_data(seed, floors, occlude, **world_size)
         world, reference = load_world_truth(source), load_world_truth(source)
         ops = fold_ops(world, data)
         graph, flags = run_fold_ops(world, ops, ingest_observation)
         want_graph, want_flags = run_fold_ops(reference, ops, reference_ingest)
         assert flags == want_flags
         assert graph_state(graph) == graph_state(want_graph)
+        # each label's and head word's ids, in the order node-by-node adds give
+        assert graph._labels()._asdict() == want_graph._labels()._asdict()
         assert_world_untouched(world, source)
 
     @settings(max_examples=8, deadline=None)

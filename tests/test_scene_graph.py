@@ -12,6 +12,7 @@ from stepqa.scene_graph import (
     GraphValidationError,
     Layer,
     LayerError,
+    NodeBatch,
     SceneGraph,
     SceneNode,
     UnknownNodeError,
@@ -189,7 +190,7 @@ class TestGraphStructure:
             assert not stands_in_for(other, fresh.node(known.id).clone({"color": "red"}))
             g = fresh.copy()
             g.update_attributes(known.id, {"color": "red"})
-            assert g.fold_in("f0.a", Fold((), (other,), (None,), ()))
+            assert g.fold_in("f0.a", Fold(None, (other,), (None,), (None,), ()))
             # merged into the graph's own node, never swapped for the other
             node = g.node(known.id)
             assert node is not other
@@ -199,14 +200,14 @@ class TestGraphStructure:
             assert node.attributes == {"color": "red", **other.attributes}
         g = fresh.copy()
         g.update_attributes(known.id, {"color": "red"})
-        assert g.fold_in("f0.a", Fold((), (fuller,), (None,), ()))
+        assert g.fold_in("f0.a", Fold(None, (fuller,), (None,), (None,), ()))
         assert g.node(known.id) is fuller
         g.update_attributes(known.id, {"color": "green"})  # a write puts a new node in its place
         assert fuller.attributes == {"color": "red", "material": "oak"}
         assert g.node(known.id).attributes == {"color": "green", "material": "oak"}
         # a node that already has every revealed value is kept
         held = g.node(known.id)
-        assert g.fold_in("f0.a", Fold((), (known.clone({"color": "green"}),), (None,), ()))
+        assert g.fold_in("f0.a", Fold(None, (known.clone({"color": "green"}),), (None,), (None,), ()))
         assert g.node(known.id) is held
 
     def test_fold_in_takes_a_paired_node_only_while_the_graph_holds_its_pair(self):
@@ -214,46 +215,66 @@ class TestGraphStructure:
         known = fresh.node("f0.a.t")
         desk = SceneNode(known.id, known.layer, "desk", known.instance_index, known.position, {"color": "red"})
         g = fresh.copy()
-        assert g.fold_in("f0.a", Fold((), (desk,), (known,), ()))
+        assert g.fold_in("f0.a", Fold(None, (desk,), (known,), (None,), ()))
         assert g.node(known.id) is desk  # the pairing is trusted, not compared
+        # so is the second pairing, with the node the parent's view shows
+        g = fresh.copy()
+        g.fold_in("f0.a", Fold(None, (fuller := known.clone({"color": "blue"}),), (known,), (None,), ()))
+        assert g.fold_in("f0.a", Fold(None, (desk,), (known,), (fuller,), ()))
+        assert g.node(known.id) is desk
         g = fresh.copy()
         g.update_attributes(known.id, {"material": "oak"})  # the pair is gone: the full rule runs
-        assert g.fold_in("f0.a", Fold((), (desk,), (known,), ()))
+        assert g.fold_in("f0.a", Fold(None, (desk,), (known,), (None,), ()))
         assert (g.node(known.id).label, g.node(known.id).attributes) == ("coffee table", {"material": "oak", "color": "red"})
         # a revealed node the graph lacks, or a missing anchor, leaves the fold incomplete
         stray = SceneNode("f0.a.t.cup.0", Layer.SMALL_OBJECT, "cup", attributes={"color": "red"})
-        assert not g.fold_in("f0.a", Fold((), (stray,), (None,), ()))
-        assert not g.fold_in("f0.gone", Fold((), (), (), ()))
-        assert not g.fold_in("f0", Fold((), (), (), ("f0.a", "f0.gone")))
-        assert g.fold_in("f0", Fold((), (), (), ("f0.a", "f0.b")))
+        assert not g.fold_in("f0.a", Fold(None, (stray,), (None,), (None,), ()))
+        assert not g.fold_in("f0.gone", Fold(None, (), (), (), ()))
+        assert not g.fold_in("f0", Fold(None, (), (), (), ("f0.a", "f0.gone")))
+        assert g.fold_in("f0", Fold(None, (), (), (), ("f0.a", "f0.b")))
         assert stray.id not in g and "f0.gone" not in g
 
     @pytest.mark.parametrize(
-        "bad, message",
+        "bad, parent_id, message, when_built",
         [
-            (SceneNode("f0.a.t", Layer.BIG_OBJECT, "cup", position=(0, 0)), "duplicate node id: f0.a.t"),
-            (SceneNode("f0.a.cup.1", Layer.BIG_OBJECT, "mug", position=(0, 0)), "duplicate node id: f0.a.cup.1"),
-            (SceneNode("f0.a.hall", Layer.ROOM, "hall", position=(0, 0)), "node f0.a.hall at V2 cannot attach to f0.a at V2"),
-            (SceneNode("f0.a.box", Layer.BIG_OBJECT, "box"), "node f0.a.box at V3 has no position"),
+            (SceneNode("f0.a.t", Layer.BIG_OBJECT, "cup", position=(0, 0)), "f0.a", "duplicate node id: f0.a.t", False),
+            (SceneNode("f0.a.cup.1", Layer.BIG_OBJECT, "mug", position=(0, 0)), "f0.a", "duplicate node id: f0.a.cup.1", True),
+            (SceneNode("f0.a.hall", Layer.ROOM, "hall", position=(0, 0)), "f0.a", "node f0.a.hall at V2 cannot attach to f0.a at V2", True),
+            (SceneNode("f0.a.box", Layer.BIG_OBJECT, "box"), "f0.a", "node f0.a.box at V3 has no position", True),
+            (None, "f0", "node f0.a.cup.0 at V3 cannot attach to f0 at V1", False),
+            (None, "f0.gone", "'f0.gone'", False),  # UnknownNodeError
         ],
     )
-    def test_a_bad_batch_names_its_node_and_writes_nothing(self, bad, message):
+    def test_a_bad_batch_names_its_node_and_writes_nothing(self, bad, parent_id, message, when_built):
+        # A prebuilt batch is checked against its parent alone as it is
+        # built; what depends on the graph is refused as a graph adds it.
         g = load_world_prior(small_world()).copy()
         g.resolve_label("sofa")  # build the index, so a write would show in it
         before = snapshot(g)
         good = [SceneNode(f"f0.a.cup.{i}", Layer.BIG_OBJECT, "cup", i, (0.0, float(i))) for i in range(3)]
-        for batch in (good[:2] + [bad], [bad] + good):
-            with pytest.raises(GraphValidationError, match=f"^{re.escape(message)}$"):
-                g.add_node(batch, "f0.a")
-            assert snapshot(g) == before
-            assert (g._children["f0.a"], g._index.by_label.get("cup")) == (("f0.a.t", "f0.a.s"), None)
+        for nodes in (good[:2] + [bad], [bad] + good) if bad is not None else (good,):
+            if when_built:
+                with pytest.raises(GraphValidationError, match=f"^{re.escape(message)}$"):
+                    NodeBatch.under(g.node("f0.a"), nodes)
+                batches = [nodes]
+            else:
+                batches = [nodes, NodeBatch.under(g.node("f0.a"), nodes)]
+            for batch in batches:
+                with pytest.raises((GraphValidationError, UnknownNodeError)) as refused:
+                    g.add_node(batch, parent_id)
+                assert str(refused.value) == message
+                assert snapshot(g) == before
+                assert (g._children["f0.a"], g._index.by_label.get("cup")) == (("f0.a.t", "f0.a.s"), None)
 
+    @pytest.mark.parametrize("prebuilt", [False, True], ids=["plain", "prebuilt"])
     @pytest.mark.parametrize("seed", [3, 8])
-    def test_a_batch_extends_a_cluttered_support_once(self, seed, monkeypatch):
+    def test_a_batch_extends_a_cluttered_support_once(self, seed, prebuilt, monkeypatch):
         world = load_world_truth(random_world_data(seed, rooms=6, big_range=(4, 5), small_range=(20, 30)))
         support = max(world.graph.nodes_at(Layer.BIG_OBJECT), key=lambda b: len(world.graph.children(b.id)))
         objects = world.graph.children(support.id)
         assert 20 <= len(objects) <= 30
+        assert len({n.norm_label for n in objects}) < len(objects)  # labels repeat
+        given = NodeBatch.under(support, objects) if prebuilt else objects
         template = world._template()
         template_index = {k: dict(v) for k, v in template._labels()._asdict().items()}
         one_by_one = world.prior_graph()
@@ -271,11 +292,13 @@ class TestGraphStructure:
         copies = []
         index_type = scene_graph._LabelIndex
         monkeypatch.setattr(scene_graph, "_LabelIndex", lambda *maps: copies.append(1) or index_type(*maps))
-        assert graph.add_node(objects, support.id) is objects
+        assert graph.add_node(given, support.id) is given
         assert graph._children.keys_written.count(support.id) == 1
         assert graph._children[support.id] == tuple(n.id for n in objects)
         assert len(copies) == 1 and graph._index_owned
         assert snapshot(graph) == snapshot(one_by_one)
+        # each label's and head word's ids in the order node-by-node adds give
+        assert graph._index._asdict() == one_by_one._index._asdict()
         assert {k: dict(v) for k, v in template._index._asdict().items()} == template_index
 
     def test_traversal_helpers(self):
@@ -635,6 +658,21 @@ class TestLabelIndex:
         assert snapshot(episode) == before
         assert_lookups_match_scan(episode, rng)
         assert snapshot(world.prior_graph()) == snapshot(template)
+
+    @pytest.mark.parametrize("seed", [2, 5])
+    def test_the_first_lookup_builds_the_index_a_node_at_a_time_would(self, seed):
+        graph = load_world_truth(random_world_data(seed, rooms=6, big_range=(4, 5), small_range=(20, 30))).graph
+        by_label, by_head = {}, {}
+        for node in graph.nodes:
+            by_label[node.norm_label] = by_label.get(node.norm_label, ()) + (node.id,)
+            words, _, head = node.norm_label.rpartition(" ")
+            if words:
+                by_head[head] = by_head.get(head, ()) + (node.id,)
+        assert any(len(ids) > 20 for ids in by_label.values())
+        index = graph._labels()
+        # the same groups, in the same order, each tuple in node order
+        assert list(index.by_label.items()) == list(by_label.items())
+        assert list(index.by_head.items()) == list(by_head.items())
 
     def test_index_built_before_a_node_is_added_stays_current(self):
         g = load_world_prior(small_world())
