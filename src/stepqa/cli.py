@@ -56,6 +56,12 @@ def _describe_plan(plan: dict[str, Any]) -> str:
     return f"Answer {plan.get('value')!r}"
 
 
+def _write_error(exc: OSError, path: str) -> int:
+    """Report an output path that cannot be written, without a traceback."""
+    print(f"error: {exc.filename or path}: {exc.strerror or exc}", file=sys.stderr)
+    return EX_ERROR
+
+
 def _cmd_ask(args: argparse.Namespace) -> int:
     try:
         world = load_world_truth(args.world)
@@ -76,7 +82,10 @@ def _cmd_ask(args: argparse.Namespace) -> int:
     print(f"status: {result.status.value}  steps: {result.steps}  plans: {result.plans}")
 
     if args.trace:
-        result.trace.write(args.trace)
+        try:
+            result.trace.write(args.trace)
+        except OSError as exc:
+            return _write_error(exc, args.trace)
         print(f"trace written to {args.trace}")
 
     if result.status is ANSWERED:
@@ -125,7 +134,10 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     )
     print(format_report(report))
     if args.report:
-        save_report(report, args.report)
+        try:
+            save_report(report, args.report)
+        except OSError as exc:
+            return _write_error(exc, args.report)
         print(f"report written to {args.report}")
     return EX_OK
 
@@ -135,19 +147,23 @@ def _cmd_gen_dataset(args: argparse.Namespace) -> int:
     worlds = [load_world_truth(data) for data in datas]
     if args.worlds_dir:
         out_dir = Path(args.worlds_dir)
-        out_dir.mkdir(parents=True, exist_ok=True)
-        for data in datas:
-            target = out_dir / f"{data['id']}.json"
-            target.write_text(
-                json.dumps(data, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-            )
+        try:
+            out_dir.mkdir(parents=True, exist_ok=True)
+            for data in datas:
+                target = out_dir / f"{data['id']}.json"
+                target.write_text(json.dumps(data, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+        except OSError as exc:
+            return _write_error(exc, args.worlds_dir)
     records = generate_dataset(
         worlds,
         per_world=args.per_world,
         seed=args.seed,
         simple_filter=not args.keep_simple,
     )
-    save_records(records, args.out)
+    try:
+        save_records(records, args.out)
+    except OSError as exc:
+        return _write_error(exc, args.out)
     print(f"{len(records)} records over {len(worlds)} worlds written to {args.out}")
     return EX_OK
 

@@ -133,24 +133,19 @@ def observation_layer(target: SubGoal, attr_class: PerceptionRange | None = None
 # -- resolution against the agent's graph -----------------------------------
 
 
-def _anchor_node(graph: SceneGraph, pose: AgentPose) -> SceneNode | None:
-    return graph.node(pose.anchor_id) if pose.anchor_id in graph else None
-
-
 def scope_node(chain: PatternChain, graph: SceneGraph, pose: AgentPose) -> SceneNode:
     """Innermost room the chain names, the one nearest the agent when two
     match, else the floor under the agent."""
-    anchor = _anchor_node(graph, pose)
+    anchored = pose.anchor_id in graph
     for step in reversed(chain.steps):
         if step.layer is ROOM and step.label is not None:
             rooms = graph.resolve_outward(step.label, ROOM, (None,))
             if len(rooms) > 1:
-                rooms = graph.nearest_first(rooms, graph.position_of(anchor.id) if anchor else None)
+                rooms = graph.nearest_first(rooms, graph.position_of(pose.anchor_id) if anchored else None)
             if rooms:
                 return rooms[0]
-    if anchor is not None:
-        path = graph.ancestors(anchor.id)
-        return path[-1] if path else anchor
+    if anchored:
+        return graph.floor_of(pose.anchor_id)
     floors = graph.nodes_at(FLOOR)
     if not floors:
         raise PlanningDomainError("graph has no floor node")
@@ -161,14 +156,8 @@ def move_plan(
     node: SceneNode, label: str | None = None, advance_to: int | None = None, tool: str = "rules"
 ) -> Plan:
     """A MoveTo plan to a known node, its goal label the node's unless given."""
-    return Plan(
-        kind=MOVE_TO,
-        goal_id=node.id,
-        goal_layer=node.layer,
-        goal_label=label if label is not None else node.label,
-        advance_to=advance_to,
-        tool=tool,
-    )
+    goal_label = node.label if label is None else label
+    return Plan(MOVE_TO, node.id, node.layer, goal_label, None, None, None, advance_to, None, tool)
 
 
 def _sweep_move(
@@ -237,7 +226,7 @@ def look_plan(
     """
     if pose.anchor_id != stand.id:
         return move_plan(stand, label, advance_to=n - 1)
-    return Plan(kind=OBSERVE, focus_id=focus_id, expects=expects, advance_to=n)
+    return Plan(OBSERVE, None, None, None, None, focus_id, None, n, expects)
 
 
 def _resolve_step(graph: SceneGraph, pose: AgentPose, step: SubGoal) -> SceneNode:
@@ -364,13 +353,8 @@ def _object_target_plan(
         pending = _unverified_candidate(graph, scope.id, target, explored)
         if pending is not None:
             return move_plan(pending, target.label)
-    anchor = _anchor_node(graph, pose)
-    return Plan(
-        kind=OBSERVE,
-        focus_id=anchor.id if anchor else None,
-        expects=expects,
-        advance_to=n,
-    )
+    focus_id = pose.anchor_id if pose.anchor_id in graph else None
+    return Plan(OBSERVE, None, None, None, None, focus_id, None, n, expects)
 
 
 def _unverified_candidate(

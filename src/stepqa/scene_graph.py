@@ -548,6 +548,15 @@ class SceneGraph:
                 return anc
         raise GraphValidationError(f"node {node_id} has no room ancestor")
 
+    def floor_of(self, node_id: str) -> SceneNode:
+        """The top of the node's containment path, its floor: the node
+        itself for a floor. Walks parent ids, building no path."""
+        parents = self._parent
+        top = self.node(node_id).id
+        while (pid := parents.get(top)) is not None:
+            top = pid
+        return self._nodes[top]
+
     def descendants(self, node_id: str) -> list[SceneNode]:
         """Every node below this one, in breadth-first order."""
         queue = list(self._children.get(self.node(node_id).id, ()))
@@ -632,16 +641,28 @@ class SceneGraph:
         matches it anywhere, no scope is read. The suffix tier, the costly
         one, is built only when a scope has no exact or alias match.
         """
-        index = self._index or self._labels()
-        nodes = self._nodes
+        by_label = (self._index or self._labels()).by_label
         norm = normalize_label(label)
-        exact_ids = index.by_label.get(norm)
-        alias_ids = index.by_label.get(_LABEL_ALIASES[norm]) if norm in _LABEL_ALIASES else None
+        alias_ids = by_label.get(_LABEL_ALIASES[norm]) if norm in _LABEL_ALIASES else None
+        return self._outward(norm, by_label.get(norm), alias_ids, layer, scopes, constraint)
+
+    def _outward(
+        self,
+        norm: str,
+        exact_ids: tuple[str, ...] | None,
+        alias_ids: tuple[str, ...] | None,
+        layer: Layer | None,
+        scopes: Iterable[str | None],
+        constraint: tuple[str, str] | None,
+    ) -> list[SceneNode]:
+        """``resolve_outward`` for a normalized label, given the ids the
+        label index holds for it and for its alias."""
+        nodes = self._nodes
         exact = _at_layer(nodes, exact_ids, layer) if exact_ids else []
         alias = _at_layer(nodes, alias_ids, layer) if alias_ids else []
         suffix: list[SceneNode] | None = None
         if not exact and not alias:
-            suffix = _at_layer(nodes, index.ending_with(norm, nodes), layer)
+            suffix = _at_layer(nodes, self._labels().ending_with(norm, nodes), layer)
             if not suffix:
                 return []
 
@@ -651,7 +672,7 @@ class SceneGraph:
                 candidates = self._within(alias, scope_id)
             if not candidates:
                 if suffix is None:
-                    suffix = _at_layer(nodes, index.ending_with(norm, nodes), layer)
+                    suffix = _at_layer(nodes, self._labels().ending_with(norm, nodes), layer)
                 candidates = self._within(suffix, scope_id)
             if constraint is not None and candidates:
                 candidates = _constrained(candidates, constraint)
@@ -674,34 +695,49 @@ class SceneGraph:
         ``resolve_outward``), and its candidate nearest the anchor wins.
         The anchor's position is read only when there are two to order.
 
+        The search starts with one probe of the label index: the ids it
+        holds for the label and for its alias, and whether any multiword
+        label has the label's head word. A label no node carries, as
+        itself, its alias or a label ending in it, is refused there,
+        before the anchor's parent is read or any scope or candidate list
+        is built: a room query's sweep asks for its unseen object so on
+        every step. A label the probe finds is searched with the ids it
+        read.
+
         A floor, room or big-object lookup with no constraint, from a
         floor, room or big object in the graph, is memoized by anchor id,
-        label as asked and layer. Its answer reads only the ids, labels,
-        layers, instance indices, positions and containment of layers 1
-        to 3, and no episode changes those: ``fold_in`` adds small
-        objects and swaps in a node only when it stands in for the node
-        it replaces (``stands_in_for``: the same label, layer, instance
-        index and position), and ``update_attributes`` writes attributes
-        only. So the answer holds for every graph that shares
-        the memo. A hit returns this graph's node for the id, which may
-        carry attributes a fold revealed. Like the orders of
-        ``child_ids_nearest_first``, the key is world structure, not a
-        question. A small-object anchor enters with an episode, so a
-        lookup from one is not memoized.
+        label as asked and layer, a miss as None. Its answer reads only
+        the ids, labels, layers, instance indices, positions and
+        containment of layers 1 to 3, and no episode changes those:
+        ``fold_in`` adds small objects and swaps in a node only when it
+        stands in for the node it replaces (``stands_in_for``: the same
+        label, layer, instance index and position), and
+        ``update_attributes`` writes attributes only. So the answer holds
+        for every graph that shares the memo. A hit returns this graph's
+        node for the id, which may carry attributes a fold revealed. Like
+        the orders of ``child_ids_nearest_first``, the key is world
+        structure, not a question. A small-object anchor enters with an
+        episode, so a lookup from one is not memoized.
         """
         nodes = self._nodes
         anchor = nodes.get(anchor_id)
         key = None
-        prior = anchor is not None and anchor.layer in _PRIOR_LAYERS and layer in _PRIOR_LAYERS
-        if prior and constraint is None:
+        if constraint is None and layer in _PRIOR_LAYERS and anchor is not None and anchor.layer in _PRIOR_LAYERS:
             key = (anchor_id, label, layer)
             found = self._memo.get(key, _UNSEEN)
             if found is not _UNSEEN:
                 return None if found is None else nodes[found]
-        found = self.resolve_outward(label, layer, self._outward_scopes(anchor), constraint)
-        if len(found) > 1:
-            found = self.nearest_first(found, self.position_of(anchor_id) if anchor is not None else None)
-        node = found[0] if found else None
+        index = self._index or self._labels()
+        norm = normalize_label(label)
+        exact_ids = index.by_label.get(norm)
+        alias_ids = index.by_label.get(_LABEL_ALIASES[norm]) if norm in _LABEL_ALIASES else None
+        node = None
+        if exact_ids or alias_ids or norm.rpartition(" ")[2] in index.by_head:
+            found = self._outward(norm, exact_ids, alias_ids, layer, self._outward_scopes(anchor), constraint)
+            if len(found) > 1:
+                found = self.nearest_first(found, self.position_of(anchor_id) if anchor is not None else None)
+            if found:
+                node = found[0]
         if key is not None:
             self._memo[key] = node.id if node is not None else None
         return node

@@ -282,3 +282,49 @@ class TestGenerateAndBench:
         assert code == EX_ERROR
         err = capsys.readouterr().err
         assert err.startswith(f"error: {dataset}: line 1:")
+
+
+class TestUnwritableOutput:
+    """An output path that cannot be written prints ``error: <path>:
+    <reason>`` and exits one, without a traceback."""
+
+    def expect_write_error(self, capsys, argv, path):
+        code = main(argv)
+        err = capsys.readouterr().err
+        assert code == EX_ERROR
+        assert err.startswith(f"error: {path}: ") and err.count("\n") == 1
+        assert "Traceback" not in err
+
+    def test_ask_trace(self, tmp_path, capsys):
+        trace = tmp_path / "missing" / "t.jsonl"
+        argv = ["ask", "Which room is the bed in?", "--world", DEMO, "--trace", str(trace)]
+        self.expect_write_error(capsys, argv, trace)
+
+    def test_gen_dataset_out(self, tmp_path, capsys):
+        out = tmp_path / "missing" / "qa.jsonl"
+        argv = ["gen-dataset", "--out", str(out), "--worlds", "1", "--per-world", "2"]
+        self.expect_write_error(capsys, argv, out)
+
+    def test_gen_dataset_worlds_dir(self, tmp_path, capsys):
+        a_file = tmp_path / "a_file"
+        a_file.write_text("")
+        worlds_dir = a_file / "worlds"
+        argv = ["gen-dataset", "--out", str(tmp_path / "qa.jsonl"), "--worlds-dir", str(worlds_dir), "--worlds", "1"]
+        self.expect_write_error(capsys, argv, worlds_dir)
+        assert not (tmp_path / "qa.jsonl").exists()
+
+    def test_bench_report(self, tmp_path, capsys):
+        dataset = tmp_path / "data.jsonl"
+        record = {
+            "id": "demo_house-q000",
+            "world_id": "demo_house",
+            "category": "template",
+            "question": "What color is the sofa in the living room?",
+            "gold_answer": "blue",
+            "gold_pattern": "V2[living room] -> V3(A)[sofa] -> A[color]",
+            "slots": {},
+        }
+        dataset.write_text(json.dumps(record, sort_keys=True) + "\n")
+        report = tmp_path / "missing" / "report.json"
+        argv = ["bench", "--dataset", str(dataset), "--worlds", DEMO, "--report", str(report)]
+        self.expect_write_error(capsys, argv, report)

@@ -503,6 +503,96 @@ class TestOutwardSearch:
         assert graph.resolve_from(pose.anchor_id, "sofa", Layer.SMALL_OBJECT) is None
 
 
+def unprobed_resolve(graph, anchor_id, label, layer, constraint=None):
+    """resolve_from without the label probe: ``resolve_outward`` over the
+    anchor's outward scopes, then ``nearest_first``: the reference."""
+    anchor = graph.node(anchor_id) if anchor_id in graph else None
+    scopes = []
+    if anchor is not None:
+        scopes.append(anchor.id)
+        parent = graph.parent(anchor.id)
+        if parent is not None:
+            scopes.append(parent.id)
+            if parent.layer > Layer.ROOM:
+                scopes.append(graph.room_of(parent.id).id)
+    scopes.append(None)
+    found = graph.resolve_outward(label, layer, scopes, constraint)
+    if len(found) > 1:
+        found = graph.nearest_first(found, graph.position_of(anchor_id) if anchor is not None else None)
+    return found[0] if found else None
+
+
+def probe_labels(world):
+    """Exact, plural, alias, head-word, multiword, unknown and empty labels:
+    every label of the world's nodes, known to the graph yet or not."""
+    labels = {"cups", "couch", "table", "coffee table", "potted plant", "unicorn", "big unicorn", ""}
+    for n in world.graph.nodes:
+        labels.update({n.label, n.label + "s", n.label.split()[-1]})
+    return sorted(labels)
+
+
+class TestLabelProbe:
+    """resolve_from refuses a label no node carries with one probe of the
+    label index; the probe changes no answer."""
+
+    @settings(max_examples=8, deadline=None)
+    @given(
+        seed=st.integers(1, 10_000),
+        floors=st.integers(1, 3),
+        draws=st.integers(0, 2**32),
+        data=st.data(),
+    )
+    def test_the_probe_changes_no_answer(self, seed, floors, draws, data):
+        rng = random.Random(draws)
+        world = load_world_truth(multi_floor_data(seed, floors))
+        graph = world.prior_graph()
+        labels = probe_labels(world)
+        values = sorted({a for n in world.graph.nodes for a in n.attributes.items()})
+        anchors = sorted(n.id for n in world.graph.nodes)
+        folds = data.draw(st.lists(st.sampled_from(anchors), min_size=1, max_size=6))
+        for folded in (False, True):
+            if folded:
+                for anchor in folds:
+                    ingest_observation(graph, world.view(anchor))
+            for anchor in [*sorted(n.id for n in graph.nodes), "nowhere"]:
+                for label in labels:
+                    for layer in (None, *Layer):
+                        for constraint in (None, rng.choice(values)):
+                            want = unprobed_resolve(graph, anchor, label, layer, constraint)
+                            assert graph.resolve_from(anchor, label, layer, constraint) is want, (
+                                anchor, label, layer, constraint,
+                            )
+
+    def test_a_sweep_step_for_an_unseen_object_builds_no_scope(self, demo_truth, monkeypatch):
+        calls = []
+        for name in ("_outward_scopes", "resolve_outward", "_outward"):
+            real = getattr(SceneGraph, name)
+            monkeypatch.setattr(SceneGraph, name, lambda *a, real=real, name=name: calls.append(name) or real(*a))
+        graph = demo_truth.prior_graph()
+        chain = parse_pattern_string("V4[laptop] -> V2")  # as the parser gives "Which room is the laptop in?"
+        pose, explored, steps = entrance(), frozenset(), 0
+        while "laptop" not in {n.label for n in graph.nodes}:
+            plan = next_plan(chain, 0, graph, pose, explored=explored)
+            assert plan.kind is PlanKind.MOVE_TO and calls == []
+            pose, explored = AgentPose(plan.goal_id, pose.steps_taken + 1), explored | {plan.goal_id}
+            ingest_observation(graph, demo_truth.view(plan.goal_id))
+            steps += 1
+        assert steps > 1
+        assert next_plan(chain, 0, graph, pose, explored=explored).value == "living room"
+        assert "_outward" in calls
+
+    @pytest.mark.parametrize("label", ["unicorn", "book"])  # refused by the probe, or found at no such layer
+    def test_a_floor_room_or_big_object_miss_is_still_memoized(self, demo_truth, monkeypatch, label):
+        graph = demo_truth.prior_graph()
+        add_small(graph, "f0.living.table", "book")
+        for layer in (Layer.FLOOR, Layer.ROOM, Layer.BIG_OBJECT):
+            assert graph.resolve_from("f0.living", label, layer) is None
+            assert graph._memo[("f0.living", label, layer)] is None
+        monkeypatch.setattr(SceneGraph, "_outward", lambda *args: pytest.fail("searched"))
+        for layer in (Layer.FLOOR, Layer.ROOM, Layer.BIG_OBJECT):
+            assert graph.resolve_from("f0.living", label, layer) is None
+
+
 class AskedAbout:
     """An explored set that holds every id and records each one asked about."""
 
@@ -742,5 +832,5 @@ class TestResolutionMemo:
         assert first._memo is second._memo
         add_small(first, "f0.living.sofa", "phone")
         found = first.resolve_from(entrance().anchor_id, "desk", Layer.BIG_OBJECT)
-        monkeypatch.setattr(SceneGraph, "resolve_outward", lambda *args: pytest.fail("searched"))
+        monkeypatch.setattr(SceneGraph, "_outward", lambda *args: pytest.fail("searched"))
         assert second.resolve_from(entrance().anchor_id, "desk", Layer.BIG_OBJECT) is found

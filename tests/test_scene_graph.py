@@ -755,7 +755,7 @@ class TestResolutionMemo:
     def test_a_hit_searches_no_scope(self, monkeypatch):
         graph = load_world_truth(WORLDS / "demo_house.json").prior_graph()
         want = graph.resolve_from("f0", "table", Layer.BIG_OBJECT)
-        monkeypatch.setattr(SceneGraph, "resolve_outward", lambda *args: pytest.fail("searched"))
+        monkeypatch.setattr(SceneGraph, "_outward", lambda *args: pytest.fail("searched"))
         monkeypatch.setattr(SceneGraph, "position_of", lambda *args: pytest.fail("centroid"))
         assert graph.resolve_from("f0", "table", Layer.BIG_OBJECT) is want
 
