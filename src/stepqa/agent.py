@@ -232,8 +232,8 @@ def check_feedback(plan: Plan, obs: Observation, graph: SceneGraph) -> bool:
             return False
         if not plan.goal_label:
             return True
-        anchor = graph.node(obs.anchor_id) if obs.anchor_id in graph else None
-        return anchor is not None and labels_match(plan.goal_label, anchor.label)
+        anchor = graph.get(obs.anchor_id)
+        return anchor is not None and (anchor.label == plan.goal_label or labels_match(plan.goal_label, anchor.label))
     if plan.kind is OBSERVE:
         if plan.expects is None:
             return True
@@ -242,12 +242,10 @@ def check_feedback(plan: Plan, obs: Observation, graph: SceneGraph) -> bool:
             focus = plan.focus_id or obs.anchor_id
             if name in obs.revealed.get(focus, {}):
                 return True
-            return focus in graph and name in graph.node(focus).attributes
+            node = graph.get(focus)
+            return node is not None and name in node.attributes
         if what == "relation":
-            others = [v for v in obs.visible if v.node_id != obs.anchor_id]
-            if name is None:
-                return bool(others)
-            return any(v.relation == name for v in others)
+            return bool(obs.relations) if name is None else name in obs.relations
         # count and existence observations always settle by tallying
         return True
     return True
@@ -261,11 +259,10 @@ def secondary_perception(plan: Plan, obs: Observation, graph: SceneGraph) -> boo
     it. This is how a plan for "the couch" survives landing on a node
     labeled "sofa".
     """
-    if plan.goal_id is None or obs.anchor_id not in graph:
-        return False
-    if plan.goal_id == obs.anchor_id:
-        return True
-    return any(a.id == plan.goal_id for a in graph.ancestors(obs.anchor_id))
+    node = graph.get(obs.anchor_id) if plan.goal_id is not None else None
+    while node is not None and node.id != plan.goal_id:
+        node = graph.parent(node.id)
+    return node is not None
 
 
 # -- answer extraction ------------------------------------------------------
@@ -278,7 +275,7 @@ def _tally_scope(chain: PatternChain, plan: Plan, obs: Observation, graph: Scene
     scope (``rules.scope_node``) from the anchor the count was observed
     at. A room-level look focuses on the target itself, so it counts
     under the room."""
-    focus = graph.node(plan.focus_id) if plan.focus_id in graph else None
+    focus = graph.get(plan.focus_id)
     if focus is not None and focus.layer == chain.steps[-1].layer - 1 and chain_has_support(chain):
         return focus.id
     return scope_node(chain, graph, AgentPose(obs.anchor_id)).id
@@ -438,12 +435,8 @@ def run_episode(
     # What an anchor shows is fixed for a world, so a second fold of an
     # anchor whose first fold left nothing out would change nothing.
     folded: set[str] = set()
-
-    def fold(obs: Observation) -> None:
-        if obs.anchor_id not in folded and ingest_observation(graph, obs):
-            folded.add(obs.anchor_id)
-
-    fold(first_obs)
+    if ingest_observation(graph, first_obs):
+        folded.add(first_obs.anchor_id)
 
     trace = EpisodeTrace(
         question=question,
@@ -540,14 +533,16 @@ def run_episode(
 
         if plan.kind is ANSWER:
             echo = env.observe()
-            fold(echo)
+            if echo.anchor_id not in folded and ingest_observation(graph, echo):
+                folded.add(echo.anchor_id)
             trace.events.append(TraceEvent(t, k, plan, echo, True))
             if plan.tool != "fallback":  # a fallback answer gives up
                 outcome = (plan.value or "not found", ANSWERED)
             break
 
         obs = env.execute(plan)
-        fold(obs)
+        if obs.anchor_id not in folded and ingest_observation(graph, obs):
+            folded.add(obs.anchor_id)
         ok = check_feedback(plan, obs, graph)
         secondary = False
         if not ok and plan.kind is MOVE_TO and not obs.move_failed:

@@ -34,6 +34,13 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EX_USAGE, f"{self.prog}: error: {message}\n")
 
 
+def _positive_int(text: str) -> int:
+    """The type of a count flag: a whole number of at least 1."""
+    if not text.strip().isdigit() or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, not {text!r}")
+    return int(text)
+
+
 def _agent_config(args: argparse.Namespace) -> AgentConfig:
     return AgentConfig(room_level_only=args.room_level_only)
 
@@ -199,7 +206,7 @@ def build_parser() -> argparse.ArgumentParser:
     bench.add_argument("--worlds", required=True, help="world file or directory of world files")
     bench.add_argument(
         "--parallel",
-        type=int,
+        type=_positive_int,
         default=1,
         help="run episodes on this many threads; no faster than serial, as the loop is "
         "CPU-bound Python, but the report is the same for any count",
@@ -211,8 +218,8 @@ def build_parser() -> argparse.ArgumentParser:
     gen = sub.add_parser("gen-dataset", help="generate worlds and a question set")
     gen.add_argument("--out", required=True, help="dataset JSONL output path")
     gen.add_argument("--worlds-dir", default=None, help="also write world files here")
-    gen.add_argument("--worlds", type=int, default=6, help="number of generated worlds")
-    gen.add_argument("--per-world", type=int, default=40, help="questions per world")
+    gen.add_argument("--worlds", type=_positive_int, default=6, help="number of generated worlds")
+    gen.add_argument("--per-world", type=_positive_int, default=40, help="questions per world")
     gen.add_argument("--seed", type=int, default=0, help="selection seed")
     gen.add_argument(
         "--keep-simple",

@@ -24,26 +24,28 @@ unconstrained floor, room or big-object answer for the world's life.
 Observing is free. A failed move is reported through the observation,
 not raised.
 
-An observation is a view: what one anchor shows, with relations taken
-to one reference node. Each view is built once per world, and every
+An observation is a view: what one anchor shows, with relations taken to
+one reference node. Each view is built once per world, and every
 observation of that anchor and reference is that very record, across
-episodes and threads; only a failed move's observation is a copy,
-marked as failed. The anchor's own view (reference = anchor) holds the
-parts every view of the anchor shares: the revealed attributes and the
-fold. A fold is what the view adds to an agent's graph, as prebuilt
+episodes and threads; only a failed move's observation is a copy, marked
+as failed. A view carries the set of the relations its visible nodes
+hold to its reference, built once with it, so a relation look's feedback
+is a set probe; a perception filter that edits a view's visible nodes
+must rebuild that set. The anchor's own view (reference = anchor) holds
+the parts every view of the anchor shares: the revealed attributes and
+the fold. A fold is what the view adds to an agent's graph, as prebuilt
 nodes the graph takes by reference in one ``SceneGraph.fold_in`` call
 (see ``Fold`` and ``agent.ingest_observation``). A big object's fold
 carries its small objects as a prebuilt ``NodeBatch``: checked once per
 world and grouped for the label index, so a graph adopts them with a
 check of its own ids and parent and a few map updates. Each revealed
-node is paired, once per world, with the two prebuilt nodes it may
-stand in for: the prior template's node, and the node the parent
-anchor's view adopts or reveals for its id. A graph that still holds
-either one swaps it out without comparing the two. An observation
-carries no step number;
+node is paired, once per world, with the two prebuilt nodes it may stand
+in for: the prior template's node, and the node the parent anchor's view
+adopts or reveals for its id. A graph that still holds either one swaps
+it out without comparing the two. An observation carries no step number;
 the trace event that holds it does. A world's graph must therefore not
-be mutated after its first episode: views built before the change
-would not see it.
+be mutated after its first episode: views built before the change would
+not see it.
 """
 
 from __future__ import annotations
@@ -134,13 +136,17 @@ class Observation(NamedTuple):
     memoizes, shared by every observation of it, or for a failed move a
     copy of it with ``move_failed`` set. ``revealed`` is read-only at both
     levels, because every view of the anchor shares it, as they share
-    its ``fold``. The step is the trace's: ``to_dict`` takes it."""
+    its ``fold``. ``relations``, built with the view, is the set of the
+    relations the ``visible`` nodes hold to the reference; a perception
+    filter that edits ``visible`` must rebuild it. The step is the
+    trace's: ``to_dict`` takes it."""
 
     anchor_id: str
     anchor_layer: Layer
     visible: tuple[VisibleNode, ...]
     revealed: Mapping[str, Mapping[str, str]]
     fold: Fold
+    relations: frozenset[str | None]
     move_failed: bool = False
 
     def to_dict(self, step: int = 0) -> dict[str, Any]:
@@ -204,18 +210,21 @@ class WorldTruth:
 
         The reference for relations is the focus if it is in the graph,
         else the anchor. Each (anchor, reference) view is built on first
-        request and shared after that. The anchor's own view is built from
-        its children; a view with another reference takes that view's
+        request and shared after that: a hit is one probe, made before the
+        focus is looked up in the graph. The anchor's own view is built
+        from its children; a view with another reference takes that view's
         ``revealed`` and ``fold`` and works out only the relations in
         ``visible``. Two threads that race on the first request both build
         the same view and one of them is kept, which is harmless. Raises
         UnknownNodeError for an anchor not in the graph.
         """
-        reference_id = focus_id if focus_id is not None and focus_id in self.graph else anchor_id
+        reference_id = anchor_id if focus_id is None else focus_id
         key = (anchor_id, reference_id)
         cached = self._views.get(key)
         if cached is not None:
             return cached
+        if reference_id != anchor_id and reference_id not in self.graph:
+            return self.view(anchor_id)
         if reference_id == anchor_id:
             view = self._anchor_view(self.graph.node(anchor_id))
         else:
@@ -233,7 +242,7 @@ class WorldTruth:
                 return self.graph.spatial_relation(node_id, reference_id)
 
             visible = tuple(VisibleNode(v.node_id, v.label, v.layer, relation(v.node_id)) for v in own.visible)
-            view = own._replace(visible=visible)
+            view = own._replace(visible=visible, relations=frozenset(v.relation for v in visible))
         return self._views.setdefault(key, view)
 
     def _anchor_view(self, anchor: SceneNode) -> Observation:
@@ -280,12 +289,13 @@ class WorldTruth:
         def pair(node: SceneNode, known: SceneNode | None) -> SceneNode | None:
             return known if known is not None and stands_in_for(node, known) else None
 
-        replaces = tuple(pair(n, template.node(n.id) if n.id in template else None) for n in with_values)
+        replaces = tuple(pair(n, template.get(n.id)) for n in with_values)
         also_replaces = tuple(pair(n, above.get(n.id)) for n in with_values)
         batch = NodeBatch.under(anchor, adopted) if adopted else None
         shown = () if big else tuple(c.id for c in children)
         fold = Fold(batch, tuple(with_values), replaces, also_replaces, shown)
-        return Observation(anchor.id, anchor.layer, visible, MappingProxyType(revealed), fold)
+        relations = frozenset(v.relation for v in visible)
+        return Observation(anchor.id, anchor.layer, visible, MappingProxyType(revealed), fold, relations)
 
     def _template(self) -> SceneGraph:
         template = self._prior_template
@@ -533,20 +543,18 @@ class Environment:
 
     def execute(self, plan: Plan) -> Observation:
         if plan.kind is OBSERVE:
-            return self.observe(focus_id=plan.focus_id)
+            return self.world.view(self.pose.anchor_id, plan.focus_id)
         if plan.kind is not MOVE_TO:
             raise MoveError(f"environment cannot execute a {plan.kind.value} plan")
         self.pose.steps_taken += 1
         goal = self._resolve_goal(plan)
         if goal is None:
-            return self.observe()._replace(move_failed=True)
+            return self.world.view(self.pose.anchor_id)._replace(move_failed=True)
         self.pose.anchor_id = goal.id
-        return self.observe()
+        return self.world.view(goal.id)
 
     def _resolve_goal(self, plan: Plan) -> SceneNode | None:
         graph = self.world.graph
         if plan.goal_id is not None:
-            return graph.node(plan.goal_id) if plan.goal_id in graph else None
-        if not plan.goal_label:
-            return None
-        return graph.resolve_from(self.pose.anchor_id, plan.goal_label, plan.goal_layer)
+            return graph.get(plan.goal_id)
+        return graph.resolve_from(self.pose.anchor_id, plan.goal_label, plan.goal_layer) if plan.goal_label else None

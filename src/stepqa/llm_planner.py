@@ -126,7 +126,7 @@ class ChatPlanner:
         explored: frozenset[str],
         question: str = "",
     ) -> Plan:
-        anchor = graph.node(pose.anchor_id) if pose.anchor_id in graph else None
+        anchor = graph.get(pose.anchor_id)
         siblings = []
         if anchor is not None:
             parent = graph.parent(anchor.id)

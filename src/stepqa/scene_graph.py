@@ -506,6 +506,10 @@ class SceneGraph:
         except KeyError:
             raise UnknownNodeError(node_id) from None
 
+    def get(self, node_id: str | None) -> SceneNode | None:
+        """The node with this id, or None, in one probe."""
+        return self._nodes.get(node_id)
+
     def __contains__(self, node_id: str) -> bool:
         return node_id in self._nodes
 
@@ -538,15 +542,16 @@ class SceneGraph:
         return out
 
     def room_of(self, node_id: str) -> SceneNode:
+        """The node's room, the node itself for a room; walks parent ids."""
         node = self.node(node_id)
-        if node.layer is ROOM:
-            return node
         if node.layer is FLOOR:
             raise LayerError(f"room_of is undefined for {node.layer.tag} node {node_id}")
-        for anc in self.ancestors(node_id):
-            if anc.layer is ROOM:
-                return anc
-        raise GraphValidationError(f"node {node_id} has no room ancestor")
+        while node.layer is not ROOM:
+            pid = self._parent.get(node.id)
+            if pid is None:
+                raise GraphValidationError(f"node {node_id} has no room ancestor")
+            node = self._nodes[pid]
+        return node
 
     def floor_of(self, node_id: str) -> SceneNode:
         """The top of the node's containment path, its floor: the node

@@ -22,7 +22,7 @@ from stepqa.llm_planner import ChatPlanner, LookupPlanner
 from stepqa.parsing import TemplateBackend, parse_question
 from stepqa.patterns import SubGoal, parse_pattern_string, render
 from stepqa.rules import Plan, PlanKind
-from stepqa.scene_graph import Layer, SceneGraph
+from stepqa.scene_graph import Layer, SceneGraph, labels_match
 from stepqa.worldgen import random_world_data
 
 from conftest import add_small
@@ -301,6 +301,19 @@ class TestSecondaryPerception:
         obs = env.execute(plan)
         assert check_feedback(plan, obs, graph) is False  # naive match says no
         assert secondary_perception(plan, obs, graph) is True  # identity says yes
+
+    def test_identity_and_label_checks_keep_their_ancestor_and_label_rules(self, demo_truth):
+        graph = demo_truth.graph
+        env = Environment(demo_truth)
+        for node in graph.nodes:
+            env.reset()
+            obs = env.execute(Plan(kind=PlanKind.MOVE_TO, goal_id=node.id))
+            for goal in graph.nodes:
+                plan = Plan(kind=PlanKind.MOVE_TO, goal_id=goal.id, goal_label=goal.label, goal_layer=goal.layer)
+                inside = goal.id == node.id or any(a.id == goal.id for a in graph.ancestors(node.id))
+                assert secondary_perception(plan, obs, graph) is inside
+                assert check_feedback(plan, obs, graph) is labels_match(goal.label, node.label)
+            assert secondary_perception(Plan(kind=PlanKind.MOVE_TO, goal_label="sofa"), obs, graph) is False
 
 
 class TestRoomLevelAblation:

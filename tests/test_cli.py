@@ -169,6 +169,23 @@ class TestUsageErrors:
     def test_the_plan_budget_is_not_a_flag(self, capsys):
         assert self.usage_code(["ask", "Where is the bag?", "--world", DEMO, "--max-plans", "3"]) == EX_USAGE
 
+    @pytest.mark.parametrize("value", ["0", "-1"])
+    @pytest.mark.parametrize(
+        "flag, argv",
+        [
+            ("--worlds", ["gen-dataset", "--per-world", "5", "--out"]),
+            ("--per-world", ["gen-dataset", "--worlds", "1", "--out"]),
+            ("--parallel", ["bench", "--dataset", "qa.jsonl", "--worlds", DEMO, "--report"]),
+        ],
+    )
+    def test_a_count_flag_must_be_positive(self, flag, argv, value, tmp_path, capsys):
+        out = tmp_path / "qa.jsonl"
+        assert self.usage_code([*argv, str(out), flag, value]) == EX_USAGE
+        err = capsys.readouterr().err
+        assert f"argument {flag}: expected a positive integer, not '{value}'" in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
 
 class TestGenerateAndBench:
     def test_full_loop(self, tmp_path, capsys):

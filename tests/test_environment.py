@@ -9,7 +9,7 @@ import pytest
 from hypothesis import Phase, given, settings, strategies as st
 
 from stepqa import scene_graph
-from stepqa.agent import ingest_observation
+from stepqa.agent import check_feedback, ingest_observation
 from stepqa.environment import (
     AgentPose,
     Environment,
@@ -983,3 +983,70 @@ class TestFoldByReference:
             assert flags == want_flags
             assert state == graph_state(want_graph)
         assert_world_untouched(world, source)
+
+
+# -- one view probe and a relation set per view --------------------------------
+
+RELATION_NAMES = sorted(
+    {*scene_graph.SPATIAL_RELATIONS, *scene_graph._INVERSE_RELATION, *scene_graph._INVERSE_RELATION.values(), "here"}
+)
+
+PROBE_WORLDS = {
+    "pinned": lambda: [random_world_data(seed) for seed in range(1, 21)],
+    "cluttered": lambda: [random_world_data(seed, **CLUTTERED) for seed in range(1, 9)],
+    "files": lambda: sorted(WORLDS.glob("*.json")),
+}
+
+
+def list_rule_feedback(obs, name):
+    """A relation look's feedback as a list built per look: the reference."""
+    others = [v for v in obs.visible if v.node_id != obs.anchor_id]
+    if name is None:
+        return bool(others)
+    return any(v.relation == name for v in others)
+
+
+class TestViewProbe:
+    @pytest.mark.parametrize("group", sorted(PROBE_WORLDS))
+    def test_each_view_carries_the_relations_of_its_visible_nodes(self, group):
+        for source in PROBE_WORLDS[group]():
+            world = load_world_truth(source)
+            graph = world.graph
+            ids = [n.id for n in graph.nodes]
+            for anchor in graph.nodes:
+                children = [c.id for c in graph.children(anchor.id)]
+                elsewhere = next(i for i in reversed(ids) if i != anchor.id and i not in children)
+                own = world.view(anchor.id)
+                assert world.view(anchor.id, anchor.id) is own
+                assert world.view(anchor.id, "nowhere") is own
+                for focus in (None, anchor.id, *children, elsewhere, "nowhere"):
+                    view = world.view(anchor.id, focus)
+                    assert view.relations == {v.relation for v in view.visible}, (anchor.id, focus)
+                    for name in (None, *RELATION_NAMES):
+                        plan = Plan(kind=PlanKind.OBSERVE, focus_id=focus, expects=("relation", name))
+                        assert check_feedback(plan, view, graph) == list_rule_feedback(view, name), (anchor.id, focus, name)
+
+    def test_an_unknown_anchor_still_raises(self, demo_truth):
+        for focus in (None, "nowhere", "f0.living.sofa"):
+            with pytest.raises(UnknownNodeError):
+                demo_truth.view("nowhere", focus)
+        with pytest.raises(UnknownNodeError):
+            demo_truth.view("nowhere", "nowhere")
+
+    def test_execute_returns_the_worlds_view_itself(self, demo_env):
+        world = demo_env.world
+        demo_env.reset()
+        for node in world.graph.nodes:
+            landed = demo_env.execute(move(goal_id=node.id))
+            assert landed is world.view(node.id)
+            for focus in (None, node.id, *(c.id for c in world.graph.children(node.id)), "nowhere"):
+                look = demo_env.execute(Plan(kind=PlanKind.OBSERVE, focus_id=focus))
+                assert look is world.view(node.id, focus)
+
+    def test_a_failed_moves_copy_keeps_the_relations(self, demo_env):
+        demo_env.reset()
+        demo_env.execute(move(goal_id="f0.living"))
+        failed = demo_env.execute(move(goal_id="nowhere"))
+        view = demo_env.world.view("f0.living")
+        assert failed.move_failed and not view.move_failed
+        assert failed.relations is view.relations and failed.relations

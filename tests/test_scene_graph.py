@@ -348,6 +348,37 @@ class TestGraphStructure:
         with pytest.raises(LayerError):
             g.room_of("f0")
 
+    @pytest.mark.parametrize(
+        "source", [*sorted(WORLDS.glob("*.json")), random_world_data(3)], ids=lambda s: getattr(s, "stem", "random")
+    )
+    def test_room_of_is_the_room_on_the_ancestor_path(self, source):
+        g = load_world_truth(source).graph
+        for node in g.nodes:
+            if node.layer is Layer.FLOOR:
+                continue
+            path = [node, *g.ancestors(node.id)]
+            assert g.room_of(node.id) is next(n for n in path if n.layer is Layer.ROOM)
+
+    def test_room_of_a_node_with_no_room_above_it_is_refused(self):
+        # add_node keeps every non-floor node under a room, so the break is wired by hand
+        g = SceneGraph()
+        g.add_node(SceneNode("f", Layer.FLOOR, "floor"))
+        g._nodes["f.t"] = SceneNode("f.t", Layer.BIG_OBJECT, "table", position=(0, 0))
+        g._parent["f.t"] = "f"
+        with pytest.raises(GraphValidationError, match="no room ancestor"):
+            g.room_of("f.t")
+        with pytest.raises(UnknownNodeError):
+            g.room_of("nowhere")
+
+    def test_get_is_the_node_or_none(self):
+        g = load_world_prior(small_world())
+        for node in g.nodes:
+            assert g.get(node.id) is g.node(node.id)
+        assert g.get("nowhere") is None and g.get(None) is None
+        overlay = g.copy()
+        overlay.update_attributes("f0.a.t", {"color": "red"})
+        assert overlay.get("f0.a.t") is overlay.node("f0.a.t") is not g.get("f0.a.t")
+
     def test_spatial_edges_same_layer_with_weights(self):
         g = load_world_prior(small_world())
         assert g.spatial_relation("f0.a.t", "f0.a.s") == "next-to"
