@@ -83,23 +83,25 @@ def _nearest_unexplored_sibling(
 ) -> SceneNode | None:
     """Unexplored sibling of the anchor, then of its parent, nearest first.
 
-    A floor's or a room's children are read in their memoized order
-    (``SceneGraph.children_nearest_first``). A big object's are sorted on
-    each call: they grow as an episode adopts small objects.
+    A floor's or a room's child ids are read in their memoized order
+    (``SceneGraph.child_ids_nearest_first``), a node only for the sibling
+    returned. A big object's are sorted on each call: they grow as an
+    episode adopts small objects.
     """
     anchor_id = pose.anchor_id
-    if anchor_id not in graph:
+    if anchor_id not in graph or (parent := graph.parent(anchor_id)) is None:
         return None
-    probe = anchor_id
-    while (parent := graph.parent(probe)) is not None:
+    here, probe = graph.position_of(anchor_id), anchor_id
+    while parent is not None:
         if parent.layer is BIG_OBJECT:
-            siblings = graph.nearest_first(graph.children(parent.id), graph.position_of(anchor_id))
+            siblings = [n.id for n in graph.nearest_first(graph.children(parent.id), here)]
         else:
-            siblings = graph.children_nearest_first(parent.id, anchor_id)
-        for s in siblings:
-            if s.id != probe and s.id not in explored:
-                return s
+            siblings = graph.child_ids_nearest_first(parent.id, here)
+        for sid in siblings:
+            if sid != probe and sid not in explored:
+                return graph.node(sid)
         probe = parent.id
+        parent = graph.parent(probe)
     return None
 
 

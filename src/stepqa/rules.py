@@ -139,7 +139,7 @@ def scope_node(chain: PatternChain, graph: SceneGraph, pose: AgentPose) -> Scene
     anchored = pose.anchor_id in graph
     for step in reversed(chain.steps):
         if step.layer is ROOM and step.label is not None:
-            rooms = graph.resolve_outward(step.label, ROOM, (None,))
+            rooms = graph.resolve_label(step.label, ROOM)
             if len(rooms) > 1:
                 rooms = graph.nearest_first(rooms, graph.position_of(pose.anchor_id) if anchored else None)
             if rooms:

@@ -78,6 +78,15 @@ def add_small(graph, parent_id, label, attributes=None, index=0):
     return graph.add_node(node, parent_id)
 
 
+def ancestor_ids(graph, node_id):
+    """The ids on the node's containment path, its parent's up to its floor's."""
+    out = []
+    while (parent := graph.parent(node_id)) is not None:
+        out.append(parent.id)
+        node_id = parent.id
+    return out
+
+
 def scan_resolve_label(graph, label, layer=None, scope_id=None, constraint=None, near=None):
     """resolve_label as a scan over every node in scope: the reference."""
     pool = graph.descendants(scope_id) if scope_id is not None else graph.nodes

@@ -25,7 +25,7 @@ from stepqa.rules import Plan, PlanKind
 from stepqa.scene_graph import Layer, SceneGraph, labels_match
 from stepqa.worldgen import random_world_data
 
-from conftest import add_small
+from conftest import add_small, ancestor_ids
 
 
 GOLDEN = pathlib.Path(__file__).resolve().parent / "golden"
@@ -310,7 +310,7 @@ class TestSecondaryPerception:
             obs = env.execute(Plan(kind=PlanKind.MOVE_TO, goal_id=node.id))
             for goal in graph.nodes:
                 plan = Plan(kind=PlanKind.MOVE_TO, goal_id=goal.id, goal_label=goal.label, goal_layer=goal.layer)
-                inside = goal.id == node.id or any(a.id == goal.id for a in graph.ancestors(node.id))
+                inside = goal.id == node.id or goal.id in ancestor_ids(graph, node.id)
                 assert secondary_perception(plan, obs, graph) is inside
                 assert check_feedback(plan, obs, graph) is labels_match(goal.label, node.label)
             assert secondary_perception(Plan(kind=PlanKind.MOVE_TO, goal_label="sofa"), obs, graph) is False

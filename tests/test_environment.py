@@ -481,6 +481,18 @@ LOADER_REJECTIONS = {
         lambda d: d["spatial_edges"].append({"a": "f0.living.table", "b": "f0.kitchen", "relation": "next-to"}),
         "spatial_edges[4]",
     ),
+    "edge_from_a_node_to_itself": (
+        lambda d: d["spatial_edges"].append({"a": "f0.living.sofa", "b": "f0.living.sofa", "relation": "next-to"}),
+        "spatial_edges[4]: spatial edge f0.living.sofa -> f0.living.sofa joins a node to itself",
+    ),
+    "edge_repeated": (
+        lambda d: d["spatial_edges"].append({"a": "f0.living.table", "b": "f0.living.sofa", "relation": "on"}),
+        "spatial_edges[4]: second spatial edge between f0.living.table and f0.living.sofa",
+    ),
+    "edge_repeated_the_other_way": (
+        lambda d: d["spatial_edges"].insert(1, {"a": "f0.living.sofa", "b": "f0.living.table", "relation": "on"}),
+        "spatial_edges[1]: second spatial edge between f0.living.sofa and f0.living.table",
+    ),
     "unknown_entrance": (lambda d: d.update(entrance="f9"), "entrance"),
     "occluded_from_parent_string": (
         lambda d: _big(d)["small_objects"][0].update(occluded_from_parent="false"),

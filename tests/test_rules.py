@@ -504,8 +504,9 @@ class TestOutwardSearch:
 
 
 def unprobed_resolve(graph, anchor_id, label, layer, constraint=None):
-    """resolve_from without the label probe: ``resolve_outward`` over the
-    anchor's outward scopes, then ``nearest_first``: the reference."""
+    """resolve_from without the label probe: ``resolve_label`` in each of
+    the anchor's outward scopes until one has a candidate, then
+    ``nearest_first``: the reference."""
     anchor = graph.node(anchor_id) if anchor_id in graph else None
     scopes = []
     if anchor is not None:
@@ -516,7 +517,10 @@ def unprobed_resolve(graph, anchor_id, label, layer, constraint=None):
             if parent.layer > Layer.ROOM:
                 scopes.append(graph.room_of(parent.id).id)
     scopes.append(None)
-    found = graph.resolve_outward(label, layer, scopes, constraint)
+    for scope in scopes:
+        found = graph.resolve_label(label, layer, scope, constraint)
+        if found:
+            break
     if len(found) > 1:
         found = graph.nearest_first(found, graph.position_of(anchor_id) if anchor is not None else None)
     return found[0] if found else None
@@ -565,7 +569,7 @@ class TestLabelProbe:
 
     def test_a_sweep_step_for_an_unseen_object_builds_no_scope(self, demo_truth, monkeypatch):
         calls = []
-        for name in ("_outward_scopes", "resolve_outward", "_outward"):
+        for name in ("_outward_scopes", "resolve_label", "_outward"):
             real = getattr(SceneGraph, name)
             monkeypatch.setattr(SceneGraph, name, lambda *a, real=real, name=name: calls.append(name) or real(*a))
         graph = demo_truth.prior_graph()
@@ -688,10 +692,11 @@ def every_order(graph):
     """Each floor's and room's children nearest first, from every origin."""
     parents = [*graph.nodes_at(Layer.FLOOR), *graph.nodes_at(Layer.ROOM)]
     origins = [*sorted(n.id for n in graph.nodes), "nowhere"]
+    points = {origin: graph.position_of(origin) if origin in graph else None for origin in origins}
     return {
-        (p.id, origin): [n.id for n in graph.children_nearest_first(p.id, origin)]
+        (p.id, origin): list(graph.child_ids_nearest_first(p.id, here))
         for p in parents
-        for origin in origins
+        for origin, here in points.items()
     }
 
 

@@ -27,7 +27,7 @@ from stepqa.agent import ingest_observation
 from stepqa.environment import Fold, load_world_prior, load_world_truth
 from stepqa.worldgen import random_world, random_world_data
 
-from conftest import WORLDS, add_small, multi_floor_data, prior_data, scan_resolve_label, small_id
+from conftest import WORLDS, add_small, ancestor_ids, multi_floor_data, prior_data, scan_resolve_label, small_id
 
 
 def small_world() -> dict:
@@ -253,15 +253,17 @@ class TestGraphStructure:
         before = snapshot(g)
         good = [SceneNode(f"f0.a.cup.{i}", Layer.BIG_OBJECT, "cup", i, (0.0, float(i))) for i in range(3)]
         for nodes in (good[:2] + [bad], [bad] + good) if bad is not None else (good,):
+            # plain: built under the graph's parent and added, as fold_in adds the nodes a graph lacks
+            adds = [lambda: g.add_node(NodeBatch.under(g.node(parent_id), nodes), parent_id)]
             if when_built:
                 with pytest.raises(GraphValidationError, match=f"^{re.escape(message)}$"):
                     NodeBatch.under(g.node("f0.a"), nodes)
-                batches = [nodes]
             else:
-                batches = [nodes, NodeBatch.under(g.node("f0.a"), nodes)]
-            for batch in batches:
+                prebuilt = NodeBatch.under(g.node("f0.a"), nodes)
+                adds.append(lambda: g.add_node(prebuilt, parent_id))
+            for add in adds:
                 with pytest.raises((GraphValidationError, UnknownNodeError)) as refused:
-                    g.add_node(batch, parent_id)
+                    add()
                 assert str(refused.value) == message
                 assert snapshot(g) == before
                 assert (g._children["f0.a"], g._index.by_label.get("cup")) == (("f0.a.t", "f0.a.s"), None)
@@ -274,7 +276,6 @@ class TestGraphStructure:
         objects = world.graph.children(support.id)
         assert 20 <= len(objects) <= 30
         assert len({n.norm_label for n in objects}) < len(objects)  # labels repeat
-        given = NodeBatch.under(support, objects) if prebuilt else objects
         template = world._template()
         template_index = {k: dict(v) for k, v in template._labels()._asdict().items()}
         one_by_one = world.prior_graph()
@@ -287,6 +288,8 @@ class TestGraphStructure:
                 super().__setitem__(key, value)
 
         graph = world.prior_graph()
+        # plain: built under the graph's own support node, as fold_in adds the nodes a graph lacks
+        given = NodeBatch.under(support if prebuilt else graph.node(support.id), objects)
         graph._children = Writes(graph._children)
         graph._children.keys_written = []
         copies = []
@@ -305,7 +308,7 @@ class TestGraphStructure:
         g = load_world_prior(small_world())
         assert g.parent("f0.a.t").id == "f0.a"
         assert [c.id for c in g.children("f0.a")] == ["f0.a.t", "f0.a.s"]
-        assert [a.id for a in g.ancestors("f0.a.t")] == ["f0.a", "f0"]
+        assert ancestor_ids(g, "f0.a.t") == ["f0.a", "f0"]
         assert g.room_of("f0.a.t").id == "f0.a"
         assert {n.id for n in g.descendants("f0")} >= {"f0.a", "f0.b", "f0.a.t"}
 
@@ -356,7 +359,7 @@ class TestGraphStructure:
         for node in g.nodes:
             if node.layer is Layer.FLOOR:
                 continue
-            path = [node, *g.ancestors(node.id)]
+            path = [node, *map(g.node, ancestor_ids(g, node.id))]
             assert g.room_of(node.id) is next(n for n in path if n.layer is Layer.ROOM)
 
     def test_room_of_a_node_with_no_room_above_it_is_refused(self):
