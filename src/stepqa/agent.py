@@ -470,7 +470,7 @@ def run_episode(
         return finish("not found", FAILED, None)
 
     trace.chain = parsed.chain
-    trace.parse_source = parsed.source.value
+    trace.parse_source = parsed.source
     slots = parsed.slots
 
     chain = parsed.chain

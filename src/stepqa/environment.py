@@ -51,6 +51,7 @@ not see it.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 from types import MappingProxyType
@@ -308,7 +309,9 @@ class WorldTruth:
                     template.add_node(room.clone({}), floor.id)
                     for big in graph.children(room.id):
                         template.add_node(big.clone({}), room.id)
-            template.spatial_edges = [e for e in graph.spatial_edges if e.a in template and e.b in template]
+            template.spatial_edges = {
+                (a, b): relation for (a, b), relation in graph.spatial_edges.items() if a in template and b in template
+            }
             self._prior_template = template
         return template
 
@@ -362,7 +365,7 @@ def _position(value: Any, where: str) -> tuple[float, float]:
     if (
         not isinstance(value, (list, tuple))
         or len(value) != 2
-        or not all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in value)
+        or not all(isinstance(v, (int, float)) and not isinstance(v, bool) and math.isfinite(v) for v in value)
     ):
         raise WorldFormatError(f"{where}: position must be [x, y] in meters")
     return (float(value[0]), float(value[1]))

@@ -35,8 +35,6 @@ def judge_normalize(text: str) -> str:
 class MockJudge:
     """Deterministic grader used for tests and offline benchmarks."""
 
-    name = "mock"
-
     def score(self, question: str, gold: str, answer: str) -> int:
         g = judge_normalize(gold)
         a = judge_normalize(answer)
@@ -51,8 +49,6 @@ class MockJudge:
 
 class ChatJudge:
     """Grader backed by a chat model; replies must be a single rung digit."""
-
-    name = "chat"
 
     def __init__(self, client: ChatClient) -> None:
         self.client = client

@@ -184,9 +184,11 @@ class ReplayTransport:
 
     def load(self, fixtures: Any) -> None:
         """Add fixtures: a list of entries, or the path of a JSONL file of
-        them, read as UTF-8. A file line that is not JSON, or an entry
-        without "digest" or "response", is a ValueError naming the file
-        and its line (or the entry's place in the list)."""
+        them, read as UTF-8. A file line that is not JSON, an entry
+        without "digest" or "response", a response that is neither a
+        string nor an object with a string "content", or a finish_reason
+        that is not a string, is a ValueError naming the file and its line
+        (or the entry's place in the list)."""
         if isinstance(fixtures, (str, Path)):
             try:
                 lines = Path(fixtures).read_text(encoding="utf-8").splitlines()
@@ -209,9 +211,12 @@ class ReplayTransport:
             resp = entry["response"]
             if isinstance(resp, str):
                 resp = {"content": resp}
-            self._by_digest[entry["digest"]] = ChatResponse(
-                content=resp["content"], finish_reason=resp.get("finish_reason", "stop")
-            )
+            if not (isinstance(resp, dict) and isinstance(resp.get("content"), str)):
+                raise ValueError(f'{where}: "response" must be a string or an object with a string "content"')
+            finish = resp.get("finish_reason", "stop")
+            if not isinstance(finish, str):
+                raise ValueError(f'{where}: "finish_reason" must be a string')
+            self._by_digest[entry["digest"]] = ChatResponse(content=resp["content"], finish_reason=finish)
 
     def add(self, request: ChatRequest, content: str) -> None:
         self._by_digest[request_digest(request)] = ChatResponse(content=content)

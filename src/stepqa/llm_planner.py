@@ -35,8 +35,6 @@ CLOSE_RANGE_ATTRIBUTES = frozenset({"material", "state", "title", "brand", "text
 class LookupPlanner:
     """Deterministic table-driven backend."""
 
-    name = "lookup"
-
     def classify_attribute(self, attribute: str, object_label: str) -> PerceptionRange:
         attr = attribute.strip().lower()
         if attr in REMOTE_ATTRIBUTES:
@@ -107,8 +105,6 @@ def _nearest_unexplored_sibling(
 
 class ChatPlanner:
     """Chat-model backend; each reply is validated and asked again when bad."""
-
-    name = "chat"
 
     def __init__(self, client: ChatClient) -> None:
         self.client = client

@@ -18,7 +18,6 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass
-from enum import Enum
 from functools import partialmethod
 from typing import Any
 
@@ -143,20 +142,11 @@ class UnparsedQuestionError(ValueError):
         self.question = question
 
 
-class ParseSource(Enum):
-    TEMPLATE = "template"
-    LLM = "llm"
-    GOLD = "gold"
-
-
-TEMPLATE, LLM, GOLD = ParseSource
-
-
 @dataclass
 class ParsedQuestion:
     chain: PatternChain
     slots: dict[str, str]
-    source: ParseSource
+    source: str  # the name of the backend that parsed the question
 
 
 def _connector_at(tokens: list[str], i: int) -> tuple[str, ...] | None:
@@ -224,8 +214,8 @@ def _part(words: list[str], constraint: tuple[str, str] | None, graph: SceneGrap
     Value words at either end of a label the vocabulary does not know
     become constraints ("red cup" is a cup whose color is red). The layer
     is the vocabulary's, unless the graph has a room of that label; a
-    label the vocabulary lacks takes the layer of a graph node with that
-    label or one ending in it, and is a small object otherwise.
+    label the vocabulary lacks is a big object when the graph resolves it
+    to one, as itself or a label ending in it, and a small object otherwise.
     """
     label = " ".join(words)
     while len(words) >= 2 and label not in _ALL_KNOWN:
@@ -243,11 +233,9 @@ def _part(words: list[str], constraint: tuple[str, str] | None, graph: SceneGrap
         return label, constraint, ROOM
     if layer is not None:
         return label, constraint, layer
-    if graph is not None:
-        for layer in (BIG_OBJECT, SMALL_OBJECT):
-            if graph.has_label(norm, layer) or graph.has_label_ending(norm, layer):
-                return label, constraint, layer
-    # a label the prior graph does not know cannot be furniture
+    if graph is not None and graph.resolve_label(norm, BIG_OBJECT):
+        return label, constraint, BIG_OBJECT
+    # a label the prior graph does not know as furniture is a small object
     return label, constraint, SMALL_OBJECT
 
 
@@ -289,7 +277,7 @@ def _parsed(
     except PatternStructureError:
         return None
     slots.update(_scope_slots(scope))
-    return ParsedQuestion(chain, slots, TEMPLATE)
+    return ParsedQuestion(chain, slots, TemplateBackend.name)
 
 
 class TemplateBackend:
@@ -421,7 +409,7 @@ class GoldBackend:
 
     def parse(self, question: str) -> ParsedQuestion | None:
         chain = parse_pattern_string(self.gold_pattern)
-        return ParsedQuestion(chain, dict(self.slots), GOLD)
+        return ParsedQuestion(chain, dict(self.slots), self.name)
 
 
 class LlmBackend:
@@ -445,7 +433,7 @@ class LlmBackend:
         if not isinstance(slots_raw, dict):
             raise ValueError("'slots' must be an object")
         slots = {str(k): json_text(v, f"slot {k!r}") for k, v in slots_raw.items()}
-        return ParsedQuestion(chain, slots, LLM)
+        return ParsedQuestion(chain, slots, self.name)
 
 
 def json_text(value: Any, name: str, error: type[ValueError] = ValueError) -> str:

@@ -41,11 +41,10 @@ def module_name(member: enum.Enum) -> str:
     return member.name + SUFFIX.get(type(member).__name__, "")
 
 
-def test_the_package_defines_the_six_enums():
+def test_the_package_defines_the_five_enums():
     assert sorted(cls.__name__ for _, cls in ENUMS) == [
         "EpisodeStatus",
         "Layer",
-        "ParseSource",
         "PerceptionRange",
         "PlanKind",
         "TargetKind",

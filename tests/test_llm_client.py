@@ -140,6 +140,9 @@ class TestHttpTransport:
             t.complete(make_request())
 
 
+_NOT_A_RESPONSE = '"response" must be a string or an object with a string "content"'
+
+
 class TestReplayTransport:
     def test_hit_returns_recorded_content(self):
         t = ReplayTransport()
@@ -180,6 +183,10 @@ class TestReplayTransport:
             ('{"response": "late"}', 'an entry needs "digest" and "response"'),
             ('{"digest": "d2"}', 'an entry needs "digest" and "response"'),
             ("[1, 2]", 'an entry needs "digest" and "response"'),
+            ('{"digest": "d2", "response": {}}', _NOT_A_RESPONSE),
+            ('{"digest": "d2", "response": 5}', _NOT_A_RESPONSE),
+            ('{"digest": "d2", "response": {"content": 7}}', _NOT_A_RESPONSE),
+            ('{"digest": "d2", "response": {"content": "x", "finish_reason": 1}}', '"finish_reason" must be a string'),
         ],
     )
     def test_a_malformed_fixture_line_is_refused_by_file_and_line(self, tmp_path, second, message):
@@ -191,6 +198,10 @@ class TestReplayTransport:
     def test_a_fixture_entry_without_a_digest_is_refused_by_place(self):
         with pytest.raises(ValueError, match='^entry 2: an entry needs "digest" and "response"$'):
             ReplayTransport([{"digest": "d1", "response": "first"}, {"response": "second"}])
+
+    def test_a_fixture_entry_with_a_malformed_response_is_refused_by_place(self):
+        with pytest.raises(ValueError, match=f"^entry 2: {re.escape(_NOT_A_RESPONSE)}$"):
+            ReplayTransport([{"digest": "d1", "response": "first"}, {"digest": "d2", "response": {"content": None}}])
 
 
 class TestChatClient:

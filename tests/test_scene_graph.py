@@ -1,6 +1,7 @@
 """Graph structure, label handling, and world file loading."""
 
 import copy
+import json
 import math
 import re
 
@@ -395,6 +396,30 @@ class TestGraphStructure:
         assert [n.id for n in g.nearest_first(bigs, g.position_of("f0.b"))] == ["f0.b.t", "f0.a.s", "f0.a.t"]
         assert g.nearest_first(bigs, None) == sorted(bigs, key=lambda n: (n.instance_index, n.id))
 
+    @pytest.mark.parametrize(
+        "source",
+        [*sorted(WORLDS.glob("*.json")), *range(1, 21)],
+        ids=lambda s: s.stem if hasattr(s, "stem") else f"seed{s}",
+    )
+    def test_spatial_relation_reads_what_a_scan_of_the_edge_list_finds(self, source):
+        data = random_world_data(source) if isinstance(source, int) else json.loads(source.read_text())
+        edges = [(e["a"], e["b"], e["relation"]) for e in data.get("spatial_edges", [])]
+
+        def scan(a, b):
+            for ea, eb, relation in edges:
+                if (ea, eb) == (a, b):
+                    return relation
+                if (ea, eb) == (b, a):
+                    return scene_graph._INVERSE_RELATION.get(relation, relation)
+            return None
+
+        graph = load_world_truth(data).graph
+        ids = [n.id for n in graph.nodes if n.layer is not Layer.SMALL_OBJECT]
+        assert edges
+        for a in ids:
+            for b in ids:
+                assert graph.spatial_relation(a, b) == scan(a, b), (a, b)
+
     def test_cross_layer_edge_rejected(self):
         g = load_world_prior(small_world())
         with pytest.raises(GraphValidationError):
@@ -622,15 +647,15 @@ def assert_lookups_match_scan(graph, rng):
     ids = sorted(n.id for n in graph.nodes)
     constraints = [None, ("color", "plaid"), *sorted({a for n in graph.nodes for a in n.attributes.items()})]
     for label in labels:
+        norm = normalize_label(label)
+        # the suffix tier is one read of the index, in node order
+        assert list(graph._probe(label)[2]) == [n.id for n in graph.nodes if n.norm_label.endswith(" " + norm)]
         for layer in LAYERS:
             assert [n.id for n in graph.find_nodes(label, layer)] == scan_find_nodes(graph, label, layer)
             got = [n.id for n in graph.resolve_label(label, layer)]
             assert got == scan_resolve_label(graph, label, layer)
             if layer is not None:
-                norm = normalize_label(label)
                 assert graph.has_label(norm, layer) == bool(scan_find_nodes(graph, label, layer))
-                ending = [n for n in graph.nodes if n.layer is layer and n.norm_label.endswith(" " + norm)]
-                assert graph.has_label_ending(norm, layer) == bool(ending)
     for scope in ids:
         label, layer, constraint = rng.choice(labels), rng.choice(LAYERS), rng.choice(constraints)
         near = rng.choice([None, (rng.uniform(-5, 60), rng.uniform(-5, 5))])
@@ -696,17 +721,28 @@ class TestLabelIndex:
     @pytest.mark.parametrize("seed", [2, 5])
     def test_the_first_lookup_builds_the_index_a_node_at_a_time_would(self, seed):
         graph = load_world_truth(random_world_data(seed, rooms=6, big_range=(4, 5), small_range=(20, 30))).graph
-        by_label, by_head = {}, {}
+        by_label, by_suffix = {}, {}
         for node in graph.nodes:
             by_label[node.norm_label] = by_label.get(node.norm_label, ()) + (node.id,)
-            words, _, head = node.norm_label.rpartition(" ")
-            if words:
-                by_head[head] = by_head.get(head, ()) + (node.id,)
+            words = node.norm_label.split()
+            for k in range(1, len(words)):
+                suffix = " ".join(words[k:])
+                by_suffix[suffix] = by_suffix.get(suffix, ()) + (node.id,)
         assert any(len(ids) > 20 for ids in by_label.values())
+        assert by_suffix
         index = graph._labels()
         # the same groups, in the same order, each tuple in node order
         assert list(index.by_label.items()) == list(by_label.items())
-        assert list(index.by_head.items()) == list(by_head.items())
+        assert list(index.by_suffix.items()) == list(by_suffix.items())
+
+    def test_a_multiword_label_is_found_by_each_shorter_word_suffix(self):
+        g = load_world_prior(small_world())
+        cup = add_small(g, "f0.a.t", "tall coffee cup")
+        assert g._labels().by_suffix["coffee cup"] == g._labels().by_suffix["cup"] == (cup.id,)
+        for query in ("tall coffee cups", "coffee cup", "cups"):
+            assert g.resolve_label(query) == [cup]
+            assert g.matches_under("f0.a", query, Layer.SMALL_OBJECT) == [cup]
+        assert g.resolve_label("offee cup") == g.resolve_label("tall") == []
 
     def test_index_built_before_a_node_is_added_stays_current(self):
         g = load_world_prior(small_world())
