@@ -45,7 +45,7 @@ from .rules import (
     PlanningDomainError,
     ResolutionFailure,
     chain_has_support,
-    look_plan,
+    move_plan,
     next_plan,
     scope_node,
     target_expects,
@@ -351,15 +351,16 @@ class RoomLook(NamedTuple):
     """What room_level_plan reads from the graph for one chain.
 
     room is the room to look from, or for a room query the room that
-    holds its subject; focus_id is the chain's object or support inside
-    that room; expects is target_expects. size is the graph's node count
-    when the look was worked out.
+    holds its subject. move and observe, built once, are look_plan's
+    plans away from that room and in it; both are None for a room query
+    or without a room. size is the graph's node count when the look was
+    worked out.
     """
 
     size: int
     room: SceneNode | None
-    focus_id: str | None
-    expects: tuple[str, str | None]
+    move: Plan | None
+    observe: Plan | None
 
 
 def room_look(chain: PatternChain, graph: SceneGraph, slots: dict[str, str]) -> RoomLook:
@@ -369,19 +370,18 @@ def room_look(chain: PatternChain, graph: SceneGraph, slots: dict[str, str]) -> 
     ever gains nodes (a clone keeps the id, label and layer), so the
     look holds for as long as ``len(graph)`` equals its size.
     """
-    expects = target_expects(chain, slots)
     if chain.target_kind is ROOM_TARGET:
         subject = chain.steps[0]
         found = graph.resolve_label(subject.label or "", layer=subject.layer)
-        return RoomLook(len(graph), graph.room_of(found[0].id) if found else None, None, expects)
+        return RoomLook(len(graph), graph.room_of(found[0].id) if found else None, None, None)
     room = _room_for_chain(chain, graph)
-    focus_id: str | None = None
+    if room is None:
+        return RoomLook(len(graph), None, None, None)
     focus_label = slots.get("object") or slots.get("support")
-    if room is not None and focus_label:
-        found = graph.resolve_label(focus_label, scope_id=room.id)
-        if found:
-            focus_id = found[0].id
-    return RoomLook(len(graph), room, focus_id, expects)
+    found = graph.resolve_label(focus_label, scope_id=room.id) if focus_label else []
+    n = len(chain.steps)
+    observe = Plan(OBSERVE, None, None, None, None, found[0].id if found else None, None, n, target_expects(chain, slots))
+    return RoomLook(len(graph), room, move_plan(room, advance_to=n - 1), observe)
 
 
 def room_level_plan(
@@ -394,25 +394,24 @@ def room_level_plan(
 ) -> Plan:
     """Ablated planner that never anchors below the room layer.
 
-    It looks from the chain's room with next_plan's look_plan, focused
-    on the chain's object or support when the room holds it. look is
-    the chain's room_look, which run_episode works out once per episode
-    and again only when the graph has gained nodes; without it the look
-    is worked out here. It is not a layer cap on next_plan because the
-    benchmark counts the ablation by this name: perfbench/spans.py wraps
-    ``stepqa.agent.room_level_plan``, and perfbench's tests assert that
-    room_level runs call it and never call next_plan.
+    It returns the chain's look.observe when the agent stands in the
+    look's room and look.move otherwise, the plans next_plan's look_plan
+    would build, focused on the chain's object or support when the room
+    holds it. look is the chain's room_look, which run_episode works out
+    once per episode and again only when the graph has gained nodes;
+    without it the look is worked out here. perfbench/spans.py wraps
+    ``stepqa.agent.room_level_plan`` by this name, and perfbench's tests
+    assert that room_level runs call it and never call next_plan.
     """
     if look is None:
         look = room_look(chain, graph, slots or {})
-    n = len(chain.steps)
     if chain.target_kind is ROOM_TARGET:
         if look.room is None:
             raise ResolutionFailure(chain.steps[0].label or "?", "room level")
-        return Plan(kind=ANSWER, value=look.room.label, advance_to=n)
+        return Plan(kind=ANSWER, value=look.room.label, advance_to=len(chain.steps))
     if look.room is None:
         raise ResolutionFailure("room", "prior graph")
-    return look_plan(pose, look.room, look.focus_id, look.expects, n)
+    return look.observe if pose.anchor_id == look.room.id else look.move
 
 
 # -- the loop ---------------------------------------------------------------

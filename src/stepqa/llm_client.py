@@ -188,7 +188,7 @@ class ReplayTransport:
         without "digest" or "response", a response that is neither a
         string nor an object with a string "content", or a finish_reason
         that is not a string, is a ValueError naming the file and its line
-        (or the entry's place in the list)."""
+        (or the entry's place in the list), and a refused load adds nothing."""
         if isinstance(fixtures, (str, Path)):
             try:
                 lines = Path(fixtures).read_text(encoding="utf-8").splitlines()
@@ -205,6 +205,7 @@ class ReplayTransport:
                     raise ValueError(f"{where}: not JSON: {exc.msg}") from exc
         else:
             entries = [(f"entry {number}", entry) for number, entry in enumerate(fixtures, start=1)]
+        loaded: dict[str, ChatResponse] = {}
         for where, entry in entries:
             if not (isinstance(entry, dict) and "digest" in entry and "response" in entry):
                 raise ValueError(f'{where}: an entry needs "digest" and "response"')
@@ -216,7 +217,8 @@ class ReplayTransport:
             finish = resp.get("finish_reason", "stop")
             if not isinstance(finish, str):
                 raise ValueError(f'{where}: "finish_reason" must be a string')
-            self._by_digest[entry["digest"]] = ChatResponse(content=resp["content"], finish_reason=finish)
+            loaded[entry["digest"]] = ChatResponse(content=resp["content"], finish_reason=finish)
+        self._by_digest.update(loaded)
 
     def add(self, request: ChatRequest, content: str) -> None:
         self._by_digest[request_digest(request)] = ChatResponse(content=content)

@@ -332,12 +332,12 @@ class SceneGraph:
     ending in it. A lookup reads it once, in ``_probe``.
 
     One memo holds what depends only on the floors, rooms and big
-    objects: the nearest-first orders of ``child_ids_nearest_first`` and
+    objects: the nearest-first orders of ``child_ids_nearest_first``,
     the unconstrained floor, room and big-object lookups of
-    ``resolve_from``. A copy shares the node objects, the index and the
-    memo with its source (see ``copy``). The memo's one reset rule: a
-    graph that adds a floor, room or big object starts an empty memo of
-    its own.
+    ``resolve_from`` and the unscoped ones of ``resolve_label``. A copy
+    shares the node objects, the index and the memo with its source (see
+    ``copy``). The memo's one reset rule: a graph that adds a floor, room
+    or big object starts an empty memo of its own.
     """
 
     def __init__(self) -> None:
@@ -347,8 +347,8 @@ class SceneGraph:
         self.spatial_edges: dict[tuple[str, str], str] = {}
         self._index: _LabelIndex | None = None
         self._index_owned = False
-        # (node id, point) -> children ids nearest first, and
-        # (anchor id, label, layer) -> the id resolve_from found, or None
+        # (node id, point) -> child ids nearest first; (anchor id, label, layer)
+        # -> resolve_from's id or None; (None, norm, layer) -> resolve_label's ids
         self._memo: dict[tuple[Any, ...], Any] = {}
 
     # -- construction ---------------------------------------------------
@@ -552,13 +552,13 @@ class SceneGraph:
         # Kept for speed: a descendants scan in place of the index took
         # cluttered p99 from about 115 to 134 us on a 2-vCPU Xeon, 4 of 4 pairs.
         self.node(scope_id)
-        ids = set(itertools.chain(*self._probe(label)))
+        ids = set(itertools.chain(*self._probe(normalize_label(label))))
         found = [n for n in map(self._nodes.__getitem__, ids) if n.layer is layer and self._under(n.id, scope_id)]
         return sorted(found, key=lambda n: self._child_path(scope_id, n.id))
 
     def find_nodes(self, label: str, layer: Layer | None = None) -> list[SceneNode]:
         """All nodes with this label, case-insensitive and plural-insensitive."""
-        found = _at_layer(self._nodes, self._probe(label)[0], layer)
+        found = _at_layer(self._nodes, self._probe(normalize_label(label))[0], layer)
         return sorted(found, key=lambda n: (n.layer, n.instance_index, n.id))
 
     def has_label(self, norm: str, layer: Layer) -> bool:
@@ -584,18 +584,27 @@ class SceneGraph:
         restricts matches to that node's subtree. A constraint keeps the
         candidates whose attribute equals the wanted value; candidates with
         the attribute still unknown survive only if none match outright.
+        A floor, room or big-object lookup with no scope, constraint or
+        position reads layers 1 to 3 only, so it is memoized as
+        ``resolve_from``'s is: its ids by normalized label and layer.
         """
+        norm = normalize_label(label)
+        memoized = layer in _PRIOR_LAYERS and scope_id is None and constraint is None and near is None
+        if memoized and (ids := self._memo.get((None, norm, layer))) is not None:
+            return [self._nodes[i] for i in ids]
         if scope_id is not None and scope_id not in self._nodes:
             raise UnknownNodeError(scope_id)
-        found = self._outward(self._probe(label), layer, (scope_id,), constraint)
-        return self.nearest_first(found, near) if len(found) > 1 else found
+        found = self._outward(self._probe(norm), layer, (scope_id,), constraint)
+        found = self.nearest_first(found, near) if len(found) > 1 else found
+        if memoized:
+            self._memo[None, norm, layer] = tuple(n.id for n in found)
+        return found
 
-    def _probe(self, label: str) -> tuple[tuple[str, ...], tuple[str, ...], tuple[str, ...]]:
-        """The ids the label index holds for a label, one read a tier: the
-        label normalized, its household alias, and the multiword labels
-        that end in its words. Each is () when there are none."""
+    def _probe(self, norm: str) -> tuple[tuple[str, ...], tuple[str, ...], tuple[str, ...]]:
+        """The ids the label index holds for a normalized label, one read a
+        tier: the label itself, its household alias, and the multiword
+        labels that end in its words. Each is () when there are none."""
         index = self._index or self._labels()
-        norm = normalize_label(label)
         alias = _LABEL_ALIASES.get(norm)
         alias_ids = index.by_label.get(alias, ()) if alias is not None else ()
         return index.by_label.get(norm, ()), alias_ids, index.by_suffix.get(norm, ())
@@ -666,7 +675,7 @@ class SceneGraph:
             found = self._memo.get(key, _UNSEEN)
             if found is not _UNSEEN:
                 return None if found is None else nodes[found]
-        probe = self._probe(label)
+        probe = self._probe(normalize_label(label))
         node = None
         if any(probe):
             found = self._outward(probe, layer, self._outward_scopes(anchor), constraint)

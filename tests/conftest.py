@@ -66,6 +66,14 @@ def occluded_truth() -> WorldTruth:
     return load_world_truth(WORLDS / "clutter_occluded.json")
 
 
+def bundled_and_generated_worlds():
+    """The bundled worlds, then generated worlds 1 to 20."""
+    for path in sorted(WORLDS.glob("*.json")):
+        yield load_world_truth(path)
+    for seed in range(1, 21):
+        yield load_world_truth(random_world_data(seed))
+
+
 def small_id(parent_id, label, index=0):
     """The id the world loader gives a small object."""
     return f"{parent_id}.{normalize_label(label).replace(' ', '_')}.{index}"

@@ -13,19 +13,22 @@ from stepqa.agent import (
     extract_answer,
     ingest_observation,
     normalize_answer,
+    room_level_plan,
+    room_look,
     run_episode,
     secondary_perception,
     tally_matches,
 )
-from stepqa.environment import Environment, load_world_truth
+from stepqa.dataset import generate_dataset
+from stepqa.environment import AgentPose, Environment, load_world_truth
 from stepqa.llm_planner import ChatPlanner, LookupPlanner
 from stepqa.parsing import TemplateBackend, parse_question
-from stepqa.patterns import SubGoal, parse_pattern_string, render
-from stepqa.rules import Plan, PlanKind
+from stepqa.patterns import SubGoal, TargetKind, parse_pattern_string, render
+from stepqa.rules import Plan, PlanKind, ResolutionFailure, look_plan, target_expects
 from stepqa.scene_graph import Layer, SceneGraph, labels_match
 from stepqa.worldgen import random_world_data
 
-from conftest import add_small, ancestor_ids
+from conftest import add_small, ancestor_ids, bundled_and_generated_worlds
 
 
 GOLDEN = pathlib.Path(__file__).resolve().parent / "golden"
@@ -409,6 +412,65 @@ class TestRoomLevelAblation:
         looks = [e for e in memoized.trace.events if e.action.kind is PlanKind.OBSERVE]
         focus = [e.plan.get("focus") for e in looks]
         assert focus == [None] * 3 + ["f0.living.table.book.0"] * 3
+
+
+def look_questions(generated):
+    """The golden parse questions, then the pinned dataset's questions
+    (generated worlds 1 to 20, 40 a world, selection seed 3)."""
+    lines = (GOLDEN / "parse_template.jsonl").read_text(encoding="utf-8").splitlines()
+    pinned = generate_dataset(generated, per_world=40, seed=3)
+    return list(dict.fromkeys([*(json.loads(line)["question"] for line in lines), *(r.question for r in pinned)]))
+
+
+def fresh_look_plan(chain, graph, pose, slots):
+    """The plan room_level_plan built before its look held prebuilt plans:
+    look_plan from the chain's room, its focus and room resolved on a copy
+    of the graph with an empty memo. None where it raised."""
+    fresh = graph.copy()
+    fresh._memo = {}
+    n = len(chain.steps)
+    if chain.target_kind is TargetKind.ROOM:
+        found = fresh.resolve_label(chain.steps[0].label or "", layer=chain.steps[0].layer)
+        return Plan(kind=PlanKind.ANSWER, value=fresh.room_of(found[0].id).label, advance_to=n) if found else None
+    room = agent_module._room_for_chain(chain, fresh)
+    if room is None:
+        return None
+    focus_label = slots.get("object") or slots.get("support")
+    found = fresh.resolve_label(focus_label, scope_id=room.id) if focus_label else []
+    return look_plan(pose, room, found[0].id if found else None, target_expects(chain, slots), n)
+
+
+class TestPrebuiltLookPlans:
+    def test_a_looks_plans_are_the_plans_look_plan_builds(self):
+        worlds = list(bundled_and_generated_worlds())
+        questions = look_questions(worlds[-20:])
+        kinds, checked = set(), 0
+        for world in worlds:
+            graph = world.prior_graph()
+            backend = TemplateBackend(graph)
+            poses = [AgentPose(n.id, 3) for n in (*graph.nodes_at(Layer.FLOOR), *graph.nodes_at(Layer.ROOM))]
+            for question in questions:
+                parsed = backend.parse(question)
+                if parsed is None:
+                    continue
+                chain, slots = parsed.chain, parsed.slots
+                look = room_look(chain, graph, slots)
+                for pose in poses:
+                    want = fresh_look_plan(chain, graph, pose, slots)
+                    if want is None:
+                        with pytest.raises(ResolutionFailure):
+                            room_level_plan(chain, 0, graph, pose, slots, look)
+                        continue
+                    plan = room_level_plan(chain, 0, graph, pose, slots, look)
+                    assert plan == want, (world.world_id, question, pose.anchor_id)
+                    if plan.kind is not PlanKind.ANSWER:
+                        assert plan is room_level_plan(chain, 0, graph, pose, slots, look)
+                        assert plan is (look.observe if pose.anchor_id == look.room.id else look.move)
+                    kinds.add((chain.target_kind, plan.kind))
+                    checked += 1
+        assert {kind for kind, _ in kinds} == set(TargetKind)
+        assert {plan_kind for _, plan_kind in kinds} == set(PlanKind)
+        assert checked > 50_000
 
 
 class ScriptedFallback(LookupPlanner):

@@ -203,6 +203,26 @@ class TestReplayTransport:
         with pytest.raises(ValueError, match=f"^entry 2: {re.escape(_NOT_A_RESPONSE)}$"):
             ReplayTransport([{"digest": "d1", "response": "first"}, {"digest": "d2", "response": {"content": None}}])
 
+    def test_a_refused_list_adds_no_entry(self):
+        kept, first = make_request("kept"), make_request("first")
+        t = ReplayTransport([{"digest": request_digest(kept), "response": "kept"}])
+        with pytest.raises(ValueError, match=f"^entry 2: {re.escape(_NOT_A_RESPONSE)}$"):
+            t.load([{"digest": request_digest(first), "response": "first"}, {"digest": "d2", "response": 5}])
+        with pytest.raises(ReplayMissError):
+            t.complete(first)
+        assert t.complete(kept).content == "kept"
+
+    def test_a_refused_file_adds_no_entry(self, tmp_path):
+        kept, first = make_request("kept"), make_request("first")
+        t = ReplayTransport([{"digest": request_digest(kept), "response": "kept"}])
+        p = tmp_path / "fixtures.jsonl"
+        p.write_text(json.dumps({"digest": request_digest(first), "response": "first"}) + "\n" + '{"digest": "d2"}\n')
+        with pytest.raises(ValueError, match=f"^{re.escape(str(p))}: line 2: "):
+            t.load(p)
+        with pytest.raises(ReplayMissError):
+            t.complete(first)
+        assert t.complete(kept).content == "kept"
+
 
 class TestChatClient:
     def test_complete_text_wraps_messages(self):

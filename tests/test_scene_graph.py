@@ -28,7 +28,16 @@ from stepqa.agent import ingest_observation
 from stepqa.environment import Fold, load_world_prior, load_world_truth
 from stepqa.worldgen import random_world, random_world_data
 
-from conftest import WORLDS, add_small, ancestor_ids, multi_floor_data, prior_data, scan_resolve_label, small_id
+from conftest import (
+    WORLDS,
+    add_small,
+    ancestor_ids,
+    bundled_and_generated_worlds,
+    multi_floor_data,
+    prior_data,
+    scan_resolve_label,
+    small_id,
+)
 
 
 def small_world() -> dict:
@@ -649,7 +658,7 @@ def assert_lookups_match_scan(graph, rng):
     for label in labels:
         norm = normalize_label(label)
         # the suffix tier is one read of the index, in node order
-        assert list(graph._probe(label)[2]) == [n.id for n in graph.nodes if n.norm_label.endswith(" " + norm)]
+        assert list(graph._probe(norm)[2]) == [n.id for n in graph.nodes if n.norm_label.endswith(" " + norm)]
         for layer in LAYERS:
             assert [n.id for n in graph.find_nodes(label, layer)] == scan_find_nodes(graph, label, layer)
             got = [n.id for n in graph.resolve_label(label, layer)]
@@ -775,8 +784,14 @@ def memo_labels(graph):
 
 
 def resolutions(graph):
-    """The memo's resolution entries; the sort orders have two-part keys."""
-    return {k: v for k, v in graph._memo.items() if len(k) == 3}
+    """The memo's resolve_from entries; the sort orders have two-part keys
+    and resolve_label's entries no anchor."""
+    return {k: v for k, v in graph._memo.items() if len(k) == 3 and k[0] is not None}
+
+
+def label_entries(graph):
+    """The memo's resolve_label entries."""
+    return {k: v for k, v in graph._memo.items() if len(k) == 3 and k[0] is None}
 
 
 def fresh_resolve(graph, anchor_id, label, layer, constraint=None):
@@ -854,3 +869,118 @@ class TestResolutionMemo:
         graph = load_world_truth(WORLDS / "demo_house.json").prior_graph()
         assert graph.resolve_from("f0", "unicorn", Layer.ROOM) is None
         assert resolutions(graph) == {("f0", "unicorn", Layer.ROOM): None}
+
+
+# -- the memo of unscoped floor, room and big-object label lookups ---------
+
+
+def label_memo_queries(graph):
+    """Every floor, room and big-object label as written, upper-cased and
+    plural, each of its shorter word suffixes, every household alias and
+    a label nothing has."""
+    labels = {*scene_graph._LABEL_ALIASES, "unicorn"}
+    for node in graph.nodes:
+        if node.layer is not Layer.SMALL_OBJECT:
+            words = node.label.split()
+            labels.update({node.label, node.label.upper(), node.label + "s"})
+            labels.update(" ".join(words[i:]) for i in range(1, len(words)))
+    return sorted(labels)
+
+
+def fresh_resolve_label(graph, label, layer, **kwargs):
+    """resolve_label's ids on a copy of the graph with an empty memo."""
+    fresh = graph.copy()
+    fresh._memo = {}
+    return [n.id for n in fresh.resolve_label(label, layer, **kwargs)]
+
+
+class TestLabelMemo:
+    def test_a_hit_resolves_each_label_at_each_prior_layer_as_a_fresh_graph_does(self):
+        checked = hits = 0
+        for world in bundled_and_generated_worlds():
+            episode = world.prior_graph()
+            for node in world.graph.nodes:
+                ingest_observation(episode, world.view(node.id))
+            sibling = world.prior_graph()
+            assert sibling._memo is episode._memo
+            queries = [(label, layer) for label in label_memo_queries(episode) for layer in MEMO_LAYERS]
+            for label, layer in queries:  # fill the shared memo from the bare prior
+                sibling.resolve_label(label, layer)
+            for label, layer in queries:
+                want = fresh_resolve_label(episode, label, layer)
+                assert want == scan_resolve_label(episode, label, layer), (world.world_id, label, layer)
+                assert (None, normalize_label(label), layer) in episode._memo
+                for _ in range(2):
+                    found = episode.resolve_label(label, layer)
+                    assert [n.id for n in found] == want, (world.world_id, label, layer)
+                    assert all(n is episode.node(n.id) for n in found)
+                hits += bool(want)
+                checked += 1
+        assert checked > 3_000 and hits > 1_000
+
+    def test_a_hit_reads_the_memo_alone(self, monkeypatch):
+        graph = load_world_truth(WORLDS / "demo_house.json").prior_graph()
+        want = graph.resolve_label("tables", Layer.BIG_OBJECT)
+        assert len(want) > 1
+        for name in ("_outward", "_probe", "nearest_first"):
+            monkeypatch.setattr(SceneGraph, name, lambda *args: pytest.fail("searched"))
+        assert graph.resolve_label("Table", Layer.BIG_OBJECT) == want
+        assert label_entries(graph) == {(None, "table", Layer.BIG_OBJECT): tuple(n.id for n in want)}
+
+    def test_a_hit_after_a_room_fold_returns_the_folded_node(self):
+        world = load_world_truth(WORLDS / "demo_house.json")
+        template = world.prior_graph()
+        (sofa,) = template.resolve_label("sofa", Layer.BIG_OBJECT)
+        episode = world.prior_graph()
+        ingest_observation(episode, world.view("f0.living"))
+        assert episode._memo is template._memo
+        for label in ("sofa", "couch"):
+            (seen,) = episode.resolve_label(label, Layer.BIG_OBJECT)
+            assert seen is episode.node(sofa.id) is not sofa
+            assert seen.attributes == {"color": "blue"}
+        assert template.resolve_label("couch", Layer.BIG_OBJECT) == [sofa]
+        assert sofa.attributes == {}
+
+    @pytest.mark.parametrize(
+        "layer,node_id,parent,position",
+        [(Layer.ROOM, "f0.new", "f0", (0.0, 0.0)), (Layer.BIG_OBJECT, "f0.living.new", "f0.living", (2.0, 2.0))],
+    )
+    def test_an_overlay_that_adds_a_room_or_big_object_starts_an_empty_memo(self, layer, node_id, parent, position):
+        world = load_world_truth(WORLDS / "demo_house.json")
+        sibling = world.prior_graph()
+        labels = ["crate", "table", "kitchen", "desk"]
+        before = {label: sibling.resolve_label(label, layer) for label in labels}
+        shared = sibling._memo
+        stored = dict(shared)
+        assert len(label_entries(sibling)) == len(labels)
+        grown = world.prior_graph()
+        grown.add_node(SceneNode(node_id, layer, "crate", position=position), parent)
+        assert grown._memo == {} and grown._memo is not shared
+        for label in labels:
+            assert [n.id for n in grown.resolve_label(label, layer)] == fresh_resolve_label(grown, label, layer)
+        assert [n.id for n in grown.resolve_label("crate", layer)] == [node_id]
+        assert shared == stored
+        for kept in (sibling, world.prior_graph()):
+            assert kept._memo is shared
+            assert {label: kept.resolve_label(label, layer) for label in labels} == before
+
+    @pytest.mark.parametrize(
+        "label,layer,kwargs",
+        [
+            ("table", Layer.BIG_OBJECT, {"scope_id": "f0.living"}),
+            ("sofa", Layer.BIG_OBJECT, {"constraint": ("color", "blue")}),
+            ("desk", Layer.BIG_OBJECT, {"near": (6.0, 1.0)}),
+            ("book", Layer.SMALL_OBJECT, {}),
+            ("sofa", None, {}),
+        ],
+    )
+    def test_lookups_that_add_no_entry(self, label, layer, kwargs):
+        world = load_world_truth(WORLDS / "demo_house.json")
+        graph = world.prior_graph()
+        ingest_observation(graph, world.view("f0.living"))
+        ingest_observation(graph, world.view("f0.living.table"))
+        want = fresh_resolve_label(graph, label, layer, **kwargs)
+        assert want
+        for _ in range(2):
+            assert [n.id for n in graph.resolve_label(label, layer, **kwargs)] == want
+        assert label_entries(graph) == {}
