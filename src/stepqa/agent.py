@@ -351,67 +351,56 @@ class RoomLook(NamedTuple):
     """What room_level_plan reads from the graph for one chain.
 
     room is the room to look from, or for a room query the room that
-    holds its subject. move and observe, built once, are look_plan's
-    plans away from that room and in it; both are None for a room query
-    or without a room. size is the graph's node count when the look was
-    worked out.
+    holds its subject; None when there is none. away and here, built
+    once, are the plans for a pose outside that room and in it:
+    look_plan's move and observe, or for a room query its answer in
+    both. size is the graph's node count when the look was worked out.
     """
 
     size: int
     room: SceneNode | None
-    move: Plan | None
-    observe: Plan | None
+    away: Plan | None
+    here: Plan | None
 
 
 def room_look(chain: PatternChain, graph: SceneGraph, slots: dict[str, str]) -> RoomLook:
     """Work out a chain's RoomLook.
 
-    Its lookups pass no constraint and no position, and a graph only
-    ever gains nodes (a clone keeps the id, label and layer), so the
-    look holds for as long as ``len(graph)`` equals its size.
+    Its lookups pass no position, and a graph only ever gains nodes (a
+    clone keeps the id, label and layer), so the look holds for as long
+    as ``len(graph)`` equals its size.
     """
+    n = len(chain.steps)
     if chain.target_kind is ROOM_TARGET:
         subject = chain.steps[0]
         found = graph.resolve_label(subject.label or "", layer=subject.layer)
-        return RoomLook(len(graph), graph.room_of(found[0].id) if found else None, None, None)
+        room = graph.room_of(found[0].id) if found else None
+        answer = Plan(kind=ANSWER, value=room.label, advance_to=n) if room is not None else None
+        return RoomLook(len(graph), room, answer, answer)
     room = _room_for_chain(chain, graph)
     if room is None:
         return RoomLook(len(graph), None, None, None)
     focus_label = slots.get("object") or slots.get("support")
     found = graph.resolve_label(focus_label, scope_id=room.id) if focus_label else []
-    n = len(chain.steps)
     observe = Plan(OBSERVE, None, None, None, None, found[0].id if found else None, None, n, target_expects(chain, slots))
     return RoomLook(len(graph), room, move_plan(room, advance_to=n - 1), observe)
 
 
-def room_level_plan(
-    chain: PatternChain,
-    k: int,
-    graph: SceneGraph,
-    pose: Any,
-    slots: dict[str, str] | None = None,
-    look: RoomLook | None = None,
-) -> Plan:
+def room_level_plan(look: RoomLook, pose: Any) -> Plan:
     """Ablated planner that never anchors below the room layer.
 
-    It returns the chain's look.observe when the agent stands in the
-    look's room and look.move otherwise, the plans next_plan's look_plan
-    would build, focused on the chain's object or support when the room
-    holds it. look is the chain's room_look, which run_episode works out
-    once per episode and again only when the graph has gained nodes;
-    without it the look is worked out here. perfbench/spans.py wraps
+    It returns look.here when the agent stands in the look's room and
+    look.away otherwise: the plans next_plan's look_plan would build,
+    focused on the chain's object or support when the room holds it, or
+    a room query's answer. look is the chain's room_look, which
+    run_episode works out once per episode and again only when the graph
+    has gained nodes. perfbench/spans.py wraps
     ``stepqa.agent.room_level_plan`` by this name, and perfbench's tests
     assert that room_level runs call it and never call next_plan.
     """
-    if look is None:
-        look = room_look(chain, graph, slots or {})
-    if chain.target_kind is ROOM_TARGET:
-        if look.room is None:
-            raise ResolutionFailure(chain.steps[0].label or "?", "room level")
-        return Plan(kind=ANSWER, value=look.room.label, advance_to=len(chain.steps))
     if look.room is None:
         raise ResolutionFailure("room", "prior graph")
-    return look.observe if pose.anchor_id == look.room.id else look.move
+    return look.here if pose.anchor_id == look.room.id else look.away
 
 
 # -- the loop ---------------------------------------------------------------
@@ -504,7 +493,7 @@ def run_episode(
                 if config.room_level_only:
                     if look is None or look.size != len(graph):
                         look = room_look(chain, graph, slots)
-                    plan = room_level_plan(chain, k, graph, env.pose, slots, look)
+                    plan = room_level_plan(look, env.pose)
                 else:
                     plan = next_plan(
                         chain,
@@ -531,10 +520,8 @@ def run_episode(
             subquestion = final_subquestion
 
         if plan.kind is ANSWER:
-            echo = env.observe()
-            if echo.anchor_id not in folded and ingest_observation(graph, echo):
-                folded.add(echo.anchor_id)
-            trace.events.append(TraceEvent(t, k, plan, echo, True))
+            # nothing reads the graph after an answer, so its echo is only traced
+            trace.events.append(TraceEvent(t, k, plan, env.observe(), True))
             if plan.tool != "fallback":  # a fallback answer gives up
                 outcome = (plan.value or "not found", ANSWERED)
             break

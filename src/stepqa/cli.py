@@ -36,7 +36,7 @@ class _Parser(argparse.ArgumentParser):
 
 def _positive_int(text: str) -> int:
     """The type of a count flag: a whole number of at least 1."""
-    if not text.strip().isdigit() or int(text) < 1:
+    if not text.strip().isdecimal() or int(text) < 1:
         raise argparse.ArgumentTypeError(f"expected a positive integer, not {text!r}")
     return int(text)
 

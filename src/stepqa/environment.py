@@ -410,9 +410,9 @@ def read_world_source(source: Any) -> dict[str, Any]:
     except UnicodeDecodeError as exc:
         raise WorldFormatError(f"{path}: not UTF-8 text at byte {exc.start}") from exc
     except json.JSONDecodeError as exc:
-        raise WorldFormatError(f"invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
+        raise WorldFormatError(f"{path}: invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
     if not isinstance(data, dict):
-        raise WorldFormatError("world file must be a JSON object")
+        raise WorldFormatError(f"{path}: world file must be a JSON object")
     return data
 
 
@@ -538,9 +538,9 @@ class Environment:
 
     # -- observation ----------------------------------------------------
 
-    def observe(self, focus_id: str | None = None) -> Observation:
-        """The world's view from the pose's anchor, itself, not a copy."""
-        return self.world.view(self.pose.anchor_id, focus_id)
+    def observe(self) -> Observation:
+        """The pose's anchor's own view: the world's record, not a copy."""
+        return self.world.view(self.pose.anchor_id)
 
     # -- plan execution -------------------------------------------------
 

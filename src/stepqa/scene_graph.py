@@ -573,29 +573,24 @@ class SceneGraph:
                 return True
         return False
 
-    def resolve_label(
-        self, label: str, layer: Layer | None = None, scope_id: str | None = None,
-        constraint: tuple[str, str] | None = None, near: tuple[float, float] | None = None
-    ) -> list[SceneNode]:
+    def resolve_label(self, label: str, layer: Layer | None = None, scope_id: str | None = None) -> list[SceneNode]:
         """Candidate nodes for a freely phrased label, best match first.
 
         Tries exact normalized labels, then household aliases, then a
         word-suffix match ("table" finds "coffee table"). A scope
-        restricts matches to that node's subtree. A constraint keeps the
-        candidates whose attribute equals the wanted value; candidates with
-        the attribute still unknown survive only if none match outright.
-        A floor, room or big-object lookup with no scope, constraint or
-        position reads layers 1 to 3 only, so it is memoized as
-        ``resolve_from``'s is: its ids by normalized label and layer.
+        restricts matches to that node's subtree. A floor, room or
+        big-object lookup with no scope reads layers 1 to 3 only, so it is
+        memoized as ``resolve_from``'s is: its ids by normalized label and
+        layer.
         """
         norm = normalize_label(label)
-        memoized = layer in _PRIOR_LAYERS and scope_id is None and constraint is None and near is None
+        memoized = layer in _PRIOR_LAYERS and scope_id is None
         if memoized and (ids := self._memo.get((None, norm, layer))) is not None:
             return [self._nodes[i] for i in ids]
         if scope_id is not None and scope_id not in self._nodes:
             raise UnknownNodeError(scope_id)
-        found = self._outward(self._probe(norm), layer, (scope_id,), constraint)
-        found = self.nearest_first(found, near) if len(found) > 1 else found
+        found = self._outward(self._probe(norm), layer, (scope_id,), None)
+        found = self.nearest_first(found, None) if len(found) > 1 else found
         if memoized:
             self._memo[None, norm, layer] = tuple(n.id for n in found)
         return found

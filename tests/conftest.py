@@ -119,6 +119,28 @@ def scan_resolve_label(graph, label, layer=None, scope_id=None, constraint=None,
     return [n.id for n in sorted(found, key=key)]
 
 
+def scan_resolve_from(graph, anchor_id, label, layer=None, constraint=None):
+    """resolve_from as scans: ``scan_resolve_label`` in each of the
+    anchor's outward scopes (its subtree, its parent's, its room's, then
+    the whole graph) until one has a candidate, nearest the anchor first.
+    The winner's id, or None: the reference."""
+    anchor = graph.get(anchor_id)
+    scopes = []
+    if anchor is not None:
+        scopes.append(anchor.id)
+        parent = graph.parent(anchor.id)
+        if parent is not None:
+            scopes.append(parent.id)
+            if parent.layer > Layer.ROOM:
+                scopes.append(graph.room_of(parent.id).id)
+    near = graph.position_of(anchor_id) if anchor is not None else None
+    for scope in [*scopes, None]:
+        found = scan_resolve_label(graph, label, layer, scope, constraint, near)
+        if found:
+            return found[0]
+    return None
+
+
 def multi_floor_data(seed, floors, **world):
     """A generated world whose rooms are dealt round-robin onto floors f0..fn,
     without the spatial edges (which may not cross floors). The keywords

@@ -22,7 +22,7 @@ from stepqa.agent import (
 from stepqa.dataset import generate_dataset
 from stepqa.environment import AgentPose, Environment, load_world_truth
 from stepqa.llm_planner import ChatPlanner, LookupPlanner
-from stepqa.parsing import TemplateBackend, parse_question
+from stepqa.parsing import GoldBackend, TemplateBackend, parse_question
 from stepqa.patterns import SubGoal, TargetKind, parse_pattern_string, render
 from stepqa.rules import Plan, PlanKind, ResolutionFailure, look_plan, target_expects
 from stepqa.scene_graph import Layer, SceneGraph, labels_match
@@ -401,13 +401,9 @@ class TestRoomLevelAblation:
 
         memoized = episode()
         assert len(resolves) == 4  # room and focus, then both again after the growth
-        # every plan worked out afresh, as without the per-chain look
-        fresh = agent_module.room_level_plan
-        monkeypatch.setattr(
-            agent_module,
-            "room_level_plan",
-            lambda chain, k, graph, pose, slots, look: fresh(chain, k, graph, pose, slots),
-        )
+        # every plan worked out from a fresh look, as without the per-chain look
+        fresh = agent_module.room_look
+        monkeypatch.setattr(agent_module, "room_look", lambda *args: fresh(*args)._replace(size=-1))
         assert golden_text(memoized) == golden_text(episode())
         looks = [e for e in memoized.trace.events if e.action.kind is PlanKind.OBSERVE]
         focus = [e.plan.get("focus") for e in looks]
@@ -459,13 +455,11 @@ class TestPrebuiltLookPlans:
                     want = fresh_look_plan(chain, graph, pose, slots)
                     if want is None:
                         with pytest.raises(ResolutionFailure):
-                            room_level_plan(chain, 0, graph, pose, slots, look)
+                            room_level_plan(look, pose)
                         continue
-                    plan = room_level_plan(chain, 0, graph, pose, slots, look)
+                    plan = room_level_plan(look, pose)
                     assert plan == want, (world.world_id, question, pose.anchor_id)
-                    if plan.kind is not PlanKind.ANSWER:
-                        assert plan is room_level_plan(chain, 0, graph, pose, slots, look)
-                        assert plan is (look.observe if pose.anchor_id == look.room.id else look.move)
+                    assert plan is (look.here if pose.anchor_id == look.room.id else look.away)
                     kinds.add((chain.target_kind, plan.kind))
                     checked += 1
         assert {kind for kind, _ in kinds} == set(TargetKind)
@@ -483,6 +477,17 @@ class ScriptedFallback(LookupPlanner):
         return next(self.plans, Plan(kind=PlanKind.ANSWER, value="not found", tool="fallback"))
 
 
+class TestPlanningDomainError:
+    def test_a_chain_no_rule_can_plan_fails_the_episode(self, demo_truth):
+        # an attribute of a room: attributes live on object layers only
+        r = run_episode(
+            "What color is the kitchen?",
+            Environment(demo_truth),
+            parse_backends=[GoldBackend("V2[kitchen] -> A[color]")],
+        )
+        assert (r.status, r.answer, r.plans) == (EpisodeStatus.FAILED, "not found", 0)
+
+
 class TestAttributeValues:
     """Resolution and a tally decide alike whether a node has a wanted value."""
 
@@ -494,7 +499,8 @@ class TestAttributeValues:
         return load_world_truth(data).graph
 
     def found(self, graph, constraint):
-        resolved = [n.id for n in graph.resolve_label("cup", Layer.SMALL_OBJECT, "f0.kitchen", constraint)]
+        found = graph.resolve_from("f0.kitchen", "cup", Layer.SMALL_OBJECT, constraint)
+        resolved = [found.id] if found is not None else []
         tallied = [n.id for n in tally_matches(graph, "f0.kitchen", SubGoal(Layer.SMALL_OBJECT, "cup", constraint))]
         return resolved, tallied
 

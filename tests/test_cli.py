@@ -136,9 +136,17 @@ class TestValidateWorld:
         assert "Traceback" not in err
 
     def test_broken_json_exits_one(self, tmp_path, capsys):
-        p = tmp_path / "broken.json"
-        p.write_text("{not json")
-        assert main(["validate-world", str(p)]) == EX_ERROR
+        # both commands name the file, for text that is not JSON and for JSON that is not an object
+        for content, message in (
+            ("{not json", "invalid JSON at line 1, column 2: Expecting property name enclosed in double quotes"),
+            ("[1, 2]", "world file must be a JSON object"),
+        ):
+            p = tmp_path / "broken.json"
+            p.write_text(content)
+            assert main(["validate-world", str(p)]) == EX_ERROR
+            assert capsys.readouterr().err == f"invalid: {p}: {message}\n"
+            assert main(["ask", "Where is the phone?", "--world", str(p)]) == EX_ERROR
+            assert capsys.readouterr().err == f"error: {p}: {message}\n"
 
     def test_an_undecodable_world_file_exits_one_without_a_traceback(self, tmp_path, capsys):
         p = tmp_path / "utf16.json"
@@ -169,7 +177,7 @@ class TestUsageErrors:
     def test_the_plan_budget_is_not_a_flag(self, capsys):
         assert self.usage_code(["ask", "Where is the bag?", "--world", DEMO, "--max-plans", "3"]) == EX_USAGE
 
-    @pytest.mark.parametrize("value", ["0", "-1"])
+    @pytest.mark.parametrize("value", ["0", "-1", "²"])
     @pytest.mark.parametrize(
         "flag, argv",
         [

@@ -611,7 +611,8 @@ class TestViewCache:
                 env.pose = AgentPose(anchor_id)
                 want = Environment(fresh)
                 want.pose = AgentPose(anchor_id)
-                assert _shown(env.observe(focus_id)) == _shown(want.observe(focus_id)), (anchor_id, focus_id)
+                look = Plan(kind=PlanKind.OBSERVE, focus_id=focus_id)
+                assert _shown(env.execute(look)) == _shown(want.execute(look)), (anchor_id, focus_id)
 
     def test_focus_outside_the_graph_uses_the_anchor(self, demo_truth):
         assert demo_truth.view("f0.living", "nowhere") is demo_truth.view("f0.living")
@@ -821,12 +822,18 @@ def graph_state(graph):
     nodes = [(n.to_dict(), [c.id for c in graph.children(n.id)]) for n in graph.nodes]
     labels = sorted({"cup", "couch", "table", "unicorn", *(n.label + end for n in graph.nodes for end in ("", "s"))})
     scopes = [None, *(n.id for n in graph.nodes if n.layer <= Layer.BIG_OBJECT)]
-    constraints = [None, *sorted({a for n in graph.nodes for a in n.attributes.items()})[:4]]
+    constraints = sorted({a for n in graph.nodes for a in n.attributes.items()})[:4]
     found = [
-        [n.id for n in graph.resolve_label(label, layer, scope, constraint)]
+        [n.id for n in graph.resolve_label(label, layer, scope)]
         for label in labels
         for layer in (None, Layer.SMALL_OBJECT)
         for scope in scopes[::3]
+    ]
+    constrained = [
+        getattr(graph.resolve_from(anchor, label, layer, constraint), "id", None)
+        for label in labels
+        for layer in (None, Layer.SMALL_OBJECT)
+        for anchor in scopes[1::3]
         for constraint in constraints
     ]
     under = [
@@ -835,7 +842,7 @@ def graph_state(graph):
         for query in (None, *labels[::2])
         for layer in (Layer.BIG_OBJECT, Layer.SMALL_OBJECT)
     ]
-    return nodes, found, under
+    return nodes, found, constrained, under
 
 
 def assert_world_untouched(world, source):

@@ -7,7 +7,7 @@ import pytest
 from stepqa import prompts
 from stepqa.agent import ingest_observation
 from stepqa.environment import AgentPose, load_world_truth
-from stepqa.llm_client import ChatClient, ChatMessage, ChatRequest, ReplayTransport
+from stepqa.llm_client import TRIES, ChatClient, ChatMessage, ChatRequest, ReplayTransport
 from stepqa.llm_planner import (
     CLOSE_RANGE_ATTRIBUTES,
     REMOTE_ATTRIBUTES,
@@ -154,8 +154,12 @@ class TestChatPlanner:
         client = canned_client(
             {("classify_attribute", "attribute: glow\nobject: lamp"): "hard to say"}
         )
-        with pytest.raises(SchemaError):
+        with pytest.raises(SchemaError) as err:
             ChatPlanner(client).classify_attribute("glow", "lamp")
+        assert str(err.value) == (
+            f"classify attribute never validated after {TRIES} tries: unusable perception verdict: 'hard to say'"
+        )
+        assert len(client.transport.log.entries) == TRIES
 
     def test_fallback_accepts_valid_json_plan(self, demo_truth):
         graph = demo_truth.prior_graph()
@@ -220,6 +224,30 @@ class TestChatPlanner:
             ChatPlanner(ListClient()).fallback_plan(graph, pose, frozenset(), "q")
         assert "fallback plan never validated" in str(err.value)
         assert ListClient.calls == 3
+
+    @pytest.mark.parametrize(
+        "reply,refusal",
+        [
+            ({"kind": "MoveTo"}, "MoveTo plan needs a goal string"),
+            ({"kind": "MoveTo", "goal": ""}, "MoveTo plan needs a goal string"),
+            ({"kind": "Observe", "content": 3}, "Observe plan needs content"),
+            ({"kind": "Answer"}, "Answer plan needs a value"),
+            ({"kind": "Jump", "goal": "f0.kitchen"}, "unknown plan kind 'Jump'"),
+        ],
+    )
+    def test_a_malformed_plan_is_asked_again_then_refused(self, demo_truth, reply, refusal):
+        user = json.dumps({"anchor": None, "question": "q", "siblings": []}, sort_keys=True)
+        client = canned_client({("fallback_plan", user): json.dumps(reply)})
+        with pytest.raises(SchemaError) as err:
+            ChatPlanner(client).fallback_plan(demo_truth.prior_graph(), AgentPose("nowhere"), frozenset(), "q")
+        assert str(err.value) == f"fallback plan never validated after {TRIES} tries: {refusal}"
+        assert len(client.transport.log.entries) == TRIES
+
+    @pytest.mark.parametrize("verdict", ["CLOSE_RANGE", "remote or close, hard to say"])
+    def test_a_verdict_that_names_close_range_is_close_range(self, verdict):
+        client = canned_client({("classify_attribute", "attribute: glow\nobject: lamp"): verdict})
+        assert ChatPlanner(client).classify_attribute("glow", "lamp") is PerceptionRange.CLOSE_RANGE
+        assert len(client.transport.log.entries) == 1
 
     def test_fenced_json_is_tolerated(self, demo_truth):
         graph = demo_truth.prior_graph()

@@ -6,7 +6,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from stepqa.agent import ingest_observation, room_level_plan
+from stepqa.agent import ingest_observation, room_level_plan, room_look
 from stepqa.environment import AgentPose, load_world_truth
 from stepqa.llm_planner import LookupPlanner, PerceptionRange
 from stepqa.parsing import TemplateBackend
@@ -20,11 +20,12 @@ from stepqa.rules import (
     move_plan,
     next_plan,
     observation_layer,
+    scope_node,
 )
 from stepqa.scene_graph import Layer, SceneGraph, SceneNode
 from stepqa.worldgen import random_world_data
 
-from conftest import WORLDS, add_small, multi_floor_data, scan_resolve_label
+from conftest import WORLDS, add_small, multi_floor_data, scan_resolve_from, scan_resolve_label
 
 
 def entrance() -> AgentPose:
@@ -217,6 +218,30 @@ class TestRoomQueries:
         assert second.goal_id != first.goal_id
 
 
+class TestScopeNode:
+    @pytest.fixture()
+    def two_kitchens(self, demo_truth):
+        graph = demo_truth.prior_graph()
+        graph.add_node(SceneNode("f0.kitchen2", Layer.ROOM, "kitchen", position=(40.0, 0.0)), "f0")
+        return graph
+
+    @pytest.mark.parametrize(
+        "anchor_id,room_id", [("f0.living", "f0.kitchen"), ("f0.study", "f0.kitchen2"), ("nowhere", "f0.kitchen")]
+    )
+    def test_two_rooms_with_the_chains_label_go_by_the_pose(self, two_kitchens, anchor_id, room_id):
+        chain = parse_pattern_string("V2[kitchen] -> V3[dining table]")
+        assert scope_node(chain, two_kitchens, AgentPose(anchor_id)).id == room_id
+
+    def test_an_unknown_anchor_falls_back_to_the_first_floor(self):
+        graph = load_world_truth(multi_floor_data(3, 2)).prior_graph()
+        chain = parse_pattern_string("V3[table] -> V4[cup]")
+        room = graph.nodes_at(Layer.ROOM)[-1]
+        assert scope_node(chain, graph, AgentPose(room.id)).id == graph.floor_of(room.id).id == "f1"
+        assert scope_node(chain, graph, AgentPose("nowhere")).id == "f0"
+        with pytest.raises(PlanningDomainError, match="no floor"):
+            scope_node(chain, SceneGraph(), AgentPose("nowhere"))
+
+
 class TestResolutionFailures:
     def test_unknown_room_label(self, demo_truth):
         chain = parse_pattern_string("V2[ballroom] -> V3[harpsichord]")
@@ -224,6 +249,13 @@ class TestResolutionFailures:
             next_plan(chain, 0, demo_truth.prior_graph(), entrance())
         assert err.value.label == "ballroom"
         assert err.value.scope == "f0"
+
+    def test_a_room_query_for_a_big_object_the_prior_lacks_is_a_dead_end(self, demo_truth):
+        # the prior knows every big object, so no sweep starts
+        chain = parse_pattern_string("V3[harpsichord] -> V2[?]")
+        with pytest.raises(ResolutionFailure) as err:
+            next_plan(chain, 0, demo_truth.prior_graph(), entrance())
+        assert (err.value.label, err.value.scope) == ("harpsichord", "prior graph")
 
     def test_unknown_support_inside_known_room(self, demo_truth):
         graph = demo_truth.prior_graph()
@@ -332,7 +364,8 @@ class TestPlannerTail:
             lambda pose: next_plan(chain, n - 1, graph, pose, attr_class=attr_class, slots=slots),
             graph,
         )
-        ablated = self.final_look(lambda pose: room_level_plan(chain, n - 1, graph, pose, slots), graph)
+        look = room_look(chain, graph, slots)
+        ablated = self.final_look(lambda pose: room_level_plan(look, pose), graph)
         assert full.expects == ablated.expects
         assert full.expects[0] == {"object": "relation"}.get(kind, kind)
         assert full.advance_to == ablated.advance_to == n
@@ -503,29 +536,6 @@ class TestOutwardSearch:
         assert graph.resolve_from(pose.anchor_id, "sofa", Layer.SMALL_OBJECT) is None
 
 
-def unprobed_resolve(graph, anchor_id, label, layer, constraint=None):
-    """resolve_from without the label probe: ``resolve_label`` in each of
-    the anchor's outward scopes until one has a candidate, then
-    ``nearest_first``: the reference."""
-    anchor = graph.node(anchor_id) if anchor_id in graph else None
-    scopes = []
-    if anchor is not None:
-        scopes.append(anchor.id)
-        parent = graph.parent(anchor.id)
-        if parent is not None:
-            scopes.append(parent.id)
-            if parent.layer > Layer.ROOM:
-                scopes.append(graph.room_of(parent.id).id)
-    scopes.append(None)
-    for scope in scopes:
-        found = graph.resolve_label(label, layer, scope, constraint)
-        if found:
-            break
-    if len(found) > 1:
-        found = graph.nearest_first(found, graph.position_of(anchor_id) if anchor is not None else None)
-    return found[0] if found else None
-
-
 def probe_labels(world):
     """Exact, plural, alias, head-word, multiword, unknown and empty labels:
     every label of the world's nodes, known to the graph yet or not."""
@@ -562,8 +572,8 @@ class TestLabelProbe:
                 for label in labels:
                     for layer in (None, *Layer):
                         for constraint in (None, rng.choice(values)):
-                            want = unprobed_resolve(graph, anchor, label, layer, constraint)
-                            assert graph.resolve_from(anchor, label, layer, constraint) is want, (
+                            want = scan_resolve_from(graph, anchor, label, layer, constraint)
+                            assert graph.resolve_from(anchor, label, layer, constraint) is graph.get(want), (
                                 anchor, label, layer, constraint,
                             )
 

@@ -35,6 +35,7 @@ from conftest import (
     bundled_and_generated_worlds,
     multi_floor_data,
     prior_data,
+    scan_resolve_from,
     scan_resolve_label,
     small_id,
 )
@@ -96,6 +97,11 @@ class TestLabels:
             ("dishes", "dish"),
             ("couches", "couch"),
             ("boxes", "box"),
+            ("watches", "watch"),
+            ("brushes", "brush"),
+            ("dresses", "dress"),
+            ("foxes", "fox"),
+            ("waltzes", "waltz"),
             ("people", "person"),
             ("glasses", "glasses"),
             ("glass", "glass"),
@@ -481,19 +487,17 @@ class TestResolveLabel:
         g = load_world_prior(small_world())
         a = add_small(g, "f0.a.t", "cup", {"color": "white"}, index=0)
         add_small(g, "f0.a.t", "cup", {"color": "blue"}, index=1)
-        got = g.resolve_label("cup", constraint=("color", "White"))
-        assert [n.id for n in got] == [a.id]
+        assert g.resolve_from("f0.a.t", "cup", None, ("color", "White")) is a
 
     def test_constraint_keeps_unverified_candidates_when_none_match(self):
         g = load_world_prior(small_world())
         add_small(g, "f0.a.t", "cup", {"color": "blue"}, index=0)
         unseen = add_small(g, "f0.a.t", "cup", index=1)
-        got = g.resolve_label("cup", constraint=("color", "white"))
-        assert [n.id for n in got] == [unseen.id]
+        assert g.resolve_from("f0.a.t", "cup", None, ("color", "white")) is unseen
 
     def test_near_orders_by_distance(self):
         g = load_world_prior(small_world())
-        got = g.resolve_label("table", near=(6.0, 0.0))
+        got = g.nearest_first(g.resolve_label("table"), (6.0, 0.0))
         assert [n.id for n in got] == ["f0.b.t", "f0.a.t"]
 
 
@@ -667,9 +671,12 @@ def assert_lookups_match_scan(graph, rng):
                 assert graph.has_label(norm, layer) == bool(scan_find_nodes(graph, label, layer))
     for scope in ids:
         label, layer, constraint = rng.choice(labels), rng.choice(LAYERS), rng.choice(constraints)
-        near = rng.choice([None, (rng.uniform(-5, 60), rng.uniform(-5, 5))])
-        got = [n.id for n in graph.resolve_label(label, layer, scope, constraint, near)]
-        assert got == scan_resolve_label(graph, label, layer, scope, constraint, near)
+        got = [n.id for n in graph.resolve_label(label, layer, scope)]
+        assert got == scan_resolve_label(graph, label, layer, scope)
+        # the constrained tiers, and the order by distance, through resolve_from
+        assert graph.resolve_from(scope, label, layer, constraint) is graph.get(
+            scan_resolve_from(graph, scope, label, layer, constraint)
+        )
         for layer_at in Layer:
             for query in (label, None):
                 got = [n.id for n in graph.matches_under(scope, query, layer_at)]
@@ -968,8 +975,6 @@ class TestLabelMemo:
         "label,layer,kwargs",
         [
             ("table", Layer.BIG_OBJECT, {"scope_id": "f0.living"}),
-            ("sofa", Layer.BIG_OBJECT, {"constraint": ("color", "blue")}),
-            ("desk", Layer.BIG_OBJECT, {"near": (6.0, 1.0)}),
             ("book", Layer.SMALL_OBJECT, {}),
             ("sofa", None, {}),
         ],
