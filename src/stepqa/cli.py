@@ -104,20 +104,14 @@ def _cmd_ask(args: argparse.Namespace) -> int:
 
 def _load_world_registry(path: Path) -> dict[str, Any]:
     """Every world under the path by id; two files with one id are refused.
-    An error in one file names that file once."""
+    An error in one file names that file, as load_world_truth words it."""
     files = sorted(path.glob("*.json")) if path.is_dir() else [path]
     if not files:
         raise WorldFormatError(f"no world files under {path}")
     registry = {}
     origin: dict[str, Path] = {}
     for f in files:
-        try:
-            world = load_world_truth(f)
-        except WorldFormatError as exc:
-            message = str(exc)
-            if message.startswith(f"{f}: "):
-                raise
-            raise WorldFormatError(f"{f}: {message}") from exc
+        world = load_world_truth(f)
         if world.world_id in origin:
             raise WorldFormatError(f"world id {world.world_id!r} is in both {origin[world.world_id]} and {f}")
         registry[world.world_id] = world

@@ -47,6 +47,8 @@ _FAMILY_CATEGORY = {
 
 _CONTAINER_RELATION = "in"
 
+_RECORD_FIELDS = ("id", "world_id", "category", "question", "gold_answer", "gold_pattern")
+
 
 class DatasetFormatError(ValueError):
     pass
@@ -63,15 +65,7 @@ class QARecord:
     slots: dict[str, str]
 
     def to_dict(self) -> dict[str, Any]:
-        return {
-            "id": self.id,
-            "world_id": self.world_id,
-            "category": self.category,
-            "question": self.question,
-            "gold_answer": self.gold_answer,
-            "gold_pattern": self.gold_pattern,
-            "slots": self.slots,
-        }
+        return {name: getattr(self, name) for name in (*_RECORD_FIELDS, "slots")}
 
     @classmethod
     def from_dict(cls, data: Any) -> QARecord:
@@ -80,18 +74,16 @@ class QARecord:
         slots = data.get("slots", {})
         if not isinstance(slots, dict):
             raise DatasetFormatError(f"slots must be a JSON object, not {type(slots).__name__}")
-        try:
-            return cls(
-                id=json_text(data["id"], "id", DatasetFormatError),
-                world_id=json_text(data["world_id"], "world_id", DatasetFormatError),
-                category=json_text(data["category"], "category", DatasetFormatError),
-                question=json_text(data["question"], "question", DatasetFormatError),
-                gold_answer=json_text(data["gold_answer"], "gold_answer", DatasetFormatError),
-                gold_pattern=json_text(data["gold_pattern"], "gold_pattern", DatasetFormatError),
-                slots={str(k): json_text(v, f"slot {k!r}", DatasetFormatError) for k, v in slots.items()},
-            )
-        except KeyError as exc:
-            raise DatasetFormatError(f"record missing field {exc.args[0]!r}") from exc
+        texts = []
+        for name in _RECORD_FIELDS:
+            if name not in data:
+                raise DatasetFormatError(f"record missing field {name!r}")
+            value = data[name]
+            texts.append(value if type(value) is str else json_text(value, name, DatasetFormatError))
+        slots = {
+            str(k): v if type(v) is str else json_text(v, f"slot {k!r}", DatasetFormatError) for k, v in slots.items()
+        }
+        return cls(*texts, slots)
 
 
 def default_phrasings() -> dict[str, list[str]]:
@@ -359,13 +351,18 @@ def load_records(path: str | Path) -> list[QARecord]:
         line = exc.object[: exc.start].count(b"\n") + 1
         raise DatasetFormatError(f"{path}: line {line}: not UTF-8 text") from exc
     out: list[QARecord] = []
-    for i, line in enumerate(text.splitlines()):
-        if not line.strip():
-            continue
+    decode = json.JSONDecoder().raw_decode
+    for number, line in enumerate(text.split("\n"), start=1):
         try:
-            out.append(QARecord.from_dict(json.loads(line)))
+            data, end = decode(line)
+        except json.JSONDecodeError:
+            if not line.strip():
+                continue
+            end = -1
+        try:  # json.loads reads whitespace around the value, and words what is wrong
+            out.append(QARecord.from_dict(data if end == len(line) else json.loads(line)))
         except json.JSONDecodeError as exc:
-            raise DatasetFormatError(f"{path}: line {i + 1}: {exc.msg}") from exc
+            raise DatasetFormatError(f"{path}: line {number}: {exc.msg}") from exc
         except DatasetFormatError as exc:
-            raise DatasetFormatError(f"{path}: line {i + 1}: {exc}") from exc
+            raise DatasetFormatError(f"{path}: line {number}: {exc}") from exc
     return out

@@ -55,7 +55,7 @@ import math
 from dataclasses import dataclass
 from pathlib import Path
 from types import MappingProxyType
-from typing import Any, Callable, Mapping, NamedTuple
+from typing import Any, Mapping, NamedTuple
 
 from .parsing import json_text
 from .rules import MOVE_TO, OBSERVE, Plan
@@ -338,73 +338,77 @@ class WorldTruth:
 # -- world files ------------------------------------------------------------
 
 
-def _require(mapping: Any, key: str, where: str) -> Any:
+def _locus(fi: int, ri: int, bi: int, si: int, ei: int) -> str:
+    """Where the entry being read sits, from its index at each level, -1 at a
+    level it is not in: "floors[0].rooms[2]", "spatial_edges[4]" or "world"."""
+    if ei >= 0:
+        return f"spatial_edges[{ei}]"
+    steps = zip(("floors", "rooms", "big_objects", "small_objects"), (fi, ri, bi, si))
+    return ".".join(f"{name}[{i}]" for name, i in steps if i >= 0) or "world"
+
+
+def _require(mapping: Any, key: str) -> Any:
     if not isinstance(mapping, dict):
-        raise WorldFormatError(f"{where}: expected an object")
+        raise WorldFormatError("expected an object")
     if key not in mapping:
-        raise WorldFormatError(f"{where}: missing field {key!r}")
+        raise WorldFormatError(f"missing field {key!r}")
     return mapping[key]
 
 
-def _array(entry: dict[str, Any], key: str, where: str, default: list[Any] | None = None) -> list[Any]:
+def _array(entry: dict[str, Any], key: str, default: list[Any] | None = None) -> list[Any]:
     """The array under the key, which is required unless a default is given."""
-    value = _require(entry, key, where) if default is None else entry.get(key, default)
+    value = _require(entry, key) if default is None else entry.get(key, default)
     if not isinstance(value, list):
-        raise WorldFormatError(f"{where}: {key} must be an array")
+        raise WorldFormatError(f"{key} must be an array")
     return value
 
 
-def _text(entry: dict[str, Any], key: str, where: str, default: str | None = None) -> str:
+def _text(entry: Any, key: str, default: str | None = None) -> str:
     """The text under the key, which is required unless a default is
-    given: a string, or a number read as its text."""
-    value = _require(entry, key, where) if default is None else entry.get(key, default)
-    return json_text(value, f"{where}: {key}", WorldFormatError)
+    given: a string after one type test, or a number read as its text."""
+    value = entry.get(key, default) if isinstance(entry, dict) else None
+    if type(value) is str:
+        return value
+    return json_text(_require(entry, key) if default is None else value, key, WorldFormatError)
 
 
-def _position(value: Any, where: str) -> tuple[float, float]:
+def _position(value: Any) -> tuple[float, float]:
+    """[x, y] in meters: two finite numbers, integers read as floats."""
+    if type(value) is list and len(value) == 2 and type(value[0]) is type(value[1]) is float:
+        if math.isfinite(value[0]) and math.isfinite(value[1]):
+            return (value[0], value[1])
     if (
         not isinstance(value, (list, tuple))
         or len(value) != 2
         or not all(isinstance(v, (int, float)) and not isinstance(v, bool) and math.isfinite(v) for v in value)
     ):
-        raise WorldFormatError(f"{where}: position must be [x, y] in meters")
+        raise WorldFormatError("position must be [x, y] in meters")
     return (float(value[0]), float(value[1]))
 
 
-def _attributes(entry: dict[str, Any], where: str) -> tuple[dict[str, str], frozenset[str]]:
+def _attributes(entry: dict[str, Any]) -> tuple[dict[str, str], frozenset[str]]:
     """An object's attribute map and the names its close_only list hides."""
     attrs = entry.get("attributes", {})
     if not isinstance(attrs, dict):
-        raise WorldFormatError(f"{where}: attributes must be an object")
-    hidden = _array(entry, "close_only", where, [])
-    unknown = [h for h in hidden if not isinstance(h, str) or h not in attrs]
-    if unknown:
-        raise WorldFormatError(f"{where}: close_only names absent attribute {unknown[0]!r}")
-    values = {str(k): json_text(v, f"{where}: attributes.{k}", WorldFormatError) for k, v in attrs.items()}
+        raise WorldFormatError("attributes must be an object")
+    hidden = _array(entry, "close_only", [])
+    for name in hidden:
+        if not isinstance(name, str) or name not in attrs:
+            raise WorldFormatError(f"close_only names absent attribute {name!r}")
+    values = {
+        str(k): v if type(v) is str else json_text(v, f"attributes.{k}", WorldFormatError) for k, v in attrs.items()
+    }
     return values, frozenset(hidden)
 
 
-def _add(where: str, add: Callable[..., Any], *args: Any) -> Any:
-    """Call a graph method; a GraphValidationError it raises (a duplicate
-    id, a bad spatial edge) becomes a WorldFormatError naming the locus."""
-    try:
-        return add(*args)
-    except GraphValidationError as exc:
-        raise WorldFormatError(f"{where}: {exc}") from exc
-
-
-def world_source_path(source: Any) -> Path | None:
-    """The file a world source names; None for a dict."""
-    return Path(source) if isinstance(source, (str, Path)) else None
-
-
-def read_world_source(source: Any) -> dict[str, Any]:
-    """Accept a dict or the path of a JSON file, read as UTF-8."""
+def read_world_source(source: Any) -> tuple[dict[str, Any], Path | None]:
+    """A world's JSON object and the file it was read from: a dict as
+    given (no file), or the path of a JSON file read as UTF-8."""
     if isinstance(source, dict):
-        return source
-    path = world_source_path(source)
-    if path is None:
+        return source, None
+    if not isinstance(source, (str, Path)):
         raise WorldFormatError(f"unsupported world source: {type(source).__name__}")
+    path = Path(source)
     try:
         data = json.loads(path.read_text(encoding="utf-8"))
     except UnicodeDecodeError as exc:
@@ -413,7 +417,7 @@ def read_world_source(source: Any) -> dict[str, Any]:
         raise WorldFormatError(f"{path}: invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
     if not isinstance(data, dict):
         raise WorldFormatError(f"{path}: world file must be a JSON object")
-    return data
+    return data, path
 
 
 def load_world_truth(source: Any) -> WorldTruth:
@@ -424,83 +428,88 @@ def load_world_truth(source: Any) -> WorldTruth:
     join floors, rooms or big objects within one layer. A small object's
     id is made here, as "f0.living.table.cup.1" for the second cup on
     that table. Ids, labels and attribute values are strings or numbers.
-    Raises WorldFormatError naming the first field that is wrong.
+    Raises WorldFormatError naming the first field that is wrong, after
+    the file's path when the world was read from one.
     """
-    data = read_world_source(source)
+    data, path = read_world_source(source)
+    prefix = "" if path is None else f"{path}: "
     graph = SceneGraph()
     close_only: dict[str, frozenset[str]] = {}
     occluded: set[str] = set()
     placement: dict[str, str] = {}
     seen: dict[tuple[str, str], int] = {}
 
-    def instance_index(parent_id: str, label: str) -> int:
+    def instance_index(parent_id: str, norm: str) -> int:
         """The number of earlier siblings with this normalized label."""
-        key = (parent_id, normalize_label(label))
+        key = (parent_id, norm)
         seen[key] = index = seen.get(key, -1) + 1
         return index
 
-    floors = _array(data, "floors", "world")
-    if not floors:
-        raise WorldFormatError("world: floors must be a non-empty array")
-    for fi, floor in enumerate(floors):
-        fwhere = f"floors[{fi}]"
-        fid = _text(floor, "id", fwhere)
-        _add(fwhere, graph.add_node, SceneNode(fid, FLOOR, _text(floor, "label", fwhere, "floor")))
-        for ri, room in enumerate(_array(floor, "rooms", fwhere)):
-            rwhere = f"{fwhere}.rooms[{ri}]"
-            rid = _text(room, "id", rwhere)
-            label = _text(room, "label", rwhere)
-            position = _position(_require(room, "position", rwhere), rwhere)
-            room_node = SceneNode(rid, ROOM, label, instance_index(fid, label), position)
-            _add(rwhere, graph.add_node, room_node, fid)
-            for bi, big in enumerate(_array(room, "big_objects", rwhere)):
-                bwhere = f"{rwhere}.big_objects[{bi}]"
-                bid = _text(big, "id", bwhere)
-                label = _text(big, "label", bwhere)
-                position = _position(_require(big, "position", bwhere), bwhere)
-                attrs, hidden = _attributes(big, bwhere)
-                big_node = SceneNode(bid, BIG_OBJECT, label, instance_index(rid, label), position, attrs)
-                _add(bwhere, graph.add_node, big_node, rid)
-                if hidden:
-                    close_only[bid] = hidden
-                for si, small in enumerate(_array(big, "small_objects", bwhere, [])):
-                    swhere = f"{bwhere}.small_objects[{si}]"
-                    label = _text(small, "label", swhere)
-                    attrs, hidden = _attributes(small, swhere)
-                    index = instance_index(bid, label)
-                    sid = f"{bid}.{normalize_label(label).replace(' ', '_')}.{index}"
-                    node = SceneNode(sid, SMALL_OBJECT, label, index, attributes=attrs)
-                    _add(swhere, graph.add_node, node, bid)
+    fi = ri = bi = si = ei = -1  # the entry being read, by level; see _locus
+    try:
+        floors = _array(data, "floors")
+        if not floors:
+            raise WorldFormatError("floors must be a non-empty array")
+        for fi, floor in enumerate(floors):
+            ri = bi = si = -1
+            fid = _text(floor, "id")
+            graph.add_node(SceneNode(fid, FLOOR, _text(floor, "label", "floor")))
+            for ri, room in enumerate(_array(floor, "rooms")):
+                bi = si = -1
+                rid, label = _text(room, "id"), _text(room, "label")
+                position = _position(_require(room, "position"))
+                graph.add_node(SceneNode(rid, ROOM, label, instance_index(fid, normalize_label(label)), position), fid)
+                for bi, big in enumerate(_array(room, "big_objects")):
+                    si = -1
+                    bid, label = _text(big, "id"), _text(big, "label")
+                    position = _position(_require(big, "position"))
+                    attrs, hidden = _attributes(big)
+                    index = instance_index(rid, normalize_label(label))
+                    graph.add_node(SceneNode(bid, BIG_OBJECT, label, index, position, attrs), rid)
                     if hidden:
-                        close_only[node.id] = hidden
-                    relation = small.get("relation", "on")
-                    if relation not in _SMALL_RELATIONS:
-                        raise WorldFormatError(f"{swhere}: unknown relation {relation!r}")
-                    if relation != "on":
-                        placement[node.id] = str(relation)
-                    hides = small.get("occluded_from_parent", False)
-                    if not isinstance(hides, bool):
-                        raise WorldFormatError(f"{swhere}: occluded_from_parent must be a boolean, not {hides!r}")
-                    if hides:
-                        occluded.add(node.id)
-    for ei, edge in enumerate(_array(data, "spatial_edges", "world", [])):
-        ewhere = f"spatial_edges[{ei}]"
-        a, b, relation = (_text(edge, key, ewhere) for key in ("a", "b", "relation"))
-        for end in (a, b):  # a small object's id is made here, not written in the file
-            if end not in graph or graph.node(end).layer is SMALL_OBJECT:
-                raise WorldFormatError(f"{ewhere}: references unknown node {end!r}")
-        _add(ewhere, graph.add_spatial_edge, a, b, relation)
-    path = world_source_path(source)
-    world_id = _text(data, "id", "world", path.stem if path is not None else "world")
+                        close_only[bid] = hidden
+                    for si, small in enumerate(_array(big, "small_objects", [])):
+                        label = _text(small, "label")
+                        attrs, hidden = _attributes(small)
+                        norm = normalize_label(label)
+                        index = instance_index(bid, norm)
+                        sid = f"{bid}.{norm.replace(' ', '_')}.{index}"
+                        graph.add_node(SceneNode(sid, SMALL_OBJECT, label, index, attributes=attrs), bid)
+                        if hidden:
+                            close_only[sid] = hidden
+                        relation = small.get("relation", "on")
+                        if relation != "on":
+                            if relation not in _SMALL_RELATIONS:
+                                raise WorldFormatError(f"unknown relation {relation!r}")
+                            placement[sid] = str(relation)
+                        hides = small.get("occluded_from_parent", False)
+                        if not isinstance(hides, bool):
+                            raise WorldFormatError(f"occluded_from_parent must be a boolean, not {hides!r}")
+                        if hides:
+                            occluded.add(sid)
+        fi = ri = bi = si = -1  # the edges and the id are read at the world's level
+        for ei, edge in enumerate(_array(data, "spatial_edges", [])):
+            a, b, relation = _text(edge, "a"), _text(edge, "b"), _text(edge, "relation")
+            for end in (a, b):  # a small object's id is made here, not written in the file
+                if end not in graph or graph.node(end).layer is SMALL_OBJECT:
+                    raise WorldFormatError(f"references unknown node {end!r}")
+            graph.add_spatial_edge(a, b, relation)
+        ei = -1
+        world_id = _text(data, "id", "world" if path is None else path.stem)
+    except (WorldFormatError, GraphValidationError) as exc:  # a duplicate id or a bad edge is a GraphValidationError
+        raise WorldFormatError(f"{prefix}{_locus(fi, ri, bi, si, ei)}: {exc}") from exc
     entrance = data.get("entrance")
-    return WorldTruth(
-        graph,
-        world_id=world_id,
-        entrance=str(entrance) if entrance is not None else None,
-        close_only=close_only,
-        occluded=occluded,
-        placement=placement,
-    )
+    try:
+        return WorldTruth(
+            graph,
+            world_id=world_id,
+            entrance=str(entrance) if entrance is not None else None,
+            close_only=close_only,
+            occluded=occluded,
+            placement=placement,
+        )
+    except WorldFormatError as exc:  # the entrance names no node
+        raise WorldFormatError(f"{prefix}{exc}") from exc
 
 
 def load_world_prior(source: Any) -> SceneGraph:

@@ -191,7 +191,7 @@ class ReplayTransport:
         (or the entry's place in the list), and a refused load adds nothing."""
         if isinstance(fixtures, (str, Path)):
             try:
-                lines = Path(fixtures).read_text(encoding="utf-8").splitlines()
+                lines = Path(fixtures).read_text(encoding="utf-8").split("\n")
             except UnicodeDecodeError as exc:
                 raise ValueError(f"{fixtures}: not UTF-8 text at byte {exc.start}") from exc
             entries = []

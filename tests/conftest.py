@@ -157,7 +157,7 @@ def multi_floor_data(seed, floors, **world):
 def prior_data(source):
     """A world file cut down to the prior schema: its big objects without
     small objects, attributes or close_only lists."""
-    data = copy.deepcopy(read_world_source(source))
+    data = copy.deepcopy(read_world_source(source)[0])
     for floor in data["floors"]:
         for room in floor["rooms"]:
             for big in room["big_objects"]:

@@ -122,7 +122,7 @@ class TestValidateWorld:
         p.write_text(json.dumps(data))
         assert main(["validate-world", str(p)]) == EX_ERROR
         err = capsys.readouterr().err
-        assert err.startswith("invalid: floors[0].rooms[1].big_objects[0]: duplicate node id: f0.living.table")
+        assert err.startswith(f"invalid: {p}: floors[0].rooms[1].big_objects[0]: duplicate node id: f0.living.table")
         assert "Traceback" not in err
 
     def test_a_string_occlusion_flag_exits_one_without_a_traceback(self, tmp_path, capsys):
@@ -132,14 +132,16 @@ class TestValidateWorld:
         p.write_text(json.dumps(data))
         assert main(["validate-world", str(p)]) == EX_ERROR
         err = capsys.readouterr().err
-        assert err.startswith("invalid: floors[0].rooms[0].big_objects[0].small_objects[0]: occluded_from_parent")
+        assert err.startswith(f"invalid: {p}: floors[0].rooms[0].big_objects[0].small_objects[0]: occluded_from_parent")
         assert "Traceback" not in err
 
     def test_broken_json_exits_one(self, tmp_path, capsys):
-        # both commands name the file, for text that is not JSON and for JSON that is not an object
+        # both commands name the file once, for text that is not JSON, for JSON that is not an
+        # object and for a field error
         for content, message in (
             ("{not json", "invalid JSON at line 1, column 2: Expecting property name enclosed in double quotes"),
             ("[1, 2]", "world file must be a JSON object"),
+            ('{"id": "w"}', "world: missing field 'floors'"),
         ):
             p = tmp_path / "broken.json"
             p.write_text(content)

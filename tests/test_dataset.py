@@ -287,14 +287,56 @@ class TestFiles:
             load_records(p)
         assert str(err.value).startswith(f"{p}: line 2: ")
 
-    def test_null_is_rejected_by_name_and_numbers_read_as_text(self, records):
+    @pytest.mark.parametrize(
+        "change,message",
+        [
+            ({"gold_answer": None}, "gold_answer must be a string or a number, not null"),
+            ({"id": True}, "id must be a string or a number, not bool"),
+            ({"question": ["what"]}, "question must be a string or a number, not list"),
+            ({"slots": {"room": None}}, "slot 'room' must be a string or a number, not null"),
+            ({"slots": {"room": False}}, "slot 'room' must be a string or a number, not bool"),
+            ({"slots": {"room": ["den"]}}, "slot 'room' must be a string or a number, not list"),
+            # the first field in record order that is wrong is named, missing or not
+            ({"world_id": None, "category": "DELETE"}, "world_id must be a string or a number, not null"),
+            ({"world_id": "DELETE", "category": None}, "record missing field 'world_id'"),
+        ],
+    )
+    def test_a_value_that_is_not_text_is_rejected_by_name(self, records, change, message):
+        data = {**records[0].to_dict(), **change}
+        data = {k: v for k, v in data.items() if v != "DELETE"}
+        with pytest.raises(DatasetFormatError, match=f"^{re.escape(message)}$"):
+            QARecord.from_dict(data)
+
+    def test_numbers_read_as_text_and_strings_pass_unchanged(self, records):
         good = records[0].to_dict()
-        with pytest.raises(DatasetFormatError, match="^gold_answer must be a string or a number, not null$"):
-            QARecord.from_dict({**good, "gold_answer": None})
-        with pytest.raises(DatasetFormatError, match="^slot 'room' must be a string or a number, not null$"):
-            QARecord.from_dict({**good, "slots": {"room": None}})
-        record = QARecord.from_dict({**good, "gold_answer": 3, "slots": {"count": 2.5}})
-        assert (record.gold_answer, record.slots) == ("3", {"count": "2.5"})
+        record = QARecord.from_dict({**good, "world_id": 7, "gold_answer": 3, "slots": {"count": 2.5, "room": "den"}})
+        assert (record.world_id, record.gold_answer) == ("7", "3")
+        assert record.slots == {"count": "2.5", "room": "den"}
+        assert QARecord.from_dict(good).to_dict() == good
+
+    def test_whitespace_around_a_line_crlf_endings_and_blank_lines_are_read(self, records, tmp_path):
+        first, second = (json.dumps(r.to_dict(), sort_keys=True) for r in records[:2])
+        p = tmp_path / "data.jsonl"
+        p.write_bytes(f"  {first} \t\r\n\r\n   \n{second}\r\n\n".encode())
+        assert [r.to_dict() for r in load_records(p)] == [r.to_dict() for r in records[:2]]
+
+    def test_a_line_with_two_values_is_refused_by_its_number(self, records, tmp_path):
+        good = json.dumps(records[0].to_dict(), sort_keys=True)
+        p = tmp_path / "data.jsonl"
+        p.write_text(f"{good}\n\n{good} {good}\n")
+        with pytest.raises(DatasetFormatError, match=f"^{re.escape(str(p))}: line 3: Extra data$"):
+            load_records(p)
+
+    @pytest.mark.parametrize("separator", ["\u2028", "\u2029", "\u0085"], ids=["LS", "PS", "NEL"])
+    def test_a_unicode_line_separator_inside_a_string_stays_in_its_line(self, records, tmp_path, separator):
+        # JSON allows these raw inside a string, and json.dumps(ensure_ascii=False) writes them so
+        record = {**records[0].to_dict(), "question": f"Is it{separator}here?"}
+        p = tmp_path / "data.jsonl"
+        p.write_text(json.dumps(record, ensure_ascii=False) + "\n", encoding="utf-8")
+        assert [r.to_dict() for r in load_records(p)] == [record]
+        p.write_text(json.dumps(record, ensure_ascii=False) + "\nnot json\n", encoding="utf-8")
+        with pytest.raises(DatasetFormatError, match=f"^{re.escape(str(p))}: line 2: Expecting value$"):
+            load_records(p)
 
 
 def test_default_phrasings_cover_the_families():

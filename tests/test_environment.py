@@ -516,6 +516,19 @@ LOADER_REJECTIONS = {
         lambda d: _big(d)["small_objects"][0]["attributes"].update(color=["a", "b"]),
         f"{_BIG0}.small_objects[0]: attributes.color must be a string or a number, not list",
     ),
+    "boolean_world_id": (lambda d: d.update(id=True), "world: id must be a string or a number, not bool"),
+    "array_floor_label": (
+        lambda d: d["floors"][0].update(label=["ground"]),
+        "floors[0]: label must be a string or a number, not list",
+    ),
+    "null_small_label": (
+        lambda d: _big(d)["small_objects"][0].update(label=None),
+        f"{_BIG0}.small_objects[0]: label must be a string or a number, not null",
+    ),
+    "null_edge_end": (
+        lambda d: d["spatial_edges"][0].update(a=None),
+        "spatial_edges[0]: a must be a string or a number, not null",
+    ),
     "null_room_id": (
         lambda d: d["floors"][0]["rooms"][1].update(id=None),
         "floors[0].rooms[1]: id must be a string or a number, not null",
@@ -535,6 +548,14 @@ LOADER_REJECTIONS = {
     "infinite_big_position": (
         lambda d: _big(d, 1, 1).update(position=[math.inf, 0.0]),
         "floors[0].rooms[1].big_objects[1]: position must be [x, y] in meters",
+    ),
+    "close_only_names_a_missing_attribute": (
+        lambda d: _big(d).update(close_only=["weight"]),
+        f"{_BIG0}: close_only names absent attribute 'weight'",
+    ),
+    "infinite_position_after_an_integer": (
+        lambda d: d["floors"][0]["rooms"][0].update(position=[1, math.inf]),
+        "floors[0].rooms[0]: position must be [x, y] in meters",
     ),
     "close_only_names_an_array": (
         lambda d: _big(d).update(close_only=[["material"]]),
@@ -560,7 +581,7 @@ LOADER_REJECTIONS = {
 
 
 @pytest.mark.parametrize("case", sorted(LOADER_REJECTIONS))
-def test_the_loader_names_where_a_world_file_breaks(case, demo_path):
+def test_the_loader_names_where_a_world_file_breaks(case, demo_path, tmp_path):
     from stepqa.scene_graph import WorldFormatError
 
     breaks, locus = LOADER_REJECTIONS[case]
@@ -569,15 +590,43 @@ def test_the_loader_names_where_a_world_file_breaks(case, demo_path):
     with pytest.raises(WorldFormatError) as caught:
         load_world_truth(data)
     assert locus in str(caught.value)
+    # read from a file, the same error names the file once, in front
+    p = tmp_path / "broken.json"
+    p.write_text(json.dumps(data))
+    with pytest.raises(WorldFormatError) as from_file:
+        load_world_truth(p)
+    assert str(from_file.value) == f"{p}: {caught.value}"
 
 
 def test_the_loader_reads_a_number_as_its_text(demo_path):
     data = json.loads(demo_path.read_text())
+    data.update(id=5)
+    data["floors"][0].update(label=0)
+    data["floors"][0]["rooms"][0].update(label=12.5)
     _big(data).update(attributes={"color": "brown", "material": 3, "height": 0.5})
     _big(data)["small_objects"][0].update(label=42)
-    graph = load_world_truth(data).graph
+    world = load_world_truth(data)
+    graph = world.graph
+    assert (world.world_id, graph.node("f0").label, graph.node("f0.living").label) == ("5", "0", "12.5")
     assert graph.node("f0.living.table").attributes == {"color": "brown", "material": "3", "height": "0.5"}
     assert graph.node("f0.living.table.42.0").label == "42"
+
+
+@pytest.mark.parametrize("position", [[3, 4], [3, 4.0], [3.0, 4], [3.0, 4.0], [-0.0, 1e300]])
+def test_a_position_is_read_as_two_floats(demo_path, position):
+    data = json.loads(demo_path.read_text())
+    data["floors"][0]["rooms"][0].update(position=position)
+    _big(data).update(position=position)
+    graph = load_world_truth(data).graph
+    for node_id in ("f0.living", "f0.living.table"):
+        read = graph.node(node_id).position
+        assert read == tuple(position) and all(type(v) is float for v in read)
+
+
+def test_close_only_keeps_the_attributes_it_names(demo_path):
+    data = json.loads(demo_path.read_text())
+    _big(data).update(attributes={"color": "brown", "material": "oak"}, close_only=["material"])
+    assert load_world_truth(data).close_only["f0.living.table"] == frozenset({"material"})
 
 
 VIEW_WORLDS = ["demo_house.json", "clutter_clear.json", "clutter_occluded.json", "random"]

@@ -195,6 +195,16 @@ class TestReplayTransport:
         with pytest.raises(ValueError, match=f"^{re.escape(str(p))}: line 2: {re.escape(message)}"):
             ReplayTransport(p)
 
+    def test_a_unicode_line_separator_inside_a_fixture_string_stays_in_its_line(self, tmp_path):
+        req = make_request()
+        entry = {"digest": request_digest(req), "response": "one\u2028two\u2029three\u0085four"}
+        p = tmp_path / "fixtures.jsonl"
+        p.write_text(json.dumps(entry, ensure_ascii=False) + "\nnot json\n", encoding="utf-8")
+        with pytest.raises(ValueError, match=f"^{re.escape(str(p))}: line 2: not JSON"):
+            ReplayTransport(p)
+        p.write_text(json.dumps(entry, ensure_ascii=False) + "\n", encoding="utf-8")
+        assert ReplayTransport(p).complete(req).content == entry["response"]
+
     def test_a_fixture_entry_without_a_digest_is_refused_by_place(self):
         with pytest.raises(ValueError, match='^entry 2: an entry needs "digest" and "response"$'):
             ReplayTransport([{"digest": "d1", "response": "first"}, {"response": "second"}])
