@@ -1,16 +1,17 @@
 """The episode loop: a question goes in, a traced answer comes out.
 
-One episode grows its own overlay of the prior graph from
-observations. The overlay shares the nodes and the label index of a
-template each world builds once, on its first episode, and keeps only
-what the episode adds or writes. A node object is never written once it
-is in a graph: a write puts a new node in its place. A world's graph
-must stay fixed while episodes run. Each anchor's view is folded in
-once, unless that fold left something out. Planning, acting and
-feedback checking alternate until the chain is exhausted, the plan
-budget runs out, or the fallback gives up.
-Every plan and observation lands in the trace, so an episode can be
-replayed or audited after the fact.
+One episode grows its own overlay of the prior graph from observations.
+The overlay shares the nodes and the label index of a template each
+world builds once, on its first episode, and keeps only what the episode
+adds or writes. A node object is never written once it is in a graph: a
+write puts a new node in its place. A world's graph must stay fixed
+while episodes run. Each anchor's view is folded in once, unless that
+fold left something out. Planning, acting and feedback checking
+alternate until the answer is read, the plan budget runs out, or the
+fallback gives up. A final look succeeds exactly when ``extract_answer``
+reads the answer off it, any other plan when it passes
+``check_feedback``. Every plan and observation lands in the trace, so an
+episode can be replayed or audited after the fact.
 """
 
 from __future__ import annotations
@@ -48,13 +49,13 @@ from .rules import (
     move_plan,
     next_plan,
     scope_node,
-    target_expects,
 )
 from .scene_graph import ROOM, SceneGraph, SceneNode, has_value, labels_match
 # perfbench/spans.py counts label normalization by wrapping this module's name.
 from .scene_graph import normalize_label  # noqa: F401
 
-# Feedback retries per subgoal before the fallback planner takes over.
+# Failed plans in a row (failed moves, final looks that yielded no
+# answer) that the fallback planner lets pass before it takes over.
 RETRIES = 2
 
 
@@ -221,34 +222,21 @@ def ingest_observation(graph: SceneGraph, obs: Observation) -> bool:
 
 
 def check_feedback(plan: Plan, obs: Observation, graph: SceneGraph) -> bool:
-    """First-pass success check for an executed plan.
+    """First-pass success check for an executed move; any other plan
+    passes it, and a final look is not checked with it.
 
     Move feedback compares raw labels only; it deliberately knows nothing
     about synonyms, so a move that lands on an aliased label fails here
     and is rescued by the secondary check.
     """
-    if plan.kind is MOVE_TO:
-        if obs.move_failed:
-            return False
-        if not plan.goal_label:
-            return True
-        anchor = graph.get(obs.anchor_id)
-        return anchor is not None and (anchor.label == plan.goal_label or labels_match(plan.goal_label, anchor.label))
-    if plan.kind is OBSERVE:
-        if plan.expects is None:
-            return True
-        what, name = plan.expects
-        if what == "attribute":
-            focus = plan.focus_id or obs.anchor_id
-            if name in obs.revealed.get(focus, {}):
-                return True
-            node = graph.get(focus)
-            return node is not None and name in node.attributes
-        if what == "relation":
-            return bool(obs.relations) if name is None else name in obs.relations
-        # count and existence observations always settle by tallying
+    if plan.kind is not MOVE_TO:
         return True
-    return True
+    if obs.move_failed:
+        return False
+    if not plan.goal_label:
+        return True
+    anchor = graph.get(obs.anchor_id)
+    return anchor is not None and (anchor.label == plan.goal_label or labels_match(plan.goal_label, anchor.label))
 
 
 def secondary_perception(plan: Plan, obs: Observation, graph: SceneGraph) -> bool:
@@ -303,19 +291,17 @@ def extract_answer(
         attr = chain.steps[-1].queried_attribute or ""
         focus = plan.focus_id or obs.anchor_id
         value = obs.revealed.get(focus, {}).get(attr)
-        if value is None and focus in graph:
-            value = graph.node(focus).attributes.get(attr)
+        if value is None and (node := graph.get(focus)) is not None:
+            value = node.attributes.get(attr)
         return value
     if kind is OBJECT_TARGET:
+        # a view shows only the anchor's children, all one layer below it
+        if obs.anchor_layer != chain.steps[-1].layer - 1:
+            return None
         relation = slots.get("relation")
-        target_layer = chain.steps[-1].layer
         labels: list[str] = []
         for v in obs.visible:
-            if v.node_id == obs.anchor_id or v.relation == "here":
-                continue
-            if v.layer is not target_layer:
-                continue
-            if relation is not None and v.relation != relation:
+            if v.relation == "here" or (relation is not None and v.relation != relation):
                 continue
             if v.label not in labels:
                 labels.append(v.label)
@@ -382,7 +368,7 @@ def room_look(chain: PatternChain, graph: SceneGraph, slots: dict[str, str]) -> 
         return RoomLook(len(graph), None, None, None)
     focus_label = slots.get("object") or slots.get("support")
     found = graph.resolve_label(focus_label, scope_id=room.id) if focus_label else []
-    observe = Plan(OBSERVE, None, None, None, None, found[0].id if found else None, None, n, target_expects(chain, slots))
+    observe = Plan(OBSERVE, None, None, None, None, found[0].id if found else None, None, n)
     return RoomLook(len(graph), room, move_plan(room, advance_to=n - 1), observe)
 
 
@@ -502,7 +488,6 @@ def run_episode(
                         env.pose,
                         attr_class=attr_class,
                         explored=explored,
-                        slots=slots,
                         constraint_class=constraint_class,
                     )
             except ResolutionFailure:
@@ -513,12 +498,6 @@ def run_episode(
                 break
         t += 1
 
-        subquestion: str | None = None
-        if plan.kind is OBSERVE and plan.advance_to == n:
-            if final_subquestion is None:
-                final_subquestion = planner.simplify_question(question, chain, k, slots)
-            subquestion = final_subquestion
-
         if plan.kind is ANSWER:
             # nothing reads the graph after an answer, so its echo is only traced
             trace.events.append(TraceEvent(t, k, plan, env.observe(), True))
@@ -526,30 +505,34 @@ def run_episode(
                 outcome = (plan.value or "not found", ANSWERED)
             break
 
+        final = plan.kind is OBSERVE and plan.advance_to == n
+        if final and final_subquestion is None:
+            final_subquestion = planner.simplify_question(question, chain, k, slots)
+        subquestion = final_subquestion if final else None
+
         obs = env.execute(plan)
         if obs.anchor_id not in folded and ingest_observation(graph, obs):
             folded.add(obs.anchor_id)
-        ok = check_feedback(plan, obs, graph)
         secondary = False
-        if not ok and plan.kind is MOVE_TO and not obs.move_failed:
-            secondary = secondary_perception(plan, obs, graph)
-            ok = ok or secondary
+        if final:
+            value = extract_answer(chain, slots, plan, obs, graph)
+            ok = value is not None
+        else:
+            ok = check_feedback(plan, obs, graph)
+            if not ok and not obs.move_failed:  # a move that landed elsewhere
+                secondary = ok = secondary_perception(plan, obs, graph)
         trace.events.append(TraceEvent(t, k, plan, obs, ok, secondary, subquestion))
         if plan.kind is MOVE_TO and not obs.move_failed and env.pose.anchor_id not in explored:
             explored = explored | {env.pose.anchor_id}
 
         if ok:
-            step_retries = 0
-            if plan.tool == "fallback" or plan.advance_to is None:
-                continue
-            if plan.advance_to < n:
-                k = plan.advance_to
-                continue
-            value = extract_answer(chain, slots, plan, obs, graph)
-            if value is not None:
+            if final:
                 outcome = (value, ANSWERED)
                 break
-        # a failed check, or a final look that did not yield the answer
+            step_retries = 0
+            if plan.tool != "fallback" and plan.advance_to is not None:
+                k = plan.advance_to
+            continue
         step_retries += 1
         if step_retries > RETRIES:
             step_retries = 0

@@ -15,7 +15,7 @@ from typing import Any
 
 from .agent import ANSWERED, NOT_FOUND, AgentConfig, run_episode
 from .dataset import DatasetFormatError, generate_dataset, load_records, save_records
-from .environment import Environment, load_world_prior, load_world_truth
+from .environment import Environment, check_prior, load_world_truth
 from .evaluation import MockJudge, format_report, run_benchmark, save_report
 from .scene_graph import BIG_OBJECT, FLOOR, ROOM, SMALL_OBJECT, WorldFormatError
 from .worldgen import random_world_data
@@ -173,7 +173,7 @@ def _cmd_validate_world(args: argparse.Namespace) -> int:
     try:
         world = load_world_truth(args.path)
         if args.strict_prior:
-            load_world_prior(args.path)
+            check_prior(world.graph, args.path)
     except (WorldFormatError, OSError) as exc:
         print(f"invalid: {exc}", file=sys.stderr)
         return EX_ERROR

@@ -28,24 +28,21 @@ An observation is a view: what one anchor shows, with relations taken to
 one reference node. Each view is built once per world, and every
 observation of that anchor and reference is that very record, across
 episodes and threads; only a failed move's observation is a copy, marked
-as failed. A view carries the set of the relations its visible nodes
-hold to its reference, built once with it, so a relation look's feedback
-is a set probe; a perception filter that edits a view's visible nodes
-must rebuild that set. The anchor's own view (reference = anchor) holds
-the parts every view of the anchor shares: the revealed attributes and
-the fold. A fold is what the view adds to an agent's graph, as prebuilt
-nodes the graph takes by reference in one ``SceneGraph.fold_in`` call
-(see ``Fold`` and ``agent.ingest_observation``). A big object's fold
-carries its small objects as a prebuilt ``NodeBatch``: checked once per
-world and grouped for the label index, so a graph adopts them with a
-check of its own ids and parent and a few map updates. Each revealed
-node is paired, once per world, with the two prebuilt nodes it may stand
-in for: the prior template's node, and the node the parent anchor's view
-adopts or reveals for its id. A graph that still holds either one swaps
-it out without comparing the two. An observation carries no step number;
-the trace event that holds it does. A world's graph must therefore not
-be mutated after its first episode: views built before the change would
-not see it.
+as failed. A view shows only its anchor's children, one layer below it.
+The anchor's own view (reference = anchor) holds the parts every view of
+the anchor shares: the revealed attributes and the fold. A fold is what
+the view adds to an agent's graph, as prebuilt nodes the graph takes by
+reference in one ``SceneGraph.fold_in`` call (see ``Fold`` and
+``agent.ingest_observation``). A big object's fold carries its small
+objects as a prebuilt ``NodeBatch``: checked once per world and grouped
+for the label index, so a graph adopts them with a check of its own ids
+and parent and a few map updates. Each revealed node is paired, once per
+world, with the two prebuilt nodes it may stand in for: the prior
+template's node, and the node the parent anchor's view adopts or reveals
+for its id. A graph that still holds either one swaps it out without
+comparing the two. An observation carries no step number; the trace
+event that holds it does. A world's graph must therefore not be mutated
+after its first episode: views built before the change would not see it.
 """
 
 from __future__ import annotations
@@ -137,9 +134,8 @@ class Observation(NamedTuple):
     memoizes, shared by every observation of it, or for a failed move a
     copy of it with ``move_failed`` set. ``revealed`` is read-only at both
     levels, because every view of the anchor shares it, as they share
-    its ``fold``. ``relations``, built with the view, is the set of the
-    relations the ``visible`` nodes hold to the reference; a perception
-    filter that edits ``visible`` must rebuild it. The step is the
+    its ``fold``. ``visible`` holds the anchor's children only, each with
+    the relation it holds to the view's reference. The step is the
     trace's: ``to_dict`` takes it."""
 
     anchor_id: str
@@ -147,7 +143,6 @@ class Observation(NamedTuple):
     visible: tuple[VisibleNode, ...]
     revealed: Mapping[str, Mapping[str, str]]
     fold: Fold
-    relations: frozenset[str | None]
     move_failed: bool = False
 
     def to_dict(self, step: int = 0) -> dict[str, Any]:
@@ -243,7 +238,7 @@ class WorldTruth:
                 return self.graph.spatial_relation(node_id, reference_id)
 
             visible = tuple(VisibleNode(v.node_id, v.label, v.layer, relation(v.node_id)) for v in own.visible)
-            view = own._replace(visible=visible, relations=frozenset(v.relation for v in visible))
+            view = own._replace(visible=visible)
         return self._views.setdefault(key, view)
 
     def _anchor_view(self, anchor: SceneNode) -> Observation:
@@ -295,8 +290,7 @@ class WorldTruth:
         batch = NodeBatch.under(anchor, adopted) if adopted else None
         shown = () if big else tuple(c.id for c in children)
         fold = Fold(batch, tuple(with_values), replaces, also_replaces, shown)
-        relations = frozenset(v.relation for v in visible)
-        return Observation(anchor.id, anchor.layer, visible, MappingProxyType(revealed), fold, relations)
+        return Observation(anchor.id, anchor.layer, visible, MappingProxyType(revealed), fold)
 
     def _template(self) -> SceneGraph:
         template = self._prior_template
@@ -513,16 +507,21 @@ def load_world_truth(source: Any) -> WorldTruth:
 
 
 def load_world_prior(source: Any) -> SceneGraph:
-    """Load a prior world file: what the agent knows before looking.
-
-    It is read as any world file, then refused, naming the first node,
-    if it holds a small object or an attribute value.
-    """
+    """Load a prior world file, what the agent knows before looking: a
+    world file that passes ``check_prior``."""
     graph = load_world_truth(source).graph
+    check_prior(graph, source)
+    return graph
+
+
+def check_prior(graph: SceneGraph, source: Any) -> None:
+    """Refuse a world read from source as a prior, naming the file, when
+    it was read from one, and the first node that holds a small object or
+    an attribute value."""
+    prefix = "" if isinstance(source, dict) else f"{Path(source)}: "
     for node in graph.nodes:
         if node.layer is SMALL_OBJECT or node.attributes:
-            raise WorldFormatError(f"{node.id}: prior files cannot carry small objects or attribute values")
-    return graph
+            raise WorldFormatError(f"{prefix}{node.id}: prior files cannot carry small objects or attribute values")
 
 
 class MoveError(ValueError):

@@ -12,8 +12,8 @@ next_plan walks a question chain one subgoal at a time against the
 agent's current graph and pose, emitting MoveTo, Observe or Answer
 plans. A chain whose target needs a look ends the same way whatever its
 kind: move to a node at the layer the rule table names and observe
-(look_plan), expecting what target_expects says the look must reveal.
-It never plans below that layer for the final look.
+(look_plan), a final look that succeeds when the agent reads the answer
+off it. It never plans below that layer for the final look.
 """
 
 from __future__ import annotations
@@ -65,12 +65,11 @@ class ResolutionFailure(Exception):
 class Plan(NamedTuple):
     """One planned action, an immutable record.
 
-    advance_to and expects are planner bookkeeping: the subgoal index
-    reached if the plan succeeds, and what the observation must reveal
-    for feedback to count it as a success. The subgoal a plan was made
-    for, and the subquestion a final look asks, belong to the trace
-    event that executes it, which hands both to ``to_dict`` when the
-    trace is read.
+    advance_to is planner bookkeeping: the subgoal index reached if the
+    plan succeeds, the chain's length for its final look. The subgoal a
+    plan was made for, and the subquestion a final look asks, belong to
+    the trace event that executes it, which hands both to ``to_dict``
+    when the trace is read.
     """
 
     kind: PlanKind
@@ -81,7 +80,6 @@ class Plan(NamedTuple):
     focus_id: str | None = None
     value: str | None = None
     advance_to: int | None = None
-    expects: tuple[str, str | None] | None = None
     tool: str = "rules"
 
     def to_dict(self, step_index: int = 0, content: str | None = None) -> dict[str, Any]:
@@ -157,7 +155,7 @@ def move_plan(
 ) -> Plan:
     """A MoveTo plan to a known node, its goal label the node's unless given."""
     goal_label = node.label if label is None else label
-    return Plan(MOVE_TO, node.id, node.layer, goal_label, None, None, None, advance_to, None, tool)
+    return Plan(MOVE_TO, node.id, node.layer, goal_label, None, None, None, advance_to, tool)
 
 
 def _sweep_move(
@@ -199,22 +197,10 @@ def chain_has_support(chain: PatternChain) -> bool:
 # -- the planner ------------------------------------------------------------
 
 
-def target_expects(chain: PatternChain, slots: dict[str, str]) -> tuple[str, str | None]:
-    """What the final look at the chain's target must reveal for feedback
-    to count it a success."""
-    target = chain.steps[-1]
-    if chain.target_kind is ATTRIBUTE_TARGET:
-        return ("attribute", target.queried_attribute)
-    if chain.target_kind is OBJECT_TARGET:
-        return ("relation", slots.get("relation"))
-    return (chain.target_kind.value, target.label)
-
-
 def look_plan(
     pose: AgentPose,
     stand: SceneNode,
     focus_id: str | None,
-    expects: tuple[str, str | None],
     n: int,
     label: str | None = None,
 ) -> Plan:
@@ -226,7 +212,7 @@ def look_plan(
     """
     if pose.anchor_id != stand.id:
         return move_plan(stand, label, advance_to=n - 1)
-    return Plan(OBSERVE, None, None, None, None, focus_id, None, n, expects)
+    return Plan(OBSERVE, None, None, None, None, focus_id, None, n)
 
 
 def _resolve_step(graph: SceneGraph, pose: AgentPose, step: SubGoal) -> SceneNode:
@@ -243,7 +229,6 @@ def next_plan(
     pose: AgentPose,
     attr_class: PerceptionRange | None = None,
     explored: frozenset[str] = frozenset(),
-    slots: dict[str, str] | None = None,
     constraint_class: PerceptionRange | None = None,
 ) -> Plan:
     """Plan for subgoal k of the chain given graph knowledge and pose.
@@ -268,10 +253,9 @@ def next_plan(
         step = chain.steps[k]
         return move_plan(_resolve_step(graph, pose, step), step.label, advance_to=k + 1)
 
-    expects = target_expects(chain, slots or {})
     if chain.target_kind is ATTRIBUTE_TARGET:
-        return _attribute_target_plan(chain, graph, pose, attr_class, expects, explored)
-    return _object_target_plan(chain, graph, pose, constraint_class, expects, explored)
+        return _attribute_target_plan(chain, graph, pose, attr_class, explored)
+    return _object_target_plan(chain, graph, pose, constraint_class, explored)
 
 
 def _attribute_target_plan(
@@ -279,7 +263,6 @@ def _attribute_target_plan(
     graph: SceneGraph,
     pose: AgentPose,
     attr_class: PerceptionRange | None,
-    expects: tuple[str, str | None],
     explored: frozenset[str],
 ) -> Plan:
     """Stand at the object itself or at its parent, as the rule table
@@ -296,7 +279,7 @@ def _attribute_target_plan(
     stand = obj if stand_layer is obj.layer else graph.parent(obj.id)
     if stand is None:
         raise ResolutionFailure(obj_step.label or "?", "containment")
-    return look_plan(pose, stand, obj.id, expects, len(chain.steps))
+    return look_plan(pose, stand, obj.id, len(chain.steps))
 
 
 def _object_target_plan(
@@ -304,7 +287,6 @@ def _object_target_plan(
     graph: SceneGraph,
     pose: AgentPose,
     constraint_class: PerceptionRange | None,
-    expects: tuple[str, str | None],
     explored: frozenset[str],
 ) -> Plan:
     """Look at an object, count or existence target from the stand layer.
@@ -331,7 +313,7 @@ def _object_target_plan(
             room = scope_node(chain, graph, pose)
             if room.layer is not ROOM:
                 raise ResolutionFailure(target.label or "?", "no room scope")
-        return look_plan(pose, room, ref.id if ref is not None else room.id, expects, n)
+        return look_plan(pose, room, ref.id if ref is not None else room.id, n)
 
     visit_each = (
         chain.target_kind is not OBJECT_TARGET
@@ -344,7 +326,7 @@ def _object_target_plan(
             pending = _unverified_candidate(graph, support.id, target, explored)
             if pending is not None:
                 return move_plan(pending, target.label)
-        return look_plan(pose, support, support.id, expects, n, ref_step.label)
+        return look_plan(pose, support, support.id, n, ref_step.label)
     scope = scope_node(chain, graph, pose)
     sweep = _sweep_move(scope, graph, pose, explored)
     if sweep is not None:
@@ -354,7 +336,7 @@ def _object_target_plan(
         if pending is not None:
             return move_plan(pending, target.label)
     focus_id = pose.anchor_id if pose.anchor_id in graph else None
-    return Plan(OBSERVE, None, None, None, None, focus_id, None, n, expects)
+    return Plan(OBSERVE, None, None, None, None, focus_id, None, n)
 
 
 def _unverified_candidate(

@@ -24,7 +24,7 @@ from stepqa.environment import AgentPose, Environment, load_world_truth
 from stepqa.llm_planner import ChatPlanner, LookupPlanner
 from stepqa.parsing import GoldBackend, TemplateBackend, parse_question
 from stepqa.patterns import SubGoal, TargetKind, parse_pattern_string, render
-from stepqa.rules import Plan, PlanKind, ResolutionFailure, look_plan, target_expects
+from stepqa.rules import Plan, PlanKind, ResolutionFailure, look_plan
 from stepqa.scene_graph import Layer, SceneGraph, labels_match
 from stepqa.worldgen import random_world_data
 
@@ -433,7 +433,7 @@ def fresh_look_plan(chain, graph, pose, slots):
         return None
     focus_label = slots.get("object") or slots.get("support")
     found = fresh.resolve_label(focus_label, scope_id=room.id) if focus_label else []
-    return look_plan(pose, room, found[0].id if found else None, target_expects(chain, slots), n)
+    return look_plan(pose, room, found[0].id if found else None, n)
 
 
 class TestPrebuiltLookPlans:
@@ -465,6 +465,61 @@ class TestPrebuiltLookPlans:
         assert {kind for kind, _ in kinds} == set(TargetKind)
         assert {plan_kind for _, plan_kind in kinds} == set(PlanKind)
         assert checked > 50_000
+
+
+class TestFinalLookFeedback:
+    """A final look succeeds exactly when it yields the answer."""
+
+    def test_a_look_that_reads_no_answer_counts_as_a_retry(self):
+        # The television stands on the coffee table, so the room's view
+        # shows something on it, but a room-level look sees no small object.
+        table = _support("f0.living.table", "coffee table", 0.0, 0)
+        table["small_objects"] = [{"label": "book"}]
+        television = {"id": "f0.living.tv", "label": "television", "position": [1.0, 1.0]}
+        living = _room("f0.living", "living room", 0.0, [table, television])
+        truth = load_world_truth(
+            {
+                "id": "tv",
+                "entrance": "f0",
+                "floors": [{"id": "f0", "label": "ground floor", "rooms": [living]}],
+                "spatial_edges": [{"a": "f0.living.tv", "b": "f0.living.table", "relation": "on"}],
+            }
+        )
+        r = ask(truth, "What is on top of the coffee table in the living room?", room_level_only=True)
+        # the move into the room, RETRIES + 1 failed looks, then the fallback,
+        # which finds no unexplored sibling and gives up
+        looks = [(PlanKind.OBSERVE, "rules", False)] * (agent_module.RETRIES + 1)
+        want = [(PlanKind.MOVE_TO, "rules", True), *looks, (PlanKind.ANSWER, "fallback", True)]
+        assert [(e.action.kind, e.action.tool, e.feedback) for e in r.trace.events] == want
+        assert (r.status, r.answer) == (EpisodeStatus.NOT_FOUND, "not found")
+
+    @pytest.mark.parametrize("room_level_only", [False, True])
+    def test_an_ok_final_look_ends_the_episode_with_its_answer(self, monkeypatch, room_level_only):
+        read = []
+
+        def reading(*args):
+            value = extract_answer(*args)
+            read.append(value)
+            return value
+
+        monkeypatch.setattr(agent_module, "extract_answer", reading)
+        config = AgentConfig(room_level_only=room_level_only)
+        answered = 0
+        for world in bundled_and_generated_worlds():
+            for record in generate_dataset([world], per_world=40, seed=3):
+                read.clear()
+                r = run_episode(record.question, Environment(world), config=config)
+                events = r.trace.events
+                n = len(r.chain.steps)
+                finals = [i for i, e in enumerate(events) if e.action.kind is PlanKind.OBSERVE and e.action.advance_to == n]
+                assert len(read) == len(finals), record.question
+                for i, value in zip(finals, read):
+                    assert events[i].feedback is (value is not None), record.question
+                    if events[i].feedback:
+                        assert i == len(events) - 1 and r.status is EpisodeStatus.ANSWERED, record.question
+                        assert r.answer == normalize_answer(value), record.question
+                        answered += 1
+        assert answered > 100
 
 
 class ScriptedFallback(LookupPlanner):

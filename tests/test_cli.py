@@ -1,6 +1,7 @@
 """Command line entry points and their exit codes."""
 
 import json
+import pathlib
 
 import pytest
 
@@ -96,10 +97,20 @@ class TestValidateWorld:
         assert "ok:" in out
         assert "4 rooms" in out
 
-    def test_strict_prior_rejects_truth_files(self, capsys):
+    def test_strict_prior_rejects_truth_files(self, capsys, monkeypatch):
+        reads = []
+        read_text = pathlib.Path.read_text
+
+        def counting(path, *args, **kwargs):
+            reads.append(path)
+            return read_text(path, *args, **kwargs)
+
+        monkeypatch.setattr(pathlib.Path, "read_text", counting)
         code = main(["validate-world", DEMO, "--strict-prior"])
         assert code == EX_ERROR
-        assert "invalid:" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.startswith(f"invalid: {DEMO}: f0.living.table: prior files cannot carry small objects")
+        assert reads == [pathlib.Path(DEMO)]
 
     def test_strict_prior_accepts_prior_files(self, tmp_path, capsys):
         p = tmp_path / "prior.json"

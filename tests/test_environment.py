@@ -10,7 +10,7 @@ import pytest
 from hypothesis import Phase, given, settings, strategies as st
 
 from stepqa import scene_graph
-from stepqa.agent import check_feedback, ingest_observation
+from stepqa.agent import extract_answer, ingest_observation
 from stepqa.environment import (
     AgentPose,
     Environment,
@@ -19,6 +19,7 @@ from stepqa.environment import (
     load_world_prior,
     load_world_truth,
 )
+from stepqa.patterns import parse_pattern_string
 from stepqa.rules import Plan, PlanKind
 from stepqa.scene_graph import (
     GraphValidationError,
@@ -1063,7 +1064,7 @@ class TestFoldByReference:
         assert_world_untouched(world, source)
 
 
-# -- one view probe and a relation set per view --------------------------------
+# -- one view probe, and what a final look reads off a view --------------------
 
 RELATION_NAMES = sorted(
     {*scene_graph.SPATIAL_RELATIONS, *scene_graph._INVERSE_RELATION, *scene_graph._INVERSE_RELATION.values(), "here"}
@@ -1075,18 +1076,32 @@ PROBE_WORLDS = {
     "files": lambda: sorted(WORLDS.glob("*.json")),
 }
 
+# An object query's chain for each target layer: the final look's answer
+# lists the target-layer nodes that hold the asked relation to the focus.
+OBJECT_CHAINS = {
+    Layer.BIG_OBJECT: parse_pattern_string("V2[room] -> V3[support] -> V3"),
+    Layer.SMALL_OBJECT: parse_pattern_string("V2[room] -> V3[support] -> V4"),
+}
 
-def list_rule_feedback(obs, name):
-    """A relation look's feedback as a list built per look: the reference."""
-    others = [v for v in obs.visible if v.node_id != obs.anchor_id]
-    if name is None:
-        return bool(others)
-    return any(v.relation == name for v in others)
+
+def per_node_object_answer(obs, layer, relation):
+    """An object answer read with a layer and an anchor test per visible
+    node, as extract_answer read it before its one anchor-layer test: the
+    reference."""
+    labels = []
+    for v in obs.visible:
+        if v.node_id == obs.anchor_id or v.relation == "here" or v.layer is not layer:
+            continue
+        if relation is not None and v.relation != relation:
+            continue
+        if v.label not in labels:
+            labels.append(v.label)
+    return ", ".join(labels) if labels else None
 
 
 class TestViewProbe:
     @pytest.mark.parametrize("group", sorted(PROBE_WORLDS))
-    def test_each_view_carries_the_relations_of_its_visible_nodes(self, group):
+    def test_a_view_shows_the_anchors_children_and_an_object_look_reads_them(self, group):
         for source in PROBE_WORLDS[group]():
             world = load_world_truth(source)
             graph = world.graph
@@ -1099,10 +1114,14 @@ class TestViewProbe:
                 assert world.view(anchor.id, "nowhere") is own
                 for focus in (None, anchor.id, *children, elsewhere, "nowhere"):
                     view = world.view(anchor.id, focus)
-                    assert view.relations == {v.relation for v in view.visible}, (anchor.id, focus)
-                    for name in (None, *RELATION_NAMES):
-                        plan = Plan(kind=PlanKind.OBSERVE, focus_id=focus, expects=("relation", name))
-                        assert check_feedback(plan, view, graph) == list_rule_feedback(view, name), (anchor.id, focus, name)
+                    assert set(visible_ids(view)) <= set(children), (anchor.id, focus)
+                    assert all(v.layer == anchor.layer + 1 for v in view.visible), (anchor.id, focus)
+                    plan = Plan(kind=PlanKind.OBSERVE, focus_id=focus)
+                    for layer, chain in OBJECT_CHAINS.items():
+                        for name in (None, *RELATION_NAMES):
+                            slots = {} if name is None else {"relation": name}
+                            got = extract_answer(chain, slots, plan, view, graph)
+                            assert got == per_node_object_answer(view, layer, name), (anchor.id, focus, name)
 
     def test_an_unknown_anchor_still_raises(self, demo_truth):
         for focus in (None, "nowhere", "f0.living.sofa"):
@@ -1121,10 +1140,11 @@ class TestViewProbe:
                 look = demo_env.execute(Plan(kind=PlanKind.OBSERVE, focus_id=focus))
                 assert look is world.view(node.id, focus)
 
-    def test_a_failed_moves_copy_keeps_the_relations(self, demo_env):
+    def test_a_failed_moves_copy_keeps_the_view(self, demo_env):
         demo_env.reset()
         demo_env.execute(move(goal_id="f0.living"))
         failed = demo_env.execute(move(goal_id="nowhere"))
         view = demo_env.world.view("f0.living")
         assert failed.move_failed and not view.move_failed
-        assert failed.relations is view.relations and failed.relations
+        assert failed.visible is view.visible and failed.visible
+        assert failed.revealed is view.revealed and failed.fold is view.fold

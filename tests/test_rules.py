@@ -6,7 +6,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from stepqa.agent import ingest_observation, room_level_plan, room_look
+from stepqa.agent import extract_answer, ingest_observation, room_level_plan, room_look
 from stepqa.environment import AgentPose, load_world_truth
 from stepqa.llm_planner import LookupPlanner, PerceptionRange
 from stepqa.parsing import TemplateBackend
@@ -135,8 +135,16 @@ def full_graph(demo_truth):
     return demo_truth.graph
 
 
-def brief(plans: list[Plan]) -> list[tuple]:
-    return [(p.kind.value, p.goal_label if p.kind is PlanKind.MOVE_TO else p.expects) for p in plans]
+def brief(graph: SceneGraph, plans: list[Plan]) -> list[tuple]:
+    """Each move's goal label, and each look's focus label."""
+    return [(p.kind.value, p.goal_label if p.kind is PlanKind.MOVE_TO else graph.node(p.focus_id).label) for p in plans]
+
+
+def look_answer(truth, walker, chain, slots, look):
+    """What the final look yields, read off the world's view from where
+    the walk stands."""
+    obs = truth.view(walker.pose.anchor_id, look.focus_id)
+    return extract_answer(chain, slots, look, obs, truth.graph)
 
 
 class TestPlanSequences:
@@ -145,20 +153,20 @@ class TestPlanSequences:
             "V2[living room] -> V3[coffee table] -> V4(A)[book] -> A[title]"
         )
         plans = Walker(full_graph).run(chain, attr_class=PerceptionRange.CLOSE_RANGE)
-        assert brief(plans) == [
+        assert brief(full_graph, plans) == [
             ("move_to", "living room"),
             ("move_to", "coffee table"),
             ("move_to", "book"),
-            ("observe", ("attribute", "title")),
+            ("observe", "book"),
         ]
         assert [p.advance_to for p in plans] == [1, 2, 3, 4]
 
     def test_remote_attribute_stops_at_the_room(self, full_graph):
         chain = parse_pattern_string("V2[living room] -> V3(A)[sofa] -> A[color]")
         plans = Walker(full_graph).run(chain, attr_class=PerceptionRange.REMOTE)
-        assert brief(plans) == [
+        assert brief(full_graph, plans) == [
             ("move_to", "living room"),
-            ("observe", ("attribute", "color")),
+            ("observe", "sofa"),
         ]
         # the agent never anchors below the room for a remote read
         assert all(
@@ -176,24 +184,26 @@ class TestPlanSequences:
         assert full_graph.node(moves[-1].goal_id).layer is Layer.BIG_OBJECT
         assert plans[-1].kind is PlanKind.OBSERVE
 
-    def test_supported_object_query_observes_from_support(self, full_graph):
-        tb = TemplateBackend(full_graph)
-        pq = tb.parse("What is on top of the coffee table in the living room?")
-        plans = Walker(full_graph).run(pq.chain, slots=pq.slots)
-        assert brief(plans) == [
+    def test_supported_object_query_observes_from_support(self, demo_truth, full_graph):
+        pq = TemplateBackend(full_graph).parse("What is on top of the coffee table in the living room?")
+        walker = Walker(full_graph)
+        plans = walker.run(pq.chain)
+        assert brief(full_graph, plans) == [
             ("move_to", "living room"),
             ("move_to", "coffee table"),
-            ("observe", ("relation", "on")),
+            ("observe", "coffee table"),
         ]
+        assert look_answer(demo_truth, walker, pq.chain, pq.slots, plans[-1]) == "book, potted plant"
 
-    def test_neighbor_query_observes_from_the_room(self, full_graph):
-        tb = TemplateBackend(full_graph)
-        pq = tb.parse("What is next to the sofa in the living room?")
-        plans = Walker(full_graph).run(pq.chain, slots=pq.slots)
-        assert brief(plans) == [
+    def test_neighbor_query_observes_from_the_room(self, demo_truth, full_graph):
+        pq = TemplateBackend(full_graph).parse("What is next to the sofa in the living room?")
+        walker = Walker(full_graph)
+        plans = walker.run(pq.chain)
+        assert brief(full_graph, plans) == [
             ("move_to", "living room"),
-            ("observe", ("relation", "next-to")),
+            ("observe", "sofa"),
         ]
+        assert look_answer(demo_truth, walker, pq.chain, pq.slots, plans[-1]) == "coffee table"
 
 
 class TestRoomQueries:
@@ -290,8 +300,9 @@ class TestTallyPlans:
         plan = next_plan(
             self.chain(), 2, graph, pose, constraint_class=PerceptionRange.CLOSE_RANGE
         )
-        assert plan.kind is PlanKind.OBSERVE
-        assert plan.expects == ("existence", "person")
+        assert (plan.kind, plan.focus_id, plan.advance_to) == (PlanKind.OBSERVE, "f0.living.sofa", 3)
+        # the look settles the tally: the only person is awake
+        assert extract_answer(self.chain(), {}, plan, demo_truth.view(pose.anchor_id, plan.focus_id), graph) == "no"
 
     def test_remote_constraint_needs_no_visits(self, demo_truth):
         graph = demo_truth.prior_graph()
@@ -301,13 +312,14 @@ class TestTallyPlans:
         )
         pose = AgentPose("f0.living.sofa", 2)
         plan = next_plan(chain, 2, graph, pose, constraint_class=PerceptionRange.REMOTE)
-        assert plan.kind is PlanKind.OBSERVE
-        assert plan.expects == ("count", "cushion")
+        assert (plan.kind, plan.focus_id, plan.advance_to) == (PlanKind.OBSERVE, "f0.living.sofa", 3)
+        # the look settles the tally: the known cushion has no color yet
+        assert extract_answer(chain, {}, plan, demo_truth.view(pose.anchor_id, plan.focus_id), graph) == "0"
 
 
 class TestPlannerTail:
-    """The final look: where each target kind has no rule, and what the
-    full planner and the room-level ablation expect the look to reveal."""
+    """The final look: where each target kind has no rule, and where the
+    full planner and the room-level ablation focus the look."""
 
     @pytest.mark.parametrize(
         "text",
@@ -350,7 +362,7 @@ class TestPlannerTail:
             ("Is there a bed in the bedroom?", "existence"),
         ],
     )
-    def test_both_planners_expect_the_same_from_the_final_look(self, demo_truth, question, kind):
+    def test_both_planners_focus_the_final_look_alike(self, demo_truth, question, kind):
         graph = demo_truth.graph
         pq = TemplateBackend(graph).parse(question)
         chain, slots = pq.chain, pq.slots
@@ -361,14 +373,17 @@ class TestPlannerTail:
             attr_class = LookupPlanner().classify_attribute(target.queried_attribute, slots["object"])
         n = len(chain.steps)
         full = self.final_look(
-            lambda pose: next_plan(chain, n - 1, graph, pose, attr_class=attr_class, slots=slots),
+            lambda pose: next_plan(chain, n - 1, graph, pose, attr_class=attr_class),
             graph,
         )
         look = room_look(chain, graph, slots)
         ablated = self.final_look(lambda pose: room_level_plan(look, pose), graph)
-        assert full.expects == ablated.expects
-        assert full.expects[0] == {"object": "relation"}.get(kind, kind)
         assert full.advance_to == ablated.advance_to == n
+        if kind in ("count", "existence"):
+            # the full planner looks at what holds the target; the ablation at the target
+            assert graph.parent(ablated.focus_id).id == full.focus_id
+        else:
+            assert full.focus_id == ablated.focus_id
 
 
 # -- the outward search and the lazy sweep against full scans -------------
