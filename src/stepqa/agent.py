@@ -9,9 +9,9 @@ while episodes run. Each anchor's view is folded in once, unless that
 fold left something out. Planning, acting and feedback checking
 alternate until the answer is read, the plan budget runs out, or the
 fallback gives up. A final look succeeds exactly when ``extract_answer``
-reads the answer off it, any other plan when it passes
-``check_feedback``. Every plan and observation lands in the trace, so an
-episode can be replayed or audited after the fact.
+reads the answer off it at the focus its planner named, any other plan
+when it passes ``check_feedback``. Every plan and observation lands in
+the trace, so an episode can be replayed or audited after the fact.
 """
 
 from __future__ import annotations
@@ -45,7 +45,6 @@ from .rules import (
     Plan,
     PlanningDomainError,
     ResolutionFailure,
-    chain_has_support,
     move_plan,
     next_plan,
     scope_node,
@@ -245,28 +244,18 @@ def secondary_perception(plan: Plan, obs: Observation, graph: SceneGraph) -> boo
     A move that failed the naive label comparison still counts as a
     success when the anchor is the planned node itself, or sits inside
     it. This is how a plan for "the couch" survives landing on a node
-    labeled "sofa".
+    labeled "sofa". A move by label alone passes once the environment
+    has resolved it (``resolve_from``, aliases included).
     """
-    node = graph.get(obs.anchor_id) if plan.goal_id is not None else None
+    if plan.goal_id is None:
+        return not obs.move_failed
+    node = graph.get(obs.anchor_id)
     while node is not None and node.id != plan.goal_id:
         node = graph.parent(node.id)
     return node is not None
 
 
 # -- answer extraction ------------------------------------------------------
-
-
-def _tally_scope(chain: PatternChain, plan: Plan, obs: Observation, graph: SceneGraph) -> str:
-    """The node to count under, as the planner chose it: the support the
-    final look focused on, when the chain names one before its target and
-    the focus sits just above the target's layer; else the planner's room
-    scope (``rules.scope_node``) from the anchor the count was observed
-    at. A room-level look focuses on the target itself, so it counts
-    under the room."""
-    focus = graph.get(plan.focus_id)
-    if focus is not None and focus.layer == chain.steps[-1].layer - 1 and chain_has_support(chain):
-        return focus.id
-    return scope_node(chain, graph, AgentPose(obs.anchor_id)).id
 
 
 def tally_matches(graph: SceneGraph, scope_id: str, step: SubGoal) -> list[SceneNode]:
@@ -285,13 +274,12 @@ def extract_answer(
     obs: Observation,
     graph: SceneGraph,
 ) -> str | None:
-    """Read the answer off the final observation, or None if absent."""
+    """Read the answer off the final look at its focus, or None if absent."""
     kind = chain.target_kind
     if kind is ATTRIBUTE_TARGET:
         attr = chain.steps[-1].queried_attribute or ""
-        focus = plan.focus_id or obs.anchor_id
-        value = obs.revealed.get(focus, {}).get(attr)
-        if value is None and (node := graph.get(focus)) is not None:
+        value = obs.revealed.get(plan.focus_id, {}).get(attr)
+        if value is None and (node := graph.get(plan.focus_id)) is not None:
             value = node.attributes.get(attr)
         return value
     if kind is OBJECT_TARGET:
@@ -307,8 +295,7 @@ def extract_answer(
                 labels.append(v.label)
         return ", ".join(labels) if labels else None
     if kind in (COUNT_TARGET, EXISTENCE_TARGET):
-        scope_id = _tally_scope(chain, plan, obs, graph)
-        count = len(tally_matches(graph, scope_id, chain.steps[-1]))
+        count = len(tally_matches(graph, plan.focus_id, chain.steps[-1]))
         if kind is COUNT_TARGET:
             return str(count)
         return "yes" if count > 0 else "no"
@@ -340,7 +327,10 @@ class RoomLook(NamedTuple):
     holds its subject; None when there is none. away and here, built
     once, are the plans for a pose outside that room and in it:
     look_plan's move and observe, or for a room query its answer in
-    both. size is the graph's node count when the look was worked out.
+    both, the observe focused on the chain's object or support when the
+    room holds it, or for a tally on the scope from the room it counts
+    under (``rules.scope_node``). size is the graph's node count when
+    the look was worked out.
     """
 
     size: int
@@ -352,9 +342,9 @@ class RoomLook(NamedTuple):
 def room_look(chain: PatternChain, graph: SceneGraph, slots: dict[str, str]) -> RoomLook:
     """Work out a chain's RoomLook.
 
-    Its lookups pass no position, and a graph only ever gains nodes (a
-    clone keeps the id, label and layer), so the look holds for as long
-    as ``len(graph)`` equals its size.
+    Its lookups pass no position but the room's own, and a graph only
+    ever gains nodes (a clone keeps the id, label and layer), so the look
+    holds for as long as ``len(graph)`` equals its size.
     """
     n = len(chain.steps)
     if chain.target_kind is ROOM_TARGET:
@@ -366,9 +356,13 @@ def room_look(chain: PatternChain, graph: SceneGraph, slots: dict[str, str]) -> 
     room = _room_for_chain(chain, graph)
     if room is None:
         return RoomLook(len(graph), None, None, None)
-    focus_label = slots.get("object") or slots.get("support")
-    found = graph.resolve_label(focus_label, scope_id=room.id) if focus_label else []
-    observe = Plan(OBSERVE, None, None, None, None, found[0].id if found else None, None, n)
+    if chain.target_kind in (COUNT_TARGET, EXISTENCE_TARGET):
+        focus_id: str | None = scope_node(chain, graph, AgentPose(room.id)).id
+    else:
+        focus_label = slots.get("object") or slots.get("support")
+        found = graph.resolve_label(focus_label, scope_id=room.id) if focus_label else []
+        focus_id = found[0].id if found else None
+    observe = Plan(OBSERVE, None, None, None, None, focus_id, None, n)
     return RoomLook(len(graph), room, move_plan(room, advance_to=n - 1), observe)
 
 
@@ -376,11 +370,10 @@ def room_level_plan(look: RoomLook, pose: Any) -> Plan:
     """Ablated planner that never anchors below the room layer.
 
     It returns look.here when the agent stands in the look's room and
-    look.away otherwise: the plans next_plan's look_plan would build,
-    focused on the chain's object or support when the room holds it, or
-    a room query's answer. look is the chain's room_look, which
-    run_episode works out once per episode and again only when the graph
-    has gained nodes. perfbench/spans.py wraps
+    look.away otherwise: the plans next_plan's look_plan would build from
+    the room, focused as RoomLook says, or a room query's answer. look is
+    the chain's room_look, which run_episode works out once per episode
+    and again only when the graph has gained nodes. perfbench/spans.py wraps
     ``stepqa.agent.room_level_plan`` by this name, and perfbench's tests
     assert that room_level runs call it and never call next_plan.
     """
@@ -530,7 +523,7 @@ def run_episode(
                 outcome = (value, ANSWERED)
                 break
             step_retries = 0
-            if plan.tool != "fallback" and plan.advance_to is not None:
+            if plan.advance_to is not None:
                 k = plan.advance_to
             continue
         step_retries += 1

@@ -13,7 +13,8 @@ agent's current graph and pose, emitting MoveTo, Observe or Answer
 plans. A chain whose target needs a look ends the same way whatever its
 kind: move to a node at the layer the rule table names and observe
 (look_plan), a final look that succeeds when the agent reads the answer
-off it. It never plans below that layer for the final look.
+off it at its focus (``Plan``). It never plans below that layer for the
+final look.
 """
 
 from __future__ import annotations
@@ -66,10 +67,12 @@ class Plan(NamedTuple):
     """One planned action, an immutable record.
 
     advance_to is planner bookkeeping: the subgoal index reached if the
-    plan succeeds, the chain's length for its final look. The subgoal a
-    plan was made for, and the subquestion a final look asks, belong to
-    the trace event that executes it, which hands both to ``to_dict``
-    when the trace is read.
+    plan succeeds, the chain's length for its final look, whose focus_id
+    is the node its answer is read at: an attribute's object, the node
+    an object query reads relations to, or the node a count or existence
+    counts under. The subgoal a plan was made for, and the subquestion a
+    final look asks, belong to the trace event that executes it, which
+    hands both to ``to_dict`` when the trace is read.
     """
 
     kind: PlanKind
@@ -188,12 +191,6 @@ def _sweep_move(
     return None
 
 
-def chain_has_support(chain: PatternChain) -> bool:
-    """Whether a big-object step comes before the chain's target: the
-    chain names a support, not just a big-object target."""
-    return any(s.layer is BIG_OBJECT and s.label for s in chain.steps[:-1])
-
-
 # -- the planner ------------------------------------------------------------
 
 
@@ -271,7 +268,8 @@ def _attribute_target_plan(
     obj_step = chain.steps[-2]
     obj = graph.resolve_from(pose.anchor_id, obj_step.label or "", obj_step.layer, obj_step.attribute_constraint)
     if obj is None:
-        if obj_step.layer is SMALL_OBJECT and not chain_has_support(chain):
+        # a small object whose support the chain does not name is swept for
+        if obj_step.layer is SMALL_OBJECT and not any(s.layer is BIG_OBJECT and s.label for s in chain.steps[:-2]):
             sweep = _sweep_move(scope_node(chain, graph, pose), graph, pose, explored)
             if sweep is not None:
                 return sweep
@@ -295,9 +293,9 @@ def _object_target_plan(
     the room of a big-object reference step, else the chain's room scope.
     A small-object target is looked at from the support a big-object
     reference step names; without one the planner sweeps the chain's
-    scope. A count or existence target with a close-range constraint
-    first moves to every candidate whose constraint attribute is still
-    unseen.
+    scope and looks from where the sweep ended, focused on the scope. A
+    count or existence target with a close-range constraint first moves
+    to every candidate whose constraint attribute is still unseen.
     """
     n = len(chain.steps)
     target = chain.steps[-1]
@@ -335,8 +333,7 @@ def _object_target_plan(
         pending = _unverified_candidate(graph, scope.id, target, explored)
         if pending is not None:
             return move_plan(pending, target.label)
-    focus_id = pose.anchor_id if pose.anchor_id in graph else None
-    return Plan(OBSERVE, None, None, None, None, focus_id, None, n)
+    return Plan(OBSERVE, None, None, None, None, scope.id, None, n)
 
 
 def _unverified_candidate(

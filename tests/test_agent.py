@@ -24,7 +24,7 @@ from stepqa.environment import AgentPose, Environment, load_world_truth
 from stepqa.llm_planner import ChatPlanner, LookupPlanner
 from stepqa.parsing import GoldBackend, TemplateBackend, parse_question
 from stepqa.patterns import SubGoal, TargetKind, parse_pattern_string, render
-from stepqa.rules import Plan, PlanKind, ResolutionFailure, look_plan
+from stepqa.rules import Plan, PlanKind, ResolutionFailure, look_plan, next_plan, scope_node
 from stepqa.scene_graph import Layer, SceneGraph, labels_match
 from stepqa.worldgen import random_world_data
 
@@ -166,24 +166,28 @@ class TestEpisodes:
         assert final.action.kind is PlanKind.OBSERVE
         assert final.action.focus_id == final.obs.anchor_id == support
 
-    def test_a_tally_focused_on_its_own_target_counts_under_the_room(self, demo_truth):
-        # a room-level look focuses on the chain's object once the graph holds one
+    def test_a_room_level_tally_counts_under_the_scope_from_its_room(self, demo_truth):
+        # the look focuses on the room the chain names, not on the book inside it
         graph = demo_truth.prior_graph()
-        book = add_small(graph, "f0.living.table", "book")
+        add_small(graph, "f0.living.table", "book")
         question = "How many books are on the coffee table in the living room?"
         parsed = parse_question(question, [TemplateBackend(graph)])
-        look = Plan(kind=PlanKind.OBSERVE, focus_id=book.id, advance_to=len(parsed.chain.steps))
-        obs = demo_truth.view("f0.living", book.id)
+        look = room_look(parsed.chain, graph, parsed.slots).here
+        assert look.focus_id == "f0.living"
+        obs = demo_truth.view("f0.living", look.focus_id)
         assert extract_answer(parsed.chain, parsed.slots, look, obs, graph) == "1"
 
-    def test_a_tally_without_a_support_counts_under_the_planners_scope(self, demo_truth):
+    def test_a_sweeps_tally_focuses_on_its_scope_and_counts_under_it(self, demo_truth):
         # a sweep over a floor ends looking from the last support it visited
         graph = demo_truth.prior_graph()
         for support in ("f0.kitchen.table", "f0.living.table"):
             ingest_observation(graph, demo_truth.view(support))
-        look = Plan(kind=PlanKind.OBSERVE, focus_id="f0.living.table", advance_to=1)
-        obs = demo_truth.view("f0.living.table")
-        assert extract_answer(parse_pattern_string("count: V4[cup]"), {}, look, obs, graph) == "2"
+        chain = parse_pattern_string("count: V4[cup]")
+        explored = frozenset(n.id for n in graph.nodes_at(Layer.BIG_OBJECT))
+        look = next_plan(chain, 0, graph, AgentPose("f0.living.table", 9), explored=explored)
+        assert (look.kind, look.focus_id, look.advance_to) == (PlanKind.OBSERVE, "f0", 1)
+        obs = demo_truth.view("f0.living.table", look.focus_id)
+        assert extract_answer(chain, {}, look, obs, graph) == "2"
 
     def test_a_relational_count_reads_no_other_support(self, demo_path):
         # a third cup, in the refrigerator next to the table
@@ -241,6 +245,13 @@ class TestEpisodes:
         r = ask(demo_truth, "What is on top of the coffee table in the living room?")
         assert r.status is EpisodeStatus.ANSWERED
         assert r.answer == "book, potted plant"
+
+    @pytest.mark.parametrize("question", ["What is on the book?", "What is on the book on the coffee table?"])
+    def test_an_object_query_around_a_small_object_reads_no_supports_view(self, demo_truth, question):
+        # nothing is on the book; a sweep's look reads around its scope,
+        # not around whichever support the sweep ended at
+        r = ask(demo_truth, question)
+        assert (r.status, r.answer) == (EpisodeStatus.NOT_FOUND, "not found")
 
     def test_held_object_found_through_constraint_chain(self, demo_truth):
         r = ask(demo_truth, "What is the color of the phone held by the person on the couch?")
@@ -316,7 +327,23 @@ class TestSecondaryPerception:
                 inside = goal.id == node.id or goal.id in ancestor_ids(graph, node.id)
                 assert secondary_perception(plan, obs, graph) is inside
                 assert check_feedback(plan, obs, graph) is labels_match(goal.label, node.label)
-            assert secondary_perception(Plan(kind=PlanKind.MOVE_TO, goal_label="sofa"), obs, graph) is False
+        # a move by label alone passes once the environment resolves it
+        for label, passes in (("couch", True), ("trombone", False)):
+            env.reset()
+            plan = Plan(kind=PlanKind.MOVE_TO, goal_label=label)
+            assert secondary_perception(plan, env.execute(plan), graph) is passes
+
+    def test_a_label_only_fallback_move_to_an_alias_is_rescued(self, demo_truth):
+        couch = Plan(kind=PlanKind.MOVE_TO, goal_label="couch", tool="fallback")
+        r = run_episode(
+            "Which room is the harpsichord in?",
+            Environment(demo_truth),
+            parse_backends=[GoldBackend("V3[harpsichord] -> V2")],
+            planner=ScriptedFallback([couch]),
+        )
+        first = r.trace.events[0]
+        assert (first.action, first.obs.anchor_id, first.obs.move_failed) == (couch, "f0.living.sofa", False)
+        assert (first.feedback, first.secondary) == (True, True)
 
 
 class TestRoomLevelAblation:
@@ -421,7 +448,8 @@ def look_questions(generated):
 def fresh_look_plan(chain, graph, pose, slots):
     """The plan room_level_plan built before its look held prebuilt plans:
     look_plan from the chain's room, its focus and room resolved on a copy
-    of the graph with an empty memo. None where it raised."""
+    of the graph with an empty memo; a tally's focus is the planner's scope
+    from that room. None where it raised."""
     fresh = graph.copy()
     fresh._memo = {}
     n = len(chain.steps)
@@ -431,6 +459,8 @@ def fresh_look_plan(chain, graph, pose, slots):
     room = agent_module._room_for_chain(chain, fresh)
     if room is None:
         return None
+    if chain.target_kind in (TargetKind.COUNT, TargetKind.EXISTENCE):
+        return look_plan(pose, room, scope_node(chain, fresh, AgentPose(room.id)).id, n)
     focus_label = slots.get("object") or slots.get("support")
     found = fresh.resolve_label(focus_label, scope_id=room.id) if focus_label else []
     return look_plan(pose, room, found[0].id if found else None, n)
@@ -520,6 +550,45 @@ class TestFinalLookFeedback:
                         assert r.answer == normalize_answer(value), record.question
                         answered += 1
         assert answered > 100
+
+
+def reference_tally_scope(chain, plan, obs, graph):
+    """The node a tally counted under before each planner focused its
+    look there: the focus, when the chain names a support before its
+    target and the focus sits just above the target's layer; else the
+    planner's room scope from the anchor the count was observed at. The
+    reference."""
+    focus = graph.get(plan.focus_id)
+    support = any(s.layer is Layer.BIG_OBJECT and s.label for s in chain.steps[:-1])
+    if focus is not None and focus.layer == chain.steps[-1].layer - 1 and support:
+        return focus.id
+    return scope_node(chain, graph, AgentPose(obs.anchor_id)).id
+
+
+class TestTallyFocus:
+    """A final tally look counts under its focus, the node its planner named."""
+
+    @pytest.mark.parametrize("room_level_only", [False, True])
+    def test_a_tally_counts_under_its_focus_as_under_the_reference_scope(self, monkeypatch, room_level_only):
+        tallies = []
+
+        def reading(chain, slots, plan, obs, graph):
+            if chain.target_kind in (TargetKind.COUNT, TargetKind.EXISTENCE):
+                step = chain.steps[-1]
+                want = len(tally_matches(graph, reference_tally_scope(chain, plan, obs, graph), step))
+                tallies.append((len(tally_matches(graph, plan.focus_id, step)), want))
+            return extract_answer(chain, slots, plan, obs, graph)
+
+        monkeypatch.setattr(agent_module, "extract_answer", reading)
+        config = AgentConfig(room_level_only=room_level_only)
+        checked = 0
+        for world in bundled_and_generated_worlds():
+            for record in generate_dataset([world], per_world=40, seed=3):
+                tallies.clear()
+                run_episode(record.question, Environment(world), config=config)
+                assert all(got == want for got, want in tallies), (world.world_id, record.question, tallies)
+                checked += len(tallies)
+        assert checked > 300
 
 
 class ScriptedFallback(LookupPlanner):

@@ -127,6 +127,31 @@ class TestFallback:
                 assert plan.goal_id == reference(anchor.id, explored), (anchor.id, sorted(explored))
 
 
+class TestFallbackPlansAdvanceNothing:
+    """No fallback plan carries an advance_to, so the loop never moves the
+    subgoal index on a fallback's success."""
+
+    def test_lookup_fallback_plans(self, lookup, demo_truth):
+        graph = demo_truth.prior_graph()
+        move = lookup.fallback_plan(graph, AgentPose("f0.living.desk1", 3), frozenset(), "")
+        give_up = lookup.fallback_plan(graph, AgentPose("f0.living", 5), frozenset(n.id for n in graph.nodes), "")
+        assert (move.kind, give_up.kind) == (PlanKind.MOVE_TO, PlanKind.ANSWER)
+        assert move.advance_to is give_up.advance_to is None
+
+    @pytest.mark.parametrize(
+        "reply,kind",
+        [
+            ({"kind": "MoveTo", "goal": "f0.kitchen"}, PlanKind.MOVE_TO),
+            ({"kind": "MoveTo", "goal": "couch"}, PlanKind.MOVE_TO),
+            ({"kind": "Observe", "content": "What is on the table?"}, PlanKind.OBSERVE),
+            ({"kind": "Answer", "value": "kitchen"}, PlanKind.ANSWER),
+        ],
+    )
+    def test_chat_fallback_plans(self, demo_truth, reply, kind):
+        plan = ChatPlanner(None)._parse_plan(json.dumps(reply), demo_truth.prior_graph())
+        assert (plan.kind, plan.tool, plan.advance_to) == (kind, "fallback", None)
+
+
 def canned_client(pairs):
     """Replay client answering (system_prompt_name, user) -> content."""
     transport = ReplayTransport()

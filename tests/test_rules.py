@@ -6,7 +6,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from stepqa.agent import extract_answer, ingest_observation, room_level_plan, room_look
+from stepqa.agent import extract_answer, ingest_observation, room_level_plan, room_look, tally_matches
 from stepqa.environment import AgentPose, load_world_truth
 from stepqa.llm_planner import LookupPlanner, PerceptionRange
 from stepqa.parsing import TemplateBackend
@@ -380,8 +380,12 @@ class TestPlannerTail:
         ablated = self.final_look(lambda pose: room_level_plan(look, pose), graph)
         assert full.advance_to == ablated.advance_to == n
         if kind in ("count", "existence"):
-            # the full planner looks at what holds the target; the ablation at the target
-            assert graph.parent(ablated.focus_id).id == full.focus_id
+            # each focuses on the node it counts under: the full planner on
+            # the support or the room, the ablation on the scope from its room
+            assert graph.node(full.focus_id).layer == target.layer - 1
+            assert ablated.focus_id == scope_node(chain, graph, AgentPose(look.room.id)).id
+            assert full.focus_id in (ablated.focus_id, *(c.id for c in graph.children(ablated.focus_id)))
+            assert len(tally_matches(graph, full.focus_id, target)) == len(tally_matches(graph, ablated.focus_id, target))
         else:
             assert full.focus_id == ablated.focus_id
 
