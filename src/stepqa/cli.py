@@ -58,8 +58,7 @@ def _describe_plan(plan: dict[str, Any]) -> str:
     if kind == "move_to":
         return f"MoveTo {plan.get('goal_label') or plan.get('goal')}"
     if kind == "observe":
-        content = plan.get("content") or ""
-        return f"Observe {content}".rstrip()
+        return f"Observe {plan.get('content') or ''}".rstrip()
     return f"Answer {plan.get('value')!r}"
 
 
@@ -95,11 +94,7 @@ def _cmd_ask(args: argparse.Namespace) -> int:
             return _write_error(exc, args.trace)
         print(f"trace written to {args.trace}")
 
-    if result.status is ANSWERED:
-        return EX_OK
-    if result.status is NOT_FOUND:
-        return EX_NOT_FOUND
-    return EX_ERROR
+    return {ANSWERED: EX_OK, NOT_FOUND: EX_NOT_FOUND}.get(result.status, EX_ERROR)
 
 
 def _load_world_registry(path: Path) -> dict[str, Any]:

@@ -40,8 +40,7 @@ class MockJudge:
         a = judge_normalize(answer)
         if g == a:
             return 5
-        g_tokens = set(g.split())
-        a_tokens = set(a.split())
+        g_tokens, a_tokens = set(g.split()), set(a.split())
         if g_tokens and a_tokens and (g_tokens <= a_tokens or a_tokens <= g_tokens):
             return 3
         return 1
@@ -54,11 +53,7 @@ class ChatJudge:
         self.client = client
 
     def score(self, question: str, gold: str, answer: str) -> int:
-        user = (
-            f"Question: {question}\n"
-            f"Reference answer: {gold}\n"
-            f"Candidate answer: {answer}"
-        )
+        user = f"Question: {question}\nReference answer: {gold}\nCandidate answer: {answer}"
         return ask(self.client, "judge", user, _rung)
 
 

@@ -36,13 +36,10 @@ class LookupPlanner:
     """Deterministic table-driven backend."""
 
     def classify_attribute(self, attribute: str, object_label: str) -> PerceptionRange:
-        attr = attribute.strip().lower()
-        if attr in REMOTE_ATTRIBUTES:
-            return REMOTE
-        return CLOSE_RANGE
+        return REMOTE if attribute.strip().lower() in REMOTE_ATTRIBUTES else CLOSE_RANGE
 
     def simplify_question(self, question: str, chain: PatternChain, k: int, slots: dict[str, str]) -> str:
-        obj = slots.get("object") or _last_labeled(chain) or "object"
+        obj = slots.get("object") or next((s.label for s in reversed(chain.steps) if s.label), "object")
         if chain.target_kind is ATTRIBUTE_TARGET:
             attr = slots.get("attribute") or chain.steps[-1].queried_attribute or "value"
             return f"What is the {attr} of the {obj}?"
@@ -56,24 +53,11 @@ class LookupPlanner:
             return f"What is {rel} the {ref}?"
         return f"Which room contains the {obj}?"
 
-    def fallback_plan(
-        self,
-        graph: SceneGraph,
-        pose: Any,
-        explored: frozenset[str],
-        question: str = "",
-    ) -> Plan:
+    def fallback_plan(self, graph: SceneGraph, pose: Any, explored: frozenset[str], question: str = "") -> Plan:
         sibling = _nearest_unexplored_sibling(graph, pose, explored)
         if sibling is not None:
             return move_plan(sibling, tool="fallback")
         return Plan(kind=ANSWER, value="not found", tool="fallback")
-
-
-def _last_labeled(chain: PatternChain) -> str | None:
-    for step in reversed(chain.steps):
-        if step.label:
-            return step.label
-    return None
 
 
 def _nearest_unexplored_sibling(
@@ -117,13 +101,7 @@ class ChatPlanner:
         user = f"question: {question}\nchain: {render(chain)}\nstep: {k}"
         return ask(self.client, "simplify_question", user, _simplified)
 
-    def fallback_plan(
-        self,
-        graph: SceneGraph,
-        pose: Any,
-        explored: frozenset[str],
-        question: str = "",
-    ) -> Plan:
+    def fallback_plan(self, graph: SceneGraph, pose: Any, explored: frozenset[str], question: str = "") -> Plan:
         anchor = graph.get(pose.anchor_id)
         siblings = []
         if anchor is not None:
@@ -135,12 +113,7 @@ class ChatPlanner:
                     if s.id != anchor.id
                 ]
         user = json.dumps(
-            {
-                "question": question,
-                "anchor": anchor.label if anchor else None,
-                "siblings": siblings,
-            },
-            sort_keys=True,
+            {"question": question, "anchor": anchor.label if anchor else None, "siblings": siblings}, sort_keys=True
         )
         return ask(self.client, "fallback_plan", user, lambda text: self._parse_plan(text, graph))
 

@@ -35,6 +35,7 @@ class TargetKind(Enum):
 OBJECT_TARGET, ATTRIBUTE_TARGET, ROOM_TARGET, COUNT_TARGET, EXISTENCE_TARGET = TargetKind
 
 _KIND_PREFIXES = {"count": COUNT_TARGET, "exists": EXISTENCE_TARGET}
+_PREFIX_OF = {kind: f"{name}: " for name, kind in _KIND_PREFIXES.items()}
 
 
 class PatternSyntaxError(ValueError):
@@ -233,12 +234,7 @@ def parse_pattern_string(text: str) -> PatternChain:
 
 def render(chain: PatternChain) -> str:
     """Chain back to text; ``shape`` gives the bare step shape."""
-    body = " -> ".join(step.token() for step in chain.steps)
-    if chain.target_kind is COUNT_TARGET:
-        return f"count: {body}"
-    if chain.target_kind is EXISTENCE_TARGET:
-        return f"exists: {body}"
-    return body
+    return _PREFIX_OF.get(chain.target_kind, "") + " -> ".join(step.token() for step in chain.steps)
 
 
 def shape(chain: PatternChain) -> str:

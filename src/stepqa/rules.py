@@ -171,11 +171,30 @@ def _sweep_move(
 
     Rooms come nearest first, and each room's big objects nearest first.
     A floor scope goes on to the rooms of the other floors, in graph
-    order, once its own are swept. Distances are from the agent's anchor,
-    whose position is read once. Each order is a tuple of ids sorted once
-    per world and position (``SceneGraph.child_ids_nearest_first``), and a
-    room is sorted only when the sweep reaches it.
+    order, once its own are swept; a room scope ends with a move to the
+    room. Distances are from the agent's anchor, whose position is read
+    once. Each order is a tuple of ids sorted once per world and position
+    (``SceneGraph.child_ids_nearest_first``), and a room is sorted only
+    when the sweep reaches it.
+
+    The walk reads only the floors, rooms and big objects, the anchor's
+    position and ``explored``, and its answer is an immutable plan built
+    from a node's id, layer and label. So from a floor, room or
+    big-object anchor with a frozenset ``explored`` the answer is kept in
+    the world's memo (``SceneGraph.prior_memo``) by scope id, anchor id
+    and explored set, and a repeated step reads no position and sorts
+    nothing. Any other anchor or container walks every time.
     """
+    memo = graph.prior_memo(pose.anchor_id) if type(explored) is frozenset else None
+    if memo is None:
+        return _sweep_walk(scope, graph, pose, explored)
+    key = (scope.id, pose.anchor_id, explored)
+    if key not in memo:
+        memo[key] = _sweep_walk(scope, graph, pose, explored)
+    return memo[key]
+
+
+def _sweep_walk(scope: SceneNode, graph: SceneGraph, pose: AgentPose, explored: frozenset[str]) -> Plan | None:
     here = graph.position_of(pose.anchor_id) if pose.anchor_id in graph else None
     order = graph.child_ids_nearest_first
     sweeps = [(scope.id,) if scope.layer is ROOM else order(scope.id, here)]

@@ -334,10 +334,12 @@ class SceneGraph:
     One memo holds what depends only on the floors, rooms and big
     objects: the nearest-first orders of ``child_ids_nearest_first``,
     the unconstrained floor, room and big-object lookups of
-    ``resolve_from`` and the unscoped ones of ``resolve_label``. A copy
-    shares the node objects, the index and the memo with its source (see
-    ``copy``). The memo's one reset rule: a graph that adds a floor, room
-    or big object starts an empty memo of its own.
+    ``resolve_from``, the unscoped ones of ``resolve_label``, and the
+    sweep steps of ``rules._sweep_move``, which reach it through
+    ``prior_memo``. A copy shares the node objects, the index and the
+    memo with its source (see ``copy``). The memo's one reset rule: a
+    graph that adds a floor, room or big object starts an empty memo of
+    its own.
     """
 
     def __init__(self) -> None:
@@ -348,7 +350,8 @@ class SceneGraph:
         self._index: _LabelIndex | None = None
         self._index_owned = False
         # (node id, point) -> child ids nearest first; (anchor id, label, layer)
-        # -> resolve_from's id or None; (None, norm, layer) -> resolve_label's ids
+        # -> resolve_from's id or None; (None, norm, layer) -> resolve_label's
+        # ids; (scope id, anchor id, explored frozenset) -> a sweep step
         self._memo: dict[tuple[Any, ...], Any] = {}
 
     # -- construction ---------------------------------------------------
@@ -783,6 +786,14 @@ class SceneGraph:
         if ids is None:
             ids = self._memo[key] = tuple(n.id for n in self.nearest_first(self.children(node_id), here))
         return ids
+
+    def prior_memo(self, anchor_id: str) -> dict[tuple[Any, ...], Any] | None:
+        """The memo shared with this graph's copies, for an answer that reads
+        only the floors, rooms and big objects and the anchor's position, as
+        ``resolve_from``'s memoized lookups do; None, and no memo, when the
+        anchor is not a floor, room or big object of this graph."""
+        anchor = self._nodes.get(anchor_id)
+        return self._memo if anchor is not None and anchor.layer in _PRIOR_LAYERS else None
 
     def spatial_relation(self, a: str, b: str) -> str | None:
         """Relation of node a with respect to node b along a same-layer edge."""

@@ -6,9 +6,10 @@ import random
 
 import pytest
 
-from stepqa import prompts
+from stepqa import prompts, rules
 from stepqa.agent import AgentConfig
 from stepqa.dataset import QARecord, generate_dataset
+from stepqa.environment import load_world_truth
 from stepqa.evaluation import (
     ChatJudge,
     MockJudge,
@@ -19,7 +20,10 @@ from stepqa.evaluation import (
     save_report,
 )
 from stepqa.llm_client import ChatClient, ChatMessage, ChatRequest, ReplayTransport, SchemaError
+from stepqa.scene_graph import Layer
 from stepqa.worldgen import random_world
+
+from conftest import multi_floor_data
 
 
 class TestJudgeNormalize:
@@ -205,3 +209,33 @@ class TestRunBenchmark:
         again = p.read_bytes()
         save_report(report, p)
         assert p.read_bytes() == again
+
+
+def multi_floor_worlds():
+    """Four generated worlds of two or three floors, freshly loaded, by id."""
+    worlds = (load_world_truth(multi_floor_data(seed, floors)) for seed, floors in ((1, 2), (2, 3), (3, 3), (4, 2)))
+    return {w.world_id: w for w in worlds}
+
+
+class TestSweepHeavyReport:
+    def test_record_order_and_workers_leave_the_report_unchanged(self, monkeypatch):
+        worlds = multi_floor_worlds()
+        records = generate_dataset(worlds.values(), per_world=40, seed=5)
+        assert any(r.gold_pattern.startswith("V4") and r.gold_pattern.endswith("-> V2") for r in records)
+        other_floors = []
+        walk = rules._sweep_walk
+
+        def recording_walk(scope, graph, pose, explored):
+            plan = walk(scope, graph, pose, explored)
+            if plan is not None and scope.layer is Layer.FLOOR and graph.floor_of(plan.goal_id).id != scope.id:
+                other_floors.append(plan.goal_id)
+            return plan
+
+        monkeypatch.setattr(rules, "_sweep_walk", recording_walk)
+        want = json.dumps(run_benchmark(records, worlds), sort_keys=True)
+        assert other_floors  # a room query's sweep went on to another floor
+        rng = random.Random(34)
+        # warm memos and cold ones, serial and on four threads
+        for registry, parallel in ((worlds, 1), (multi_floor_worlds(), 1), (worlds, 4), (multi_floor_worlds(), 4)):
+            shuffled = rng.sample(records, len(records))
+            assert json.dumps(run_benchmark(shuffled, registry, parallel=parallel), sort_keys=True) == want

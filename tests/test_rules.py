@@ -645,6 +645,20 @@ def sweep_walk(graph, scope, pose):
     return [graph.node(i) for i in explored.asked if i != scope.id]
 
 
+def expected_sweep(graph, scope, pose, explored):
+    """_sweep_move's answer from one full sort of the big objects: the
+    first unexplored one, else a room scope the agent is not at."""
+    first = next((n for n in full_sweep(graph, scope, pose) if n.id not in explored), None)
+    if first is None and scope.layer is Layer.ROOM and scope.id not in explored and pose.anchor_id != scope.id:
+        first = scope
+    return move_plan(first) if first is not None else None
+
+
+def sweep_entries(graph):
+    """The sweep steps the graph's memo holds: keys that end in a frozenset."""
+    return {key for key in graph._memo if type(key[-1]) is frozenset}
+
+
 class TestLazySweep:
     @settings(max_examples=10, deadline=None)
     @given(seed=st.integers(1, 10_000), floors=st.integers(1, 3), data=st.data())
@@ -693,6 +707,54 @@ class TestLazySweep:
             assert plan.kind is PlanKind.MOVE_TO and plan.goal_layer is Layer.BIG_OBJECT
             assert positions == [pose.anchor_id]
             pose, explored = AgentPose(plan.goal_id, 0), explored | {plan.goal_id}
+
+    @settings(max_examples=10, deadline=None)
+    @given(seed=st.integers(1, 10_000), floors=st.integers(1, 3), data=st.data())
+    def test_two_copies_read_the_walk_from_one_memo(self, seed, floors, data):
+        world = load_world_truth(multi_floor_data(seed, floors))
+        one, two = world.prior_graph(), world.prior_graph()
+        bigs = sorted(n.id for n in one.nodes_at(Layer.BIG_OBJECT))
+        small = add_small(one, data.draw(st.sampled_from(bigs)), "crate").id  # only one copy adopts it
+        assert one._memo is two._memo
+        ids = sorted(n.id for n in one.nodes)
+        prior = {i for i in ids if i != small}
+        scopes = [*one.nodes_at(Layer.FLOOR), *one.nodes_at(Layer.ROOM)]
+        steps = []
+        for anchor in [*ids, "nowhere"]:
+            pose = pose_at(one, anchor)
+            explored = data.draw(st.frozensets(st.sampled_from(ids)))
+            for scope in scopes:
+                before = sweep_entries(one)
+                for container in (set(explored), AskedAbout()):  # walks, and stores nothing
+                    _sweep_move(scope, one, pose, container)
+                    assert sweep_entries(one) == before
+                for graph in data.draw(st.permutations([one, two])):
+                    want = expected_sweep(graph, scope, pose, explored)
+                    assert _sweep_move(scope, graph, pose, set(explored)) == want
+                    assert _sweep_move(scope, graph, pose, explored) == want
+                    steps.append((scope, graph, pose, explored, want))
+                assert ((scope.id, anchor, explored) in one._memo) == (anchor in prior)
+        assert {key[1] for key in sweep_entries(one)} == prior
+        assert sweep_entries(two) == sweep_entries(one)
+
+        reads = []
+        with pytest.MonkeyPatch.context() as mp:
+            for name in ("position_of", "nearest_first"):
+                real = getattr(SceneGraph, name)
+                mp.setattr(SceneGraph, name, lambda self, *a, real=real: reads.append(a) or real(self, *a))
+            for scope, graph, pose, explored, want in steps:
+                if pose.anchor_id in prior:
+                    assert _sweep_move(scope, graph, pose, explored) == want
+            assert reads == []
+
+    def test_a_copy_that_adds_a_big_object_walks_afresh(self, demo_truth):
+        grown, kept = demo_truth.prior_graph(), demo_truth.prior_graph()
+        scope, pose = grown.node("f0"), entrance()
+        first = _sweep_move(scope, kept, pose, frozenset())
+        grown.add_node(SceneNode("f0.living.crate", Layer.BIG_OBJECT, "crate", position=(0.0, 0.0)), "f0.living")
+        assert sweep_entries(grown) == set()
+        assert _sweep_move(scope, grown, pose, frozenset()) == expected_sweep(grown, scope, pose, frozenset())
+        assert _sweep_move(scope, kept, pose, frozenset()) is first
 
 
 def counting_nearest_first(monkeypatch):
